@@ -146,15 +146,14 @@ fn bench_bodiag_detectors(c: &mut Criterion<GuestCycles>) {
 }
 
 /// Execution-tier ablation: the same spin workload under the template
-/// tier, the superblock machine and the single-step reference
-/// interpreter. Guest cycles per iteration must be *identical* across
+/// tier, plain stepping and the reference interpreter. Guest cycles per iteration must be *identical* across
 /// the three rows — the equivalence contract, visible right in the
 /// bench output — while the wall-time secondary shows the host-speed
 /// gap.
-fn bench_superblock_modes(c: &mut Criterion<GuestCycles>) {
+fn bench_exec_modes(c: &mut Criterion<GuestCycles>) {
     use cheriabi::harness::ExecMode;
     let registry = cheri_bench::registry();
-    let mut g = c.benchmark_group("superblock-spin");
+    let mut g = c.benchmark_group("tier-spin");
     g.sample_size(10);
     for (name, mode) in [
         ("template", ExecMode::Template),
@@ -162,7 +161,7 @@ fn bench_superblock_modes(c: &mut Criterion<GuestCycles>) {
         ("single-step", ExecMode::SingleStep),
     ] {
         let spec = RunSpec::new(
-            format!("ablation-superblock-{name}"),
+            format!("ablation-tier-{name}"),
             ProgramSpec::Spin { iters: 200_000 },
             CodegenOpts::mips64(),
             AbiMode::Mips64,
@@ -182,6 +181,6 @@ criterion_group!(
     targets = bench_initdb_configs,
     bench_cap_format,
     bench_bodiag_detectors,
-    bench_superblock_modes
+    bench_exec_modes
 );
 criterion_main!(benches);

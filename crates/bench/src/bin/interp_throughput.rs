@@ -1,20 +1,19 @@
-//! Host-side interpreter throughput: guest-MIPS across the five execution
-//! modes — the reference interpreter (the `--oracle` shadow semantics),
-//! the single-step baseline (`--exec-mode single`), the TLB fast path
-//! with superblocks disabled, the superblock machine (`--exec-mode
-//! superblock`), and the template tier on top (`--exec-mode template`,
-//! the default everywhere else). The ref row prices the oracle:
-//! `ref_overhead` is fast MIPS over reference MIPS, an upper bound on the
-//! slowdown of `--oracle replay`.
+//! Host-side interpreter throughput: guest-MIPS across the three execution
+//! modes — the reference interpreter (`--exec-mode single`, also the
+//! `--oracle` baseline), plain TLB stepping (`--exec-mode superblock`),
+//! and stepping with hot branch targets promoted to trace templates
+//! (`--exec-mode template`, the default everywhere else). The ref row
+//! prices the oracle: `ref_overhead` is tmpl MIPS over ref MIPS, an upper
+//! bound on the slowdown of `--oracle replay`.
 //!
 //! Unlike every other binary here, this one measures *host* wall time, so
 //! its numbers vary run to run and machine to machine. Guest-visible
 //! metrics must NOT vary: the binary re-measures each program in every
 //! mode and exits non-zero if any counter differs, making every
-//! invocation a determinism check for the TLB/epoch fast path, the
-//! superblock execution core and the template tier. `--weaken-flush`
-//! deliberately drops one template exit flush so CI can prove that check
-//! has teeth (the run must exit non-zero).
+//! invocation a determinism check for the TLB/epoch stepper and the
+//! template tier. `--weaken-flush` deliberately drops one template exit
+//! flush so CI can prove that check has teeth (the run must exit
+//! non-zero).
 //!
 //! Writes `BENCH_interp.json` (see EXPERIMENTS.md).
 
@@ -28,7 +27,7 @@ use cheriabi::spec::{ProgramSpec, Registry};
 use cheriabi::{Metrics, System};
 
 const USAGE: &str = "usage: interp_throughput [options]
-  --no-fast-path    measure only the slow-path baseline
+  --no-fast-path    measure only the reference interpreter
   --weaken-flush    test-only: drop one template exit flush; the metric
                     cross-check must then fail (exit non-zero)
   --trials <n>      wall-time trials per mode (default 3, best-of)
@@ -85,54 +84,31 @@ fn parse_args() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// An interpreter execution mode: the fetch/translate fast path and,
-/// on top of it, the superblock execution core.
+/// An interpreter execution mode: the stepper (fast path) and, on top of
+/// it, template promotion.
 #[derive(Clone, Copy)]
 struct Mode {
     fast: bool,
-    superblocks: bool,
     templates: bool,
-    reference: bool,
 }
 
 impl Mode {
     /// The reference interpreter: pure per-step semantics, no TLB, no
-    /// decoded regions — the machine the differential oracle shadows with.
+    /// resident region — the machine the differential oracle replays on.
     const REF: Mode = Mode {
         fast: false,
-        superblocks: false,
         templates: false,
-        reference: true,
     };
-    /// Single-step baseline (fast machine, fast path off).
-    const BASE: Mode = Mode {
-        fast: false,
-        superblocks: false,
-        templates: false,
-        reference: false,
-    };
-    /// TLB/epoch fast path only (PR 3's fast mode).
-    const TLB: Mode = Mode {
+    /// Plain TLB stepping (`--exec-mode superblock`).
+    const STEP: Mode = Mode {
         fast: true,
-        superblocks: false,
         templates: false,
-        reference: false,
     };
-    /// The superblock machine with the template tier held off
-    /// (`--exec-mode superblock`).
-    const FULL: Mode = Mode {
-        fast: true,
-        superblocks: true,
-        templates: false,
-        reference: false,
-    };
-    /// The template tier on top of the superblock machine
-    /// (`--exec-mode template`, the default everywhere else).
+    /// Stepping with template promotion (`--exec-mode template`, the
+    /// default everywhere else).
     const TMPL: Mode = Mode {
         fast: true,
-        superblocks: true,
         templates: true,
-        reference: false,
     };
 }
 
@@ -141,9 +117,7 @@ fn run_once(registry: &Registry, spec: &ProgramSpec, mode: Mode, weaken: bool) -
     let program = registry.lower(spec, CodegenOpts::purecap(), 0);
     let mut sys = System::with_config(KernelConfig::default());
     sys.kernel.cpu.set_fast_path(mode.fast);
-    sys.kernel.cpu.set_superblocks(mode.superblocks);
     sys.kernel.cpu.set_templates(mode.templates);
-    sys.kernel.cpu.set_reference(mode.reference);
     if weaken && mode.templates {
         sys.kernel.cpu.set_weaken_flush(true);
     }
@@ -211,115 +185,66 @@ fn main() {
     let mut spin_tmpl_speedup: Option<f64> = None;
     let mut mismatch = false;
     println!(
-        "{:<28} {:>12} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8} {:>9}",
-        "program",
-        "guest instrs",
-        "ref MIPS",
-        "base MIPS",
-        "tlb MIPS",
-        "sb MIPS",
-        "tmpl MIPS",
-        "speedup",
-        "tmpl gain"
+        "{:<28} {:>12} {:>11} {:>11} {:>11} {:>8} {:>9}",
+        "program", "guest instrs", "ref MIPS", "step MIPS", "tmpl MIPS", "speedup", "tmpl gain"
     );
     for (name, spec) in &programs {
-        let (base_metrics, base_wall) = run_mode(&registry, spec, Mode::BASE, opts.trials, false);
-        let base_mips = mips(base_metrics.instructions, base_wall);
         let (ref_metrics, ref_wall) = run_mode(&registry, spec, Mode::REF, opts.trials, false);
-        if ref_metrics != base_metrics {
-            eprintln!(
-                "interp_throughput: {name}: guest metrics diverge between the \
-                 reference interpreter and baseline: {ref_metrics:?} vs {base_metrics:?}"
-            );
-            mismatch = true;
-        }
         let ref_mips = mips(ref_metrics.instructions, ref_wall);
-        let (tlb_stats, fast_stats, tmpl_stats, speedup, sb_speedup, tmpl_speedup) = if opts
-            .fast_too
-        {
-            let (tlb_metrics, tlb_wall) = run_mode(&registry, spec, Mode::TLB, opts.trials, false);
-            let (fast_metrics, fast_wall) =
-                run_mode(&registry, spec, Mode::FULL, opts.trials, false);
+        // (step, tmpl) as (wall, MIPS) pairs, when the fast modes run.
+        let fast = opts.fast_too.then(|| {
+            let (step_metrics, step_wall) =
+                run_mode(&registry, spec, Mode::STEP, opts.trials, false);
             let (tmpl_metrics, tmpl_wall) =
                 run_mode(&registry, spec, Mode::TMPL, opts.trials, opts.weaken_flush);
-            for (mode, m) in [
-                ("tlb fast path", &tlb_metrics),
-                ("superblock", &fast_metrics),
-                ("template", &tmpl_metrics),
-            ] {
-                if m != &base_metrics {
+            for (mode, m) in [("step", &step_metrics), ("template", &tmpl_metrics)] {
+                if m != &ref_metrics {
                     eprintln!(
                         "interp_throughput: {name}: guest metrics diverge between \
-                         {mode} and baseline: {m:?} vs {base_metrics:?}"
+                         {mode} and the reference interpreter: {m:?} vs {ref_metrics:?}"
                     );
                     mismatch = true;
                 }
             }
-            let tlb_mips = mips(tlb_metrics.instructions, tlb_wall);
-            let fast_mips = mips(fast_metrics.instructions, fast_wall);
-            let tmpl_mips = mips(tmpl_metrics.instructions, tmpl_wall);
-            let speedup = tmpl_mips / base_mips;
-            let sb = fast_mips / tlb_mips;
-            let tmpl = tmpl_mips / fast_mips;
-            if name == "spin" {
-                spin_speedup = Some(speedup);
-                spin_tmpl_speedup = Some(tmpl);
-            }
             (
-                Some((tlb_wall, tlb_mips)),
-                Some((fast_wall, fast_mips)),
-                Some((tmpl_wall, tmpl_mips)),
-                Some(speedup),
-                Some(sb),
-                Some(tmpl),
+                (step_wall, mips(step_metrics.instructions, step_wall)),
+                (tmpl_wall, mips(tmpl_metrics.instructions, tmpl_wall)),
             )
-        } else {
-            (None, None, None, None, None, None)
-        };
-        let (tlb_wall_j, tlb_mips_j) = match tlb_stats {
-            Some((w, m)) => (json_f64(w * 1e3), json_f64(m)),
-            None => ("null".to_string(), "null".to_string()),
-        };
-        let (fast_wall_j, fast_mips_j, speedup_j) = match (fast_stats, speedup) {
-            (Some((w, m)), Some(s)) => (json_f64(w * 1e3), json_f64(m), json_f64(s)),
-            _ => ("null".to_string(), "null".to_string(), "null".to_string()),
-        };
-        let (tmpl_wall_j, tmpl_mips_j) = match tmpl_stats {
-            Some((w, m)) => (json_f64(w * 1e3), json_f64(m)),
-            None => ("null".to_string(), "null".to_string()),
-        };
-        let ref_overhead = tmpl_stats.map(|(_, tmpl_mips)| tmpl_mips / ref_mips);
+        });
+        // speedup: tmpl over ref; tmpl gain: tmpl over plain stepping.
+        let gains = fast.map(|((_, step), (_, tmpl))| (tmpl / ref_mips, tmpl / step));
+        if name == "spin" {
+            spin_speedup = gains.map(|g| g.0);
+            spin_tmpl_speedup = gains.map(|g| g.1);
+        }
+        let num = |v: Option<f64>| v.map_or("null".to_string(), json_f64);
+        let cell =
+            |v: Option<f64>, suffix: &str| v.map_or("-".to_string(), |v| format!("{v:.2}{suffix}"));
+        let step = fast.map(|f| f.0);
+        let tmpl = fast.map(|f| f.1);
         println!(
-            "{:<28} {:>12} {:>11.2} {:>11.2} {:>11} {:>11} {:>11} {:>8} {:>9}",
+            "{:<28} {:>12} {:>11.2} {:>11} {:>11} {:>8} {:>9}",
             name,
-            base_metrics.instructions,
+            ref_metrics.instructions,
             ref_mips,
-            base_mips,
-            tlb_stats.map_or("-".to_string(), |(_, m)| format!("{m:.2}")),
-            fast_stats.map_or("-".to_string(), |(_, m)| format!("{m:.2}")),
-            tmpl_stats.map_or("-".to_string(), |(_, m)| format!("{m:.2}")),
-            speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
-            tmpl_speedup.map_or("-".to_string(), |s| format!("{s:.2}x")),
+            cell(step.map(|s| s.1), ""),
+            cell(tmpl.map(|t| t.1), ""),
+            cell(gains.map(|g| g.0), "x"),
+            cell(gains.map(|g| g.1), "x"),
         );
         lines.push(format!(
-            "{{\"program\":\"{}\",\"instructions\":{},\"cycles\":{},\"wall_ms_ref\":{},\"mips_ref\":{},\"wall_ms_base\":{},\"mips_base\":{},\"wall_ms_tlb\":{},\"mips_tlb\":{},\"wall_ms_fast\":{},\"mips_fast\":{},\"wall_ms_tmpl\":{},\"mips_tmpl\":{},\"speedup\":{},\"sb_speedup\":{},\"tmpl_speedup\":{},\"ref_overhead\":{}}}",
+            "{{\"program\":\"{}\",\"instructions\":{},\"cycles\":{},\"wall_ms_ref\":{},\"mips_ref\":{},\"wall_ms_step\":{},\"mips_step\":{},\"wall_ms_tmpl\":{},\"mips_tmpl\":{},\"tmpl_speedup\":{},\"ref_overhead\":{}}}",
             cheri_bench::cli::json_escape(name),
-            base_metrics.instructions,
-            base_metrics.cycles,
+            ref_metrics.instructions,
+            ref_metrics.cycles,
             json_f64(ref_wall * 1e3),
             json_f64(ref_mips),
-            json_f64(base_wall * 1e3),
-            json_f64(base_mips),
-            tlb_wall_j,
-            tlb_mips_j,
-            fast_wall_j,
-            fast_mips_j,
-            tmpl_wall_j,
-            tmpl_mips_j,
-            speedup_j,
-            sb_speedup.map_or("null".to_string(), json_f64),
-            tmpl_speedup.map_or("null".to_string(), json_f64),
-            ref_overhead.map_or("null".to_string(), json_f64),
+            num(step.map(|s| s.0 * 1e3)),
+            num(step.map(|s| s.1)),
+            num(tmpl.map(|t| t.0 * 1e3)),
+            num(tmpl.map(|t| t.1)),
+            num(gains.map(|g| g.1)),
+            num(gains.map(|g| g.0)),
         ));
     }
     let doc = format!(

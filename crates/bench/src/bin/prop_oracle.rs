@@ -3,7 +3,7 @@
 //! with two machine-checked properties on every retired instruction:
 //!
 //! * **oracle cleanliness** — the fast machine (decoded regions, TLB,
-//!   re-entry cache) must never diverge from the reference interpreter;
+//!   resident region) must never diverge from the reference interpreter;
 //! * **capability monotonicity** — every *tagged* capability in the
 //!   register file (including PCC and DDC) stays a subset of one of the
 //!   machine's initial authority roots. Derivation can only narrow.

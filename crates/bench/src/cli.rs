@@ -55,8 +55,8 @@ pub struct BenchOpts {
     /// Execution tier for every case (`--exec-mode
     /// single|superblock|template`, default template — the full stack).
     /// `--no-fast-path` is a legacy alias for `--exec-mode single`, the
-    /// guest-metric equivalence gate; mixing the alias with the explicit
-    /// flag is rejected at parse time.
+    /// reference interpreter; mixing the alias with the explicit flag is
+    /// rejected at parse time.
     pub exec_mode: ExecMode,
     /// Test-only: drop one compiled template's exit register flush
     /// (`--weaken-flush`) so the cross-tier gates can prove a residency
@@ -245,6 +245,17 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
                 .to_string(),
         );
     }
+    if opts.exec_mode == ExecMode::SingleStep
+        && (opts.oracle == OracleMode::Lockstep || opts.weaken_sem)
+    {
+        // The reference interpreter is what lockstep checks against and
+        // what --weaken-sem leaves intact: either would be a silent no-op.
+        return Err(
+            "--oracle lockstep and --weaken-sem shadow the fast tiers; they cannot combine \
+             with --exec-mode single/--no-fast-path"
+                .to_string(),
+        );
+    }
     if opts.fleet.is_some() {
         // A session flag the fleet cannot honour is an error, not a silent
         // drop: `--fleet` must never change what a command reports.
@@ -300,7 +311,7 @@ pub const USAGE: &str = "options:\n  \
     --retries N    re-run panicked / deadline-exceeded cases up to N times\n                 \
     (deterministic backoff; cache keys and entries are unaffected)\n  \
     --exec-mode T  execution tier for every case: `single` (the reference\n                 \
-    interpreter), `superblock` (decoded regions, no templates)\n                 \
+    interpreter), `superblock` (plain TLB stepping, no templates)\n                 \
     or `template` (the full stack, the default). Guest metrics\n                 \
     are byte-identical by contract; only host speed changes\n  \
     --no-fast-path legacy alias for --exec-mode single (and --fast-path for\n                 \
@@ -311,10 +322,11 @@ pub const USAGE: &str = "options:\n  \
     --oracle M     differential oracle: `lockstep` shadows every dispatched\n                 \
     instruction against the shared semantics, `replay` runs each\n                 \
     case twice (fast, then reference) and diffs the results;\n                 \
-    a divergence surfaces as a failed case (default: off)\n  \
+    a divergence surfaces as a failed case (default: off);\n                 \
+    lockstep needs a fast tier (not --exec-mode single)\n  \
     --weaken-sem   test-only: weaken csetbounds in the fast machine so the\n                 \
     oracle self-test can prove divergences are detected\n                 \
-    (never cached)\n  \
+    (fast tiers only; never cached)\n  \
     --oracle-every N  lockstep sampling cadence: shadow-check every Nth\n                 \
     dispatched instruction (default 1 = all; guest results\n                 \
     and cache identity are unaffected)\n  \
@@ -809,6 +821,12 @@ mod tests {
         );
         assert!(parse_args(args(&["--oracle"])).is_err());
         assert!(parse_args(args(&["--oracle", "sideways"])).is_err());
+        // Both shadow the fast tiers, so the reference interpreter cannot
+        // take them; replay already runs it as its second leg.
+        assert!(parse_args(args(&["--oracle", "lockstep", "--no-fast-path"])).is_err());
+        assert!(parse_args(args(&["--exec-mode", "single", "--weaken-sem"])).is_err());
+        assert!(parse_args(args(&["--exec-mode", "single", "--oracle", "replay"])).is_ok());
+        assert!(parse_args(args(&["--exec-mode", "superblock", "--oracle", "lockstep"])).is_ok());
     }
 
     #[test]

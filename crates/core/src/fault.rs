@@ -127,10 +127,10 @@ impl FaultPlan {
     /// Arms this plan on a freshly booted kernel (call before the guest
     /// spawns so access counts start from zero).
     pub fn arm(&self, kernel: &mut Kernel) {
-        // A fault can fire mid-superblock, so the core must charge every
-        // cache event at its exact program point rather than batching to
-        // block boundaries — otherwise the cycle count at the moment the
-        // fault lands would depend on the execution mode.
+        // Hold the core on plain stepping. Exactness does not need it: a
+        // template holds no store, swap or syscall, so no trigger can land
+        // inside one. The hold only keeps fault campaigns on the tier
+        // their recorded runs used.
         kernel.cpu.set_exact_mem_events(true);
         match self.kind {
             FaultKind::BitFlipData { after_writes, bit } => {

@@ -102,11 +102,13 @@ pub struct RunSpec {
     /// report-cache identity (a clean oracle run produces the same guest
     /// results as a plain run by contract); [`OracleMode::Off`] encodes to
     /// nothing, so oracle-free spec JSON stays byte-identical to before
-    /// the oracle plane existed.
+    /// the oracle plane existed. Lockstep shadows the stepper, so a
+    /// [`ExecMode::SingleStep`] spec does not arm it.
     pub oracle: OracleMode,
     /// Test-only: weaken the register-form `csetbounds` semantics in the
     /// fast machine (skip the bounds clamp) so the oracle's self-test can
-    /// prove the comparison has teeth. Never cached; `false` encodes to
+    /// prove the comparison has teeth. Ignored under
+    /// [`ExecMode::SingleStep`]. Never cached; `false` encodes to
     /// nothing.
     pub weaken_sem: bool,
     /// The strict/hardened membrane split (see DESIGN.md "The hardened
@@ -116,7 +118,7 @@ pub struct RunSpec {
     /// is byte-identical to before the membrane existed.
     pub abi_mode: MembraneMode,
     /// Lockstep sampling cadence: check the architectural diff at every
-    /// Nth superblock boundary instead of every one, making lockstep cheap
+    /// Nth dispatched instruction instead of every one, making lockstep cheap
     /// enough to arm across a full table. `1` (the default, encodes to
     /// nothing) is full lockstep; the value is a sampling knob only and by
     /// contract never changes guest results, so it is excluded from the
@@ -137,15 +139,15 @@ pub struct RunSpec {
 /// host speed only, and the equivalence gates hold them to it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// The single-step reference interpreter: one decode/dispatch per
-    /// instruction, the equivalence-gate baseline.
+    /// The reference interpreter: full VM walk and region scan per
+    /// fetch, direct semantics dispatch — the equivalence-gate baseline.
     SingleStep,
-    /// The superblock machine: decoded regions executed a block at a
-    /// time, per-instruction closures, per-access cache events.
+    /// Plain stepping (label `superblock`): the TLB stepper over
+    /// decode-once regions, with template promotion off.
     Superblock,
-    /// The full tier stack (the default): superblocks, plus hot re-entry
-    /// points compiled to register-allocated trace templates with
-    /// line-coalesced fetch events.
+    /// The full tier stack (the default): the stepper, plus hot branch
+    /// targets compiled to register-allocated trace templates with
+    /// line-coalesced fetches.
     #[default]
     Template,
 }
@@ -199,8 +201,8 @@ pub enum OracleMode {
     /// architectural state; the first mismatch becomes
     /// [`CaseOutcome::Divergence`].
     Lockstep,
-    /// Run the case twice — superblock fast path, then the single-step
-    /// reference interpreter — and diff the guest-visible results
+    /// Run the case twice — the spec's own tier, then the reference
+    /// interpreter — and diff the guest-visible results
     /// (outcome, console, metrics, scenario stats). A clean replay
     /// returns the fast run's report byte-identically.
     Replay,
@@ -321,7 +323,7 @@ impl RunSpec {
     }
 
     /// Legacy alias for [`RunSpec::with_exec_mode`]: `true` selects the
-    /// full tier stack, `false` the single-step reference interpreter.
+    /// full tier stack, `false` the reference interpreter.
     #[must_use]
     pub fn with_fast_path(self, fast_path: bool) -> RunSpec {
         self.with_exec_mode(if fast_path {
@@ -821,8 +823,8 @@ impl fmt::Display for CaseOutcome {
 }
 
 /// Host-side interpreter counters: how the simulator ran the case, never
-/// what the guest observed. TLB and superblock hit rates vary with the
-/// execution mode (they collapse to zero under `--no-fast-path`), so they
+/// what the guest observed. TLB and resident-region hit rates vary with
+/// the execution mode (they collapse to zero under `--no-fast-path`), so they
 /// are excluded from guest-metric equivalence, from the deterministic
 /// shard/golden line format, and from the report cache's identity. The
 /// scheduler counters (wakes/blocks/runq depth/context switches) ride in
@@ -1022,7 +1024,7 @@ pub struct CaseReport {
     pub quarantined: bool,
     /// What the armed fault plane did, when [`RunSpec::fault`] was set.
     pub faults: Option<FaultCounters>,
-    /// Host-side interpreter counters (TLB/superblock hit rates). Absent
+    /// Host-side interpreter counters (TLB/resident-region hit rates). Absent
     /// when the case never ran or every counter is zero; always excluded
     /// from the deterministic line format and the report-cache identity.
     pub host: Option<HostCounters>,
@@ -1185,8 +1187,8 @@ fn execute_inner(registry: &Registry, spec: &RunSpec) -> CaseReport {
     execute_once(registry, spec, false)
 }
 
-/// Runs the spec twice — fast path, then the single-step reference
-/// interpreter — and diffs the guest-visible results. A clean replay
+/// Runs the spec twice — fast path, then the reference interpreter — and
+/// diffs the guest-visible results. A clean replay
 /// returns the fast run's report verbatim (byte-identical to an
 /// oracle-free run); a mismatch becomes [`CaseOutcome::Divergence`].
 fn execute_replay(registry: &Registry, spec: &RunSpec) -> CaseReport {
@@ -1229,7 +1231,7 @@ fn execute_replay(registry: &Registry, spec: &RunSpec) -> CaseReport {
 }
 
 /// Builds and runs one spec in a fresh system on the current thread.
-/// `reference` forces the single-step reference interpreter regardless of
+/// `reference` forces the reference interpreter regardless of
 /// [`RunSpec::exec_mode`] — the replay oracle's second leg.
 fn execute_once(registry: &Registry, spec: &RunSpec, reference: bool) -> CaseReport {
     let start = Instant::now();
@@ -1257,17 +1259,18 @@ fn execute_once(registry: &Registry, spec: &RunSpec, reference: bool) -> CaseRep
             }
             ExecMode::Template => {
                 sys.kernel.cpu.set_fast_path(true);
-                // An armed fault plan mutates memory behind the guest's
-                // back mid-run; templates assume the re-entry guard stays
-                // valid for a whole trace, so demote to superblocks.
-                sys.kernel.cpu.set_templates(spec.fault.is_none());
+                sys.kernel.cpu.set_templates(true);
             }
         }
-        sys.kernel.cpu.set_weaken_sem(spec.weaken_sem);
+        // Lockstep and the weakened semantics live in the fast tiers; the
+        // reference interpreter is what they are checked against, so a
+        // single-step spec arms neither.
+        let fast = !reference && spec.exec_mode != ExecMode::SingleStep;
+        sys.kernel.cpu.set_weaken_sem(fast && spec.weaken_sem);
         sys.kernel.cpu.set_weaken_flush(spec.weaken_flush);
         if reference {
-            sys.kernel.cpu.set_reference(true);
-        } else if spec.oracle == OracleMode::Lockstep {
+            sys.kernel.cpu.set_fast_path(false);
+        } else if fast && spec.oracle == OracleMode::Lockstep {
             // Store verification is off while a fault plan is armed:
             // injected bit-flips corrupt granules behind the architecture's
             // back, which is exactly the non-architectural behaviour the

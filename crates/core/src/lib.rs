@@ -212,9 +212,11 @@ impl System {
         opts: &SpawnOpts,
         clients: u64,
     ) -> Result<ScenarioRun, cheri_rtld::LoadError> {
-        // Mid-run `Sys::Cycles` stamps must agree between the superblock
-        // fast path and the single-step interpreter, so make batched
-        // cache-event charging exact (same requirement as the fault plane).
+        // Hold the core on plain stepping, as the fault plane does.
+        // Exactness does not need it: a `Sys::Cycles` stamp is a syscall,
+        // which no template holds, and a template settles its cycles
+        // before the stepper resumes. The hold only keeps scenarios on the
+        // tier their recorded runs used.
         self.kernel.cpu.set_exact_mem_events(true);
         let c0 = self.kernel.cpu.stats;
         let m0 = self.kernel.cpu.caches.stats();

@@ -1,7 +1,6 @@
 //! Scenario-plane determinism: latency percentiles (and everything else in
 //! the deterministic line format) must be byte-identical across worker
-//! counts and across the superblock fast path vs. the single-step
-//! interpreter.
+//! counts, across the execution tiers, and across repeated runs.
 
 use cheri_corpus::suite::{opts_for, registry};
 use cheri_kernel::{AbiMode, KernelConfig};
@@ -101,4 +100,44 @@ fn scenario_latencies_are_seed_sensitive() {
     let b = execute_spec(&registry, &spec(2));
     let (sa, sb) = (a.scenario.expect("stats"), b.scenario.expect("stats"));
     assert_ne!((sa.p50, sa.p95, sa.p99), (sb.p50, sb.p95, sb.p99));
+}
+
+#[test]
+fn eight_client_scenario_repeats_with_identical_cycles() {
+    // Eight forked clients exit and are torn down mid-run while the server
+    // keeps allocating, so the order in which teardown returns frames
+    // shapes every later cycle count. Every hash map in a process draws a
+    // fresh iteration seed, so repeating the spec in-process exercises
+    // teardown and fork under different page-table orders.
+    let registry = registry();
+    let spec = RunSpec::new(
+        "scenario-mips64-c8-put".to_string(),
+        ProgramSpec::Scenario {
+            clients: 8,
+            queries: 24,
+            mix: "put".to_string(),
+            swap_pressure: true,
+        },
+        opts_for(AbiMode::Mips64),
+        AbiMode::Mips64,
+    )
+    .with_seed(11)
+    .with_config(KernelConfig {
+        pipe_capacity: 6,
+        ..KernelConfig::default()
+    });
+    let first = execute_spec(&registry, &spec);
+    assert_eq!(first.outcome, CaseOutcome::Exited(ExitStatus::Code(0)));
+    for run in 1..6 {
+        let again = execute_spec(&registry, &spec);
+        assert_eq!(
+            again.metrics.cycles, first.metrics.cycles,
+            "run {run}: cycles differ from the first run"
+        );
+        assert_eq!(
+            again.to_json_deterministic(0).to_string(),
+            first.to_json_deterministic(0).to_string(),
+            "run {run}"
+        );
+    }
 }

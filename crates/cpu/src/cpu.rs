@@ -7,7 +7,7 @@ use crate::template::{self, TOp, TTerm, Template, TmplState};
 use crate::{DerivationTrace, RegFile};
 use cheri_cap::{CapFault, Capability, Perms};
 use cheri_isa::Instr;
-use cheri_mem::{AccessKind, CacheHierarchy, MemEventRing, MemEventSink, FRAME_SIZE};
+use cheri_mem::{AccessKind, CacheHierarchy, FRAME_SIZE};
 use cheri_sem::{SemExit, StepCtx};
 use cheri_vm::{Access, AsId, Vm, VmError};
 use std::collections::HashMap;
@@ -55,10 +55,10 @@ pub enum TrapCause {
 /// host-side fast-path efficacy counters.
 ///
 /// Equality compares **guest-visible** fields only (`instret`, `cycles`,
-/// `syscalls`): the TLB and superblock counters describe how the simulator
-/// got there, differ legitimately between the superblock and
-/// `--no-fast-path` modes, and must never participate in the
-/// metric-equivalence gates.
+/// `syscalls`): the TLB, resident-region and template counters describe
+/// how the simulator got there, differ legitimately between the
+/// execution tiers, and must never participate in the metric-equivalence
+/// gates.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CpuStats {
     /// Instructions retired.
@@ -71,11 +71,11 @@ pub struct CpuStats {
     pub tlb_hits: u64,
     /// Host-side: translations that took the full VM walk.
     pub tlb_misses: u64,
-    /// Host-side: fetches/block entries served by the resident region.
+    /// Host-side: fetches served by the resident code region.
     pub sb_hits: u64,
-    /// Host-side: fetches/block entries that re-scanned the region map.
+    /// Host-side: fetches that re-scanned the region map.
     pub sb_misses: u64,
-    /// Host-side: superblocks promoted to a compiled trace template.
+    /// Host-side: hot branch targets compiled to a trace template.
     pub tmpl_compiles: u64,
     /// Host-side: template executions (each may run many loop
     /// iterations).
@@ -108,47 +108,36 @@ struct TlbEntry {
     base: u64,
 }
 
-/// Superblock re-entry cache geometry: direct-mapped on the block-entry
-/// pc. Must be a power of two. A loop body usually spans a handful of
-/// blocks (its header plus one per conditional), so a small table already
-/// captures the re-entry pattern a single slot would thrash on.
-const SB_SLOTS: usize = 32;
+/// Hot-pc table geometry: direct-mapped on the branch-target pc. Must be
+/// a power of two. A loop nest has a handful of taken-branch targets, so
+/// a small table captures them without thrashing.
+const HOT_SLOTS: usize = 64;
 
-/// Cached block-entry state for re-entering the same superblock: a hot
-/// loop re-executes its body blocks millions of times, and without this
-/// the per-entry PCC check, translation and clamp arithmetic dominate
-/// tiny blocks. Valid only while the VM translation epoch and the exact
-/// PCC still match — the same monotone-epoch argument that makes the TLB
-/// sound — and dropped wholesale whenever the region map or execution
-/// context changes.
-#[derive(Clone)]
-struct SbEntry {
-    /// Virtual address the block was entered at.
+/// Promotion state of one taken-branch target. Valid only while the VM
+/// translation epoch and the exact PCC still match — the same
+/// monotone-epoch argument that makes the TLB sound. Every demotion is
+/// therefore free: a guard miss (epoch bump from COW, swap, mprotect or
+/// fork; PCC change; slot reuse) refills the slot, and its template state
+/// resets to cold with it.
+struct HotEntry {
+    /// The branch-target pc.
     pc: u64,
-    /// Its translation under `epoch`.
-    pa: u64,
-    /// Instruction index of `pc` within `region`.
-    idx: usize,
-    /// Budget-independent run length: already clamped to the block end,
-    /// the page boundary and the PCC top (but *not* `max(1)`-floored —
-    /// the executor applies the budget clamp and the floor itself).
-    n: usize,
-    /// The exact PCC the entry checks passed under.
-    pcc: Capability,
-    /// VM translation epoch the entry was computed under.
+    /// VM translation epoch the entry was filled under.
     epoch: u64,
-    /// The region containing `pc`.
-    region: Arc<DecodedRegion>,
-    /// Template-tier promotion state. Lives inside the entry, so every
-    /// demotion path is free: a guard miss (epoch bump from COW, swap,
-    /// mprotect or fork; PCC change; slot reuse) rebuilds the entry and
-    /// the state resets to cold with it.
+    /// The exact PCC the entry was filled under.
+    pcc: Capability,
+    /// Guard hits so far, or the compiled template.
     tmpl: TmplState,
 }
 
 /// The simulated core: caches, counters, registered code regions, and a
 /// direct-mapped TLB that self-invalidates by comparing the VM's
 /// translation epoch (no kernel flush calls required).
+///
+/// Three machines share it: the reference interpreter (fast path off),
+/// the TLB stepper, and trace templates the stepper promotes from hot
+/// branch targets. All three charge every cache access at its exact
+/// program point, so guest-visible results are identical by construction.
 pub struct Cpu {
     /// Cache hierarchy (shared by fetch and data sides, as on the FPGA).
     pub caches: CacheHierarchy,
@@ -168,27 +157,18 @@ pub struct Cpu {
     /// The code region the last fetch hit: straight-line fetch and branch
     /// target resolution stay inside it without touching the region map.
     cur_code: Option<Arc<DecodedRegion>>,
-    /// Re-entry cache for recently entered superblocks, direct-mapped on
-    /// the entry pc ([`SB_SLOTS`] slots): loops re-enter the same blocks
-    /// at the same PCC under the same epoch, so the entry checks and
-    /// clamps need computing once, not per iteration.
-    sb_entries: Vec<Option<SbEntry>>,
-    /// When false, every fetch/load/store takes the full `vm.translate`
-    /// and region-scan path — the measurement baseline for
-    /// `interp_throughput --no-fast-path`. Guest-visible state and all
-    /// counters are identical either way.
+    /// Template promotion state of taken-branch targets, direct-mapped
+    /// on the target pc ([`HOT_SLOTS`] slots).
+    hot: Vec<Option<HotEntry>>,
+    /// When false, `run` takes the reference interpreter instead of the
+    /// stepper: per-step fetch through the full VM walk and region scan,
+    /// direct semantics dispatch — no TLB, no resident region, no
+    /// templates. Guest-visible behaviour is identical by construction;
+    /// only speed differs.
     fast_path: bool,
-    /// When false, the superblock loop is skipped even with the fast path
-    /// on: the TLB-only ablation point.
-    superblocks: bool,
-    /// When false, hot superblocks are never promoted to trace
-    /// templates: the `--exec-mode superblock` ablation point. Only
-    /// meaningful with the fast path and superblocks on.
+    /// When false, hot branch targets are never promoted to trace
+    /// templates: the `--exec-mode superblock` point (plain stepping).
     templates: bool,
-    /// Effective template activation for the current `run`: requires
-    /// batched superblock mode and no armed lockstep oracle (the shadow
-    /// needs per-instruction boundaries templates fold away).
-    tmpl_active: bool,
     /// Test-only residency weakening (`--weaken-flush`): the first
     /// template execution skips its exit write-set flush, silently
     /// dropping every register the trace computed. One-shot, so the
@@ -197,28 +177,16 @@ pub struct Cpu {
     weaken_flush: bool,
     /// Whether the one-shot weakened flush already fired.
     flush_weakened: bool,
-    /// Forces every memory event straight into the cache model (no ring
-    /// batching) and single-step execution. Armed fault plans set this so
-    /// ordering-sensitive triggers always observe an up-to-date model.
+    /// Holds the core on plain stepping (no templates). Armed fault plans
+    /// and scenarios set this so every trigger point and mid-run cycle
+    /// stamp falls between two single instructions.
     exact_events: bool,
     /// Test-only semantic weakening (`--weaken-sem`): when set,
     /// `csetbounds` (register form) skips its monotonicity check. Exists
     /// solely so the oracle self-test can prove divergences are detected.
     weaken_sem: bool,
-    /// When set, `run` takes the reference interpreter instead of the
-    /// superblock machine: per-step fetch through the full VM walk, exact
-    /// cache accounting, direct semantics dispatch — no TLB, no resident
-    /// region, no re-entry cache, no event batching. Guest-visible
-    /// behaviour is identical by construction; only speed differs.
-    reference: bool,
     /// Armed lockstep oracle, if any (see [`crate::oracle`]).
     lockstep: Option<LockstepState>,
-    /// Effective mode for the current `run`: batch events and execute by
-    /// superblock. Recomputed at every `run` entry from the three flags
-    /// and `trace.enabled`.
-    batch: bool,
-    /// Pending memory events awaiting a batched drain.
-    events: MemEventRing,
 }
 
 /// Converts a semantics-level exit into the machine-level [`Exit`].
@@ -256,60 +224,38 @@ impl Cpu {
             ],
             seen_epoch: 0,
             cur_code: None,
-            sb_entries: vec![None; SB_SLOTS],
+            hot: (0..HOT_SLOTS).map(|_| None).collect(),
             fast_path: true,
-            superblocks: true,
             templates: true,
-            tmpl_active: false,
             weaken_flush: false,
             flush_weakened: false,
             exact_events: false,
             weaken_sem: false,
-            reference: false,
             lockstep: None,
-            batch: false,
-            events: MemEventRing::new(),
         }
     }
 
-    /// Enables or disables the translation/fetch fast path. Disabling it
-    /// forces every access through the full VM walk and region scan —
-    /// useful only as a performance baseline; guest-visible behaviour is
-    /// identical in both modes.
+    /// Selects the stepper (`true`, the default) or the reference
+    /// interpreter (`false`, `--exec-mode single`). Guest-visible
+    /// behaviour is identical in both modes; only speed differs.
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
         self.reset_tlb();
     }
 
-    /// Whether the translation/fetch fast path is enabled.
+    /// Whether the stepper (rather than the reference interpreter) runs.
     #[must_use]
     pub fn fast_path(&self) -> bool {
         self.fast_path
     }
 
-    /// Enables or disables superblock execution (the TLB-only ablation
-    /// point when disabled). Guest-visible behaviour is identical in both
-    /// modes.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.superblocks = on;
-        self.cur_code = None;
-        self.reset_sb_entries();
-    }
-
-    /// Whether superblock execution is enabled.
-    #[must_use]
-    pub fn superblocks(&self) -> bool {
-        self.superblocks
-    }
-
-    /// Enables or disables the template tier (promotion of hot
-    /// superblocks to compiled trace templates — the superblock-only
-    /// ablation point when disabled). Guest-visible behaviour is
-    /// identical in both modes. Disabling discards every compiled
-    /// template by dropping the re-entry cache.
+    /// Enables or disables the template tier (promotion of hot branch
+    /// targets to compiled trace templates — plain stepping when
+    /// disabled). Guest-visible behaviour is identical in both modes.
+    /// Disabling discards every compiled template.
     pub fn set_templates(&mut self, on: bool) {
         self.templates = on;
-        self.reset_sb_entries();
+        self.reset_hot();
     }
 
     /// Whether template promotion is enabled.
@@ -336,22 +282,24 @@ impl Cpu {
         self.weaken_flush
     }
 
-    /// Forces exact memory-event replay (no ring batching) and single-step
-    /// execution. Fault-plan arming sets this so ordering-sensitive
-    /// trigger points always observe an up-to-date cache model.
+    /// Holds the core on plain stepping (no template promotion). Every
+    /// cache access is charged at its exact program point in every mode,
+    /// and a template holds no store, capability op, syscall or trap, so
+    /// this is not needed for exactness: fault-plan arming and scenarios
+    /// set it only to stay on the tier their recorded runs used.
     pub fn set_exact_mem_events(&mut self, on: bool) {
         self.exact_events = on;
     }
 
-    /// Whether exact memory-event replay is forced.
+    /// Whether the core is held on plain stepping.
     #[must_use]
     pub fn exact_mem_events(&self) -> bool {
         self.exact_events
     }
 
     /// Enables the test-only deliberate semantics bug (`--weaken-sem`):
-    /// `csetbounds` (register form) skips its monotonicity check, so a
-    /// derived capability can widen. The lockstep shadow never weakens,
+    /// `csetbounds` (register form) skips its monotonicity check in the
+    /// stepper, so a derived capability can widen. The lockstep shadow never weakens,
     /// so the oracle must report a divergence — the self-test that proves
     /// the oracle plane actually detects semantic drift.
     pub fn set_weaken_sem(&mut self, on: bool) {
@@ -364,26 +312,13 @@ impl Cpu {
         self.weaken_sem
     }
 
-    /// Switches the core to the reference interpreter (see the `reference`
-    /// field): the deliberately simple second consumer of the shared step
-    /// semantics, used as the `--oracle replay` baseline.
-    pub fn set_reference(&mut self, on: bool) {
-        self.reference = on;
-        self.reset_tlb();
-    }
-
-    /// Whether the reference interpreter is active.
-    #[must_use]
-    pub fn reference(&self) -> bool {
-        self.reference
-    }
-
     /// Arms the lockstep oracle: every `every`-th dispatched instruction —
     /// and every trap/exit boundary — is re-executed by a side-effect-free
     /// shadow interpreter and the full architectural state compared.
     /// `verify_stores` additionally checks what stores left in memory;
     /// disable it when a fault plan is armed (injected corruption is
-    /// deliberately non-architectural).
+    /// deliberately non-architectural). Only the stepper is shadowed: the
+    /// reference interpreter runs the shadow's own semantics.
     pub fn set_lockstep(&mut self, every: u64, verify_stores: bool) {
         let every = every.max(1);
         self.lockstep = Some(LockstepState {
@@ -404,28 +339,21 @@ impl Cpu {
         self.lockstep.as_mut().and_then(|l| l.divergence.take())
     }
 
-    /// Invalidates every TLB slot, the resident code block and the
-    /// superblock re-entry cache.
+    /// Invalidates every TLB slot, the resident code region and the
+    /// hot-pc table.
     fn reset_tlb(&mut self) {
         for e in &mut self.tlb {
             e.vpn = TLB_INVALID_VPN;
         }
         self.cur_code = None;
-        self.reset_sb_entries();
+        self.reset_hot();
     }
 
-    /// Invalidates the superblock re-entry cache.
-    fn reset_sb_entries(&mut self) {
-        for e in &mut self.sb_entries {
+    /// Invalidates the hot-pc table (and with it every template).
+    fn reset_hot(&mut self) {
+        for e in &mut self.hot {
             *e = None;
         }
-    }
-
-    /// Re-entry cache slot for a block-entry pc (instructions are 4-byte
-    /// aligned, so the index uses `pc >> 2`).
-    #[inline]
-    fn sb_slot(pc: u64) -> usize {
-        (pc >> 2) as usize & (SB_SLOTS - 1)
     }
 
     /// Registers a pre-decoded, immutable code region (done by the loader
@@ -434,7 +362,7 @@ impl Cpu {
     pub fn register_region(&mut self, id: AsId, region: Arc<DecodedRegion>) {
         self.code.entry(id).or_default().push(region);
         self.cur_code = None;
-        self.reset_sb_entries();
+        self.reset_hot();
     }
 
     /// Decodes and registers a code region in one step. Convenience
@@ -448,7 +376,7 @@ impl Cpu {
     pub fn clear_code(&mut self, id: AsId) {
         self.code.remove(&id);
         self.cur_code = None;
-        self.reset_sb_entries();
+        self.reset_hot();
     }
 
     /// Copies the code map of `from` to `to` (fork: the child shares the
@@ -459,7 +387,7 @@ impl Cpu {
             let shared = regions.clone();
             self.code.insert(to, shared);
             self.cur_code = None;
-            self.reset_sb_entries();
+            self.reset_hot();
         }
     }
 
@@ -501,14 +429,6 @@ impl Cpu {
         access: Access,
         pc: u64,
     ) -> Result<u64, TrapInfo> {
-        if !self.fast_path {
-            let pa = vm.translate(id, vaddr, access).map_err(|e| TrapInfo {
-                cause: TrapCause::Vm(e),
-                pc,
-                vaddr: Some(vaddr),
-            })?;
-            return Ok(pa.0);
-        }
         // Self-invalidate: any mapping mutation since the TLB was filled
         // shows up as an epoch mismatch.
         let epoch = vm.epoch();
@@ -544,34 +464,11 @@ impl Cpu {
         Ok(pa.0)
     }
 
-    // ------------------------------------------------------------------
-    // Memory-event sink
-    // ------------------------------------------------------------------
-
-    /// Records one physical memory access in program order. In batched
-    /// mode the event joins the pending ring (drained at superblock
-    /// boundaries, or here when full); otherwise it is replayed into the
-    /// cache model immediately — the exact-mode reference semantics.
+    /// Charges one physical memory access to the cache model, at its
+    /// exact program point.
     #[inline]
     pub(crate) fn mem_access(&mut self, pa: u64, kind: AccessKind) {
-        if self.batch {
-            if self.events.is_full() {
-                self.stats.cycles += self.caches.drain(&mut self.events);
-            }
-            self.events.record(pa, kind);
-        } else {
-            self.stats.cycles += self.caches.access(pa, kind);
-        }
-    }
-
-    /// Replays every pending event into the cache model and charges the
-    /// resulting stall cycles. Called at every `run` exit, so syscalls,
-    /// traps and instruction-limit returns always observe model state and
-    /// cycle counts identical to exact mode.
-    fn drain_events(&mut self) {
-        if !self.events.is_empty() {
-            self.stats.cycles += self.caches.drain(&mut self.events);
-        }
+        self.stats.cycles += self.caches.access(pa, kind);
     }
 
     // ------------------------------------------------------------------
@@ -604,13 +501,11 @@ impl Cpu {
         let pa = self.translate_cached(vm, id, pc, Access::Exec, pc)?;
         self.mem_access(pa, AccessKind::Fetch);
         // Straight-line execution stays inside one region: serve it from
-        // the resident block without touching the region map.
-        if self.fast_path {
-            if let Some(r) = &self.cur_code {
-                if r.contains(pc) {
-                    self.stats.sb_hits += 1;
-                    return Ok((r.instr_at(r.index_of(pc)), r.start()));
-                }
+        // the resident region without touching the region map.
+        if let Some(r) = &self.cur_code {
+            if r.contains(pc) {
+                self.stats.sb_hits += 1;
+                return Ok((r.instr_at(r.index_of(pc)), r.start()));
             }
         }
         self.stats.sb_misses += 1;
@@ -621,9 +516,7 @@ impl Cpu {
         })?;
         let di = region.instr_at(region.index_of(pc));
         let rstart = region.start();
-        if self.fast_path {
-            self.cur_code = Some(region);
-        }
+        self.cur_code = Some(region);
         Ok((di, rstart))
     }
 
@@ -634,39 +527,48 @@ impl Cpu {
     /// Runs until a syscall, break, trap, or `max_instrs` retired
     /// instructions.
     ///
-    /// Execution mode is chosen here: superblock batching when the fast
-    /// path and superblocks are enabled and neither tracing nor exact
-    /// event replay demands per-instruction fidelity; the single-step
-    /// path otherwise. Pending memory events are always drained before
-    /// returning, so the caller observes cycle counts, cache statistics
-    /// and model state identical to exact mode at every exit — syscall,
-    /// trap, break or instruction limit.
+    /// With the fast path off this is the reference interpreter. Otherwise
+    /// the stepper runs, and after every taken control transfer it looks
+    /// the new pc up in the hot-pc table, where hot targets promote to
+    /// trace templates. Templates are skipped while an armed lockstep
+    /// oracle needs per-instruction boundaries, and in exact-event mode
+    /// (fault plans, scenarios). Derivation tracing does not hold them: a
+    /// template derives no capability.
     pub fn run(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile, max_instrs: u64) -> Exit {
         self.set_context(id);
-        if self.reference {
+        if !self.fast_path {
             return self.run_reference(vm, id, rf, max_instrs);
         }
-        self.batch =
-            self.fast_path && self.superblocks && !self.trace.enabled && !self.exact_events;
-        // Templates additionally require no armed lockstep oracle: the
-        // shadow re-executes at per-instruction boundaries, which the
-        // template deliberately folds away.
-        self.tmpl_active = self.batch && self.templates && self.lockstep.is_none();
-        let exit = self.run_inner(vm, id, rf, max_instrs);
-        self.drain_events();
-        self.batch = false;
-        self.tmpl_active = false;
-        exit
+        let promote = self.templates && !self.exact_events && self.lockstep.is_none();
+        let mut executed = 0u64;
+        // Run entry counts as a control transfer: a guest resumed at a
+        // loop head re-enters its template at once.
+        let mut taken = promote;
+        while executed < max_instrs {
+            if taken && self.enter_template(vm, rf, max_instrs - executed, &mut executed) {
+                continue;
+            }
+            let pc = rf.pc;
+            match self.step(vm, id, rf) {
+                Ok(None) => {
+                    executed += 1;
+                    taken = promote && rf.pc != pc.wrapping_add(4);
+                }
+                Ok(Some(exit)) => return exit,
+                Err(trap) => return Exit::Trap(trap),
+            }
+        }
+        Exit::InstrLimit
     }
 
     /// The reference interpreter's run loop: one instruction at a time,
-    /// nothing cached, nothing batched. Fetch is checked against PCC, then
-    /// translated by the full VM walk and charged exactly; the instruction
-    /// is found by scanning the region map and executed by direct
-    /// semantics dispatch ([`cheri_sem::ops::step_instr`]) — the flat op
-    /// table, pre-resolved dispatch indices and superblock clamps are all
-    /// unused here, which is the point: any machinery bug shows up as a
-    /// difference against this loop.
+    /// nothing cached. Fetch is checked against PCC, then translated by
+    /// the full VM walk and charged exactly; the instruction is found by
+    /// scanning the region map and executed by direct semantics dispatch
+    /// ([`cheri_sem::ops::step_instr`]) — the TLB, the resident region,
+    /// the flat op table and templates are all unused here, which is the
+    /// point: any machinery bug shows up as a difference against this
+    /// loop.
     fn run_reference(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile, max_instrs: u64) -> Exit {
         let mut executed = 0u64;
         while executed < max_instrs {
@@ -694,7 +596,7 @@ impl Cpu {
             pc,
             vaddr: Some(pc),
         })?;
-        self.stats.cycles += self.caches.access(pa.0, AccessKind::Fetch);
+        self.mem_access(pa.0, AccessKind::Fetch);
         let region = self.find_region(id, pc).ok_or(TrapInfo {
             cause: TrapCause::NoCode,
             pc,
@@ -723,28 +625,6 @@ impl Cpu {
                 Ok(None)
             }
         }
-    }
-
-    fn run_inner(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile, max_instrs: u64) -> Exit {
-        let mut executed = 0u64;
-        if self.batch {
-            while executed < max_instrs {
-                if let Some(exit) =
-                    self.run_superblock(vm, id, rf, max_instrs - executed, &mut executed)
-                {
-                    return exit;
-                }
-            }
-            return Exit::InstrLimit;
-        }
-        while executed < max_instrs {
-            match self.step(vm, id, rf) {
-                Ok(None) => executed += 1,
-                Ok(Some(exit)) => return exit,
-                Err(trap) => return Exit::Trap(trap),
-            }
-        }
-        Exit::InstrLimit
     }
 
     /// Pre-instruction snapshot for the lockstep oracle: taken only while
@@ -801,217 +681,112 @@ impl Cpu {
         self.lockstep = Some(ls);
     }
 
-    /// Executes one superblock prefix: a straight-line run with a single
-    /// PCC bounds/perm check and a single translation, clamped so it can
-    /// never cross a page boundary, exceed the PCC's top, or outrun the
-    /// instruction budget. Returns `Some(exit)` to leave the run loop,
-    /// `None` to continue with the next block.
-    fn run_superblock(
+    /// Looks `rf.pc` up in the hot-pc table after a control transfer: a
+    /// guard hit counts toward promotion, the [`template::PROMOTE_THRESHOLD`]th
+    /// compiles a template from the resident region and the TLB
+    /// translation, and a compiled template runs when at least one full
+    /// pass fits the remaining `budget`. Returns whether a template ran.
+    fn enter_template(
         &mut self,
-        vm: &mut Vm,
-        id: AsId,
+        vm: &Vm,
         rf: &mut RegFile,
         budget: u64,
         executed: &mut u64,
-    ) -> Option<Exit> {
+    ) -> bool {
         let pc = rf.pc;
-        // Re-entry fast path: loops re-enter the same blocks at the same
-        // PCC under the same epoch, so the entry check, translation,
-        // region lookup and clamps from last time are all still valid.
-        // (Epoch monotonicity makes the `pa` reuse exactly as sound as a
-        // TLB hit; the exact-PCC compare re-validates the EXECUTE check
-        // and the top clamp.) The entry is *moved* out of its slot for the
-        // duration of the block — no refcount traffic on a hit — and moved
-        // back at the end. Op handlers never touch the region map or mode
-        // flags, and the guard re-validates on every entry, so restoring
-        // an entry that a mid-block epoch bump invalidated is harmless.
-        let slot = Self::sb_slot(pc);
-        let mut e = match self.sb_entries[slot].take() {
-            Some(mut e) if e.pc == pc && e.epoch == vm.epoch() && e.pcc == rf.pcc => {
-                if self.tmpl_active {
-                    if let TmplState::Cold(hits) = &mut e.tmpl {
-                        *hits += 1;
-                        if *hits >= template::PROMOTE_THRESHOLD {
-                            // The guard just revalidated the exact PCC,
-                            // so the clamp inputs are current.
-                            let pcc_top = rf.pcc.base().saturating_add(rf.pcc.length());
-                            let pcc_rem = ((pcc_top - pc) / 4) as usize;
-                            e.tmpl = match template::compile(
-                                &e.region,
-                                e.idx,
-                                pc,
-                                e.pa,
-                                pcc_rem,
-                                self.caches.l1_line(),
-                            ) {
-                                Some(t) => {
-                                    self.stats.tmpl_compiles += 1;
-                                    TmplState::Hot(Box::new(t))
-                                }
-                                None => TmplState::Rejected,
-                            };
-                        }
-                    }
-                    if let TmplState::Hot(t) = &e.tmpl {
-                        // Below one full pass of budget the template
-                        // cannot stop at the exact instruction the
-                        // superblock tier would, so fall through to it.
-                        if budget >= u64::from(t.n_trace) {
-                            self.stats.tmpl_hits += 1;
-                            self.run_template(t, rf, budget, executed);
-                            self.sb_entries[slot] = Some(e);
-                            return None;
-                        }
+        let epoch = vm.epoch();
+        let slot = (pc >> 2) as usize & (HOT_SLOTS - 1);
+        // Guard misses, cold counts and rejected targets settle in place:
+        // they are most of the lookups, and an entry is over 100 bytes.
+        match &mut self.hot[slot] {
+            Some(e) if e.pc == pc && e.epoch == epoch && e.pcc == rf.pcc => match &mut e.tmpl {
+                TmplState::Cold(hits) => {
+                    *hits = hits.saturating_add(1);
+                    if *hits < template::PROMOTE_THRESHOLD {
+                        return false;
                     }
                 }
-                self.stats.sb_hits += 1;
-                self.mem_access(e.pa, AccessKind::Fetch);
-                e
-            }
-            _ => {
-                if let Err(f) = rf.pcc.check_access(pc, 4, Perms::EXECUTE) {
-                    return Some(Exit::Trap(TrapInfo {
-                        cause: TrapCause::Cap(f),
-                        pc,
-                        vaddr: Some(pc),
-                    }));
-                }
-                let pa0 = match self.translate_cached(vm, id, pc, Access::Exec, pc) {
-                    Ok(pa) => pa,
-                    Err(t) => return Some(Exit::Trap(t)),
-                };
-                // The first instruction's fetch event goes in *before* the
-                // region lookup, so a NoCode trap charges exactly what the
-                // single-step path charges.
-                self.mem_access(pa0, AccessKind::Fetch);
-                let region = if let Some(r) = self.cur_code.as_ref().filter(|r| r.contains(pc)) {
-                    self.stats.sb_hits += 1;
-                    Arc::clone(r)
-                } else {
-                    self.stats.sb_misses += 1;
-                    match self.find_region(id, pc) {
-                        Some(r) => {
-                            self.cur_code = Some(Arc::clone(&r));
-                            r
-                        }
-                        None => {
-                            return Some(Exit::Trap(TrapInfo {
-                                cause: TrapCause::NoCode,
-                                pc,
-                                vaddr: Some(pc),
-                            }))
-                        }
-                    }
-                };
-                let idx = region.index_of(pc);
-                // Clamp the run: past a page boundary the next fetch needs
-                // a fresh translation (and must not pre-fault a page the
-                // block may never reach); past the PCC top the
-                // per-instruction check of the slow path would trap.
-                let run_len = region.block_last(idx) - idx + 1;
-                let page_rem = ((FRAME_SIZE - pc % FRAME_SIZE) / 4) as usize;
-                let pcc_top = rf.pcc.base().saturating_add(rf.pcc.length());
-                let pcc_rem = ((pcc_top - pc) / 4) as usize;
-                // The epoch is recorded *after* the translation, which may
-                // itself have bumped it (COW resolution, swap-in).
-                SbEntry {
+                TmplState::Rejected => return false,
+                TmplState::Hot(_) => {}
+            },
+            other => {
+                *other = Some(HotEntry {
                     pc,
-                    pa: pa0,
-                    idx,
-                    n: run_len.min(page_rem).min(pcc_rem),
+                    epoch,
                     pcc: rf.pcc,
-                    epoch: vm.epoch(),
-                    region,
                     tmpl: TmplState::default(),
-                }
+                });
+                return false;
             }
+        }
+        // Promotion or execution: the entry moves out of its slot for the
+        // duration (no refcount traffic) and back at the end.
+        let Some(mut e) = self.hot[slot].take() else {
+            return false;
         };
-        // Past the budget the run loop must return InstrLimit. The max(1)
-        // keeps progress even at degenerate clamps (e.g. an unaligned pc
-        // at the very end of a page).
-        let budget_rem = usize::try_from(budget).unwrap_or(usize::MAX);
-        let n = e.n.min(budget_rem).max(1);
-        let block_epoch = self.seen_epoch;
-        let rstart = e.region.start();
-        let mut cur_pc = pc;
-        let mut pa = e.pa;
-        let mut out = None;
-        for (k, di) in e.region.run(e.idx, n).iter().enumerate() {
-            if k > 0 {
-                self.mem_access(pa, AccessKind::Fetch);
-            }
-            self.stats.instret += 1;
-            self.stats.cycles += u64::from(di.base_cycles);
-            let pre = self.lockstep_pre(rf);
-            let mut cx = StepCtx {
-                rf: &mut *rf,
-                pc: cur_pc,
-                next: cur_pc.wrapping_add(4),
-                rstart,
-            };
-            let res = {
-                let mut ports = CpuPorts {
-                    cpu: self,
-                    vm: &mut *vm,
-                    id,
-                };
-                ops::OP_TABLE[usize::from(di.op)](&mut ports, &mut cx, di.instr)
-            };
-            if let Some(pre) = &pre {
-                self.lockstep_check(vm, id, pre, &cx, di.instr, &res);
-            }
-            match res {
-                Err(trap) => {
-                    out = Some(Exit::Trap(trap));
-                    break;
-                }
-                Ok(Some(exit)) => {
-                    out = Some(sem_exit(exit));
-                    break;
-                }
-                Ok(None) => {
-                    let next = cx.next;
-                    rf.pc = next;
-                    *executed += 1;
-                    if next != cur_pc.wrapping_add(4) {
-                        // Taken control flow: resume with a fresh block.
-                        break;
-                    }
-                    if di.instr.is_memory() && self.seen_epoch != block_epoch {
-                        // A data access mutated the mapping state (COW
-                        // resolution, swap-in eviction): the block-entry
-                        // translation is stale, so re-enter.
-                        break;
-                    }
-                    cur_pc = next;
-                    pa += 4;
-                }
+        if let TmplState::Cold(_) = e.tmpl {
+            if let Some(state) = self.compile_at(epoch, rf) {
+                e.tmpl = state;
             }
         }
-        // Demote on any trap: the block left the pure fast-loop regime
-        // (fault handling may change mappings or re-enter differently),
-        // so make the template re-earn its promotion.
-        if matches!(out, Some(Exit::Trap(_))) {
-            e.tmpl = TmplState::default();
-        }
-        self.sb_entries[slot] = Some(e);
-        out
+        let ran = match &e.tmpl {
+            // Below one full pass of budget the template cannot stop at
+            // the exact instruction stepping would, so step instead.
+            TmplState::Hot(t) if budget >= u64::from(t.n_trace) => {
+                self.stats.tmpl_hits += 1;
+                self.run_template(t, rf, budget, executed);
+                true
+            }
+            _ => false,
+        };
+        self.hot[slot] = Some(e);
+        ran
     }
 
-    /// Records a line-coalesced fetch run into the pending event ring
-    /// (template executions only run in batched mode). A run of `count`
-    /// same-line fetches replays as one real access plus `count - 1` L1I
-    /// hits — byte-identical stats to `count` individual accesses, see
-    /// [`MemEventRing::record_run`].
-    #[inline]
-    fn record_fetch_run(&mut self, pa: u64, count: u64) {
-        if count == 0 {
-            return;
+    /// Compiles the trace at `rf.pc`, entered under `rf.pcc` and VM
+    /// `epoch`. `None` means "not yet": the pc's translation is not in
+    /// the TLB or its region is not resident (both take no VM call to
+    /// check, so promotion never perturbs the VM); the next guard hit
+    /// retries.
+    fn compile_at(&mut self, epoch: u64, rf: &RegFile) -> Option<TmplState> {
+        let pc = rf.pc;
+        if rf.pcc.check_access(pc, 4, Perms::EXECUTE).is_err() {
+            return Some(TmplState::Rejected);
         }
-        if self.events.is_full() {
-            self.stats.cycles += self.caches.drain(&mut self.events);
+        let vpn = pc / FRAME_SIZE;
+        let tlb = self.tlb[Self::tlb_index(Access::Exec, vpn)];
+        if self.seen_epoch != epoch || tlb.vpn != vpn {
+            return None;
         }
-        self.events.record_run(pa, AccessKind::Fetch, count);
+        let region = self.cur_code.as_ref().filter(|r| r.contains(pc))?;
+        let pcc_top = rf.pcc.base().saturating_add(rf.pcc.length());
+        let pcc_rem = ((pcc_top - pc) / 4) as usize;
+        Some(
+            match template::compile(
+                region,
+                region.index_of(pc),
+                pc,
+                tlb.base + pc % FRAME_SIZE,
+                pcc_rem,
+                self.caches.l1_line(),
+            ) {
+                Some(t) => {
+                    self.stats.tmpl_compiles += 1;
+                    TmplState::Hot(Box::new(t))
+                }
+                None => TmplState::Rejected,
+            },
+        )
+    }
+
+    /// Charges a line-coalesced fetch run: `count` same-line fetches cost
+    /// one real access plus `count - 1` L1I hits, see
+    /// [`CacheHierarchy::access_run`]. Kept out of line: inlined, the
+    /// cache model costs `run_template`'s trace loop its registers and
+    /// measurably slows spin-style loops.
+    #[inline(never)]
+    fn fetch_run(&mut self, pa: u64, count: u64) {
+        self.stats.cycles += self.caches.access_run(pa, AccessKind::Fetch, count);
     }
 
     /// Executes a compiled trace template: loads the read∪write register
@@ -1019,7 +794,7 @@ impl Cpu {
     /// on a backedge terminator) until a side exit, the terminator's
     /// departure, or budget exhaustion, then flushes the write set and
     /// accounts retired instructions, base cycles and line-coalesced
-    /// fetch events exactly as the superblock tier would have.
+    /// fetches exactly as stepping would have.
     ///
     /// The caller guarantees `budget >= n_trace` (so at least one full
     /// pass fits) and that the entry guard (pc/epoch/PCC) holds; pure-int
@@ -1027,7 +802,6 @@ impl Cpu {
     /// for the whole execution and no exit other than a pc redirect can
     /// occur.
     fn run_template(&mut self, t: &Template, rf: &mut RegFile, budget: u64, executed: &mut u64) {
-        debug_assert!(self.batch);
         let n_trace = u64::from(t.n_trace);
         let mut locals = [0u64; template::MAX_LOCALS];
         for &(reg, local) in &t.init {
@@ -1200,11 +974,11 @@ impl Cpu {
             if let [(pa, count)] = t.fetch_runs[..] {
                 // Single-line trace: every fetch of every pass hits the
                 // same line, so the whole run coalesces into one event.
-                self.record_fetch_run(pa, count * full);
+                self.fetch_run(pa, count * full);
             } else {
                 for _ in 0..full {
                     for &(pa, count) in &t.fetch_runs {
-                        self.record_fetch_run(pa, count);
+                        self.fetch_run(pa, count);
                     }
                 }
             }
@@ -1215,7 +989,7 @@ impl Cpu {
             let mut rem = k as u64 + 1;
             for &(pa, count) in &t.fetch_runs {
                 let take = count.min(rem);
-                self.record_fetch_run(pa, take);
+                self.fetch_run(pa, take);
                 rem -= take;
                 if rem == 0 {
                     break;
@@ -1224,7 +998,6 @@ impl Cpu {
         }
         self.stats.instret += retired;
         self.stats.cycles += cycles;
-        self.stats.sb_hits += full + u64::from(side.is_some());
         *executed += retired;
         if self.weaken_flush && !self.flush_weakened {
             // --weaken-flush: drop the first execution's write set on
@@ -1617,50 +1390,125 @@ mod tests {
 
         // Pin the contract, not the call sites: total cycles must equal
         // the instructions' base cost plus *exactly* the stall cycles an
-        // in-order replay of the access stream through an ExactSink
-        // produces — however the execute loop batched them internally.
+        // in-order replay of the access stream produces.
         let text_pa = vm.translate(id, 0x10000, Access::Exec).unwrap().0;
         let data_pa = vm.translate(id, 0x20000, Access::Read).unwrap().0;
         let mut reference = CacheHierarchy::fpga_default();
-        let mut sink = cheri_mem::ExactSink::new(&mut reference);
-        sink.record(text_pa, AccessKind::Fetch); // li
-        sink.record(text_pa + 4, AccessKind::Fetch); // load
-        sink.record(data_pa, AccessKind::Load);
-        sink.record(text_pa + 8, AccessKind::Fetch); // syscall
-        let stalls = sink.stalls;
+        let stalls: u64 = [
+            (text_pa, AccessKind::Fetch),     // li
+            (text_pa + 4, AccessKind::Fetch), // load
+            (data_pa, AccessKind::Load),
+            (text_pa + 8, AccessKind::Fetch), // syscall
+        ]
+        .into_iter()
+        .map(|(pa, kind)| reference.access(pa, kind))
+        .sum();
         let base: u64 = code.iter().map(Instr::base_cycles).sum();
         assert_eq!(cpu.stats.cycles, base + stalls);
         assert_eq!(cpu.caches.stats(), reference.stats());
     }
 
+    /// The core's three machines: the reference interpreter, plain
+    /// stepping (`--exec-mode superblock`) and stepping with template
+    /// promotion (the default), as (name, fast path, templates).
+    const MODES: [(&str, bool, bool); 3] = [
+        ("reference", false, false),
+        ("step", true, false),
+        ("step+templates", true, true),
+    ];
+
     #[test]
-    fn all_execution_modes_agree_on_all_counters() {
-        // Superblock batching, forced-exact single-step, TLB-only, the
-        // no-fast-path baseline, and the reference interpreter must be
-        // guest-indistinguishable.
-        let code = store_sync_store_load();
-        let mut results = Vec::new();
-        for (fast, superblocks, templates, exact, reference) in [
-            (true, true, true, false, false),
-            (true, true, false, false, false),
-            (true, true, true, true, false),
-            (true, false, false, false, false),
-            (false, false, false, false, false),
-            (true, true, true, false, true),
-        ] {
-            let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), false);
-            cpu.set_fast_path(fast);
-            cpu.set_superblocks(superblocks);
-            cpu.set_templates(templates);
-            cpu.set_exact_mem_events(exact);
-            cpu.set_reference(reference);
-            assert_eq!(cpu.run(&mut vm, id, &mut rf, 10_000), Exit::Syscall);
-            assert_eq!(cpu.run(&mut vm, id, &mut rf, 10_000), Exit::Syscall);
-            results.push((cpu.stats, cpu.caches.stats(), vm.stats, rf.r(ireg::T2)));
+    fn mode_matrix_agrees_on_every_probe() {
+        let ddc_probe = vec![
+            Instr::Li {
+                rd: ireg::T0,
+                imm: 0x20010,
+            },
+            Instr::Load {
+                rd: ireg::T2,
+                base: ireg::T0,
+                off: 0,
+                w: Width::D,
+                signed: false,
+            },
+        ];
+        // (probe, code, purecap, runs, traps): each run resumes where the
+        // last one stopped and must exit through a syscall, or through a
+        // trap for the trap probes. Every exit, every guest-visible
+        // counter and the final register file must agree across the
+        // three machines.
+        let probes = [
+            (
+                "store-sync-store-load",
+                store_sync_store_load(),
+                false,
+                2,
+                false,
+            ),
+            (
+                "branchy-memory-loop",
+                branchy_memory_loop(),
+                false,
+                1,
+                false,
+            ),
+            ("spin", spin_loop(400), false, 1, false),
+            ("widen-trap", widen_probe(), true, 1, true),
+            ("null-ddc-trap", ddc_probe, true, 1, true),
+        ];
+        for (probe, code, purecap, runs, traps) in probes {
+            let mut results = Vec::new();
+            for (mode, fast, templates) in MODES {
+                let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), purecap);
+                cpu.set_fast_path(fast);
+                cpu.set_templates(templates);
+                let exits: Vec<Exit> = (0..runs)
+                    .map(|_| cpu.run(&mut vm, id, &mut rf, 100_000))
+                    .collect();
+                for exit in &exits {
+                    let expected = if traps {
+                        matches!(exit, Exit::Trap(_))
+                    } else {
+                        *exit == Exit::Syscall
+                    };
+                    assert!(expected, "{probe} under {mode}: unexpected exit {exit:?}");
+                }
+                if !templates {
+                    assert_eq!(cpu.stats.tmpl_compiles, 0, "{probe} under {mode}");
+                    assert_eq!(cpu.stats.tmpl_hits, 0, "{probe} under {mode}");
+                }
+                if probe == "spin" {
+                    assert_eq!(rf.r(ireg::T0), 400);
+                    if templates {
+                        // The loop head `top` is reached only through the
+                        // taken `j top`: that is where promotion happens.
+                        let top = 0x10000 + 4;
+                        assert!(
+                            cpu.hot
+                                .iter()
+                                .flatten()
+                                .any(|e| e.pc == top && matches!(e.tmpl, TmplState::Hot(_))),
+                            "spin must compile a template at its loop head"
+                        );
+                        assert!(cpu.stats.tmpl_hits >= 1, "the template must run");
+                    }
+                }
+                results.push((exits, cpu.stats, cpu.caches.stats(), vm.stats, rf.clone()));
+            }
+            for (r, (mode, ..)) in results.iter().zip(MODES).skip(1) {
+                assert_eq!(*r, results[0], "{probe}: {mode} vs reference");
+            }
         }
-        for r in &results[1..] {
-            assert_eq!(*r, results[0]);
-        }
+    }
+
+    #[test]
+    fn derivation_tracing_keeps_templates() {
+        // A template derives no capability, so tracing has nothing to
+        // miss inside one and must not hold the core on plain stepping.
+        let (mut cpu, mut vm, id, mut rf) = machine(spin_loop(400), false);
+        cpu.trace.enabled = true;
+        assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
+        assert!(cpu.stats.tmpl_hits >= 1, "the spin loop must run templated");
     }
 
     // ------------------------------------------------------------------
@@ -1668,9 +1516,8 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// The spin inner loop shape (`spec.rs`): count `iters` iterations,
-    /// then fall through to a syscall. The hot trace spans two
-    /// superblocks (li/sub/beqz and addi/j), so it exercises the
-    /// cross-block walk, a mid-trace side exit and the internal backedge.
+    /// then fall through to a syscall. The hot trace (li/sub/beqz/addi/j)
+    /// exercises a mid-trace side exit and the internal backedge.
     fn spin_loop(iters: i64) -> Vec<Instr> {
         vec![
             Instr::Li {
@@ -1704,39 +1551,10 @@ mod tests {
     }
 
     #[test]
-    fn spin_loop_promotes_and_agrees_with_every_tier() {
-        let code = spin_loop(400);
-        let mut results = Vec::new();
-        for (fast, superblocks, templates) in [
-            (true, true, true),
-            (true, true, false),
-            (false, false, false),
-        ] {
-            let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), false);
-            cpu.set_fast_path(fast);
-            cpu.set_superblocks(superblocks);
-            cpu.set_templates(templates);
-            assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
-            assert_eq!(rf.r(ireg::T0), 400);
-            if templates {
-                assert!(cpu.stats.tmpl_compiles >= 1, "the hot loop must promote");
-                assert!(cpu.stats.tmpl_hits >= 1, "the compiled template must run");
-            } else {
-                assert_eq!(cpu.stats.tmpl_compiles, 0);
-                assert_eq!(cpu.stats.tmpl_hits, 0);
-            }
-            results.push((cpu.stats, cpu.caches.stats(), vm.stats, rf.r(ireg::T0)));
-        }
-        for r in &results[1..] {
-            assert_eq!(*r, results[0]);
-        }
-    }
-
-    #[test]
-    fn template_budget_exhaustion_matches_superblock_exactly() {
+    fn template_budget_exhaustion_matches_stepping_exactly() {
         // An endless loop under assorted non-multiple budgets: the
         // template must stop at precisely the same instruction (and the
-        // same pc) the superblock tier would.
+        // same pc) plain stepping would.
         let code = vec![
             Instr::AddI {
                 rd: ireg::T0,
@@ -1859,7 +1677,7 @@ mod tests {
     fn epoch_bumps_demote_compiled_templates() {
         // Every kernel-side mapping mutation — mprotect, swap-out, fork,
         // COW resolution — bumps the VM translation epoch, which fails
-        // the re-entry guard, rebuilds the entry and resets its template
+        // the hot-pc guard, refills the slot and resets its template
         // state to cold. Each phase below must therefore recompile from
         // scratch: the compile counter is the demotion witness.
         let (mut cpu, mut vm, id, mut rf) = machine(store_then_spin(), false);
@@ -1889,10 +1707,10 @@ mod tests {
     }
 
     #[test]
-    fn trap_demotes_the_faulting_blocks_template() {
+    fn template_recompiles_after_a_trapping_remap() {
         // Promote the loop, then revoke write on the data page and rerun
-        // from the start: the store traps. The next full rerun must
-        // recompile (trap + epoch bump both demote) and still agree.
+        // from the start: the store traps. Restoring write bumps the
+        // epoch again, so the next full rerun must recompile.
         let (mut cpu, mut vm, id, mut rf) = machine(store_then_spin(), false);
         assert_eq!(cpu.run(&mut vm, id, &mut rf, 500), Exit::InstrLimit);
         assert_eq!(cpu.stats.tmpl_compiles, 1);
@@ -1906,44 +1724,6 @@ mod tests {
         rf.pc = 0x10000;
         assert_eq!(cpu.run(&mut vm, id, &mut rf, 500), Exit::InstrLimit);
         assert_eq!(cpu.stats.tmpl_compiles, 2, "re-promoted after the trap");
-    }
-
-    #[test]
-    fn mode_matrix_agrees_on_trap_heavy_probes() {
-        // single ≡ superblock ≡ template on probes that end in traps:
-        // the widen probe (capability fault) and a null-DDC legacy load.
-        let ddc_probe = vec![
-            Instr::Li {
-                rd: ireg::T0,
-                imm: 0x20010,
-            },
-            Instr::Load {
-                rd: ireg::T2,
-                base: ireg::T0,
-                off: 0,
-                w: Width::D,
-                signed: false,
-            },
-        ];
-        for code in [widen_probe(), ddc_probe] {
-            let mut results = Vec::new();
-            for (fast, superblocks, templates) in [
-                (false, false, false),
-                (true, true, false),
-                (true, true, true),
-            ] {
-                let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), true);
-                cpu.set_fast_path(fast);
-                cpu.set_superblocks(superblocks);
-                cpu.set_templates(templates);
-                let exit = cpu.run(&mut vm, id, &mut rf, 10_000);
-                assert!(matches!(exit, Exit::Trap(_)), "probe must trap: {exit:?}");
-                results.push((exit, cpu.stats, cpu.caches.stats(), vm.stats, rf.pc));
-            }
-            for r in &results[1..] {
-                assert_eq!(*r, results[0]);
-            }
-        }
     }
 
     #[test]
@@ -2189,13 +1969,9 @@ mod tests {
         assert_eq!(vm.stats.cow_copies, 0, "sole owner must not copy");
     }
 
-    #[test]
-    fn fast_path_and_baseline_agree_on_all_counters() {
-        // A branchy loop plus memory traffic, run twice from identical
-        // machines: once with the fast path, once forced down the full
-        // vm.translate + region-scan path. Every guest-visible counter
-        // must agree.
-        let code = vec![
+    /// A branchy countdown loop with a store and a load per iteration.
+    fn branchy_memory_loop() -> Vec<Instr> {
+        vec![
             Instr::Li {
                 rd: ireg::T0,
                 imm: 200,
@@ -2228,15 +2004,6 @@ mod tests {
                 target: 2,
             },
             Instr::Syscall,
-        ];
-        let mut results = Vec::new();
-        for fast in [true, false] {
-            let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), false);
-            cpu.set_fast_path(fast);
-            assert_eq!(cpu.fast_path(), fast);
-            assert_eq!(cpu.run(&mut vm, id, &mut rf, 10_000), Exit::Syscall);
-            results.push((cpu.stats, cpu.caches.stats(), vm.stats, rf.r(ireg::T2)));
-        }
-        assert_eq!(results[0], results[1]);
+        ]
     }
 }

@@ -3,7 +3,7 @@
 //! The per-instruction handler bodies live in [`cheri_sem::ops`] — this
 //! module only supplies what the pure semantics cannot know about:
 //! [`CpuPorts`] implements the [`MemoryPort`]/[`TrapPort`] surface on top
-//! of the core's TLB, batched cache-event sink and derivation trace, and
+//! of the core's TLB, cache model and derivation trace, and
 //! `with_op_list!` instantiates the flat [`OP_TABLE`] for threaded
 //! dispatch. The table is generated from the semantics crate's own
 //! handler-name list, so it cannot drift out of sync with
@@ -27,9 +27,9 @@ pub(crate) type OpResult = Result<Option<SemExit>, TrapInfo>;
 /// Handler signature shared by every slot of [`OP_TABLE`].
 pub(crate) type OpFn = fn(&mut CpuPorts<'_, '_>, &mut StepCtx<'_>, Instr) -> OpResult;
 
-/// The superblock machine's implementation of the semantics port traits:
-/// translations go through the TLB, cache events through the (possibly
-/// batched) event sink, derivations into the Figure 5 trace.
+/// The stepper's implementation of the semantics port traits:
+/// translations go through the TLB, cache accesses into the model,
+/// derivations into the Figure 5 trace.
 pub(crate) struct CpuPorts<'c, 'v> {
     /// The core (TLB, caches, counters, trace).
     pub cpu: &'c mut Cpu,
@@ -127,10 +127,9 @@ impl MemoryPort for CpuPorts<'_, '_> {
 }
 
 /// The reference interpreter's implementation of the semantics port
-/// traits: every translation takes the full VM walk, every cache event is
-/// replayed into the model immediately, and nothing is ever weakened. The
-/// deliberately simple second consumer of `cheri-sem` — what the fast
-/// machine is diffed against under `--oracle`.
+/// traits: every translation takes the full VM walk, and nothing is ever
+/// weakened. The deliberately simple second consumer of `cheri-sem` —
+/// what the fast machine is diffed against under `--oracle`.
 pub(crate) struct RefPorts<'c, 'v> {
     /// The core (caches, counters, trace).
     pub cpu: &'c mut Cpu,
@@ -150,10 +149,6 @@ impl RefPorts<'_, '_> {
                 pc,
                 vaddr: Some(vaddr),
             })
-    }
-
-    fn access(&mut self, pa: u64, kind: AccessKind) {
-        self.cpu.stats.cycles += self.cpu.caches.access(pa, kind);
     }
 }
 
@@ -184,7 +179,7 @@ impl TrapPort for RefPorts<'_, '_> {
 impl MemoryPort for RefPorts<'_, '_> {
     fn read_raw(&mut self, vaddr: u64, size: u64, pc: u64) -> Result<u64, TrapInfo> {
         let pa = self.translate(vaddr, Access::Read, pc)?;
-        self.access(pa, AccessKind::Load);
+        self.cpu.mem_access(pa, AccessKind::Load);
         let mut buf = [0u8; 8];
         self.vm
             .read_bytes(self.id, vaddr, &mut buf[..size as usize])
@@ -198,7 +193,7 @@ impl MemoryPort for RefPorts<'_, '_> {
 
     fn write_raw(&mut self, vaddr: u64, size: u64, value: u64, pc: u64) -> Result<(), TrapInfo> {
         let pa = self.translate(vaddr, Access::Write, pc)?;
-        self.access(pa, AccessKind::Store);
+        self.cpu.mem_access(pa, AccessKind::Store);
         let bytes = value.to_le_bytes();
         self.vm
             .write_bytes(self.id, vaddr, &bytes[..size as usize])
@@ -211,7 +206,7 @@ impl MemoryPort for RefPorts<'_, '_> {
 
     fn read_granule(&mut self, vaddr: u64, pc: u64) -> Result<Option<Capability>, TrapInfo> {
         let pa = self.translate(vaddr, Access::Read, pc)?;
-        self.access(pa, AccessKind::Load);
+        self.cpu.mem_access(pa, AccessKind::Load);
         self.vm.load_cap(self.id, vaddr).map_err(|e| TrapInfo {
             cause: TrapCause::Vm(e),
             pc,
@@ -221,7 +216,7 @@ impl MemoryPort for RefPorts<'_, '_> {
 
     fn write_granule(&mut self, vaddr: u64, value: Capability, pc: u64) -> Result<(), TrapInfo> {
         let pa = self.translate(vaddr, Access::Write, pc)?;
-        self.access(pa, AccessKind::Store);
+        self.cpu.mem_access(pa, AccessKind::Store);
         self.vm
             .store_cap(self.id, vaddr, value)
             .map_err(|e| TrapInfo {

@@ -10,8 +10,8 @@
 //! what a store actually left in memory) is recorded as a [`Divergence`].
 //!
 //! Because both sides run the same handler bodies, a clean run proves the
-//! superblock machinery (TLB, decode-once regions, re-entry cache, event
-//! batching) is observationally equivalent to plain semantics — and the
+//! stepper's machinery (TLB, decode-once regions, resident region, flat
+//! op table) is observationally equivalent to plain semantics — and the
 //! `--weaken-sem` self-test proves the comparison actually has teeth.
 
 use cheri_cap::{CapFault, Capability};

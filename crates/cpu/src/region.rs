@@ -1,13 +1,11 @@
-//! Decode-once code regions, pre-split into superblocks.
+//! Decode-once code regions.
 //!
 //! A [`DecodedRegion`] is built exactly once per registration and then
 //! shared immutably (`Arc`) between the per-space region map and the
-//! core's resident block — registration, fork and fetch all stop copying
+//! core's resident region — registration, fork and fetch all stop copying
 //! instruction vectors. Each instruction carries its pre-resolved dispatch
 //! index into the flat op table (threaded dispatch) and its base cycle
-//! cost, and the region records, for every instruction index, where the
-//! straight-line run starting there ends: the *superblock* structure the
-//! execute loop exploits to batch bounds checks and translations.
+//! cost.
 
 use crate::ops;
 use cheri_isa::Instr;
@@ -26,40 +24,18 @@ pub(crate) struct DecodedInstr {
 }
 
 /// An immutable, decode-once code region.
-///
-/// `block_last[i]` is the index of the last instruction of the superblock
-/// containing `i`: the straight-line run from `i` extends through
-/// `block_last[i]` inclusive, stopping at the first control-flow
-/// instruction or just before the next *block leader* (any static branch
-/// target), so no branch can ever jump into the middle of a run the
-/// executor has already committed to.
 #[derive(Debug)]
 pub struct DecodedRegion {
     start: u64,
     end: u64,
     code: Vec<DecodedInstr>,
-    block_last: Vec<u32>,
 }
 
 impl DecodedRegion {
     /// Decodes `code` (to be mapped at virtual address `start`) into a
-    /// shareable region: dispatch indices resolved, base cycles cached,
-    /// superblock boundaries computed at every static branch target and
-    /// control-flow instruction.
+    /// shareable region: dispatch indices resolved, base cycles cached.
     #[must_use]
     pub fn decode(start: u64, code: &[Instr]) -> Arc<DecodedRegion> {
-        let n = code.len();
-        let mut leader = vec![false; n + 1];
-        if n > 0 {
-            leader[0] = true;
-        }
-        for instr in code {
-            if let Some(t) = instr.branch_target() {
-                if (t as usize) < n {
-                    leader[t as usize] = true;
-                }
-            }
-        }
         let decoded = code
             .iter()
             .map(|&instr| DecodedInstr {
@@ -68,19 +44,10 @@ impl DecodedRegion {
                 base_cycles: u8::try_from(instr.base_cycles()).expect("base cycles fit in u8"),
             })
             .collect();
-        let mut block_last = vec![0u32; n];
-        for i in (0..n).rev() {
-            block_last[i] = if code[i].is_control() || i + 1 == n || leader[i + 1] {
-                i as u32
-            } else {
-                block_last[i + 1]
-            };
-        }
         Arc::new(DecodedRegion {
             start,
-            end: start + n as u64 * 4,
+            end: start + code.len() as u64 * 4,
             code: decoded,
-            block_last,
         })
     }
 
@@ -125,19 +92,6 @@ impl DecodedRegion {
     pub(crate) fn instr_at(&self, idx: usize) -> DecodedInstr {
         self.code[idx]
     }
-
-    /// The decoded run of `n` instructions starting at `idx` — one bounds
-    /// check for the whole superblock instead of one per instruction.
-    #[inline]
-    pub(crate) fn run(&self, idx: usize, n: usize) -> &[DecodedInstr] {
-        &self.code[idx..idx + n]
-    }
-
-    /// Index of the last instruction of the superblock containing `idx`.
-    #[inline]
-    pub(crate) fn block_last(&self, idx: usize) -> usize {
-        self.block_last[idx] as usize
-    }
 }
 
 #[cfg(test)]
@@ -146,42 +100,14 @@ mod tests {
     use cheri_isa::ireg;
 
     #[test]
-    fn splits_at_branch_targets_and_terminators() {
-        // 0: li ; 1: li ; 2: addi ; 3: bgtz ->2 ; 4: nop ; 5: syscall
-        let code = vec![
-            Instr::Li {
-                rd: ireg::T0,
-                imm: 1,
-            },
-            Instr::Li {
-                rd: ireg::T1,
-                imm: 2,
-            },
-            Instr::AddI {
-                rd: ireg::T0,
-                rs: ireg::T0,
-                imm: -1,
-            },
-            Instr::Bgtz {
-                rs: ireg::T0,
-                target: 2,
-            },
-            Instr::Nop,
-            Instr::Syscall,
-        ];
+    fn region_spans_its_instructions() {
+        let code = vec![Instr::Nop, Instr::Syscall];
         let r = DecodedRegion::decode(0x10000, &code);
         assert_eq!(r.start(), 0x10000);
-        assert_eq!(r.end(), 0x10000 + 6 * 4);
-        assert_eq!(r.len(), 6);
-        // Index 2 is a branch target, so the run from 0 stops at 1.
-        assert_eq!(r.block_last(0), 1);
-        assert_eq!(r.block_last(1), 1);
-        // The run from the leader at 2 extends through the branch at 3.
-        assert_eq!(r.block_last(2), 3);
-        assert_eq!(r.block_last(3), 3);
-        // Syscall terminates its own run.
-        assert_eq!(r.block_last(4), 5);
-        assert_eq!(r.block_last(5), 5);
+        assert_eq!(r.end(), 0x10000 + 2 * 4);
+        assert_eq!(r.len(), 2);
+        assert!(r.contains(0x10004) && !r.contains(0x10008));
+        assert_eq!(r.index_of(0x10004), 1);
     }
 
     #[test]
@@ -198,12 +124,5 @@ mod tests {
         assert_eq!(r.instr_at(0).instr, Instr::Nop);
         assert_eq!(u64::from(r.instr_at(1).base_cycles), code[1].base_cycles());
         assert_ne!(r.instr_at(0).op, r.instr_at(1).op);
-    }
-
-    #[test]
-    fn out_of_range_targets_are_ignored() {
-        let code = vec![Instr::J { target: 99 }];
-        let r = DecodedRegion::decode(0, &code);
-        assert_eq!(r.block_last(0), 0);
     }
 }

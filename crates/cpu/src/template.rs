@@ -1,23 +1,24 @@
-//! Trace templates: the register-allocating third execution tier.
+//! Trace templates: the register-allocating execution tier.
 //!
-//! When a superblock re-entry cache slot keeps hitting (the guard —
-//! same pc, same translation epoch, same exact PCC — keeps passing), the
-//! block is *promoted*: starting from its entry, the compiler walks the
-//! decoded region forward through fall-through control flow and compiles
-//! the longest prefix of **pure-integer** instructions (per the static
+//! The stepper looks every taken control-transfer target up in a small
+//! hot-pc table. When one keeps hitting (the guard — same pc, same
+//! translation epoch, same exact PCC — keeps passing), the target is
+//! *promoted*: starting from it, the compiler walks the decoded region
+//! forward through fall-through control flow and compiles the longest
+//! prefix of **pure-integer** instructions (per the static
 //! [`cheri_sem::RegEffects`] metadata declared beside every handler) into
 //! a [`Template`] — a closure-free straight-line plan in which every hot
 //! guest register lives in a dense local slot for the whole trace.
 //!
-//! The trace deliberately crosses superblock boundaries: a conditional
-//! branch does not end it. The not-taken path continues in the trace; the
-//! taken path becomes a *side exit* carrying the exact retired-instruction
-//! count, base-cycle prefix and fetch-event prefix for a departure at that
-//! instruction. An unconditional jump back to the trace entry (or a
-//! conditional backedge as the final instruction) turns the template into
-//! an *internal loop*: guest registers stay resident in locals across
-//! iterations and the per-instruction dispatch, `StepCtx` setup and port
-//! construction of the superblock machine are all folded away.
+//! A conditional branch does not end the trace. The not-taken path
+//! continues in the trace; the taken path becomes a *side exit* carrying
+//! the exact retired-instruction count, base-cycle prefix and fetch prefix
+//! for a departure at that instruction. An unconditional jump back to the
+//! trace entry (or a conditional backedge as the final instruction) turns
+//! the template into an *internal loop*: guest registers stay resident in
+//! locals across iterations and the per-instruction fetch, dispatch,
+//! `StepCtx` setup and port construction of the stepper are all folded
+//! away.
 //!
 //! Soundness leans on one fact: an instruction whose effects clause says
 //! [`is_pure_int`](cheri_sem::RegEffects::is_pure_int) touches no memory
@@ -26,14 +27,14 @@
 //! therefore checked once per template entry and remains valid for the
 //! whole execution, however many iterations run. Anything the guard can't
 //! cover — a memory access, a capability op, `syscall`/`break` — ends the
-//! trace at compile time and re-enters the superblock machine at runtime.
+//! trace at compile time and returns to the stepper at runtime.
 //!
 //! Templates are a pure accelerant: retired instructions, base cycles and
-//! fetch events (coalesced to cache-line runs, see
-//! [`cheri_mem::MemEventRing::record_run`]) are accounted exactly as the
-//! superblock tier would, so guest-visible metrics are byte-identical
-//! across all three tiers — which `interp_throughput` and the cpu-level
-//! mode-matrix tests enforce.
+//! fetches (charged in cache-line runs, see
+//! [`cheri_mem::CacheHierarchy::access_run`]) are accounted exactly as
+//! stepping would, so guest-visible metrics are byte-identical across all
+//! tiers — which `interp_throughput` and the cpu-level mode-matrix test
+//! enforce.
 
 use crate::region::DecodedRegion;
 use cheri_isa::{IReg, Instr};
@@ -57,7 +58,7 @@ const MAX_TRACE: usize = 64;
 /// Non-looping traces shorter than this are not worth the entry/exit
 /// load/flush traffic; looping traces always qualify.
 const MIN_TRACE: usize = 3;
-/// Guard hits on one re-entry slot before the block is promoted.
+/// Guard hits on one hot-pc slot before its target is promoted.
 pub(crate) const PROMOTE_THRESHOLD: u32 = 16;
 
 /// Branch condition, evaluated over locals.
@@ -252,7 +253,7 @@ impl Template {
     }
 }
 
-/// Promotion state of one superblock re-entry slot.
+/// Promotion state of one hot-pc slot.
 #[derive(Clone, Debug)]
 pub(crate) enum TmplState {
     /// Counting guard hits toward [`PROMOTE_THRESHOLD`].
@@ -337,9 +338,9 @@ pub(crate) fn compile(
     line: u64,
 ) -> Option<Template> {
     let rstart = region.start();
-    // Same clamps as the superblock entry: the contiguous-pa argument
-    // (pa = pa0 + 4k) only holds within the entry's page, and every
-    // fetch must sit below the PCC top the guard validated.
+    // The contiguous-pa argument (pa = pa0 + 4k) only holds within the
+    // entry's page, and every fetch must sit below the PCC top the guard
+    // validated.
     let page_rem = ((FRAME_SIZE - pc0 % FRAME_SIZE) / 4) as usize;
     let cap = MAX_TRACE.min(page_rem).min(pcc_rem).min(region.len() - idx);
 

@@ -429,8 +429,7 @@ impl Instr {
     }
 
     /// Whether this instruction may transfer control (branches, jumps,
-    /// traps into the kernel). Superblock formation treats these as
-    /// terminators: a straight-line run never continues past one.
+    /// traps into the kernel).
     #[must_use]
     pub fn is_control(&self) -> bool {
         matches!(
@@ -450,25 +449,6 @@ impl Instr {
                 | Instr::CJr { .. }
                 | Instr::CJalr { .. }
         )
-    }
-
-    /// Static branch target (an instruction index within the enclosing
-    /// object), when the instruction encodes one. Register-indirect jumps
-    /// return `None`; their targets are still block leaders because the
-    /// jump itself terminates its block.
-    #[must_use]
-    pub fn branch_target(&self) -> Option<u32> {
-        match self {
-            Instr::Beq { target, .. }
-            | Instr::Bne { target, .. }
-            | Instr::Blez { target, .. }
-            | Instr::Bgtz { target, .. }
-            | Instr::Bltz { target, .. }
-            | Instr::Bgez { target, .. }
-            | Instr::J { target }
-            | Instr::Jal { target } => Some(*target),
-            _ => None,
-        }
     }
 }
 
@@ -505,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn control_classification_and_targets() {
+    fn control_classification() {
         assert!(Instr::Beq {
             rs: ireg::V0,
             rt: ireg::V1,
@@ -515,18 +495,6 @@ mod tests {
         assert!(Instr::Syscall.is_control());
         assert!(Instr::CJr { cb: creg::CRA }.is_control());
         assert!(!Instr::Nop.is_control());
-        assert_eq!(
-            Instr::Bne {
-                rs: ireg::V0,
-                rt: ireg::V1,
-                target: 9
-            }
-            .branch_target(),
-            Some(9)
-        );
-        assert_eq!(Instr::Jal { target: 3 }.branch_target(), Some(3));
-        assert_eq!(Instr::Jr { rs: ireg::RA }.branch_target(), None);
-        assert_eq!(Instr::Nop.branch_target(), None);
     }
 
     #[test]

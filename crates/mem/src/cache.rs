@@ -191,40 +191,31 @@ impl CacheHierarchy {
         cycles
     }
 
-    /// Replays every queued event, in order, through [`CacheHierarchy::access`]
-    /// and returns the total stall cycles. Draining empties the ring.
+    /// Performs `n` consecutive accesses to the *same cache line*
+    /// (identified by any `paddr` within it) with no other access in
+    /// between, and returns their total stall cycles. `n` 0 does nothing.
     ///
-    /// Because replay preserves program order exactly, the model state and
-    /// [`MemStats`] after a drain are identical to what per-access calls
-    /// would have produced — the only difference is *when* the work happens.
-    ///
-    /// A line-coalesced event (count > 1, recorded via
-    /// [`MemEventRing::record_run`]) replays as one real access followed by
-    /// `count - 1` same-line repeats. The repeats are provably L1 hits that
-    /// leave the hierarchy state untouched: after the first access the line
-    /// sits at the MRU front of its L1 set, a same-line re-access takes the
-    /// front fast path in [`Cache::access`] (no LRU reorder, no L2
-    /// involvement) and costs 0 stall cycles, so only the L1 hit counter
-    /// advances. Folding them into one counter bump is therefore
-    /// byte-identical to per-access replay.
-    pub fn drain(&mut self, ring: &mut MemEventRing) -> u64 {
-        let mut cycles = 0;
-        for &(paddr, kind, count) in &ring.events {
-            cycles += self.access(paddr, kind);
-            if count > 1 {
-                let hit_ctr = match kind {
-                    AccessKind::Fetch => &mut self.stats.l1i_hits,
-                    _ => &mut self.stats.l1d_hits,
-                };
-                *hit_ctr += count - 1;
-            }
+    /// The template tier charges its instruction fetches this way. It is
+    /// byte-identical to `n` calls of [`CacheHierarchy::access`]: after
+    /// the first access the line sits at the MRU front of its L1 set, and
+    /// a same-line re-access takes the front fast path in `Cache::access`
+    /// (no LRU reorder, no L2 involvement, 0 stall cycles), so only the
+    /// L1 hit counter advances.
+    pub fn access_run(&mut self, paddr: u64, kind: AccessKind, n: u64) -> u64 {
+        if n == 0 {
+            return 0;
         }
-        ring.events.clear();
+        let cycles = self.access(paddr, kind);
+        let hit_ctr = match kind {
+            AccessKind::Fetch => &mut self.stats.l1i_hits,
+            _ => &mut self.stats.l1d_hits,
+        };
+        *hit_ctr += n - 1;
         cycles
     }
 
     /// The L1 line size in bytes — the coalescing granularity for
-    /// [`MemEventRing::record_run`]. Both L1s share one geometry.
+    /// [`CacheHierarchy::access_run`]. Both L1s share one geometry.
     #[must_use]
     pub fn l1_line(&self) -> u64 {
         self.l1i.cfg.line
@@ -246,109 +237,6 @@ impl CacheHierarchy {
         self.l1i.flush();
         self.l1d.flush();
         self.l2.flush();
-    }
-}
-
-/// A consumer of physical memory access events.
-///
-/// The execute loop is the producer: every fetch, load and store emits one
-/// `(paddr, kind)` event *in program order*. How promptly the cache model
-/// observes them is the sink's choice — [`MemEventRing`] batches, while
-/// [`ExactSink`] replays each event into the hierarchy immediately. Both
-/// must yield identical model state once all events are consumed; the
-/// equivalence gate in CI holds that line.
-pub trait MemEventSink {
-    /// Record one access. Ordering across calls is program order.
-    fn record(&mut self, paddr: u64, kind: AccessKind);
-}
-
-/// A bounded FIFO of pending memory events, drained in batches by
-/// [`CacheHierarchy::drain`] at superblock boundaries (and mandatorily
-/// before any point that reads cycles or cache statistics).
-///
-/// Each entry carries a repeat count: `(paddr, kind, n)` stands for `n`
-/// consecutive same-line accesses with nothing in between — the
-/// line-granularity form the template tier emits for its instruction
-/// fetches. Plain [`MemEventSink::record`] pushes count 1.
-#[derive(Clone, Debug, Default)]
-pub struct MemEventRing {
-    events: Vec<(u64, AccessKind, u64)>,
-}
-
-impl MemEventRing {
-    /// Capacity bound: producers should drain once [`MemEventRing::is_full`]
-    /// reports true. (Exceeding it is not UB — the ring grows — but keeps
-    /// the batch cache-resident on the host: at 16 bytes per event the
-    /// buffer must stay well under the host L1 size, or every event gets
-    /// written to and re-read from L2 and the batching costs more than it
-    /// saves.)
-    pub const CAPACITY: usize = 512;
-
-    /// Creates an empty ring with [`MemEventRing::CAPACITY`] reserved.
-    #[must_use]
-    pub fn new() -> MemEventRing {
-        MemEventRing {
-            events: Vec::with_capacity(Self::CAPACITY),
-        }
-    }
-
-    /// Number of queued events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Whether the ring has reached its nominal capacity.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.events.len() >= Self::CAPACITY
-    }
-
-    /// Records `count` consecutive accesses to the *same cache line*
-    /// (identified by any `paddr` within it) with no other access
-    /// interleaved. The caller owns that contract; [`CacheHierarchy::drain`]
-    /// then replays it as one access plus `count - 1` guaranteed L1 hits,
-    /// which is byte-identical to recording each access individually (see
-    /// the proof sketch on `drain`). `count` 0 records nothing.
-    pub fn record_run(&mut self, paddr: u64, kind: AccessKind, count: u64) {
-        if count > 0 {
-            self.events.push((paddr, kind, count));
-        }
-    }
-}
-
-impl MemEventSink for MemEventRing {
-    fn record(&mut self, paddr: u64, kind: AccessKind) {
-        self.events.push((paddr, kind, 1));
-    }
-}
-
-/// An event sink that replays each access into the hierarchy the moment it
-/// is recorded, accumulating stall cycles in [`ExactSink::stalls`]. This is
-/// the reference semantics: batched mode must be indistinguishable from it.
-#[derive(Debug)]
-pub struct ExactSink<'a> {
-    caches: &'a mut CacheHierarchy,
-    /// Stall cycles charged so far.
-    pub stalls: u64,
-}
-
-impl<'a> ExactSink<'a> {
-    /// Wraps a hierarchy for immediate replay.
-    pub fn new(caches: &'a mut CacheHierarchy) -> ExactSink<'a> {
-        ExactSink { caches, stalls: 0 }
-    }
-}
-
-impl MemEventSink for ExactSink<'_> {
-    fn record(&mut self, paddr: u64, kind: AccessKind) {
-        self.stalls += self.caches.access(paddr, kind);
     }
 }
 
@@ -414,58 +302,11 @@ mod tests {
         assert!(h.access(0x40, AccessKind::Load) > 0);
     }
 
-    /// A pseudo-random but deterministic access trace.
-    fn trace() -> Vec<(u64, AccessKind)> {
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let mut out = Vec::new();
-        for i in 0..10_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let pa = (x >> 16) % (2 * 1024 * 1024);
-            let kind = match i % 3 {
-                0 => AccessKind::Fetch,
-                1 => AccessKind::Load,
-                _ => AccessKind::Store,
-            };
-            out.push((pa, kind));
-        }
-        out
-    }
-
+    /// The template tier's coalescing contract: `access_run(pa, k, n)`
+    /// leaves exactly the state and stalls of `n` single `access` calls —
+    /// across cold lines, warm lines, and interleaved data traffic.
     #[test]
-    fn batched_drain_equals_exact_replay() {
-        let mut exact_h = CacheHierarchy::fpga_default();
-        let exact_stalls = {
-            let mut sink = ExactSink::new(&mut exact_h);
-            for (pa, kind) in trace() {
-                sink.record(pa, kind);
-            }
-            sink.stalls
-        };
-
-        let mut batched_h = CacheHierarchy::fpga_default();
-        let mut ring = MemEventRing::new();
-        let mut batched_stalls = 0;
-        for (pa, kind) in trace() {
-            if ring.is_full() {
-                batched_stalls += batched_h.drain(&mut ring);
-            }
-            ring.record(pa, kind);
-        }
-        batched_stalls += batched_h.drain(&mut ring);
-
-        assert!(ring.is_empty());
-        assert_eq!(batched_stalls, exact_stalls);
-        assert_eq!(batched_h.stats(), exact_h.stats());
-    }
-
-    /// The template tier's coalescing contract: a `record_run` of `n`
-    /// same-line accesses drains to exactly the state and stalls of `n`
-    /// individual records — across cold lines, warm lines, and interleaved
-    /// data traffic between runs.
-    #[test]
-    fn coalesced_run_equals_per_access_replay() {
+    fn access_run_equals_single_accesses() {
         let line = CacheConfig::l1_default().line;
         // (start paddr, kind, run length); runs stay within one line.
         let runs = [
@@ -475,27 +316,26 @@ mod tests {
             (0x1000, AccessKind::Fetch, 16), // warm re-run
             (0x8004, AccessKind::Store, 2),
             (0x1000 + line, AccessKind::Fetch, 1),
+            (0x9000, AccessKind::Load, 0),
         ];
 
-        let mut exact_h = CacheHierarchy::fpga_default();
-        let mut exact_stalls = 0;
+        let mut single = CacheHierarchy::fpga_default();
+        let mut single_stalls = 0;
         for &(pa, kind, n) in &runs {
             for i in 0..n {
                 // Walk within the line like a fetch stream does.
-                exact_stalls += exact_h.access(pa + (i % (line / 4)) * 4, kind);
+                single_stalls += single.access(pa + (i % (line / 4)) * 4, kind);
             }
         }
 
-        let mut coalesced_h = CacheHierarchy::fpga_default();
-        let mut ring = MemEventRing::new();
-        let mut coalesced_stalls = 0;
+        let mut run = CacheHierarchy::fpga_default();
+        let mut run_stalls = 0;
         for &(pa, kind, n) in &runs {
-            ring.record_run(pa, kind, n);
-            coalesced_stalls += coalesced_h.drain(&mut ring);
+            run_stalls += run.access_run(pa, kind, n);
         }
 
-        assert_eq!(coalesced_stalls, exact_stalls);
-        assert_eq!(coalesced_h.stats(), exact_h.stats());
-        assert_eq!(coalesced_h.l1_line(), line);
+        assert_eq!(run_stalls, single_stalls);
+        assert_eq!(run.stats(), single.stats());
+        assert_eq!(run.l1_line(), line);
     }
 }

@@ -27,6 +27,6 @@ mod cache;
 mod phys;
 mod stats;
 
-pub use cache::{AccessKind, CacheConfig, CacheHierarchy, ExactSink, MemEventRing, MemEventSink};
+pub use cache::{AccessKind, CacheConfig, CacheHierarchy};
 pub use phys::{FrameId, PAddr, PhysFaultSpec, PhysFaults, PhysMem, FRAME_SIZE};
 pub use stats::MemStats;

@@ -6,12 +6,11 @@
 //! algebra (`cheri-cap`) and the instruction set (`cheri-isa`). Two
 //! machines consume it:
 //!
-//! * the superblock fast path in `cheri-cpu`, which plugs in its TLB,
-//!   decode-once regions and batched cache-event ring behind the port
-//!   traits; and
+//! * the stepper in `cheri-cpu`, which plugs in its TLB and decode-once
+//!   regions behind the port traits; and
 //! * the deliberately simple reference interpreter (also in `cheri-cpu`),
-//!   which plugs in direct VM walks and exact cache accounting — no TLB,
-//!   no regions, no re-entry cache, no event batching.
+//!   which plugs in direct VM walks — no TLB, no resident region, no
+//!   dispatch table.
 //!
 //! Because both machines execute the *same* handler bodies, any observable
 //! difference between them is a bug in the machinery around the semantics,

@@ -2,7 +2,7 @@
 //! [`Instr`] variant.
 //!
 //! Every handler is generic over a [`MemoryPort`] implementation, so the
-//! same bodies execute under the superblock fast path, the reference
+//! same bodies execute under the stepper, the reference
 //! interpreter and the lockstep shadow in `cheri-cpu`. The handler list is
 //! defined exactly once; [`with_op_list!`](with_op_list) re-exports it so
 //! consumers can build flat dispatch tables that cannot drift from
@@ -828,7 +828,7 @@ mod tests {
     }
 
     /// Classification cross-check: the effects clauses must agree with the
-    /// `Instr` classification helpers the superblock machine is built on.
+    /// `Instr` classification helpers.
     #[test]
     fn effects_clauses_agree_with_instr_classification() {
         for instr in exemplars() {

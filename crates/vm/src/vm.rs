@@ -287,12 +287,16 @@ impl Vm {
     }
 
     /// Destroys a space, releasing frames, swap slots and shared-segment
-    /// references.
+    /// references. Pages are released in ascending vpn order, so the
+    /// frame free list — and with it every later allocation — does not
+    /// depend on hash-map iteration order.
     pub fn destroy_space(&mut self, id: AsId) {
         let Some(space) = self.spaces.remove(&id) else {
             return;
         };
-        for (_, st) in space.pages {
+        let mut pages: Vec<(u64, PageState)> = space.pages.into_iter().collect();
+        pages.sort_unstable_by_key(|&(vpn, _)| vpn);
+        for (_, st) in pages {
             match st {
                 PageState::Resident { frame, .. } => self.release_frame(frame),
                 PageState::Swapped { slot } => self.swap[slot as usize] = None,
@@ -366,6 +370,9 @@ impl Vm {
                 }
             }
         }
+        // Copy swap slots in ascending vpn order: slot indices must not
+        // depend on hash-map iteration order.
+        new_swap_slots.sort_unstable_by_key(|&(vpn, _)| vpn);
         for (vpn, slot) in new_swap_slots {
             let idx = self.push_swap_slot(slot);
             child_pages.insert(vpn, PageState::Swapped { slot: idx });
@@ -1421,6 +1428,41 @@ mod tests {
         assert_eq!(before, 2);
         vm.destroy_space(id);
         assert_eq!(vm.phys.allocated_frames(), 0);
+    }
+
+    #[test]
+    fn destroy_space_frees_frames_in_vpn_order() {
+        // Touch 16 pages in a scrambled order, tear the space down, then
+        // fault 16 fresh pages in ascending order. Frames are released in
+        // ascending vpn order onto a LIFO free list, so the j-th fresh page
+        // must reuse the frame of the torn-down space's page 15 - j —
+        // whatever order the page table iterates in.
+        let (mut vm, a) = setup();
+        let base_a = vm
+            .map(a, None, 16 * 4096, Prot::rw(), Backing::Zero, "a")
+            .unwrap();
+        for k in [9u64, 3, 14, 0, 7, 12, 1, 5, 15, 2, 10, 6, 13, 4, 11, 8] {
+            vm.write_u64(a, base_a + k * 4096, k).unwrap();
+        }
+        let frame = |vm: &mut Vm, id: AsId, va: u64| {
+            vm.translate(id, va, Access::Read).unwrap().0 / FRAME_SIZE
+        };
+        let held: Vec<u64> = (0..16)
+            .map(|k| frame(&mut vm, a, base_a + k * 4096))
+            .collect();
+        vm.destroy_space(a);
+        let b = vm.create_space(PrincipalId::from_raw(2), CapFormat::C128);
+        let base_b = vm
+            .map(b, None, 16 * 4096, Prot::rw(), Backing::Zero, "b")
+            .unwrap();
+        let reused: Vec<u64> = (0..16)
+            .map(|j| {
+                vm.write_u64(b, base_b + j * 4096, j).unwrap();
+                frame(&mut vm, b, base_b + j * 4096)
+            })
+            .collect();
+        let expected: Vec<u64> = held.iter().rev().copied().collect();
+        assert_eq!(reused, expected);
     }
 
     #[test]

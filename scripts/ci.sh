@@ -15,6 +15,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> benchmark: perf_ledger builds against the workspace and its tests pass"
+# The benchmark is a package of its own, outside the workspace: a workspace
+# API change that breaks it would otherwise go unnoticed.
+cargo test --release --manifest-path crates/bench/src/bin/perf_ledger/Cargo.toml \
+    --target-dir target
+
 echo "==> report cache: warm table1 re-run is 100% hits and byte-identical"
 cargo build --release -p cheri-bench --bins
 rm -rf target/harness-cache
@@ -67,35 +73,35 @@ cmp scripts/golden/table3_pinned.golden target/table3-pinned.lines || {
 
 echo "==> tier equivalence: pinned suites byte-identical across all three exec modes"
 # The pinned runs above used the default tier (--exec-mode template); the
-# single-step and superblock tiers must reproduce them byte for byte.
+# reference interpreter and plain stepping must reproduce them byte for byte.
 ./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
     --jobs 2 --no-cache --no-fast-path --shard 0/1 > target/table1-singlestep.lines
 cmp target/table1-pinned.lines target/table1-singlestep.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      single-step reference interpreter on the table1 pinned suite"
+    echo "      reference interpreter on the table1 pinned suite"
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
     --jobs 2 --no-cache --exec-mode superblock --shard 0/1 \
     > target/table1-superblock.lines
 cmp target/table1-pinned.lines target/table1-superblock.lines || {
-    echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      superblock machine on the table1 pinned suite"
+    echo "FAIL: guest metrics diverge between the template tier and"
+    echo "      plain stepping on the table1 pinned suite"
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
     --jobs 2 --no-cache --no-fast-path --shard 0/1 > target/table3-singlestep.lines
 cmp target/table3-pinned.lines target/table3-singlestep.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      single-step reference interpreter on the table3 pinned suite"
+    echo "      reference interpreter on the table3 pinned suite"
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
     --jobs 2 --no-cache --exec-mode superblock --shard 0/1 \
     > target/table3-superblock.lines
 cmp target/table3-pinned.lines target/table3-superblock.lines || {
-    echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      superblock machine on the table3 pinned suite"
+    echo "FAIL: guest metrics diverge between the template tier and"
+    echo "      plain stepping on the table3 pinned suite"
     exit 1
 }
 
@@ -137,12 +143,12 @@ echo "==> fault plane: 8-seed campaign is panic-free with no silent successes"
 }
 ./target/release/fault_campaign --seeds 8 --jobs 2 --no-fast-path \
     --out target/faults-smoke-singlestep.json || {
-    echo "FAIL: single-step fault campaign reported host panics or silent successes"
+    echo "FAIL: reference-interpreter fault campaign reported host panics or silent successes"
     exit 1
 }
 cmp target/faults-smoke.json target/faults-smoke-singlestep.json || {
-    echo "FAIL: fault-campaign JSON diverges between the superblock machine and"
-    echo "      the single-step reference interpreter (8-seed smoke)"
+    echo "FAIL: fault-campaign JSON diverges between plain stepping and"
+    echo "      the reference interpreter (8-seed smoke)"
     exit 1
 }
 if ./target/release/fault_campaign --seeds 2 --jobs 2 --out /dev/null \
@@ -283,8 +289,8 @@ cmp scripts/golden/scenario_pinned.golden target/scenario-pinned.lines || {
 ./target/release/run_specs --specs scripts/golden/scenario_pinned.specs \
     --jobs 2 --no-cache --no-fast-path --shard 0/1 > target/scenario-singlestep.lines
 cmp target/scenario-pinned.lines target/scenario-singlestep.lines || {
-    echo "FAIL: scenario latency percentiles diverge between the superblock"
-    echo "      machine and the single-step reference interpreter"
+    echo "FAIL: scenario latency percentiles diverge between plain stepping"
+    echo "      and the reference interpreter"
     exit 1
 }
 ./target/release/table_server --dump-specs > target/scenario-specs.lines
