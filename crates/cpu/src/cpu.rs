@@ -1057,10 +1057,11 @@ mod tests {
     use super::*;
     use cheri_cap::{CapFormat, CapSource, PrincipalId};
     use cheri_isa::{creg, ireg, Width};
+    use cheri_mem::PhysFaultSpec;
     use cheri_vm::{Backing, Prot};
 
-    /// Builds a machine with one space, maps `code` at 0x10000 (rx) and a
-    /// rw data page at 0x20000, returns (cpu, vm, as, regfile).
+    /// Builds a machine with one space, maps `code` at 0x10000 (rx) and
+    /// three rw data pages at 0x20000, returns (cpu, vm, as, regfile).
     fn machine(code: Vec<Instr>, purecap: bool) -> (Cpu, Vm, AsId, RegFile) {
         let mut vm = Vm::new(128);
         let id = vm.create_space(PrincipalId::from_raw(1), CapFormat::C128);
@@ -1077,8 +1078,17 @@ mod tests {
             "text",
         )
         .unwrap();
-        vm.map(id, Some(0x20000), 4096, Prot::rw(), Backing::Zero, "data")
-            .unwrap();
+        // Three pages, so a legacy access can straddle into a page that
+        // has not been faulted in; `c13` below covers only the first.
+        vm.map(
+            id,
+            Some(0x20000),
+            3 * 4096,
+            Prot::rw(),
+            Backing::Zero,
+            "data",
+        )
+        .unwrap();
         let mut cpu = Cpu::new();
         cpu.register_code(id, 0x10000, std::sync::Arc::new(code));
         let mut rf = RegFile::new(CapFormat::C128);
@@ -1455,6 +1465,7 @@ mod tests {
             ("spin", spin_loop(400), false, 1, false),
             ("widen-trap", widen_probe(), true, 1, true),
             ("null-ddc-trap", ddc_probe, true, 1, true),
+            ("page-straddle", page_straddle_probe(), false, 1, false),
         ];
         for (probe, code, purecap, runs, traps) in probes {
             let mut results = Vec::new();
@@ -1493,10 +1504,86 @@ mod tests {
                         assert!(cpu.stats.tmpl_hits >= 1, "the template must run");
                     }
                 }
+                if probe == "page-straddle" {
+                    assert_eq!(rf.r(ireg::T2), 0, "{mode}: fresh pages read zero");
+                    assert_eq!(rf.r(ireg::T3), STRADDLE_VALUE as u64, "{mode}");
+                    assert_eq!(rf.r(ireg::temp(4)), 0, "{mode}: tag cleared");
+                    // The text page plus all three data pages: each
+                    // straddle demand-faults the page it crosses into.
+                    assert_eq!(vm.stats.faults, 4, "{mode}");
+                }
                 results.push((exits, cpu.stats, cpu.caches.stats(), vm.stats, rf.clone()));
             }
             for (r, (mode, ..)) in results.iter().zip(MODES).skip(1) {
                 assert_eq!(*r, results[0], "{probe}: {mode} vs reference");
+            }
+        }
+    }
+
+    #[test]
+    fn cap_fault_plane_counts_agree_across_modes() {
+        // Store a capability, make one more mutating access so the armed
+        // flip is due, then `clc` the granule: the flip fires on that
+        // load. Stepper and reference must leave the same counters, and
+        // the weakened tag clear must still surface as a counted escape.
+        let code = vec![
+            Instr::Csc {
+                cs: creg::ptr(0),
+                cb: creg::ptr(0),
+                off: 32,
+            },
+            Instr::Li {
+                rd: ireg::T0,
+                imm: 7,
+            },
+            Instr::CStore {
+                rs: ireg::T0,
+                cb: creg::ptr(0),
+                off: 512,
+                w: Width::D,
+            },
+            Instr::Clc {
+                cd: creg::ptr(1),
+                cb: creg::ptr(0),
+                off: 32,
+            },
+            Instr::CGetTag {
+                rd: ireg::T1,
+                cb: creg::ptr(1),
+            },
+            Instr::Syscall,
+        ];
+        for preserve_tag in [false, true] {
+            let mut results = Vec::new();
+            for (mode, fast, templates) in MODES {
+                let (mut cpu, mut vm, id, mut rf) = machine(code.clone(), true);
+                cpu.set_fast_path(fast);
+                cpu.set_templates(templates);
+                vm.phys.arm_faults(PhysFaultSpec {
+                    after_mutations: 2,
+                    bit: 9,
+                    target_cap: true,
+                    preserve_tag,
+                });
+                assert_eq!(cpu.run(&mut vm, id, &mut rf, 100), Exit::Syscall, "{mode}");
+                let f = vm.phys.faults();
+                let counts = (
+                    f.flips,
+                    f.tags_cleared,
+                    f.tags_preserved,
+                    f.corrupt_cap_loads,
+                );
+                let expected = if preserve_tag {
+                    (1, 0, 1, 1)
+                } else {
+                    (1, 1, 0, 0)
+                };
+                assert_eq!(counts, expected, "{mode}, preserve_tag={preserve_tag}");
+                assert_eq!(rf.r(ireg::T1), u64::from(preserve_tag), "{mode}");
+                results.push((counts, cpu.stats, cpu.caches.stats(), rf.clone()));
+            }
+            for (r, (mode, ..)) in results.iter().zip(MODES).skip(1) {
+                assert_eq!(*r, results[0], "{mode} vs reference");
             }
         }
     }
@@ -1856,6 +1943,75 @@ mod tests {
     // flush, and proves the next guest access re-faults instead of using
     // a stale translation.
     // ------------------------------------------------------------------
+
+    const STRADDLE_VALUE: i64 = 0x1122_3344_5566_7788;
+
+    /// Unaligned legacy doubleword accesses at `page_end - 4`, each
+    /// crossing into a data page not yet faulted in: a load across the
+    /// first boundary, then a store and a load back across the second.
+    /// Then an integer store into a tagged capability granule, and a
+    /// `clc` of that granule that must see the tag cleared (`temp(4)`).
+    fn page_straddle_probe() -> Vec<Instr> {
+        vec![
+            Instr::Li {
+                rd: ireg::T0,
+                imm: 0x20ffc,
+            },
+            Instr::Load {
+                rd: ireg::T2,
+                base: ireg::T0,
+                off: 0,
+                w: Width::D,
+                signed: false,
+            },
+            Instr::Li {
+                rd: ireg::T0,
+                imm: 0x21ffc,
+            },
+            Instr::Li {
+                rd: ireg::T1,
+                imm: STRADDLE_VALUE,
+            },
+            Instr::Store {
+                rs: ireg::T1,
+                base: ireg::T0,
+                off: 0,
+                w: Width::D,
+            },
+            Instr::Load {
+                rd: ireg::T3,
+                base: ireg::T0,
+                off: 0,
+                w: Width::D,
+                signed: false,
+            },
+            Instr::Csc {
+                cs: creg::ptr(0),
+                cb: creg::ptr(0),
+                off: 32,
+            },
+            Instr::Li {
+                rd: ireg::T0,
+                imm: 0x20028,
+            },
+            Instr::Store {
+                rs: ireg::T1,
+                base: ireg::T0,
+                off: 0,
+                w: Width::W,
+            },
+            Instr::Clc {
+                cd: creg::ptr(1),
+                cb: creg::ptr(0),
+                off: 32,
+            },
+            Instr::CGetTag {
+                rd: ireg::temp(4),
+                cb: creg::ptr(1),
+            },
+            Instr::Syscall,
+        ]
+    }
 
     /// `store; syscall; store; load; syscall` against the rw data page,
     /// split into two `run` calls at the first syscall.

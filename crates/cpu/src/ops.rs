@@ -13,9 +13,9 @@
 use crate::cpu::{Cpu, TrapCause, TrapInfo};
 use cheri_cap::{CapFault, Capability};
 use cheri_isa::Instr;
-use cheri_mem::AccessKind;
+use cheri_mem::{AccessKind, PAddr, FRAME_SIZE};
 use cheri_sem::{MemoryPort, SemExit, StepCtx, TrapPort};
-use cheri_vm::{Access, AsId, Vm};
+use cheri_vm::{Access, AsId, Vm, VmError};
 
 pub(crate) use cheri_sem::ops::dispatch_index;
 
@@ -67,6 +67,26 @@ impl TrapPort for CpuPorts<'_, '_> {
     }
 }
 
+/// Maps a VM fault taken by a data access at `vaddr` to the trap it raises.
+fn vm_trap(pc: u64, vaddr: u64) -> impl FnOnce(VmError) -> TrapInfo {
+    move |e| TrapInfo {
+        cause: TrapCause::Vm(e),
+        pc,
+        vaddr: Some(vaddr),
+    }
+}
+
+/// True when a `size`-byte access at `vaddr` stays on one page, so the
+/// single physical address the TLB returned covers all of it.
+fn within_page(vaddr: u64, size: u64) -> bool {
+    vaddr % FRAME_SIZE + size <= FRAME_SIZE
+}
+
+/// Data moves through the physical address [`Cpu::translate_cached`]
+/// returned; nothing walks the page table a second time. The one
+/// exception is an unaligned legacy access that crosses into the next
+/// page: it goes through [`Vm`], which translates (and, if needed,
+/// demand-faults) the second page exactly as the reference machine does.
 impl MemoryPort for CpuPorts<'_, '_> {
     fn read_raw(&mut self, vaddr: u64, size: u64, pc: u64) -> Result<u64, TrapInfo> {
         let pa = self
@@ -74,13 +94,17 @@ impl MemoryPort for CpuPorts<'_, '_> {
             .translate_cached(self.vm, self.id, vaddr, Access::Read, pc)?;
         self.cpu.mem_access(pa, AccessKind::Load);
         let mut buf = [0u8; 8];
-        self.vm
-            .read_bytes(self.id, vaddr, &mut buf[..size as usize])
-            .map_err(|e| TrapInfo {
-                cause: TrapCause::Vm(e),
-                pc,
-                vaddr: Some(vaddr),
-            })?;
+        let dst = &mut buf[..size as usize];
+        if within_page(vaddr, size) {
+            self.vm
+                .phys
+                .read_bytes(PAddr(pa), dst)
+                .expect("translated frame");
+        } else {
+            self.vm
+                .read_bytes(self.id, vaddr, dst)
+                .map_err(vm_trap(pc, vaddr))?;
+        }
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -90,13 +114,20 @@ impl MemoryPort for CpuPorts<'_, '_> {
             .translate_cached(self.vm, self.id, vaddr, Access::Write, pc)?;
         self.cpu.mem_access(pa, AccessKind::Store);
         let bytes = value.to_le_bytes();
-        self.vm
-            .write_bytes(self.id, vaddr, &bytes[..size as usize])
-            .map_err(|e| TrapInfo {
-                cause: TrapCause::Vm(e),
-                pc,
-                vaddr: Some(vaddr),
-            })
+        let bytes = &bytes[..size as usize];
+        if within_page(vaddr, size) {
+            // `PhysMem::write_bytes` clears tags, forgets injected
+            // corruption and counts the mutation for the fault plane.
+            self.vm
+                .phys
+                .write_bytes(PAddr(pa), bytes)
+                .expect("translated frame");
+            Ok(())
+        } else {
+            self.vm
+                .write_bytes(self.id, vaddr, bytes)
+                .map_err(vm_trap(pc, vaddr))
+        }
     }
 
     fn read_granule(&mut self, vaddr: u64, pc: u64) -> Result<Option<Capability>, TrapInfo> {
@@ -104,11 +135,9 @@ impl MemoryPort for CpuPorts<'_, '_> {
             .cpu
             .translate_cached(self.vm, self.id, vaddr, Access::Read, pc)?;
         self.cpu.mem_access(pa, AccessKind::Load);
-        self.vm.load_cap(self.id, vaddr).map_err(|e| TrapInfo {
-            cause: TrapCause::Vm(e),
-            pc,
-            vaddr: Some(vaddr),
-        })
+        // As in `Vm::load_cap`: the fault plane sees every capability load.
+        self.vm.phys.note_cap_load(PAddr(pa));
+        Ok(self.vm.phys.load_cap(PAddr(pa)).expect("translated frame"))
     }
 
     fn write_granule(&mut self, vaddr: u64, value: Capability, pc: u64) -> Result<(), TrapInfo> {
@@ -117,19 +146,20 @@ impl MemoryPort for CpuPorts<'_, '_> {
             .translate_cached(self.vm, self.id, vaddr, Access::Write, pc)?;
         self.cpu.mem_access(pa, AccessKind::Store);
         self.vm
-            .store_cap(self.id, vaddr, value)
-            .map_err(|e| TrapInfo {
-                cause: TrapCause::Vm(e),
-                pc,
-                vaddr: Some(vaddr),
-            })
+            .phys
+            .store_cap(PAddr(pa), value)
+            .expect("translated frame");
+        Ok(())
     }
 }
 
 /// The reference interpreter's implementation of the semantics port
 /// traits: every translation takes the full VM walk, and nothing is ever
 /// weakened. The deliberately simple second consumer of `cheri-sem` —
-/// what the fast machine is diffed against under `--oracle`.
+/// what the fast machine is diffed against under `--oracle`. It walks the
+/// page table twice per access (once to charge the cache model, once
+/// inside `Vm`'s byte and capability accessors) on purpose: it shares no
+/// data path with [`CpuPorts`], so it stays an independent check of it.
 pub(crate) struct RefPorts<'c, 'v> {
     /// The core (caches, counters, trace).
     pub cpu: &'c mut Cpu,
@@ -144,11 +174,7 @@ impl RefPorts<'_, '_> {
         self.vm
             .translate(self.id, vaddr, access)
             .map(|pa| pa.0)
-            .map_err(|e| TrapInfo {
-                cause: TrapCause::Vm(e),
-                pc,
-                vaddr: Some(vaddr),
-            })
+            .map_err(vm_trap(pc, vaddr))
     }
 }
 
@@ -183,11 +209,7 @@ impl MemoryPort for RefPorts<'_, '_> {
         let mut buf = [0u8; 8];
         self.vm
             .read_bytes(self.id, vaddr, &mut buf[..size as usize])
-            .map_err(|e| TrapInfo {
-                cause: TrapCause::Vm(e),
-                pc,
-                vaddr: Some(vaddr),
-            })?;
+            .map_err(vm_trap(pc, vaddr))?;
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -197,21 +219,13 @@ impl MemoryPort for RefPorts<'_, '_> {
         let bytes = value.to_le_bytes();
         self.vm
             .write_bytes(self.id, vaddr, &bytes[..size as usize])
-            .map_err(|e| TrapInfo {
-                cause: TrapCause::Vm(e),
-                pc,
-                vaddr: Some(vaddr),
-            })
+            .map_err(vm_trap(pc, vaddr))
     }
 
     fn read_granule(&mut self, vaddr: u64, pc: u64) -> Result<Option<Capability>, TrapInfo> {
         let pa = self.translate(vaddr, Access::Read, pc)?;
         self.cpu.mem_access(pa, AccessKind::Load);
-        self.vm.load_cap(self.id, vaddr).map_err(|e| TrapInfo {
-            cause: TrapCause::Vm(e),
-            pc,
-            vaddr: Some(vaddr),
-        })
+        self.vm.load_cap(self.id, vaddr).map_err(vm_trap(pc, vaddr))
     }
 
     fn write_granule(&mut self, vaddr: u64, value: Capability, pc: u64) -> Result<(), TrapInfo> {
@@ -219,11 +233,7 @@ impl MemoryPort for RefPorts<'_, '_> {
         self.cpu.mem_access(pa, AccessKind::Store);
         self.vm
             .store_cap(self.id, vaddr, value)
-            .map_err(|e| TrapInfo {
-                cause: TrapCause::Vm(e),
-                pc,
-                vaddr: Some(vaddr),
-            })
+            .map_err(vm_trap(pc, vaddr))
     }
 }
 

@@ -163,8 +163,12 @@ impl std::error::Error for BadFrame {}
 /// assert_eq!(pm.load_cap(a).unwrap(), None);
 /// ```
 pub struct PhysMem {
+    /// Every frame id handed out so far, indexed by id; grows on demand up
+    /// to `capacity`, so memory the guest never touches costs nothing.
     frames: Vec<Option<Frame>>,
+    /// Frames that were freed, reused LIFO before any fresh id.
     free: Vec<FrameId>,
+    capacity: usize,
     allocated: usize,
     faults: PhysFaults,
 }
@@ -174,19 +178,20 @@ impl fmt::Debug for PhysMem {
         write!(
             f,
             "PhysMem{{frames={}, allocated={}}}",
-            self.frames.len(),
-            self.allocated
+            self.capacity, self.allocated
         )
     }
 }
 
 impl PhysMem {
     /// Creates physical memory with capacity for `num_frames` frames.
+    /// Nothing is allocated until a frame is first needed.
     #[must_use]
     pub fn new(num_frames: usize) -> PhysMem {
         PhysMem {
-            frames: (0..num_frames).map(|_| None).collect(),
-            free: (0..num_frames as u32).rev().map(FrameId).collect(),
+            frames: Vec::new(),
+            free: Vec::new(),
+            capacity: num_frames,
             allocated: 0,
             faults: PhysFaults::default(),
         }
@@ -238,9 +243,9 @@ impl PhysMem {
     /// (clear the tag) must surface as an untagged load, and the weakened
     /// semantics (tag preserved) must surface as a counted escape. A load
     /// that observes a still-tagged corrupted granule is a
-    /// capability-integrity escape; callers (the VM layer) invoke this on
-    /// every capability load so the fault campaign's silent-success oracle
-    /// can count them.
+    /// capability-integrity escape; callers (the VM layer and the CPU's
+    /// data path) invoke this on every capability load so the fault
+    /// campaign's silent-success oracle can count them.
     pub fn note_cap_load(&mut self, addr: PAddr) {
         let fid = addr.frame();
         let g = (addr.offset() / TAG_GRANULE) as usize;
@@ -302,14 +307,25 @@ impl PhysMem {
     /// Number of frames still free.
     #[must_use]
     pub fn free_frames(&self) -> usize {
-        self.free.len()
+        self.capacity - self.allocated
     }
 
     /// Allocates a zeroed frame, or `None` if physical memory is exhausted
-    /// (the kernel's pageout path then kicks in).
+    /// (the kernel's pageout path then kicks in). The most recently freed
+    /// frame is reused first, then fresh ids in ascending order: physical
+    /// addresses index the cache model, so this order is guest-visible.
     pub fn alloc_frame(&mut self) -> Option<FrameId> {
-        let id = self.free.pop()?;
-        self.frames[id.0 as usize] = Some(Frame::new());
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.frames[id.0 as usize] = Some(Frame::new());
+                id
+            }
+            None if self.frames.len() < self.capacity => {
+                self.frames.push(Some(Frame::new()));
+                FrameId((self.frames.len() - 1) as u32)
+            }
+            None => return None,
+        };
         self.allocated += 1;
         Some(id)
     }
@@ -320,9 +336,8 @@ impl PhysMem {
     ///
     /// Panics if the frame was not allocated (double free).
     pub fn free_frame(&mut self, id: FrameId) {
-        let slot = &mut self.frames[id.0 as usize];
+        let slot = self.frames.get_mut(id.0 as usize).and_then(Option::take);
         assert!(slot.is_some(), "double free of {id:?}");
-        *slot = None;
         self.allocated -= 1;
         self.free.push(id);
         self.clear_corrupt_range(id, 0, GRANULES_PER_FRAME - 1);
@@ -660,6 +675,31 @@ mod tests {
             "recycled frame zeroed"
         );
         let _ = b;
+    }
+
+    #[test]
+    fn frame_ids_are_fresh_ascending_then_freed_lifo() {
+        let mut pm = PhysMem::new(4);
+        let alloc = |pm: &mut PhysMem| pm.alloc_frame().map(|f| f.0);
+        assert_eq!(pm.free_frames(), 4);
+        assert_eq!(alloc(&mut pm), Some(0));
+        assert_eq!(alloc(&mut pm), Some(1));
+        assert_eq!(alloc(&mut pm), Some(2));
+        pm.free_frame(FrameId(0));
+        pm.free_frame(FrameId(2));
+        assert_eq!(pm.free_frames(), 3);
+        // Freed ids come back last-freed first, before any fresh id.
+        assert_eq!(alloc(&mut pm), Some(2));
+        assert_eq!(alloc(&mut pm), Some(0));
+        assert_eq!(alloc(&mut pm), Some(3));
+        assert_eq!(pm.allocated_frames(), 4);
+        assert_eq!(pm.free_frames(), 0);
+        assert_eq!(alloc(&mut pm), None, "capacity reached");
+        pm.free_frame(FrameId(1));
+        assert_eq!(pm.free_frames(), 1);
+        assert_eq!(alloc(&mut pm), Some(1), "freed at capacity, reusable");
+        assert_eq!(alloc(&mut pm), None);
+        assert_eq!(pm.free_frames(), 4 - pm.allocated_frames());
     }
 
     #[test]

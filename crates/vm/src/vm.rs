@@ -1131,9 +1131,10 @@ impl Vm {
     /// Any translation fault.
     pub fn load_cap(&mut self, id: AsId, vaddr: u64) -> Result<Option<Capability>, VmError> {
         let pa = self.translate(id, vaddr, Access::Read)?;
-        // Every capability-width load funnels through here (CPU CLC and
-        // kernel copy paths alike): let the fault plane count loads that
-        // observe a still-tagged corrupted granule.
+        // Kernel copies and the reference interpreter load capabilities
+        // through here (the stepper calls `note_cap_load` itself): let the
+        // fault plane count loads that observe a still-tagged corrupted
+        // granule.
         self.phys.note_cap_load(pa);
         Ok(self.phys.load_cap(pa).expect("translated frame"))
     }
