@@ -1,8 +1,7 @@
 //! The fleet coordinator binary: runs a `RunSpec` list through
 //! `cheriabi::fleet` — a pool of `run_specs` worker subprocesses with
-//! per-unit deadlines, crash/hang recovery, poisoned-output scoring,
-//! straggler re-issue, checkpoint/resume, and seeded chaos injection —
-//! and prints the merged deterministic report lines, byte-identical to a
+//! per-unit deadlines, crash/hang recovery by re-dispatch, poisoned-output
+//! scoring, checkpoint/resume, and seeded chaos injection — and prints the merged deterministic report lines, byte-identical to a
 //! single-process `run_specs --shard 0/1` over the same list.
 //!
 //! ```text

@@ -875,16 +875,20 @@ mod tests {
         assert!(read_specs(dir.join("missing.json").to_str().expect("utf8")).is_err());
 
         // Malformed lines are skipped and counted, not fatal: a fleet unit
-        // fed one torn line still runs its other cases.
+        // fed one torn line still runs its other cases. That includes a
+        // line nested too deep to parse without overflowing the stack.
         let torn_path = dir.join("torn.jsonl");
         std::fs::write(
             &torn_path,
-            format!("{line}\n{{\"torn\": \n{line}\nnot json at all\n"),
+            format!(
+                "{line}\n{{\"torn\": \n{line}\nnot json at all\n{}\n",
+                "[".repeat(1_000_000)
+            ),
         )
         .expect("write");
         let lenient = read_specs(torn_path.to_str().expect("utf8 path")).expect("lenient");
         assert_eq!(lenient.specs.len(), 2, "good lines survive the bad ones");
-        assert_eq!(lenient.rejected, 2, "bad lines are counted");
+        assert_eq!(lenient.rejected, 3, "bad lines are counted");
 
         // ... but a list with *no* good line is still an error.
         let hopeless_path = dir.join("hopeless.jsonl");

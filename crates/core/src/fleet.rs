@@ -21,35 +21,27 @@
 //! `run_specs --shard 0/1` over the whole list — the same contract the
 //! shard-merge machinery already enforces ([`crate::harness::merge_shards`]).
 //!
-//! **The unit lifecycle** (see DESIGN.md "The fleet tier"):
+//! **The unit lifecycle** (see DESIGN.md "The fleet tier"). Each worker
+//! slot owns one unit from start to finish before it takes the next:
 //!
 //! ```text
-//!            +----------------------------- backoff -------------+
-//!            v                                                   |
-//! Pending -> Dispatched(attempt k) --crash/hang/poison/spawn-fail+
-//!            |        |                                (k < retries)
-//!            |        +-- crash/hang/poison (k >= retries) -> InProcess
-//!            v                                                   |
-//!        Completed  <--------------------------------------------+
-//!            |
-//!            v
-//!       Checkpointed
+//! Pending -> attempt k --valid lines-----------> Completed -> Checkpointed
+//!              |  crash/hang/poison, k < retries: backoff, attempt k+1
+//!              |  crash/hang/poison, k = retries; or spawn failure
+//!              +-----------------------------> InProcess -> Completed
 //! ```
 //!
 //! * a worker that exceeds the per-unit wall deadline is **killed** and the
 //!   unit re-dispatched (hang detection);
-//! * a worker that exits non-zero, dies to a signal, or cannot even be
-//!   spawned costs one attempt with a deterministic exponential backoff —
-//!   the exact harness retry policy ([`crate::harness::retry_backoff`]);
-//! * corrupt, truncated or miscounted output is scored
-//!   [`UnitOutcome::Poisoned`] and counted, never propagated and never
-//!   fatal;
+//! * a worker that exits non-zero or dies to a signal costs one attempt
+//!   with a deterministic exponential backoff — the exact harness retry
+//!   policy ([`crate::harness::retry_backoff`]);
+//! * corrupt, truncated or miscounted output is scored poisoned and
+//!   counted, never propagated and never fatal;
 //! * a unit that exhausts its subprocess attempts degrades to **in-process
-//!   execution** on the coordinator's own thread — the sweep always
-//!   completes, even with no working worker binary at all;
-//! * near the end of the sweep, idle slots speculatively duplicate the
-//!   longest-running in-flight unit (straggler re-issue); the first valid
-//!   result wins and the loser is discarded.
+//!   execution** on its slot's own thread — the sweep always completes,
+//!   even with no working worker binary at all. A slot whose worker cannot
+//!   be spawned runs every later unit in-process too.
 //!
 //! **Checkpointing.** Every completed unit is written (atomic tmp+rename)
 //! to `target/fleet-ckpt/<session>/unit-NNNNN.ckpt`, where `<session>` is
@@ -70,8 +62,6 @@
 use crate::harness::{execute_spec, outcome_is_transient, retry_backoff, RunSpec};
 use crate::json::{self, Json};
 use crate::spec::Registry;
-use std::collections::VecDeque;
-use std::fmt;
 use std::fs;
 use std::io::{Read as _, Write as _};
 use std::ops::Range;
@@ -147,9 +137,6 @@ pub struct FleetOpts {
     /// and return an interrupted summary — simulating an interrupted sweep
     /// without needing to deliver a real signal.
     pub stop_after: Option<usize>,
-    /// How long an in-flight unit must run before an idle slot may issue a
-    /// speculative duplicate of it.
-    pub straggler_after: Duration,
     /// Per-*case* transient-retry budget (the harness `--retries` policy,
     /// distinct from [`FleetOpts::retries`], which re-dispatches whole
     /// units). Forwarded to workers as `--retries N` and applied
@@ -171,7 +158,6 @@ impl Default for FleetOpts {
             checkpoint_dir: Some(default_checkpoint_dir()),
             resume: false,
             stop_after: None,
-            straggler_after: Duration::from_secs(5),
             case_retries: 0,
         }
     }
@@ -184,36 +170,6 @@ pub fn default_checkpoint_dir() -> PathBuf {
     std::env::var_os("CARGO_TARGET_DIR")
         .map_or_else(|| PathBuf::from("target"), PathBuf::from)
         .join("fleet-ckpt")
-}
-
-/// What one dispatch attempt of one unit produced.
-#[derive(Debug)]
-pub enum UnitOutcome {
-    /// Every line validated; the unit's deterministic report lines, with
-    /// global submission indices.
-    Completed(Vec<String>),
-    /// The worker exited cleanly but its output was corrupt: a torn or
-    /// non-JSON line, a wrong or out-of-order `case` index, or a line
-    /// count that does not match the unit. Counted, never fatal.
-    Poisoned(String),
-    /// The worker exited non-zero or died to a signal.
-    Crashed(String),
-    /// The worker outlived the per-unit deadline and was killed.
-    Hung,
-    /// The worker could not even be spawned.
-    SpawnFailed(String),
-}
-
-impl fmt::Display for UnitOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            UnitOutcome::Completed(lines) => write!(f, "completed ({} lines)", lines.len()),
-            UnitOutcome::Poisoned(why) => write!(f, "poisoned: {why}"),
-            UnitOutcome::Crashed(why) => write!(f, "crashed: {why}"),
-            UnitOutcome::Hung => write!(f, "hung (deadline exceeded, worker killed)"),
-            UnitOutcome::SpawnFailed(why) => write!(f, "spawn failed: {why}"),
-        }
-    }
 }
 
 /// Fleet counters. Everything here describes *how* the sweep ran (host
@@ -239,13 +195,13 @@ pub struct FleetStats {
     pub hangs: u64,
     /// Worker attempts with corrupt/truncated/miscounted output.
     pub poisoned: u64,
-    /// Individual output lines that failed validation.
-    pub poisoned_lines: u64,
     /// Worker attempts that could not be spawned.
     pub spawn_failures: u64,
-    /// Speculative duplicates issued for straggling units.
+    /// Always 0: a unit runs one attempt at a time, so no duplicate is ever
+    /// issued. Kept because perf_ledger reports it.
     pub straggler_duplicates: u64,
-    /// Results discarded because another copy of the unit finished first.
+    /// Always 0: no duplicate result is ever discarded. Kept because
+    /// perf_ledger reports it.
     pub straggler_discards: u64,
     /// Chaos: workers killed mid-unit.
     pub chaos_kills: u64,
@@ -262,8 +218,7 @@ impl FleetStats {
     pub fn summary_line(&self) -> String {
         format!(
             "fleet: units={} completed={} resumed={} executed={} inprocess={} \
-             dispatches={} crashes={} hangs={} poisoned={} poisoned_lines={} \
-             spawn_failures={} stragglers={} discards={} \
+             dispatches={} crashes={} hangs={} poisoned={} spawn_failures={} \
              chaos_kills={} chaos_garbage={} chaos_delays={}",
             self.units,
             self.units_completed,
@@ -274,10 +229,7 @@ impl FleetStats {
             self.crashes,
             self.hangs,
             self.poisoned,
-            self.poisoned_lines,
             self.spawn_failures,
-            self.straggler_duplicates,
-            self.straggler_discards,
             self.chaos_kills,
             self.chaos_garbage,
             self.chaos_delays,
@@ -441,7 +393,7 @@ fn load_unit_ckpt(
 /// # Errors
 ///
 /// Returns a description of the first invalid line (or the line-count
-/// mismatch): the attempt is then scored [`UnitOutcome::Poisoned`].
+/// mismatch): the attempt is then scored poisoned.
 pub fn rewrite_unit_lines(raw: &str, globals: Range<usize>) -> Result<Vec<String>, String> {
     let lines: Vec<&str> = raw.lines().filter(|l| !l.trim().is_empty()).collect();
     if lines.len() != globals.len() {
@@ -477,48 +429,30 @@ pub fn rewrite_unit_lines(raw: &str, globals: Range<usize>) -> Result<Vec<String
 // The coordinator
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Copy, Debug, Default)]
-struct UnitState {
-    attempts: u64,
-    inflight: usize,
-    started: Option<Instant>,
-    duplicated: bool,
-    done: bool,
+/// What one subprocess attempt of one unit produced.
+enum UnitOutcome {
+    /// Every line validated; the unit's report lines, with global
+    /// submission indices.
+    Completed(Vec<String>),
+    /// The worker exited cleanly but its output was corrupt: a torn or
+    /// non-JSON line, a wrong or out-of-order `case` index, or a line
+    /// count that does not match the unit.
+    Poisoned,
+    /// The worker exited non-zero or died to a signal.
+    Crashed,
+    /// The worker outlived the per-unit deadline and was killed.
+    Hung,
+    /// The worker could not even be spawned.
+    SpawnFailed,
 }
 
-impl UnitState {
-    /// Retires one in-flight attempt. Every dispatch/speculation/fallback
-    /// increments `inflight` exactly once and settles exactly once, so the
-    /// count never reaches zero with attempts outstanding; the saturation
-    /// is defence in depth — a miscount must never panic (debug) or wrap
-    /// (release) mid-sweep, because aborting is the one thing the
-    /// coordinator is not allowed to do.
-    fn retire_attempt(&mut self) {
-        self.inflight = self.inflight.saturating_sub(1);
-    }
-}
-
-#[derive(Debug, Default)]
+/// What the slots share: a cursor over the units still to run, the
+/// results, and the counters. `stats.units_completed` doubles as the
+/// completion count.
 struct CoordState {
-    ready: VecDeque<usize>,
-    delayed: Vec<(Instant, usize)>,
-    unit: Vec<UnitState>,
+    pending: std::vec::IntoIter<usize>,
     results: Vec<Option<Vec<String>>>,
-    completed: usize,
-    stopped: bool,
     stats: FleetStats,
-}
-
-/// What a slot thread decided to do next.
-enum Job {
-    /// Dispatch this unit (attempt number for backoff/chaos).
-    Dispatch(usize, u64),
-    /// Speculatively duplicate this in-flight straggler.
-    Speculate(usize, u64),
-    /// Nothing dispatchable right now; sleep briefly and look again.
-    Idle,
-    /// The sweep is over (all units completed, or stop_after fired).
-    Exit,
 }
 
 /// Runs the sweep. See the module docs for the failure model; the merged
@@ -528,7 +462,7 @@ enum Job {
 /// # Panics
 ///
 /// Panics only on coordinator-internal invariant violations (a completed
-/// unit with no result), never on worker behaviour.
+/// sweep with a unit that has no result), never on worker behaviour.
 #[must_use]
 pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> FleetOutput {
     let unit_size = opts.unit_size.max(1);
@@ -541,123 +475,61 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
         .as_ref()
         .map(|root| root.join(format!("{:016x}", session_key(specs, unit_size))));
 
-    let mut state = CoordState {
-        unit: vec![UnitState::default(); units.len()],
-        results: vec![None; units.len()],
-        ..CoordState::default()
-    };
-    state.stats.units = units.len();
-
     // Resume: load valid checkpoints first; their units never dispatch.
-    if opts.resume {
-        if let Some(dir) = &session_dir {
-            for (u, range) in units.iter().enumerate() {
-                if let Some(lines) = load_unit_ckpt(dir, u, range.clone()) {
-                    state.results[u] = Some(lines);
-                    state.unit[u].done = true;
-                    state.completed += 1;
-                    state.stats.units_resumed += 1;
-                    state.stats.units_completed += 1;
-                }
-            }
-        }
-    }
-    for u in 0..units.len() {
-        if !state.unit[u].done {
-            state.ready.push_back(u);
-        }
-    }
-    if let (Some(stop), false) = (opts.stop_after, state.completed >= units.len()) {
-        if state.completed >= stop {
-            state.stopped = true;
+    let mut results = vec![None; units.len()];
+    let mut stats = FleetStats {
+        units: units.len(),
+        ..FleetStats::default()
+    };
+    let mut pending = Vec::new();
+    for (u, range) in units.iter().enumerate() {
+        let loaded = session_dir
+            .as_deref()
+            .filter(|_| opts.resume)
+            .and_then(|dir| load_unit_ckpt(dir, u, range.clone()));
+        if let Some(lines) = loaded {
+            results[u] = Some(lines);
+            stats.units_resumed += 1;
+            stats.units_completed += 1;
+        } else {
+            pending.push(u);
         }
     }
 
-    let shared = Mutex::new(state);
-    let slots = opts.workers.max(1);
+    let shared = Mutex::new(CoordState {
+        pending: pending.into_iter(),
+        results,
+        stats,
+    });
     std::thread::scope(|scope| {
-        for slot in 0..slots {
-            let shared = &shared;
-            let units = &units;
-            let session_dir = session_dir.as_deref();
+        for _ in 0..opts.workers.max(1) {
+            let (shared, units, session_dir) = (&shared, &units, session_dir.as_deref());
             scope.spawn(move || {
-                // A slot whose spawns fail degrades permanently to
-                // in-process execution — "fewer workers" without ever
-                // stalling the sweep.
-                let mut subprocess_ok = true;
-                let _ = slot;
-                loop {
-                    let job = next_job(shared, opts);
-                    match job {
-                        Job::Exit => break,
-                        Job::Idle => {
-                            std::thread::sleep(Duration::from_millis(2));
-                            continue;
-                        }
-                        Job::Dispatch(u, attempt) | Job::Speculate(u, attempt) => {
-                            let range = units[u].clone();
-                            let outcome = if subprocess_ok && opts.worker.is_some() {
-                                run_subprocess_attempt(
-                                    shared,
-                                    specs,
-                                    range.clone(),
-                                    opts,
-                                    u,
-                                    attempt,
-                                )
-                            } else {
-                                UnitOutcome::SpawnFailed("slot degraded".to_string())
-                            };
-                            if matches!(outcome, UnitOutcome::SpawnFailed(_)) {
-                                if opts.worker.is_some() && subprocess_ok {
-                                    subprocess_ok = false;
-                                    let mut s = lock(shared);
-                                    s.stats.spawn_failures += 1;
-                                }
-                                // Fully-degraded path: run the unit right
-                                // here, in-process. execute_spec confines
-                                // guest panics to the report, so this
-                                // always yields valid lines. A speculative
-                                // copy of the unit may have completed it
-                                // while we executed, so the settle must
-                                // re-check `done` like any other attempt.
-                                let lines = run_inprocess(
-                                    registry,
-                                    specs,
-                                    range.clone(),
-                                    opts.case_retries,
-                                );
-                                let mut s = lock(shared);
-                                s.unit[u].retire_attempt();
-                                s.stats.units_inprocess += 1;
-                                if s.unit[u].done {
-                                    s.stats.straggler_discards += 1;
-                                } else {
-                                    finish_unit(&mut s, u, range.start, lines, session_dir, opts);
-                                }
-                                continue;
-                            }
-                            settle_attempt(
-                                shared,
-                                registry,
-                                specs,
-                                u,
-                                range,
-                                outcome,
-                                opts,
-                                session_dir,
-                            );
-                        }
+                // A slot whose worker cannot be spawned runs every later
+                // unit in-process — "fewer workers" without ever stalling
+                // the sweep.
+                let mut worker = opts.worker.as_ref();
+                while let Some(u) = next_unit(shared, opts) {
+                    let range = units[u].clone();
+                    let lines =
+                        run_unit(shared, registry, specs, u, range.clone(), opts, &mut worker);
+                    if let Some(dir) = session_dir {
+                        write_unit_ckpt(dir, u, range.start, &lines);
                     }
+                    let mut s = lock(shared);
+                    s.results[u] = Some(lines);
+                    s.stats.units_completed += 1;
                 }
             });
         }
     });
 
-    let mut state = shared
+    let state = shared
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let interrupted = state.stopped && state.completed < units.len();
+    // Every unit a slot takes completes, so a shortfall means stop_after
+    // fired.
+    let interrupted = state.stats.units_completed < units.len();
     let lines = if interrupted {
         Vec::new()
     } else {
@@ -667,8 +539,8 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
         }
         state
             .results
-            .iter_mut()
-            .flat_map(|r| r.take().expect("every unit completed"))
+            .into_iter()
+            .flat_map(|r| r.expect("every unit completed"))
             .collect()
     };
     FleetOutput {
@@ -678,163 +550,70 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
     }
 }
 
-fn lock<'a>(shared: &'a Mutex<CoordState>) -> std::sync::MutexGuard<'a, CoordState> {
+fn lock(shared: &Mutex<CoordState>) -> std::sync::MutexGuard<'_, CoordState> {
     shared
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Picks the next job for an idle slot: promote due backoffs, dispatch
-/// ready units, then consider straggler duplication, then idle/exit.
-fn next_job(shared: &Mutex<CoordState>, opts: &FleetOpts) -> Job {
+/// Hands a slot its next unit: `None` once every unit has been taken, or
+/// once [`FleetOpts::stop_after`] units have completed.
+fn next_unit(shared: &Mutex<CoordState>, opts: &FleetOpts) -> Option<usize> {
     let mut s = lock(shared);
-    if s.stopped || s.completed == s.unit.len() {
-        return Job::Exit;
+    if opts
+        .stop_after
+        .is_some_and(|stop| s.stats.units_completed >= stop)
+    {
+        return None;
     }
-    let now = Instant::now();
-    let mut due: Vec<usize> = Vec::new();
-    s.delayed.retain(|(ready_at, u)| {
-        if *ready_at <= now {
-            due.push(*u);
-            false
-        } else {
-            true
-        }
-    });
-    // Units re-enter the queue in id order so re-dispatch is fair.
-    due.sort_unstable();
-    for u in due {
-        s.ready.push_back(u);
-    }
-    if let Some(u) = s.ready.pop_front() {
-        let attempt = s.unit[u].attempts;
-        s.unit[u].inflight += 1;
-        if s.unit[u].started.is_none() {
-            s.unit[u].started = Some(now);
-        }
-        return Job::Dispatch(u, attempt);
-    }
-    // Nothing pending: speculate on the longest-running straggler, once.
-    let straggler = (0..s.unit.len())
-        .filter(|&u| {
-            let st = &s.unit[u];
-            !st.done
-                && st.inflight > 0
-                && !st.duplicated
-                && st
-                    .started
-                    .is_some_and(|t| t.elapsed() >= opts.straggler_after)
-        })
-        .min_by_key(|&u| s.unit[u].started);
-    if let Some(u) = straggler {
-        let attempt = s.unit[u].attempts;
-        s.unit[u].duplicated = true;
-        s.unit[u].inflight += 1;
-        s.stats.straggler_duplicates += 1;
-        return Job::Speculate(u, attempt);
-    }
-    Job::Idle
+    s.pending.next()
 }
 
-/// Applies one finished attempt to the shared state: first valid result
-/// wins; failures cost an attempt and either back off or degrade to
-/// in-process execution.
-#[allow(clippy::too_many_arguments)]
-fn settle_attempt(
+/// Runs one unit to completion on the calling slot: up to `retries + 1`
+/// subprocess attempts with the harness backoff between them, then the
+/// in-process fallback. A spawn failure goes straight to the fallback and
+/// clears `worker`, degrading the slot for the rest of the sweep.
+fn run_unit(
     shared: &Mutex<CoordState>,
     registry: &Registry,
     specs: &[RunSpec],
-    u: usize,
+    unit: usize,
     range: Range<usize>,
-    outcome: UnitOutcome,
     opts: &FleetOpts,
-    session_dir: Option<&std::path::Path>,
-) {
-    let run_fallback = {
-        let mut s = lock(shared);
-        s.unit[u].retire_attempt();
+    worker: &mut Option<&WorkerCmd>,
+) -> Vec<String> {
+    for attempt in 0..=opts.retries {
+        let Some(cmd) = *worker else { break };
+        if attempt > 0 {
+            std::thread::sleep(retry_backoff(attempt));
+        }
+        let chaos = opts
+            .chaos
+            .and_then(|seed| chaos_action(seed, unit, attempt));
+        let outcome = run_subprocess_attempt(cmd, specs, range.clone(), opts, chaos);
+        let stats = &mut lock(shared).stats;
+        if !matches!(outcome, UnitOutcome::SpawnFailed) {
+            stats.dispatches += 1;
+            match chaos {
+                Some(ChaosAction::KillWorker) => stats.chaos_kills += 1,
+                Some(ChaosAction::GarbageLine) => stats.chaos_garbage += 1,
+                Some(ChaosAction::DelayOutput) => stats.chaos_delays += 1,
+                None => {}
+            }
+        }
         match outcome {
-            UnitOutcome::Completed(lines) => {
-                if s.unit[u].done {
-                    s.stats.straggler_discards += 1;
-                } else {
-                    finish_unit(&mut s, u, range.start, lines, session_dir, opts);
-                }
-                false
-            }
-            failed => {
-                match &failed {
-                    UnitOutcome::Crashed(_) => s.stats.crashes += 1,
-                    UnitOutcome::Hung => s.stats.hangs += 1,
-                    UnitOutcome::Poisoned(why) => {
-                        s.stats.poisoned += 1;
-                        // Count at least the offending line; a miscount
-                        // poisons the attempt, not individual lines.
-                        if why.starts_with("line ") {
-                            s.stats.poisoned_lines += 1;
-                        }
-                    }
-                    _ => {}
-                }
-                if s.unit[u].done || s.unit[u].inflight > 0 {
-                    // Another copy finished (or is still running); this
-                    // failure costs nothing further.
-                    false
-                } else {
-                    s.unit[u].attempts += 1;
-                    let attempt = s.unit[u].attempts;
-                    if attempt <= opts.retries {
-                        let backoff = retry_backoff(attempt);
-                        s.delayed.push((Instant::now() + backoff, u));
-                        false
-                    } else {
-                        // Exhausted: degrade to in-process, outside the lock.
-                        s.unit[u].inflight += 1;
-                        true
-                    }
-                }
+            UnitOutcome::Completed(lines) => return lines,
+            UnitOutcome::Poisoned => stats.poisoned += 1,
+            UnitOutcome::Crashed => stats.crashes += 1,
+            UnitOutcome::Hung => stats.hangs += 1,
+            UnitOutcome::SpawnFailed => {
+                stats.spawn_failures += 1;
+                *worker = None;
             }
         }
-    };
-    if run_fallback {
-        let lines = run_inprocess(registry, specs, range.clone(), opts.case_retries);
-        let mut s = lock(shared);
-        s.unit[u].retire_attempt();
-        s.stats.units_inprocess += 1;
-        if s.unit[u].done {
-            s.stats.straggler_discards += 1;
-        } else {
-            finish_unit(&mut s, u, range.start, lines, session_dir, opts);
-        }
     }
-}
-
-/// Records a completed unit (under the coordinator lock) and checkpoints
-/// it. Fires the stop_after interruption when the threshold is reached.
-fn finish_unit(
-    s: &mut CoordState,
-    u: usize,
-    first: usize,
-    lines: Vec<String>,
-    session_dir: Option<&std::path::Path>,
-    opts: &FleetOpts,
-) {
-    if let Some(dir) = session_dir {
-        write_unit_ckpt(dir, u, first, &lines);
-    }
-    // `inflight` is deliberately left alone: a losing speculative copy
-    // (or an in-flight fallback) of this unit may still be running, and it
-    // retires its own count when it settles. Forcing zero here would make
-    // that late settlement underflow the counter.
-    s.results[u] = Some(lines);
-    s.unit[u].done = true;
-    s.completed += 1;
-    s.stats.units_completed += 1;
-    if let Some(stop) = opts.stop_after {
-        if s.completed >= stop && s.completed < s.unit.len() {
-            s.stopped = true;
-        }
-    }
+    lock(shared).stats.units_inprocess += 1;
+    run_inprocess(registry, specs, range, opts.case_retries)
 }
 
 /// Executes a unit on the calling thread — the fully-degraded tier. Each
@@ -864,22 +643,15 @@ fn run_inprocess(
         .collect()
 }
 
-/// One subprocess dispatch: spawn, feed, watch the deadline, collect,
-/// validate. Chaos faults are injected here when armed.
+/// One subprocess attempt: spawn, feed, watch the deadline, collect,
+/// validate. The chaos fault, when there is one, is injected here.
 fn run_subprocess_attempt(
-    shared: &Mutex<CoordState>,
+    worker: &WorkerCmd,
     specs: &[RunSpec],
     range: Range<usize>,
     opts: &FleetOpts,
-    unit: usize,
-    attempt: u64,
+    chaos: Option<ChaosAction>,
 ) -> UnitOutcome {
-    let Some(worker) = &opts.worker else {
-        return UnitOutcome::SpawnFailed("no worker command".to_string());
-    };
-    let chaos = opts
-        .chaos
-        .and_then(|seed| chaos_action(seed, unit, attempt));
     let mut command = Command::new(&worker.program);
     command.args(&worker.args);
     if opts.case_retries > 0 {
@@ -888,25 +660,14 @@ fn run_subprocess_attempt(
         // `--retries` session would have produced.
         command.args(["--retries", &opts.case_retries.to_string()]);
     }
-    let mut child = match command
+    let Ok(mut child) = command
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
-    {
-        Ok(child) => child,
-        Err(e) => return UnitOutcome::SpawnFailed(e.to_string()),
+    else {
+        return UnitOutcome::SpawnFailed;
     };
-    {
-        let mut s = lock(shared);
-        s.stats.dispatches += 1;
-        match chaos {
-            Some(ChaosAction::KillWorker) => s.stats.chaos_kills += 1,
-            Some(ChaosAction::GarbageLine) => s.stats.chaos_garbage += 1,
-            Some(ChaosAction::DelayOutput) => s.stats.chaos_delays += 1,
-            None => {}
-        }
-    }
     let mut input = String::new();
     for global in range.clone() {
         input.push_str(&specs[global].to_json().to_string());
@@ -927,10 +688,9 @@ fn run_subprocess_attempt(
         }
         raw
     });
-    let mut chaos_killed = false;
-    if chaos == Some(ChaosAction::KillWorker) {
+    let chaos_killed = chaos == Some(ChaosAction::KillWorker);
+    if chaos_killed {
         let _ = child.kill();
-        chaos_killed = true;
     }
     // Hang detection: poll for exit until the unit deadline, then kill.
     let started = Instant::now();
@@ -945,10 +705,10 @@ fn run_subprocess_attempt(
                 }
                 std::thread::sleep(Duration::from_millis(2));
             }
-            Err(e) => {
+            Err(_) => {
                 let _ = child.kill();
                 let _ = child.wait();
-                return UnitOutcome::Crashed(format!("wait failed: {e}"));
+                return UnitOutcome::Crashed;
             }
         }
     };
@@ -961,22 +721,21 @@ fn run_subprocess_attempt(
         return UnitOutcome::Hung;
     }
     if chaos_killed || !status.success() {
-        return UnitOutcome::Crashed(format!("worker exit: {status}"));
+        return UnitOutcome::Crashed;
     }
     let raw = io.join().unwrap_or_default();
     if chaos == Some(ChaosAction::DelayOutput) {
         std::thread::sleep(Duration::from_millis(20));
     }
-    let mut text = match String::from_utf8(raw) {
-        Ok(text) => text,
-        Err(_) => return UnitOutcome::Poisoned("line 0: non-UTF-8 output".to_string()),
+    let Ok(mut text) = String::from_utf8(raw) else {
+        return UnitOutcome::Poisoned;
     };
     if chaos == Some(ChaosAction::GarbageLine) {
         text.insert_str(0, "{\"chaos\":tor\n");
     }
     match rewrite_unit_lines(&text, range) {
         Ok(lines) => UnitOutcome::Completed(lines),
-        Err(why) => UnitOutcome::Poisoned(why),
+        Err(_) => UnitOutcome::Poisoned,
     }
 }
 
@@ -1047,7 +806,6 @@ mod tests {
             unit_deadline: Duration::from_secs(30),
             retries: 1,
             checkpoint_dir: Some(tmp.0.clone()),
-            straggler_after: Duration::from_secs(60),
             ..FleetOpts::default()
         }
     }
@@ -1142,42 +900,29 @@ mod tests {
     }
 
     #[test]
-    fn a_losing_straggler_copy_settles_after_the_winner_without_a_miscount() {
-        let tmp = TempDir::new("straggler");
+    fn a_failed_attempt_is_redispatched_not_run_in_process() {
+        let tmp = TempDir::new("redispatch");
         let registry = Registry::builtin();
         let specs = exit_specs(1);
-        // The first copy to start grabs the lock directory and stalls; the
-        // speculative duplicate loses the mkdir race, answers immediately
-        // and wins. The stalled loser then settles *after* finish_unit
-        // already recorded the winner — the interleaving that used to
-        // force `inflight` to zero and underflow on the loser's settle.
+        // The first run creates the marker and crashes; the second finds
+        // it and answers with a valid line.
         let line = "{\"case\":0,\"name\":\"w\",\"outcome\":{\"outcome\":\"deadline\"}}";
         let script = format!(
-            "cat > /dev/null; if mkdir {} 2>/dev/null; then sleep 0.5; fi; echo '{line}'",
-            tmp.0.join("lock").display(),
+            "cat > /dev/null; mkdir {} 2>/dev/null && exit 7; echo '{line}'",
+            tmp.0.join("marker").display(),
         );
         let opts = FleetOpts {
-            workers: 2,
+            workers: 1,
             unit_size: 1,
-            straggler_after: Duration::from_millis(1),
             worker: Some(sh_worker(&script)),
-            checkpoint_dir: None,
-            ..FleetOpts::default()
+            ..base_opts(&tmp)
         };
         let out = run_fleet(&registry, &specs, &opts);
         assert!(!out.interrupted);
         assert_eq!(out.lines, vec![line.to_string()]);
-        assert_eq!(out.stats.units_completed, 1);
-        assert_eq!(
-            out.stats.straggler_duplicates, 1,
-            "the idle slot speculated: {:?}",
-            out.stats
-        );
-        assert_eq!(
-            out.stats.straggler_discards, 1,
-            "the loser settled as a discard, not a miscount: {:?}",
-            out.stats
-        );
+        assert_eq!(out.stats.crashes, 1, "{:?}", out.stats);
+        assert_eq!(out.stats.dispatches, 2, "{:?}", out.stats);
+        assert_eq!(out.stats.units_inprocess, 0, "{:?}", out.stats);
     }
 
     #[test]

@@ -193,8 +193,13 @@ impl fmt::Display for Json {
     }
 }
 
-/// Parses a complete JSON document (trailing whitespace allowed, floats and
-/// any trailing garbage rejected).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so an unbounded line of `[` would overflow the stack; every
+/// document this crate writes nests at most 5 deep.
+const MAX_DEPTH: usize = 64;
+
+/// Parses a complete JSON document (trailing whitespace allowed, floats,
+/// nesting deeper than [`MAX_DEPTH`] and any trailing garbage rejected).
 ///
 /// # Errors
 ///
@@ -202,7 +207,7 @@ impl fmt::Display for Json {
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing bytes at offset {pos}"));
@@ -225,8 +230,11 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -242,7 +250,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -267,7 +275,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -406,6 +414,12 @@ mod tests {
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("[1,").is_err());
         assert!(parse("\"unterminated").is_err());
+        // Nesting is capped, not left to overflow the stack.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&format!("{}1{}", "{\"a\":".repeat(65), "}".repeat(65))).is_err());
     }
 
     #[test]

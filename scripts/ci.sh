@@ -355,6 +355,14 @@ chaos_garbage=$(sed -n 's/.*chaos_garbage=\([0-9]*\).*/\1/p' target/fleet-chaos.
     cat target/fleet-chaos.err
     exit 1
 }
+# The in-process fallback yields the same bytes, so only this counter shows
+# that every chaos fault was recovered by re-dispatching to a worker.
+grep -q " inprocess=0 " target/fleet-chaos.err || {
+    echo "FAIL: chaos recovery fell back to in-process execution instead of"
+    echo "      re-dispatching the unit. Summary was:"
+    cat target/fleet-chaos.err
+    exit 1
+}
 
 echo "==> fleet: resume redoes zero completed units and stays byte-identical"
 rm -rf target/fleet-ckpt
