@@ -1,8 +1,11 @@
 //! The fleet coordinator binary: runs a `RunSpec` list through
-//! `cheriabi::fleet` — a pool of `run_specs` worker subprocesses with
-//! per-unit deadlines, crash/hang recovery by re-dispatch, poisoned-output
-//! scoring, checkpoint/resume, and seeded chaos injection — and prints the merged deterministic report lines, byte-identical to a
-//! single-process `run_specs --shard 0/1` over the same list.
+//! `cheriabi::fleet` — one long-lived `run_specs` worker subprocess per
+//! slot, fed unit after unit as framed spec lines, with per-unit
+//! deadlines, crash/hang recovery by re-dispatch to a fresh worker,
+//! poisoned-output scoring, checkpoint/resume, and seeded chaos
+//! injection — and prints the merged deterministic report lines,
+//! byte-identical to a single-process `run_specs --shard 0/1` over the
+//! same list.
 //!
 //! ```text
 //! table1 --dump-specs | fleet_run --specs - --workers 3 --chaos 7
@@ -13,7 +16,7 @@
 //! * `--specs P`      spec list from file P, or stdin with `-` (required)
 //! * `--workers N`    worker subprocess slots (default 4)
 //! * `--unit-size N`  specs per work unit (default 8)
-//! * `--deadline S`   per-unit wall deadline in seconds (default 120)
+//! * `--deadline S`   per-unit wall deadline in seconds (default 120, ≥ 1)
 //! * `--retries N`    subprocess re-dispatch attempts per unit before
 //!   degrading to in-process execution (default 2)
 //! * `--case-retries N` per-case transient-retry budget (the harness
@@ -39,7 +42,7 @@ use std::time::Duration;
 const USAGE: &str = "usage: fleet_run --specs <path|-> [options]\n  \
     --workers N    worker subprocess slots (default 4)\n  \
     --unit-size N  specs per work unit (default 8)\n  \
-    --deadline S   per-unit wall deadline, seconds (default 120)\n  \
+    --deadline S   per-unit wall deadline, seconds (default 120, >= 1)\n  \
     --retries N    re-dispatch attempts before in-process fallback (default 2)\n  \
     --case-retries N  per-case transient-retry budget, forwarded to workers\n                 \
     as run_specs --retries and applied by the in-process\n                 \
@@ -111,8 +114,9 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if parsed.specs.is_empty() {
         return Err(format!("--specs is required\n{USAGE}"));
     }
-    if parsed.opts.workers == 0 || parsed.opts.unit_size == 0 {
-        return Err("--workers and --unit-size must be at least 1".to_string());
+    if parsed.opts.workers == 0 || parsed.opts.unit_size == 0 || parsed.opts.unit_deadline.is_zero()
+    {
+        return Err("--workers, --unit-size and --deadline must be at least 1".to_string());
     }
     Ok(parsed)
 }

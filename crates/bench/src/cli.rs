@@ -399,7 +399,7 @@ pub fn parse_env_with_specs() -> (BenchOpts, Option<String>) {
 }
 
 /// A parsed spec list plus the malformed lines that were skipped.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SpecList {
     /// The specs that parsed, in input order.
     pub specs: Vec<RunSpec>,
@@ -407,19 +407,54 @@ pub struct SpecList {
     pub rejected: usize,
 }
 
+impl SpecList {
+    /// Adds one line of the one-object-per-line format; `lineno` is its
+    /// 0-based position in the input, for the warning. Blank lines are
+    /// ignored; a malformed line is skipped with a warning on stderr and
+    /// counted in [`SpecList::rejected`].
+    pub fn push_line(&mut self, lineno: usize, line: &str) {
+        if line.trim().is_empty() {
+            return;
+        }
+        let parsed = cheriabi::json::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| RunSpec::from_json(&doc));
+        match parsed {
+            Ok(spec) => self.specs.push(spec),
+            Err(e) => {
+                eprintln!("warning: skipping malformed spec line {}: {e}", lineno + 1);
+                self.rejected += 1;
+            }
+        }
+    }
+
+    /// Accepts the list as complete: an error when it holds no spec.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `source` when no line parsed.
+    pub fn finish(self, source: &str) -> Result<SpecList, String> {
+        if !self.specs.is_empty() {
+            return Ok(self);
+        }
+        if self.rejected > 0 {
+            return Err(format!(
+                "all {} spec lines in {source} are malformed",
+                self.rejected
+            ));
+        }
+        Err(format!("no specs found in {source}"))
+    }
+}
+
 /// Reads a `RunSpec` list from `source`: a file path, or `-` for stdin.
 /// Accepts either a top-level JSON array of spec objects or one spec
-/// object per non-blank line (the `--dump-specs` format).
-///
-/// A malformed *line* is skipped and counted (with a warning on stderr),
-/// not fatal: a fleet unit fed a list with one torn line still runs the
-/// other cases. A malformed top-level *array* is still an error — torn
-/// array syntax leaves no line boundaries to recover at.
+/// object per non-blank line (the `--dump-specs` format); see
+/// [`parse_specs`].
 ///
 /// # Errors
 ///
-/// Returns a message on I/O failure, a malformed array document, an empty
-/// list, or when *every* line is malformed.
+/// Returns a message on I/O failure, or any [`parse_specs`] error.
 pub fn read_specs(source: &str) -> Result<SpecList, String> {
     use std::io::Read as _;
     let text = if source == "-" {
@@ -431,42 +466,37 @@ pub fn read_specs(source: &str) -> Result<SpecList, String> {
     } else {
         std::fs::read_to_string(source).map_err(|e| format!("reading {source}: {e}"))?
     };
-    let mut specs = Vec::new();
-    let mut rejected = 0usize;
+    parse_specs(&text, source)
+}
+
+/// Parses a whole spec document read from `source`.
+///
+/// A malformed *line* is skipped and counted (with a warning on stderr),
+/// not fatal: a fleet unit fed a list with one torn line still runs the
+/// other cases. A malformed top-level *array* is still an error — torn
+/// array syntax leaves no line boundaries to recover at.
+///
+/// # Errors
+///
+/// Returns a message on a malformed array document, an empty list, or
+/// when *every* line is malformed.
+pub fn parse_specs(text: &str, source: &str) -> Result<SpecList, String> {
+    let mut list = SpecList::default();
     if text.trim_start().starts_with('[') {
-        let doc = cheriabi::json::parse(&text).map_err(|e| format!("spec list: {e}"))?;
+        let doc = cheriabi::json::parse(text).map_err(|e| format!("spec list: {e}"))?;
         let cheriabi::json::Json::Arr(items) = doc else {
             return Err("spec list: expected a JSON array".to_string());
         };
         for (i, item) in items.iter().enumerate() {
-            specs.push(RunSpec::from_json(item).map_err(|e| format!("spec [{i}]: {e}"))?);
+            list.specs
+                .push(RunSpec::from_json(item).map_err(|e| format!("spec [{i}]: {e}"))?);
         }
     } else {
         for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = cheriabi::json::parse(line)
-                .map_err(|e| e.to_string())
-                .and_then(|doc| RunSpec::from_json(&doc));
-            match parsed {
-                Ok(spec) => specs.push(spec),
-                Err(e) => {
-                    eprintln!("warning: skipping malformed spec line {}: {e}", lineno + 1);
-                    rejected += 1;
-                }
-            }
+            list.push_line(lineno, line);
         }
     }
-    if specs.is_empty() {
-        if rejected > 0 {
-            return Err(format!(
-                "all {rejected} spec lines in {source} are malformed"
-            ));
-        }
-        return Err(format!("no specs found in {source}"));
-    }
-    Ok(SpecList { specs, rejected })
+    list.finish(source)
 }
 
 /// Runs one harness session over `specs` honouring every shared flag:

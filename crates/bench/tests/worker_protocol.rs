@@ -1,0 +1,143 @@
+//! The fleet worker protocol end to end: `run_specs` answering framed
+//! units on a kept-open stdin, and `fleet_run`'s deadline handling.
+
+use cheriabi::fleet::UNIT_END;
+use std::io::Write as _;
+use std::process::{Command, Output, Stdio};
+
+const RUN_SPECS: &str = env!("CARGO_BIN_EXE_run_specs");
+const FLEET_RUN: &str = env!("CARGO_BIN_EXE_fleet_run");
+const WORKER_ARGS: [&str; 7] = [
+    "--specs",
+    "-",
+    "--jobs",
+    "1",
+    "--no-cache",
+    "--shard",
+    "0/1",
+];
+
+fn pinned_specs() -> Vec<String> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scripts/golden/table1_pinned.specs"
+    );
+    std::fs::read_to_string(path)
+        .expect("pinned spec list")
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// Runs `program args` with `input` on stdin. A program that exits
+/// without reading (a usage error) may close the pipe mid-write, so a
+/// failed write is left for the caller's checks on the output.
+fn run(program: &str, args: &[&str], input: &str) -> Output {
+    let mut child = Command::new(program)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let _ = child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(input.as_bytes());
+    child.wait_with_output().expect("wait")
+}
+
+fn stdout(out: &Output) -> String {
+    assert!(out.status.success(), "{out:?}");
+    String::from_utf8(out.stdout.clone()).expect("utf8")
+}
+
+fn lines(specs: &[String]) -> String {
+    specs.iter().map(|l| format!("{l}\n")).collect()
+}
+
+#[test]
+fn each_frame_answers_like_a_session_over_that_unit_alone() {
+    let specs = pinned_specs();
+    let (first, second) = (&specs[..3], &specs[3..5]);
+    let framed = format!("{}{UNIT_END}\n{}{UNIT_END}\n", lines(first), lines(second));
+    let got = stdout(&run(RUN_SPECS, &WORKER_ARGS, &framed));
+    let want = format!(
+        "{}{UNIT_END}\n{}{UNIT_END}\n",
+        stdout(&run(RUN_SPECS, &WORKER_ARGS, &lines(first))),
+        stdout(&run(RUN_SPECS, &WORKER_ARGS, &lines(second))),
+    );
+    assert_eq!(got, want);
+    assert!(got.starts_with("{\"case\":0,"), "{got}");
+}
+
+#[test]
+fn unframed_and_array_stdin_answer_like_the_file() {
+    let specs = &pinned_specs()[..4];
+    let dir = std::env::temp_dir().join(format!("worker-protocol-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("specs.lines");
+    std::fs::write(&file, lines(specs)).expect("write");
+    let mut file_args = WORKER_ARGS;
+    file_args[1] = file.to_str().expect("utf8 path");
+    let want = stdout(&run(RUN_SPECS, &file_args, ""));
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(want.lines().count(), 4);
+
+    let unframed = format!("\n{}\n", lines(specs));
+    assert_eq!(stdout(&run(RUN_SPECS, &WORKER_ARGS, &unframed)), want);
+    let array = format!("\n  [{}]\n", specs.join(",\n"));
+    assert_eq!(stdout(&run(RUN_SPECS, &WORKER_ARGS, &array)), want);
+    // Specs after the last frame run as an unframed session.
+    let trailing = format!("{}{UNIT_END}\n{}", lines(&specs[..1]), lines(&specs[1..]));
+    let got = stdout(&run(RUN_SPECS, &WORKER_ARGS, &trailing));
+    let (head, tail) = got.split_once(&format!("{UNIT_END}\n")).expect("frame");
+    assert_eq!(head.lines().count(), 1);
+    assert_eq!(tail.lines().count(), 3);
+}
+
+#[test]
+fn a_torn_line_inside_a_frame_is_counted_and_the_frame_still_echoed() {
+    let specs = pinned_specs();
+    let framed = format!(
+        "{}{{\"torn json\n{UNIT_END}\n{{all bad\n{UNIT_END}\n",
+        lines(&specs[..2])
+    );
+    let out = run(RUN_SPECS, &WORKER_ARGS, &framed);
+    let got = stdout(&out);
+    let frames: Vec<&str> = got.split_terminator(&format!("{UNIT_END}\n")).collect();
+    assert_eq!(frames.len(), 2, "{got}");
+    assert_eq!(frames[0].lines().count(), 2, "the good specs ran");
+    assert_eq!(frames[1], "", "an all-bad frame answers nothing");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("specs_rejected=1 specs_accepted=2"), "{err}");
+    assert!(err.contains("specs_rejected=1 specs_accepted=0"), "{err}");
+}
+
+#[test]
+fn fleet_run_rejects_a_zero_deadline_and_accepts_the_largest() {
+    let specs = lines(&pinned_specs());
+    let zero = run(FLEET_RUN, &["--specs", "-", "--deadline", "0"], &specs);
+    assert_eq!(zero.status.code(), Some(2), "{zero:?}");
+
+    let max = u64::MAX.to_string();
+    let args = [
+        "--specs",
+        "-",
+        "--deadline",
+        &max,
+        "--workers",
+        "2",
+        "--unit-size",
+        "3",
+        "--no-ckpt",
+        "--worker",
+        RUN_SPECS,
+    ];
+    let out = run(FLEET_RUN, &args, &specs);
+    assert_eq!(stdout(&out), stdout(&run(RUN_SPECS, &WORKER_ARGS, &specs)));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(" inprocess=0 "), "{err}");
+    assert!(err.contains(" hangs=0 "), "{err}");
+}

@@ -9,15 +9,17 @@
 //! byte-identical to a single-process run.
 //!
 //! **The protocol.** The spec list is split into fixed-size *work units*
-//! (contiguous runs of submission indices). Each unit is piped to a worker
-//! subprocess — by convention `run_specs --specs - --jobs 1 --no-cache
-//! --shard 0/1` — as one spec JSON line per case on stdin; the worker
-//! prints one deterministic report line per case (`{"case":<local>,...}`,
-//! no wall time, no host counters) on stdout. The coordinator validates
-//! every line, rewrites the local indices to global submission indices
-//! *textually* (so worker bytes are preserved exactly), and concatenates
-//! the units in order. Because the deterministic line format is
-//! context-free, the merged output is byte-identical to
+//! (contiguous runs of submission indices). Each worker slot keeps one
+//! long-lived worker subprocess — by convention `run_specs --specs -
+//! --jobs 1 --no-cache --shard 0/1` — and streams unit after unit into its
+//! stdin: one spec JSON line per case, then the [`UNIT_END`] frame line.
+//! The worker runs the unit as one session and answers with one
+//! deterministic report line per case (`{"case":<local>,...}`, no wall
+//! time, no host counters), then echoes `UNIT_END`. The coordinator
+//! validates every line, rewrites the local indices to global submission
+//! indices *textually* (so worker bytes are preserved exactly), and
+//! concatenates the units in order. Because the deterministic line format
+//! is context-free, the merged output is byte-identical to
 //! `run_specs --shard 0/1` over the whole list — the same contract the
 //! shard-merge machinery already enforces ([`crate::harness::merge_shards`]).
 //!
@@ -31,8 +33,15 @@
 //!              +-----------------------------> InProcess -> Completed
 //! ```
 //!
-//! * a worker that exceeds the per-unit wall deadline is **killed** and the
-//!   unit re-dispatched (hang detection);
+//! * a slot spawns its worker on its first attempt and keeps it for as
+//!   long as attempts complete; any other outcome **kills and reaps** the
+//!   worker, so the next attempt starts a fresh one and no stale output
+//!   crosses units. A slot kills and reaps its worker when it runs out of
+//!   units, so none outlives [`run_fleet`];
+//! * a worker's pipes are served by its own I/O thread, and the slot waits
+//!   for the framed answer on a channel with the per-unit wall deadline: a
+//!   worker that answers late, or stops reading its input, is scored hung
+//!   and killed (hang detection);
 //! * a worker that exits non-zero or dies to a signal costs one attempt
 //!   with a deterministic exponential backoff — the exact harness retry
 //!   policy ([`crate::harness::retry_backoff`]);
@@ -63,17 +72,25 @@ use crate::harness::{execute_spec, outcome_is_transient, retry_backoff, RunSpec}
 use crate::json::{self, Json};
 use crate::spec::Registry;
 use std::fs;
-use std::io::{Read as _, Write as _};
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::ops::Range;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// The frame line that ends a work unit: the coordinator writes it after
+/// a unit's spec lines, and the worker echoes it after the unit's report
+/// lines.
+pub const UNIT_END: &str = "{\"unit_end\":true}";
+
 /// How a worker subprocess is launched. The command must read spec JSON
-/// lines on stdin and print one deterministic report line per spec
-/// (`{"case":<local index>,...}`, the `--shard` line format) on stdout —
+/// lines on stdin until each [`UNIT_END`] line, then print one
+/// deterministic report line per spec of that unit (`{"case":<local
+/// index>,...}`, the `--shard` line format, indices from 0) followed by
+/// `UNIT_END` on stdout, and wait for the next unit —
 /// `run_specs --specs - --jobs 1 --no-cache --shard 0/1` is the canonical
 /// worker.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,12 +126,13 @@ impl WorkerCmd {
 /// Coordinator configuration.
 #[derive(Clone, Debug)]
 pub struct FleetOpts {
-    /// Worker slots (subprocesses dispatched concurrently), ≥ 1.
+    /// Worker slots (one worker subprocess each), ≥ 1.
     pub workers: usize,
     /// Specs per work unit, ≥ 1.
     pub unit_size: usize,
-    /// Wall-clock deadline per dispatched unit; a worker still running
-    /// past it is killed and the unit re-dispatched (hang detection).
+    /// Wall-clock deadline per dispatched unit; a worker that has not
+    /// answered by then is killed and the unit re-dispatched (hang
+    /// detection).
     pub unit_deadline: Duration,
     /// Subprocess re-dispatch attempts per unit before degrading to
     /// in-process execution. Backoff between attempts is the harness
@@ -187,8 +205,11 @@ pub struct FleetStats {
     /// Units that degraded to in-process execution (spawn failure,
     /// exhausted retries, or no worker command configured).
     pub units_inprocess: usize,
-    /// Worker subprocesses spawned.
+    /// Unit attempts sent to a worker.
     pub dispatches: u64,
+    /// Worker processes started: one per slot, plus one after each failed
+    /// attempt.
+    pub spawns: u64,
     /// Worker attempts that exited non-zero or died to a signal.
     pub crashes: u64,
     /// Worker attempts killed at the per-unit deadline.
@@ -218,7 +239,7 @@ impl FleetStats {
     pub fn summary_line(&self) -> String {
         format!(
             "fleet: units={} completed={} resumed={} executed={} inprocess={} \
-             dispatches={} crashes={} hangs={} poisoned={} spawn_failures={} \
+             dispatches={} spawns={} crashes={} hangs={} poisoned={} spawn_failures={} \
              chaos_kills={} chaos_garbage={} chaos_delays={}",
             self.units,
             self.units_completed,
@@ -226,6 +247,7 @@ impl FleetStats {
             self.units_completed - self.units_resumed,
             self.units_inprocess,
             self.dispatches,
+            self.spawns,
             self.crashes,
             self.hangs,
             self.poisoned,
@@ -434,16 +456,14 @@ enum UnitOutcome {
     /// Every line validated; the unit's report lines, with global
     /// submission indices.
     Completed(Vec<String>),
-    /// The worker exited cleanly but its output was corrupt: a torn or
-    /// non-JSON line, a wrong or out-of-order `case` index, or a line
-    /// count that does not match the unit.
+    /// The answer was corrupt — a torn or non-JSON line, a wrong or
+    /// out-of-order `case` index, a line count that does not match the
+    /// unit — or the worker exited cleanly without answering.
     Poisoned,
     /// The worker exited non-zero or died to a signal.
     Crashed,
-    /// The worker outlived the per-unit deadline and was killed.
+    /// No answer arrived within the per-unit deadline.
     Hung,
-    /// The worker could not even be spawned.
-    SpawnFailed,
 }
 
 /// What the slots share: a cursor over the units still to run, the
@@ -505,14 +525,13 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
         for _ in 0..opts.workers.max(1) {
             let (shared, units, session_dir) = (&shared, &units, session_dir.as_deref());
             scope.spawn(move || {
-                // A slot whose worker cannot be spawned runs every later
-                // unit in-process — "fewer workers" without ever stalling
-                // the sweep.
-                let mut worker = opts.worker.as_ref();
+                let mut slot = Slot {
+                    cmd: opts.worker.as_ref(),
+                    live: None,
+                };
                 while let Some(u) = next_unit(shared, opts) {
                     let range = units[u].clone();
-                    let lines =
-                        run_unit(shared, registry, specs, u, range.clone(), opts, &mut worker);
+                    let lines = slot.run_unit(shared, registry, specs, u, range.clone(), opts);
                     if let Some(dir) = session_dir {
                         write_unit_ckpt(dir, u, range.start, &lines);
                     }
@@ -520,6 +539,7 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
                     s.results[u] = Some(lines);
                     s.stats.units_completed += 1;
                 }
+                // Dropping the slot kills and reaps its worker.
             });
         }
     });
@@ -569,30 +589,55 @@ fn next_unit(shared: &Mutex<CoordState>, opts: &FleetOpts) -> Option<usize> {
     s.pending.next()
 }
 
-/// Runs one unit to completion on the calling slot: up to `retries + 1`
-/// subprocess attempts with the harness backoff between them, then the
-/// in-process fallback. A spawn failure goes straight to the fallback and
-/// clears `worker`, degrading the slot for the rest of the sweep.
-fn run_unit(
-    shared: &Mutex<CoordState>,
-    registry: &Registry,
-    specs: &[RunSpec],
-    unit: usize,
-    range: Range<usize>,
-    opts: &FleetOpts,
-    worker: &mut Option<&WorkerCmd>,
-) -> Vec<String> {
-    for attempt in 0..=opts.retries {
-        let Some(cmd) = *worker else { break };
-        if attempt > 0 {
-            std::thread::sleep(retry_backoff(attempt));
-        }
-        let chaos = opts
-            .chaos
-            .and_then(|seed| chaos_action(seed, unit, attempt));
-        let outcome = run_subprocess_attempt(cmd, specs, range.clone(), opts, chaos);
-        let stats = &mut lock(shared).stats;
-        if !matches!(outcome, UnitOutcome::SpawnFailed) {
+/// One worker slot: the command it spawns workers from (`None` once a
+/// spawn has failed, degrading the slot to in-process execution for the
+/// rest of the sweep) and its live worker, kept from unit to unit.
+struct Slot<'a> {
+    cmd: Option<&'a WorkerCmd>,
+    live: Option<Worker>,
+}
+
+impl Slot<'_> {
+    /// Runs one unit to completion: up to `retries + 1` worker attempts
+    /// with the harness backoff between them, then the in-process
+    /// fallback. Any attempt that does not complete kills the worker, so
+    /// the next attempt starts a fresh one and no stale output ever
+    /// reaches another unit.
+    fn run_unit(
+        &mut self,
+        shared: &Mutex<CoordState>,
+        registry: &Registry,
+        specs: &[RunSpec],
+        unit: usize,
+        range: Range<usize>,
+        opts: &FleetOpts,
+    ) -> Vec<String> {
+        for attempt in 0..=opts.retries {
+            let Some(cmd) = self.cmd else { break };
+            if attempt > 0 {
+                std::thread::sleep(retry_backoff(attempt));
+            }
+            let spawned = self.live.is_none();
+            let worker = match &mut self.live {
+                Some(worker) => worker,
+                None => match Worker::spawn(cmd, opts.case_retries) {
+                    Some(worker) => self.live.insert(worker),
+                    None => {
+                        lock(shared).stats.spawn_failures += 1;
+                        self.cmd = None;
+                        break;
+                    }
+                },
+            };
+            let chaos = opts
+                .chaos
+                .and_then(|seed| chaos_action(seed, unit, attempt));
+            let outcome = worker.attempt(specs, range.clone(), opts.unit_deadline, chaos);
+            if !matches!(outcome, UnitOutcome::Completed(_)) {
+                self.live = None;
+            }
+            let stats = &mut lock(shared).stats;
+            stats.spawns += u64::from(spawned);
             stats.dispatches += 1;
             match chaos {
                 Some(ChaosAction::KillWorker) => stats.chaos_kills += 1,
@@ -600,20 +645,16 @@ fn run_unit(
                 Some(ChaosAction::DelayOutput) => stats.chaos_delays += 1,
                 None => {}
             }
-        }
-        match outcome {
-            UnitOutcome::Completed(lines) => return lines,
-            UnitOutcome::Poisoned => stats.poisoned += 1,
-            UnitOutcome::Crashed => stats.crashes += 1,
-            UnitOutcome::Hung => stats.hangs += 1,
-            UnitOutcome::SpawnFailed => {
-                stats.spawn_failures += 1;
-                *worker = None;
+            match outcome {
+                UnitOutcome::Completed(lines) => return lines,
+                UnitOutcome::Poisoned => stats.poisoned += 1,
+                UnitOutcome::Crashed => stats.crashes += 1,
+                UnitOutcome::Hung => stats.hangs += 1,
             }
         }
+        lock(shared).stats.units_inprocess += 1;
+        run_inprocess(registry, specs, range, opts.case_retries)
     }
-    lock(shared).stats.units_inprocess += 1;
-    run_inprocess(registry, specs, range, opts.case_retries)
 }
 
 /// Executes a unit on the calling thread — the fully-degraded tier. Each
@@ -643,99 +684,179 @@ fn run_inprocess(
         .collect()
 }
 
-/// One subprocess attempt: spawn, feed, watch the deadline, collect,
-/// validate. The chaos fault, when there is one, is injected here.
-fn run_subprocess_attempt(
-    worker: &WorkerCmd,
-    specs: &[RunSpec],
-    range: Range<usize>,
-    opts: &FleetOpts,
-    chaos: Option<ChaosAction>,
-) -> UnitOutcome {
-    let mut command = Command::new(&worker.program);
-    command.args(&worker.args);
-    if opts.case_retries > 0 {
-        // The per-case transient-retry budget rides along to the worker so
-        // its report lines carry the same retry metadata a single-process
-        // `--retries` session would have produced.
-        command.args(["--retries", &opts.case_retries.to_string()]);
+/// A live worker process and the channels to its I/O thread. Dropping it
+/// kills and reaps the process.
+struct Worker {
+    child: Child,
+    /// Unit inputs (spec lines plus [`UNIT_END`]) for the I/O thread.
+    feed: Sender<String>,
+    /// One raw answer per unit: everything the worker printed before its
+    /// echoed [`UNIT_END`]. Disconnected once the worker's pipes fail.
+    answers: Receiver<Vec<u8>>,
+}
+
+impl Worker {
+    /// Starts a worker and its I/O thread; `None` when either cannot be
+    /// started.
+    fn spawn(cmd: &WorkerCmd, case_retries: u64) -> Option<Worker> {
+        let mut command = Command::new(&cmd.program);
+        command.args(&cmd.args);
+        if case_retries > 0 {
+            // The per-case transient-retry budget rides along to the worker
+            // so its report lines carry the same retry metadata a
+            // single-process `--retries` session would have produced.
+            command.args(["--retries", &case_retries.to_string()]);
+        }
+        let mut child = command
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .ok()?;
+        let (feed, inputs) = mpsc::channel();
+        let (answer, answers) = mpsc::channel();
+        let pipes = (child.stdin.take(), child.stdout.take());
+        // The pipes live on their own thread, so neither a worker that
+        // stops reading nor one that floods its output can block the slot
+        // past its deadline; killing the worker unblocks the thread.
+        let io = match pipes {
+            (Some(stdin), Some(stdout)) => std::thread::Builder::new()
+                .spawn(move || serve(stdin, stdout, &inputs, &answer))
+                .ok(),
+            _ => None,
+        };
+        let worker = Worker {
+            child,
+            feed,
+            answers,
+        };
+        // On failure the dropped worker is killed and reaped.
+        io.map(|_| worker)
     }
-    let Ok(mut child) = command
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-    else {
-        return UnitOutcome::SpawnFailed;
-    };
-    let mut input = String::new();
-    for global in range.clone() {
-        input.push_str(&specs[global].to_json().to_string());
+
+    /// One attempt: feed the unit, await the framed answer until the
+    /// deadline, validate it. The chaos fault, when there is one, is
+    /// injected here.
+    fn attempt(
+        &mut self,
+        specs: &[RunSpec],
+        range: Range<usize>,
+        deadline: Duration,
+        chaos: Option<ChaosAction>,
+    ) -> UnitOutcome {
+        // `None` (a deadline past the clock's range) waits indefinitely.
+        let deadline = Instant::now().checked_add(deadline);
+        let mut input = String::new();
+        for global in range.clone() {
+            input.push_str(&specs[global].to_json().to_string());
+            input.push('\n');
+        }
+        input.push_str(UNIT_END);
         input.push('\n');
-    }
-    let stdin = child.stdin.take();
-    let stdout = child.stdout.take();
-    // Feed stdin and drain stdout off-thread so a wedged worker can never
-    // deadlock the coordinator on a full pipe; killing the child unblocks
-    // both directions (EPIPE / EOF).
-    let io = std::thread::spawn(move || {
-        if let Some(mut stdin) = stdin {
-            let _ = stdin.write_all(input.as_bytes());
+        // A failed send means the I/O thread is gone, which the receive
+        // below reports as a disconnect.
+        let _ = self.feed.send(input);
+        if chaos == Some(ChaosAction::KillWorker) {
+            let _ = self.child.kill();
+            return UnitOutcome::Crashed;
         }
-        let mut raw = Vec::new();
-        if let Some(mut stdout) = stdout {
-            let _ = stdout.read_to_end(&mut raw);
+        let raw = match self.answers.recv_timeout(remaining(deadline)) {
+            Ok(raw) => raw,
+            Err(RecvTimeoutError::Timeout) => return UnitOutcome::Hung,
+            Err(RecvTimeoutError::Disconnected) => return self.disconnected(deadline),
+        };
+        if chaos == Some(ChaosAction::DelayOutput) {
+            std::thread::sleep(Duration::from_millis(20));
         }
-        raw
-    });
-    let chaos_killed = chaos == Some(ChaosAction::KillWorker);
-    if chaos_killed {
-        let _ = child.kill();
+        let Ok(mut text) = String::from_utf8(raw) else {
+            return UnitOutcome::Poisoned;
+        };
+        if chaos == Some(ChaosAction::GarbageLine) {
+            text.insert_str(0, "{\"chaos\":tor\n");
+        }
+        match rewrite_unit_lines(&text, range) {
+            Ok(lines) => UnitOutcome::Completed(lines),
+            Err(_) => UnitOutcome::Poisoned,
+        }
     }
-    // Hang detection: poll for exit until the unit deadline, then kill.
-    let started = Instant::now();
-    let mut hung = false;
-    let status = loop {
-        match child.try_wait() {
-            Ok(Some(status)) => break status,
-            Ok(None) => {
-                if started.elapsed() >= opts.unit_deadline {
-                    let _ = child.kill();
-                    hung = true;
+
+    /// Scores a worker whose pipes closed before it answered: by its exit
+    /// status, awaited until the deadline. A worker that closed its pipes
+    /// but will not exit counts as hung.
+    fn disconnected(&mut self, deadline: Option<Instant>) -> UnitOutcome {
+        loop {
+            match self.child.try_wait() {
+                Ok(Some(status)) if status.success() => return UnitOutcome::Poisoned,
+                Ok(Some(_)) | Err(_) => return UnitOutcome::Crashed,
+                Ok(None) if remaining(deadline).is_zero() => return UnitOutcome::Hung,
+                Ok(None) => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The time left until `deadline`; `Duration::MAX` for no deadline, which
+/// `recv_timeout` treats as waiting indefinitely.
+fn remaining(deadline: Option<Instant>) -> Duration {
+    deadline.map_or(Duration::MAX, |d| {
+        d.saturating_duration_since(Instant::now())
+    })
+}
+
+/// A worker's I/O thread: writes each unit input to the worker's stdin,
+/// then reads its stdout until the answer ends with the echoed
+/// [`UNIT_END`] line and sends everything before that line. A worker
+/// writes nothing after its frame until it has read the next unit, so the
+/// frame always ends what the pipe holds; one that breaks this rule is
+/// scored hung or poisoned like any other broken answer. Returns —
+/// dropping the answer channel, which the slot sees as a disconnect — on
+/// the first pipe error or EOF, or once the slot drops its worker.
+///
+/// Reading straight into the answer, with no `BufReader`, keeps this
+/// thread's heap to the one buffer in flight.
+fn serve(
+    mut stdin: ChildStdin,
+    mut stdout: ChildStdout,
+    inputs: &Receiver<String>,
+    answers: &Sender<Vec<u8>>,
+) {
+    for input in inputs {
+        if stdin.write_all(input.as_bytes()).is_err() {
+            return;
+        }
+        // Freed before the answer goes back, so the slot thread can reuse
+        // the allocation for its next unit.
+        drop(input);
+        let mut answer = Vec::new();
+        let body = loop {
+            let start = answer.len();
+            answer.resize(start + 4096, 0);
+            match stdout.read(&mut answer[start..]) {
+                Ok(0) => return,
+                Ok(n) => answer.truncate(start + n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => answer.truncate(start),
+                Err(_) => return,
+            }
+            let framed = answer
+                .strip_suffix(b"\n")
+                .and_then(|rest| rest.strip_suffix(UNIT_END.as_bytes()));
+            if let Some(body) = framed {
+                if body.is_empty() || body.ends_with(b"\n") {
+                    break body.len();
                 }
-                std::thread::sleep(Duration::from_millis(2));
             }
-            Err(_) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return UnitOutcome::Crashed;
-            }
+        };
+        answer.truncate(body);
+        if answers.send(answer).is_err() {
+            return;
         }
-    };
-    // Join the I/O thread only on a clean exit. A killed worker's
-    // *grandchildren* (e.g. a shell's `sleep`) can inherit the stdout pipe
-    // and keep it open long after the worker is dead; blocking on
-    // `read_to_end` then would turn a detected hang back into a real one.
-    // The detached thread exits on its own once the pipe finally closes.
-    if hung {
-        return UnitOutcome::Hung;
-    }
-    if chaos_killed || !status.success() {
-        return UnitOutcome::Crashed;
-    }
-    let raw = io.join().unwrap_or_default();
-    if chaos == Some(ChaosAction::DelayOutput) {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let Ok(mut text) = String::from_utf8(raw) else {
-        return UnitOutcome::Poisoned;
-    };
-    if chaos == Some(ChaosAction::GarbageLine) {
-        text.insert_str(0, "{\"chaos\":tor\n");
-    }
-    match rewrite_unit_lines(&text, range) {
-        Ok(lines) => UnitOutcome::Completed(lines),
-        Err(_) => UnitOutcome::Poisoned,
     }
 }
 
@@ -799,6 +920,43 @@ mod tests {
         }
     }
 
+    /// A framed `sh` worker: runs `on_line` for every spec line (`$line`,
+    /// with `$n` its index in the unit), then `on_end` at each
+    /// [`UNIT_END`] before echoing the frame.
+    fn framed_worker(on_line: &str, on_end: &str) -> WorkerCmd {
+        sh_worker(&format!(
+            "n=0; while read -r line; do \
+               if [ \"$line\" = '{UNIT_END}' ]; then {on_end} echo '{UNIT_END}'; n=0; \
+               else {on_line} n=$((n+1)); fi; \
+             done"
+        ))
+    }
+
+    /// A framed worker that answers every spec of `specs` with its golden
+    /// report line, looked up by spec name in files under `tmp`; `on_end`
+    /// runs before each frame is echoed.
+    fn golden_worker(
+        tmp: &TempDir,
+        registry: &Registry,
+        specs: &[RunSpec],
+        on_end: &str,
+    ) -> WorkerCmd {
+        let answers = tmp.0.join("answers");
+        fs::create_dir_all(&answers).expect("answers dir");
+        for (i, line) in golden_lines(registry, specs).iter().enumerate() {
+            let rest = line
+                .strip_prefix(&format!("{{\"case\":{i},"))
+                .expect("canonical");
+            fs::write(answers.join(&specs[i].name), rest).expect("answer file");
+        }
+        let on_line = format!(
+            "name=${{line#*\\\"name\\\":\\\"}}; name=${{name%%\\\"*}}; \
+             read -r rest < '{}'/\"$name\"; printf '{{\"case\":%d,%s\\n' \"$n\" \"$rest\";",
+            answers.display()
+        );
+        framed_worker(&on_line, on_end)
+    }
+
     fn base_opts(tmp: &TempDir) -> FleetOpts {
         FleetOpts {
             workers: 2,
@@ -831,7 +989,7 @@ mod tests {
         let registry = Registry::builtin();
         let specs = exit_specs(6);
         let opts = FleetOpts {
-            worker: Some(sh_worker("cat > /dev/null; exit 7")),
+            worker: Some(framed_worker("", "exit 7;")),
             ..base_opts(&tmp)
         };
         let out = run_fleet(&registry, &specs, &opts);
@@ -847,7 +1005,7 @@ mod tests {
         let registry = Registry::builtin();
         let specs = exit_specs(6);
         let opts = FleetOpts {
-            worker: Some(sh_worker("cat > /dev/null; echo '{torn json'")),
+            worker: Some(framed_worker("", "echo '{torn json';")),
             ..base_opts(&tmp)
         };
         let out = run_fleet(&registry, &specs, &opts);
@@ -864,7 +1022,7 @@ mod tests {
         let specs = exit_specs(3);
         let opts = FleetOpts {
             workers: 1,
-            worker: Some(sh_worker("sleep 600")),
+            worker: Some(sh_worker("exec sleep 600")),
             unit_deadline: Duration::from_millis(80),
             retries: 0,
             ..base_opts(&tmp)
@@ -907,14 +1065,14 @@ mod tests {
         // The first run creates the marker and crashes; the second finds
         // it and answers with a valid line.
         let line = "{\"case\":0,\"name\":\"w\",\"outcome\":{\"outcome\":\"deadline\"}}";
-        let script = format!(
-            "cat > /dev/null; mkdir {} 2>/dev/null && exit 7; echo '{line}'",
+        let on_end = format!(
+            "mkdir {} 2>/dev/null && exit 7; echo '{line}';",
             tmp.0.join("marker").display(),
         );
         let opts = FleetOpts {
             workers: 1,
             unit_size: 1,
-            worker: Some(sh_worker(&script)),
+            worker: Some(framed_worker("", &on_end)),
             ..base_opts(&tmp)
         };
         let out = run_fleet(&registry, &specs, &opts);
@@ -923,6 +1081,78 @@ mod tests {
         assert_eq!(out.stats.crashes, 1, "{:?}", out.stats);
         assert_eq!(out.stats.dispatches, 2, "{:?}", out.stats);
         assert_eq!(out.stats.units_inprocess, 0, "{:?}", out.stats);
+    }
+
+    #[test]
+    fn a_worker_persists_across_units_and_is_replaced_once_per_failure() {
+        let registry = Registry::builtin();
+        let specs = exit_specs(12); // 4 units of 3
+        let opts = |tmp: &TempDir, worker| FleetOpts {
+            workers: 1,
+            worker: Some(worker),
+            ..base_opts(tmp)
+        };
+
+        let tmp = TempDir::new("persist");
+        let out = run_fleet(
+            &registry,
+            &specs,
+            &opts(&tmp, golden_worker(&tmp, &registry, &specs, "")),
+        );
+        assert!(!out.interrupted);
+        assert_eq!(out.lines, golden_lines(&registry, &specs));
+        assert_eq!(out.stats.dispatches, 4, "{:?}", out.stats);
+        assert_eq!(out.stats.spawns, 1, "one worker served every unit");
+        assert_eq!(out.stats.units_inprocess, 0, "{:?}", out.stats);
+
+        // The first worker crashes at the end of its first unit; its
+        // replacement serves that unit's retry and every later unit.
+        let tmp = TempDir::new("persist-crash");
+        let on_end = format!(
+            "mkdir {} 2>/dev/null && exit 7;",
+            tmp.0.join("marker").display()
+        );
+        let worker = golden_worker(&tmp, &registry, &specs, &on_end);
+        let out = run_fleet(&registry, &specs, &opts(&tmp, worker));
+        assert!(!out.interrupted);
+        assert_eq!(out.lines, golden_lines(&registry, &specs));
+        assert_eq!(out.stats.spawns, 2, "{:?}", out.stats);
+        assert_eq!(out.stats.crashes, 1, "{:?}", out.stats);
+        assert_eq!(out.stats.dispatches, 5, "{:?}", out.stats);
+        assert_eq!(out.stats.units_inprocess, 0, "{:?}", out.stats);
+    }
+
+    #[test]
+    fn a_worker_that_never_reads_is_hung_not_a_wedged_feed() {
+        let tmp = TempDir::new("feed-hang");
+        let registry = Registry::builtin();
+        // Long names push the unit's spec text past a 64 KiB pipe buffer,
+        // so writing it blocks for as long as the worker does not read.
+        let specs: Vec<RunSpec> = exit_specs(3)
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut spec)| {
+                spec.name = format!("{i}-{}", "x".repeat(40_000));
+                spec
+            })
+            .collect();
+        let opts = FleetOpts {
+            workers: 1,
+            worker: Some(sh_worker("exec sleep 600")),
+            unit_deadline: Duration::from_millis(200),
+            retries: 0,
+            ..base_opts(&tmp)
+        };
+        let started = Instant::now();
+        let out = run_fleet(&registry, &specs, &opts);
+        assert!(!out.interrupted);
+        assert_eq!(out.lines, golden_lines(&registry, &specs));
+        assert_eq!(out.stats.hangs, 1, "{:?}", out.stats);
+        assert_eq!(out.stats.units_inprocess, 1, "{:?}", out.stats);
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "the feed must not outlive the deadline"
+        );
     }
 
     #[test]
@@ -974,14 +1204,13 @@ mod tests {
         // `sh -c script arg0 arg1` binds the coordinator-appended
         // `--retries 3` to $0/$1; the worker echoes $1 back in its report
         // line, proving the flag reached the command line.
-        let script = "cat > /dev/null; \
-                      echo \"{\\\"case\\\":0,\\\"name\\\":\\\"got $1\\\",\
-                      \\\"outcome\\\":{\\\"outcome\\\":\\\"deadline\\\"}}\"";
+        let on_end = "echo \"{\\\"case\\\":0,\\\"name\\\":\\\"got $1\\\",\
+                      \\\"outcome\\\":{\\\"outcome\\\":\\\"deadline\\\"}}\";";
         let opts = FleetOpts {
             workers: 1,
             unit_size: 1,
             case_retries: 3,
-            worker: Some(sh_worker(script)),
+            worker: Some(framed_worker("", on_end)),
             checkpoint_dir: Some(tmp.0.clone()),
             ..FleetOpts::default()
         };

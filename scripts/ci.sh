@@ -336,6 +336,24 @@ cmp scripts/golden/fig5.golden target/fig5.lines || {
     exit 1
 }
 
+echo "==> fleet: one long-lived worker per slot serves every unit byte-identically"
+rm -rf target/fleet-ckpt
+./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
+    --workers 3 --unit-size 2 \
+    > target/fleet-plain.lines 2> target/fleet-plain.err
+cmp target/table1-pinned.lines target/fleet-plain.lines || {
+    echo "FAIL: fleet_run output differs from the single-process run:"
+    cat target/fleet-plain.err
+    exit 1
+}
+# One spawn per unit would merge the same bytes, so only this counter shows
+# that the 8 units reused the 3 slots' workers.
+grep -q " spawns=3 " target/fleet-plain.err || {
+    echo "FAIL: expected spawns=3 (one worker per slot) for 8 units on 3 slots:"
+    cat target/fleet-plain.err
+    exit 1
+}
+
 echo "==> fleet: chaos sweep (worker kills + garbage lines) merges byte-identically"
 rm -rf target/fleet-ckpt
 ./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
