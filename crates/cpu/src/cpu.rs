@@ -9,7 +9,7 @@ use cheri_cap::{CapFault, Capability, Perms};
 use cheri_isa::Instr;
 use cheri_mem::{AccessKind, CacheHierarchy, FRAME_SIZE};
 use cheri_sem::{SemExit, StepCtx};
-use cheri_vm::{Access, AsId, Vm, VmError};
+use cheri_vm::{Access, AsId, Vm, VmError, USER_TOP};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -91,20 +91,37 @@ impl PartialEq for CpuStats {
 impl Eq for CpuStats {}
 
 /// Direct-mapped TLB geometry: sets per access kind. Must be a power of
-/// two — the set index is `vpn & (TLB_SETS - 1)`.
+/// two — the set index is `(vpn ^ space offset) & (TLB_SETS - 1)`.
 const TLB_SETS: usize = 256;
 /// Read / Write / Exec each get their own way so that a page readable and
 /// executable at different physical rights never aliases.
 const TLB_KINDS: usize = 3;
-/// Sentinel VPN marking an empty TLB slot (no user VPN reaches it:
-/// user addresses top out well below `u64::MAX * FRAME_SIZE`).
-const TLB_INVALID_VPN: u64 = u64::MAX;
+/// Bits of a user virtual page number: every user address lies below
+/// [`USER_TOP`]. A TLB tag holds the vpn in these low bits and the
+/// address space above them.
+const VPN_BITS: u32 = (USER_TOP / FRAME_SIZE).trailing_zeros();
+const _: () = assert!((USER_TOP / FRAME_SIZE).is_power_of_two());
+/// Address-space ids that fit the tag field above the vpn. The all-ones
+/// field is left to [`TLB_INVALID`]; a space with a larger id is tagged 0
+/// and flushes the TLB whenever it is switched to or from.
+const TAGGED_SPACES: u64 = (1 << (64 - VPN_BITS)) - 1;
+/// Sentinel tag marking an empty TLB slot: its space field is all ones,
+/// which no space is tagged with.
+const TLB_INVALID: u64 = u64::MAX;
 
-/// One direct-mapped TLB slot: the virtual page number it holds a
-/// translation for and the physical frame base it maps to.
+/// The TLB set offset of space `id` (see `Cpu::tlb_index`): Fibonacci
+/// hashing, the top bits of the product pick it.
+fn tlb_set_offset(id: AsId) -> usize {
+    (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - TLB_SETS.trailing_zeros())) as usize
+}
+
+/// One direct-mapped TLB slot: the tag of the translation it holds (the
+/// space's tag above the virtual page number) and the physical frame base
+/// it maps to. Folding the space into the vpn word keeps the slot at 16
+/// bytes.
 #[derive(Clone, Copy)]
 struct TlbEntry {
-    vpn: u64,
+    tag: u64,
     base: u64,
 }
 
@@ -113,15 +130,17 @@ struct TlbEntry {
 /// a small table captures them without thrashing.
 const HOT_SLOTS: usize = 64;
 
-/// Promotion state of one taken-branch target. Valid only while the VM
-/// translation epoch and the exact PCC still match — the same
-/// monotone-epoch argument that makes the TLB sound. Every demotion is
-/// therefore free: a guard miss (epoch bump from COW, swap, mprotect or
-/// fork; PCC change; slot reuse) refills the slot, and its template state
-/// resets to cold with it.
+/// Promotion state of one taken-branch target. Valid only while the
+/// address space, the VM translation epoch and the exact PCC still match
+/// — the same monotone-epoch argument that makes the TLB sound. Every
+/// demotion is therefore free: a guard miss (epoch bump from COW, swap,
+/// mprotect or fork; PCC change; slot reuse) refills the slot, and its
+/// template state resets to cold with it.
 struct HotEntry {
     /// The branch-target pc.
     pc: u64,
+    /// The address space the entry was filled in.
+    space: AsId,
     /// VM translation epoch the entry was filled under.
     epoch: u64,
     /// The exact PCC the entry was filled under.
@@ -131,8 +150,9 @@ struct HotEntry {
 }
 
 /// The simulated core: caches, counters, registered code regions, and a
-/// direct-mapped TLB that self-invalidates by comparing the VM's
-/// translation epoch (no kernel flush calls required).
+/// direct-mapped, address-space-tagged TLB that self-invalidates by
+/// comparing the VM's translation epoch (no kernel flush calls required,
+/// and no flush on a context switch).
 ///
 /// Three machines share it: the reference interpreter (fast path off),
 /// the TLB stepper, and trace templates the stepper promotes from hot
@@ -147,15 +167,22 @@ pub struct Cpu {
     pub trace: DerivationTrace,
     code: HashMap<AsId, Vec<Arc<DecodedRegion>>>,
     cur_as: Option<AsId>,
+    /// The TLB tag bits of `cur_as` (see [`VPN_BITS`]).
+    cur_tag: u64,
+    /// The set offset of `cur_as`: XORed into the set index so that spaces
+    /// with the same layout (a forked server and its clients) spread over
+    /// different sets instead of evicting each other.
+    cur_set: usize,
     /// Direct-mapped translation cache, `TLB_KINDS * TLB_SETS` slots.
-    /// Valid only while `seen_epoch == vm.epoch()` and the context is
-    /// `cur_as`; reset wholesale otherwise.
+    /// An entry serves only its own space (the tag) and only while
+    /// `seen_epoch == vm.epoch()`; the whole cache resets otherwise.
     tlb: Vec<TlbEntry>,
     /// The [`cheri_vm::Vm::epoch`] value the TLB contents were filled
     /// under.
     seen_epoch: u64,
     /// The code region the last fetch hit: straight-line fetch and branch
     /// target resolution stay inside it without touching the region map.
+    /// Belongs to `cur_as`, so a context switch drops it.
     cur_code: Option<Arc<DecodedRegion>>,
     /// Template promotion state of taken-branch targets, direct-mapped
     /// on the target pc ([`HOT_SLOTS`] slots).
@@ -215,9 +242,11 @@ impl Cpu {
             trace: DerivationTrace::new(),
             code: HashMap::new(),
             cur_as: None,
+            cur_tag: 0,
+            cur_set: 0,
             tlb: vec![
                 TlbEntry {
-                    vpn: TLB_INVALID_VPN,
+                    tag: TLB_INVALID,
                     base: 0,
                 };
                 TLB_KINDS * TLB_SETS
@@ -339,11 +368,13 @@ impl Cpu {
         self.lockstep.as_mut().and_then(|l| l.divergence.take())
     }
 
-    /// Invalidates every TLB slot, the resident code region and the
-    /// hot-pc table.
+    /// Invalidates every TLB slot of every address space, the resident
+    /// code region and the hot-pc table: on an epoch bump, a fast-path
+    /// toggle, [`Cpu::flush_tlb`], or a switch to or from a space too
+    /// large to tag. A context switch between tagged spaces keeps them.
     fn reset_tlb(&mut self) {
         for e in &mut self.tlb {
-            e.vpn = TLB_INVALID_VPN;
+            e.tag = TLB_INVALID;
         }
         self.cur_code = None;
         self.reset_hot();
@@ -408,17 +439,30 @@ impl Cpu {
         self.stats.cycles += cycles;
     }
 
+    /// Makes `id` the translation context. TLB and hot-pc entries carry
+    /// the space they were filled in, so other spaces' entries stay warm
+    /// across the switch and are never served to `id`; only the resident
+    /// code region, which is per space, is dropped. The translation epoch
+    /// stays global: any mapping change still resets every space.
     fn set_context(&mut self, id: AsId) {
-        if self.cur_as != Some(id) {
-            self.cur_as = Some(id);
+        if self.cur_as == Some(id) {
+            return;
+        }
+        let untagged = |a: AsId| a.0 >= TAGGED_SPACES;
+        if untagged(id) || self.cur_as.is_some_and(untagged) {
             self.reset_tlb();
         }
+        self.cur_as = Some(id);
+        self.cur_tag = if untagged(id) { 0 } else { id.0 << VPN_BITS };
+        self.cur_set = tlb_set_offset(id);
+        self.cur_code = None;
     }
 
-    /// TLB slot index for a (access kind, virtual page number) pair.
+    /// TLB slot index for a (access kind, virtual page number) pair in the
+    /// current space.
     #[inline]
-    fn tlb_index(access: Access, vpn: u64) -> usize {
-        access as usize * TLB_SETS + (vpn as usize & (TLB_SETS - 1))
+    fn tlb_index(&self, access: Access, vpn: u64) -> usize {
+        access as usize * TLB_SETS + ((vpn as usize ^ self.cur_set) & (TLB_SETS - 1))
     }
 
     pub(crate) fn translate_cached(
@@ -437,9 +481,14 @@ impl Cpu {
             self.seen_epoch = epoch;
         }
         let vpn = vaddr / FRAME_SIZE;
-        let idx = Self::tlb_index(access, vpn);
+        let tag = self.cur_tag | vpn;
+        let idx = self.tlb_index(access, vpn);
         let e = self.tlb[idx];
-        if e.vpn == vpn {
+        // At or above USER_TOP the vpn spills into the space bits and
+        // could alias another space's entry: such an access always takes
+        // the walk, and is never cached.
+        let user = vaddr < USER_TOP;
+        if e.tag == tag && user {
             self.stats.tlb_hits += 1;
             return Ok(e.base + vaddr % FRAME_SIZE);
         }
@@ -449,6 +498,9 @@ impl Cpu {
             pc,
             vaddr: Some(vaddr),
         })?;
+        if !user {
+            return Ok(pa.0);
+        }
         // The translation itself may have bumped the epoch (COW resolution,
         // swap-in): re-check before caching, or the fill would survive an
         // invalidation it was itself the cause of.
@@ -458,7 +510,7 @@ impl Cpu {
             self.seen_epoch = now;
         }
         self.tlb[idx] = TlbEntry {
-            vpn,
+            tag,
             base: pa.0 - pa.0 % FRAME_SIZE,
         };
         Ok(pa.0)
@@ -545,7 +597,7 @@ impl Cpu {
         // loop head re-enters its template at once.
         let mut taken = promote;
         while executed < max_instrs {
-            if taken && self.enter_template(vm, rf, max_instrs - executed, &mut executed) {
+            if taken && self.enter_template(vm, id, rf, max_instrs - executed, &mut executed) {
                 continue;
             }
             let pc = rf.pc;
@@ -689,6 +741,7 @@ impl Cpu {
     fn enter_template(
         &mut self,
         vm: &Vm,
+        id: AsId,
         rf: &mut RegFile,
         budget: u64,
         executed: &mut u64,
@@ -699,19 +752,22 @@ impl Cpu {
         // Guard misses, cold counts and rejected targets settle in place:
         // they are most of the lookups, and an entry is over 100 bytes.
         match &mut self.hot[slot] {
-            Some(e) if e.pc == pc && e.epoch == epoch && e.pcc == rf.pcc => match &mut e.tmpl {
-                TmplState::Cold(hits) => {
-                    *hits = hits.saturating_add(1);
-                    if *hits < template::PROMOTE_THRESHOLD {
-                        return false;
+            Some(e) if e.pc == pc && e.space == id && e.epoch == epoch && e.pcc == rf.pcc => {
+                match &mut e.tmpl {
+                    TmplState::Cold(hits) => {
+                        *hits = hits.saturating_add(1);
+                        if *hits < template::PROMOTE_THRESHOLD {
+                            return false;
+                        }
                     }
+                    TmplState::Rejected => return false,
+                    TmplState::Hot(_) => {}
                 }
-                TmplState::Rejected => return false,
-                TmplState::Hot(_) => {}
-            },
+            }
             other => {
                 *other = Some(HotEntry {
                     pc,
+                    space: id,
                     epoch,
                     pcc: rf.pcc,
                     tmpl: TmplState::default(),
@@ -754,8 +810,8 @@ impl Cpu {
             return Some(TmplState::Rejected);
         }
         let vpn = pc / FRAME_SIZE;
-        let tlb = self.tlb[Self::tlb_index(Access::Exec, vpn)];
-        if self.seen_epoch != epoch || tlb.vpn != vpn {
+        let tlb = self.tlb[self.tlb_index(Access::Exec, vpn)];
+        if pc >= USER_TOP || self.seen_epoch != epoch || tlb.tag != self.cur_tag | vpn {
             return None;
         }
         let region = self.cur_code.as_ref().filter(|r| r.contains(pc))?;
@@ -797,7 +853,7 @@ impl Cpu {
     /// fetches exactly as stepping would have.
     ///
     /// The caller guarantees `budget >= n_trace` (so at least one full
-    /// pass fits) and that the entry guard (pc/epoch/PCC) holds; pure-int
+    /// pass fits) and that the entry guard (pc/space/epoch/PCC) holds; pure-int
     /// ops can neither trap nor touch memory, so the guard stays valid
     /// for the whole execution and no exit other than a pc redirect can
     /// occur.
@@ -1064,6 +1120,16 @@ mod tests {
     /// three rw data pages at 0x20000, returns (cpu, vm, as, regfile).
     fn machine(code: Vec<Instr>, purecap: bool) -> (Cpu, Vm, AsId, RegFile) {
         let mut vm = Vm::new(128);
+        let mut cpu = Cpu::new();
+        let id = add_space(&mut vm, &mut cpu, code);
+        let rf = entry_regs(&vm, id, purecap);
+        (cpu, vm, id, rf)
+    }
+
+    /// Creates a space in `vm` with `code` at 0x10000 (rx, registered with
+    /// `cpu`) and three rw data pages at 0x20000. Every space gets the same
+    /// principal, so equal register files enter them under an equal PCC.
+    fn add_space(vm: &mut Vm, cpu: &mut Cpu, code: Vec<Instr>) -> AsId {
         let id = vm.create_space(PrincipalId::from_raw(1), CapFormat::C128);
         let text_bytes: Vec<u8> = (0..code.len() as u32).flat_map(u32::to_le_bytes).collect();
         vm.map(
@@ -1089,8 +1155,14 @@ mod tests {
             "data",
         )
         .unwrap();
-        let mut cpu = Cpu::new();
         cpu.register_code(id, 0x10000, std::sync::Arc::new(code));
+        id
+    }
+
+    /// Registers entering space `id` at 0x10000: legacy (DDC = the
+    /// space's root) or CheriABI (DDC NULL), with a data capability in
+    /// `c13` covering the first rw page either way.
+    fn entry_regs(vm: &Vm, id: AsId, purecap: bool) -> RegFile {
         let mut rf = RegFile::new(CapFormat::C128);
         let root = vm.space(id).root;
         rf.pcc = root
@@ -1110,7 +1182,7 @@ mod tests {
             creg::ptr(0),
             root.with_addr(0x20000).set_bounds(4096, true).unwrap(),
         );
-        (cpu, vm, id, rf)
+        rf
     }
 
     #[test]
@@ -2161,5 +2233,167 @@ mod tests {
             },
             Instr::Syscall,
         ]
+    }
+
+    // ------------------------------------------------------------------
+    // Address-space tags
+    // ------------------------------------------------------------------
+
+    /// A legacy load of the doubleword at `vaddr` into `t2` through DDC,
+    /// then `syscall`.
+    fn load_at(vaddr: i64) -> Vec<Instr> {
+        vec![
+            Instr::Li {
+                rd: ireg::T0,
+                imm: vaddr,
+            },
+            Instr::Load {
+                rd: ireg::T2,
+                base: ireg::T0,
+                off: 0,
+                w: Width::D,
+                signed: false,
+            },
+            Instr::Syscall,
+        ]
+    }
+
+    #[test]
+    fn spaces_sharing_a_vaddr_read_their_own_frames() {
+        // Two spaces map 0x20010 to different frames holding different
+        // bytes, and runs alternate between them with no VM mutation in
+        // between: each run must read its own bytes. Spaces 1 and 2 use
+        // different TLB sets, so both stay resident across the switches;
+        // space 1 and its `twin` share every set, so their entries meet
+        // in the same slots and only the tag keeps them apart.
+        let twin = (3..)
+            .find(|&j| tlb_set_offset(AsId(j)) == tlb_set_offset(AsId(1)))
+            .unwrap();
+        assert_ne!(tlb_set_offset(AsId(1)), tlb_set_offset(AsId(2)));
+        for second in [2, twin] {
+            let mut vm = Vm::new(128);
+            let mut cpu = Cpu::new();
+            let mut spaces = vec![add_space(&mut vm, &mut cpu, load_at(0x20010))];
+            for _ in 2..second {
+                let id = vm.create_space(PrincipalId::from_raw(1), CapFormat::C128);
+                vm.destroy_space(id);
+            }
+            spaces.push(add_space(&mut vm, &mut cpu, load_at(0x20010)));
+            assert_eq!(spaces[1], AsId(second));
+            for (&id, v) in spaces.iter().zip([0x1111u64, 0x2222]) {
+                vm.write_bytes(id, 0x20010, &v.to_le_bytes()).unwrap();
+            }
+            let epoch = vm.epoch();
+            let mut warm_misses = 0;
+            for round in 0..4 {
+                for (&id, want) in spaces.iter().zip([0x1111u64, 0x2222]) {
+                    let mut rf = entry_regs(&vm, id, false);
+                    assert_eq!(cpu.run(&mut vm, id, &mut rf, 100), Exit::Syscall);
+                    assert_eq!(rf.r(ireg::T2), want, "round {round}, {id:?}");
+                }
+                if round == 0 {
+                    warm_misses = cpu.stats.tlb_misses;
+                }
+            }
+            assert_eq!(vm.epoch(), epoch, "no VM mutation between the runs");
+            if second == 2 {
+                assert_eq!(
+                    cpu.stats.tlb_misses, warm_misses,
+                    "a context switch keeps both spaces' translations"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_space_never_hits_a_destroyed_spaces_entries() {
+        let (mut cpu, mut vm, old, mut rf) = machine(load_at(0x20010), false);
+        vm.write_bytes(old, 0x20010, &0x1111u64.to_le_bytes())
+            .unwrap();
+        assert_eq!(cpu.run(&mut vm, old, &mut rf, 100), Exit::Syscall);
+        assert_eq!(rf.r(ireg::T2), 0x1111);
+        cpu.clear_code(old);
+        vm.destroy_space(old);
+        let new = add_space(&mut vm, &mut cpu, load_at(0x20010));
+        vm.write_bytes(new, 0x20010, &0x2222u64.to_le_bytes())
+            .unwrap();
+        let (hits, misses) = (cpu.stats.tlb_hits, cpu.stats.tlb_misses);
+        let mut rf = entry_regs(&vm, new, false);
+        assert_eq!(cpu.run(&mut vm, new, &mut rf, 100), Exit::Syscall);
+        assert_eq!(rf.r(ireg::T2), 0x2222, "the new space reads its own frame");
+        // Three fetches from one text page and one data load: the first
+        // touch of each page must walk.
+        assert_eq!(cpu.stats.tlb_misses - misses, 2);
+        assert_eq!(cpu.stats.tlb_hits - hits, 2);
+    }
+
+    #[test]
+    fn a_load_at_or_above_user_top_traps_behind_a_warm_tlb() {
+        // In space 1 the vpn of USER_TOP + 0x20010 sets exactly the bit
+        // that holds the space tag, so a TLB lookup would alias the warm
+        // entry of 0x20010. The access must take the walk and trap.
+        let high = USER_TOP + 0x20010;
+        let mut code = load_at(0x20010);
+        code.pop();
+        code.extend(load_at(high as i64));
+        let (mut cpu, mut vm, id, mut rf) = machine(code, false);
+        assert_eq!(id, AsId(1));
+        vm.write_bytes(id, 0x20010, &7u64.to_le_bytes()).unwrap();
+        match cpu.run(&mut vm, id, &mut rf, 100) {
+            Exit::Trap(t) => {
+                assert!(matches!(t.cause, TrapCause::Vm(_)), "{t:?}");
+                assert_eq!(t.vaddr, Some(high));
+            }
+            e => panic!("expected a VM trap, got {e:?}"),
+        }
+        assert_eq!(rf.r(ireg::T2), 7, "the warming load ran first");
+    }
+
+    /// An endless loop adding `step` to `t0`.
+    fn add_loop(step: i64) -> Vec<Instr> {
+        vec![
+            Instr::AddI {
+                rd: ireg::T0,
+                rs: ireg::T0,
+                imm: step,
+            },
+            Instr::J { target: 0 },
+        ]
+    }
+
+    #[test]
+    fn hot_pc_entries_belong_to_their_space() {
+        // Two spaces run different loops at the same pc under equal PCCs
+        // (same principal, same bounds), alternating in short slices. A
+        // template promoted in one space must never run in the other:
+        // with templates on, every register and counter equals plain
+        // stepping.
+        let outcome = |templates: bool| {
+            let mut vm = Vm::new(128);
+            let mut cpu = Cpu::new();
+            cpu.set_templates(templates);
+            let mut procs: Vec<(AsId, RegFile)> = [1, 2]
+                .into_iter()
+                .map(|step| {
+                    let id = add_space(&mut vm, &mut cpu, add_loop(step));
+                    (id, entry_regs(&vm, id, false))
+                })
+                .collect();
+            assert_eq!(procs[0].1.pcc, procs[1].1.pcc);
+            for _ in 0..40 {
+                for (id, rf) in &mut procs {
+                    assert_eq!(cpu.run(&mut vm, *id, rf, 50), Exit::InstrLimit);
+                }
+            }
+            let regs: Vec<(u64, u64)> = procs
+                .iter()
+                .map(|(_, rf)| (rf.pc, rf.r(ireg::T0)))
+                .collect();
+            (regs, cpu.stats, cpu.caches.stats())
+        };
+        let (regs, stats, caches) = outcome(true);
+        assert!(stats.tmpl_hits > 0, "the loops must run templated");
+        assert_eq!(regs, vec![(0x10000, 1000), (0x10000, 2000)]);
+        assert_eq!((regs, stats, caches), outcome(false));
     }
 }

@@ -23,7 +23,7 @@
 //! Soundness leans on one fact: an instruction whose effects clause says
 //! [`is_pure_int`](cheri_sem::RegEffects::is_pure_int) touches no memory
 //! and no capability state, so it can neither trap nor observe anything
-//! outside the integer register file. The entry guard (pc/epoch/PCC) is
+//! outside the integer register file. The entry guard (pc/space/epoch/PCC) is
 //! therefore checked once per template entry and remains valid for the
 //! whole execution, however many iterations run. Anything the guard can't
 //! cover — a memory access, a capability op, `syscall`/`break` — ends the

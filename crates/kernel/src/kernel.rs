@@ -108,6 +108,11 @@ pub(crate) struct Pipe {
     pub capacity: usize,
     pub readers: usize,
     pub writers: usize,
+    /// The pipe's wait channel: processes that blocked reading or writing
+    /// it and failed their last re-check. Every event that can satisfy
+    /// such a wait moves them to [`Kernel::wake_check`]. May hold stale
+    /// pids (killed, or since blocked elsewhere); the re-check drops them.
+    pub sleepers: Vec<Pid>,
 }
 
 impl Pipe {
@@ -178,6 +183,15 @@ pub struct Kernel {
     pub memfs: HashMap<String, Vec<u8>>,
     pub(crate) shm: HashMap<u64, u64>,
     pub(crate) syscall_faults: SyscallFaults,
+    /// Blocked pids whose wait condition may have become true since their
+    /// last check: newly blocked ones, the sleepers of a pipe that saw an
+    /// event, and parents of exited children. The next
+    /// [`Kernel::wake_ready`] re-checks exactly these (plus `pollers`).
+    pub(crate) wake_check: Vec<Pid>,
+    /// `kevent`/`select` sleepers. Their readiness spans many fds, so
+    /// rather than registering on each they are re-checked before every
+    /// slice.
+    pollers: Vec<Pid>,
     faults_charged: u64,
     swaps_charged: u64,
     /// Hardened-membrane evidence aggregated across all processes: drained
@@ -211,6 +225,8 @@ impl Kernel {
             memfs: HashMap::new(),
             shm: HashMap::new(),
             syscall_faults: SyscallFaults::default(),
+            wake_check: Vec::new(),
+            pollers: Vec::new(),
             faults_charged: 0,
             swaps_charged: 0,
             membrane: AllocEvidence::default(),
@@ -466,21 +482,74 @@ impl Kernel {
         }
     }
 
+    /// Wakes every blocked process whose wait condition now holds, in
+    /// ascending pid order (the run-queue order, and with it the whole
+    /// schedule, must not depend on hash-map iteration order).
+    ///
+    /// Only the candidates on `wake_check` and `pollers` are re-checked.
+    /// That wakes exactly the set a scan of every process would: a wait
+    /// condition only becomes true through an event that notifies (pipe
+    /// write, draining read, end dropped, child exit), each notify moves
+    /// the affected sleepers to `wake_check`, and a candidate that is
+    /// still unsatisfied goes back onto its channel. Debug builds check
+    /// the result against the full scan after every call.
     fn wake_ready(&mut self) {
-        // Sorted scan: wake order (and thus run-queue order) must not
-        // depend on HashMap iteration order, or multi-process runs lose
-        // their deterministic schedule.
-        let mut pids: Vec<Pid> = self.procs.keys().copied().collect();
+        let mut pids = std::mem::take(&mut self.wake_check);
+        pids.append(&mut self.pollers);
         pids.sort_unstable();
-        for pid in pids {
-            if let ProcState::Blocked(reason) = self.process(pid).state {
-                if self.wait_satisfied(pid, reason) {
-                    self.stats.wakes += 1;
-                    self.process_mut(pid).state = ProcState::Runnable;
-                    if !self.runq.contains(&pid) {
-                        self.runq.push_back(pid);
+        pids.dedup();
+        for &pid in &pids {
+            // Stale entries (woken by `kill`, already exited) drop out here.
+            let Some(ProcState::Blocked(reason)) = self.try_process(pid).map(|p| p.state) else {
+                continue;
+            };
+            if self.wait_satisfied(pid, reason) {
+                self.stats.wakes += 1;
+                self.process_mut(pid).state = ProcState::Runnable;
+                if !self.runq.contains(&pid) {
+                    self.runq.push_back(pid);
+                }
+            } else {
+                self.sleep_on(pid, reason);
+            }
+        }
+        // Nothing above notifies, so `wake_check` is still empty: keep
+        // the allocation for the next slice.
+        pids.clear();
+        self.wake_check = pids;
+        #[cfg(debug_assertions)]
+        self.assert_no_missed_wake();
+    }
+
+    /// Registers blocked `pid` on the channel that will notify it. A
+    /// `Child` wait needs none (`terminate` pushes the parent), and a
+    /// `Traced` stop is ended only by its tracer.
+    fn sleep_on(&mut self, pid: Pid, reason: WaitReason) {
+        match reason {
+            WaitReason::PipeReadable(id) | WaitReason::PipeWritable(id) => {
+                // An unsatisfied pipe wait implies the pipe still exists.
+                if let Some(p) = self.pipes.get_mut(&id) {
+                    if !p.sleepers.contains(&pid) {
+                        p.sleepers.push(pid);
                     }
                 }
+            }
+            WaitReason::Kevent | WaitReason::Select(_) => self.pollers.push(pid),
+            WaitReason::Child(_) | WaitReason::Traced => {}
+        }
+    }
+
+    /// The full scan the wait channels replace, kept as a check: after a
+    /// `wake_ready`, no blocked process may have a satisfied condition.
+    /// A failure names a notify point that is missing.
+    #[cfg(debug_assertions)]
+    fn assert_no_missed_wake(&self) {
+        for (&pid, p) in &self.procs {
+            if let ProcState::Blocked(reason) = p.state {
+                assert!(
+                    !self.wait_satisfied(pid, reason),
+                    "missed wake: {pid} is blocked on {reason:?}, which holds"
+                );
             }
         }
     }
@@ -534,16 +603,12 @@ impl Kernel {
             self.terminate(pid, ExitStatus::BudgetExhausted);
             return;
         }
-        let (space, mut regs) = {
-            let p = self.process(pid);
-            (p.space, p.regs.clone())
-        };
-        let before = self.cpu.stats.instret;
-        let exit = self.cpu.run(&mut self.vm, space, &mut regs, quantum);
-        let used = self.cpu.stats.instret - before;
-        {
-            let p = self.process_mut(pid);
-            p.regs = regs;
+        let exit = {
+            // The CPU runs on the process's own register file, in place.
+            let p = self.procs.get_mut(&pid).expect("unknown pid");
+            let before = self.cpu.stats.instret;
+            let exit = self.cpu.run(&mut self.vm, p.space, &mut p.regs, quantum);
+            let used = self.cpu.stats.instret - before;
             p.instr_budget = p.instr_budget.saturating_sub(used);
             // Any slice that does not end in a swap-I/O trap clears the
             // retry site: a later error at the same site gets a fresh retry.
@@ -556,7 +621,8 @@ impl Kernel {
             ) {
                 p.swap_retry = None;
             }
-        }
+            exit
+        };
         self.charge_vm_work();
         match exit {
             Exit::Syscall => self.handle_syscall(pid),
@@ -667,6 +733,8 @@ impl Kernel {
             if let Some(parent_proc) = self.procs.get_mut(&pp) {
                 parent_proc.children.retain(|c| *c != pid);
                 parent_proc.zombies.push((pid, status));
+                // The parent's `Child` wait may now hold.
+                self.wake_check.push(pp);
             }
         }
         self.cpu.clear_code(space);
@@ -676,36 +744,38 @@ impl Kernel {
     }
 
     pub(crate) fn drop_fd(&mut self, fd: FileDesc) {
-        match fd {
-            FileDesc::PipeRead(id) => {
-                if let Some(p) = self.pipes.get_mut(&id) {
-                    p.readers -= 1;
-                    if p.readers == 0 && p.writers == 0 {
-                        self.pipes.remove(&id);
-                    }
-                }
-            }
-            FileDesc::PipeWrite(id) => {
-                if let Some(p) = self.pipes.get_mut(&id) {
-                    p.writers -= 1;
-                    if p.readers == 0 && p.writers == 0 {
-                        self.pipes.remove(&id);
-                    }
-                }
-            }
-            FileDesc::Console | FileDesc::File { .. } => {}
+        let (id, reader) = match fd {
+            FileDesc::PipeRead(id) => (id, true),
+            FileDesc::PipeWrite(id) => (id, false),
+            FileDesc::Console | FileDesc::File { .. } => return,
+        };
+        let Some(p) = self.pipes.get_mut(&id) else {
+            return;
+        };
+        if reader {
+            p.readers -= 1;
+        } else {
+            p.writers -= 1;
+        }
+        // A lost end readies the other side (EOF for readers, EINVAL for
+        // writers); this also covers removal of the pipe itself.
+        self.wake_check.append(&mut p.sleepers);
+        if p.readers == 0 && p.writers == 0 {
+            self.pipes.remove(&id);
         }
     }
 
     /// Blocks `pid` on `reason`; the in-flight syscall is re-executed when
     /// the condition becomes true (the dispatcher is idempotent until it
-    /// commits results).
+    /// commits results). The pid goes on `wake_check`: the next
+    /// `wake_ready` either wakes it or registers it on its wait channel.
     pub(crate) fn block(&mut self, pid: Pid, reason: WaitReason) {
         // Rewind pc to the syscall instruction so waking re-executes it.
         self.stats.blocks += 1;
         let p = self.process_mut(pid);
         p.regs.pc = p.regs.pc.wrapping_sub(4);
         p.state = ProcState::Blocked(reason);
+        self.wake_check.push(pid);
     }
 
     /// Human-readable snapshot of every non-exited process's scheduling

@@ -193,6 +193,7 @@ impl Kernel {
                 }
                 let n = space.min(data.len());
                 p.buf.extend(data[..n].iter());
+                self.wake_check.append(&mut p.sleepers);
                 Ok(n as u64)
             }
             Some(FileDesc::File {
@@ -237,6 +238,7 @@ impl Kernel {
                 let n = (p.buf.len() as u64).min(len);
                 let p = self.pipes.get_mut(&id).ok_or(err(Errno::EBADF))?;
                 let data: Vec<u8> = p.buf.drain(..n as usize).collect();
+                self.wake_check.append(&mut p.sleepers);
                 self.copyout(pid, buf, &data).map_err(err)?;
                 Ok(n)
             }
@@ -302,6 +304,7 @@ impl Kernel {
                 capacity: self.config.pipe_capacity,
                 readers: 1,
                 writers: 1,
+                sleepers: Vec::new(),
             },
         );
         let rfd = self.process_mut(pid).install_fd(FileDesc::PipeRead(id));
@@ -410,7 +413,9 @@ impl Kernel {
             let _ = zpid;
             return Ok(enc);
         }
-        if p.children.is_empty() {
+        // No exit can ever satisfy a wait for a pid that is not a live
+        // child: POSIX answers ECHILD instead of sleeping forever.
+        if p.children.is_empty() || target.is_some_and(|t| !p.children.contains(&t)) {
             return Err(err(Errno::ECHILD));
         }
         Err(SysFlow::Block(WaitReason::Child(target)))

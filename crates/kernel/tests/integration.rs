@@ -567,3 +567,81 @@ fn scheduler_interleaves_processes() {
     assert_eq!(k.exit_status(b), Some(ExitStatus::Code(0)));
     assert!(k.stats.ctx_switches >= 4, "quantum forced interleaving");
 }
+
+/// Two different programs spawned into one kernel, preempted every 50
+/// instructions with templates on, each exit with the code and console
+/// they produce alone. Their hot loops sit at the same pc with different
+/// bodies, so a resident region, TLB or hot-pc entry served across
+/// address spaces would run one program's loop in the other. (Spawned
+/// programs also differ in principal, and so in PCC; the CPU's own tests
+/// isolate the hot-pc tag with equal PCCs.)
+#[test]
+fn interleaved_programs_match_their_solo_runs() {
+    // Counts `start` down by `step` in a two-instruction loop, short
+    // enough to promote within one 50-instruction slice, then prints
+    // `msg` and exits with `100 + the first counter value <= 0`.
+    let looper = |abi: AbiMode, start: i64, step: i64, msg: &[u8]| {
+        let mut pb = ProgramBuilder::new("looper");
+        let mut exe = pb.object("looper");
+        exe.add_data("msg", msg, 16);
+        {
+            let mut f = FnBuilder::begin(&mut exe, "main", opts_for(abi));
+            f.li(Val(0), start);
+            let top = f.label();
+            f.bind(top);
+            f.add_imm(Val(0), Val(0), -step);
+            f.bgtz(Val(0), top);
+            f.load_global_ptr(Ptr(0), "msg");
+            f.li(Val(1), 1);
+            f.set_arg_val(0, Val(1));
+            f.set_arg_ptr(1, Ptr(0));
+            f.li(Val(1), msg.len() as i64);
+            f.set_arg_val(2, Val(1));
+            f.syscall(Sys::Write as i64);
+            f.add_imm(Val(0), Val(0), 100);
+            f.set_arg_val(0, Val(0));
+            f.syscall(Sys::Exit as i64);
+        }
+        exe.set_entry("main");
+        pb.add(exe.finish());
+        pb.finish()
+    };
+    let config = KernelConfig {
+        quantum: 50,
+        ..KernelConfig::default()
+    };
+    for abi in both_abis() {
+        let progs = [
+            looper(abi, 9001, 3, b"three\n"),
+            looper(abi, 15001, 5, b"five!\n"),
+        ];
+        let solo: Vec<(ExitStatus, String)> = progs
+            .iter()
+            .map(|p| {
+                Kernel::new(config)
+                    .run_program(p, &SpawnOpts::new(abi))
+                    .expect("spawn")
+            })
+            .collect();
+        assert_eq!(solo[0], (ExitStatus::Code(98), "three\n".into()), "{abi}");
+        assert_eq!(solo[1], (ExitStatus::Code(96), "five!\n".into()), "{abi}");
+        let mut k = Kernel::new(config);
+        let pids: Vec<Pid> = progs
+            .iter()
+            .map(|p| k.spawn(p, &SpawnOpts::new(abi)).expect("spawn"))
+            .collect();
+        assert_eq!(k.run(100_000_000), RunOutcome::AllExited, "{abi}");
+        assert!(
+            k.cpu.stats.tmpl_hits > 100,
+            "{abi}: the loops ran templated"
+        );
+        assert!(k.stats.ctx_switches > 100, "{abi}: the loops interleaved");
+        for (pid, want) in pids.iter().zip(&solo) {
+            let got = (
+                k.exit_status(*pid).expect("exited"),
+                k.process(*pid).console_string(),
+            );
+            assert_eq!(&got, want, "{abi}: {pid}");
+        }
+    }
+}

@@ -4,7 +4,7 @@
 
 use cheri_isa::codegen::{CodegenOpts, FnBuilder, Ptr, Val};
 use cheri_isa::Width;
-use cheri_kernel::{AbiMode, ExitStatus, Kernel, KernelConfig, RunOutcome, SpawnOpts, Sys};
+use cheri_kernel::{AbiMode, Errno, ExitStatus, Kernel, KernelConfig, RunOutcome, SpawnOpts, Sys};
 use cheri_rtld::{Program, ProgramBuilder};
 
 fn opts_for(abi: AbiMode) -> CodegenOpts {
@@ -29,11 +29,7 @@ fn program(abi: AbiMode, body: impl FnOnce(&mut FnBuilder<'_>)) -> Program {
 /// Emits `pipe(&fds)` into the stack at offset 16; read fd in `Val(6)`,
 /// write fd in `Val(7)`.
 fn emit_pipe(f: &mut FnBuilder<'_>) {
-    f.addr_of_stack(Ptr(0), 16, 8);
-    f.set_arg_ptr(0, Ptr(0));
-    f.syscall(Sys::Pipe as i64);
-    f.load(Val(6), Ptr(0), 0, Width::W, false);
-    f.load(Val(7), Ptr(0), 4, Width::W, false);
+    emit_pipe_at(f, 16, Val(6), Val(7));
 }
 
 /// A write larger than the pipe buffer takes what fits and reports the
@@ -280,4 +276,367 @@ fn deadlock_diagnostics_name_the_blocked_pids() {
         diag.contains(&format!("{pid}: pipe-read(")),
         "diagnostics name the blocked reader: {diag}"
     );
+}
+
+// ----------------------------------------------------------------------
+// Wait channels: one test per notify point. Each runs with a short
+// quantum so the spinning side really is preempted and the waiter really
+// sleeps; a missing notify leaves the waiter asleep (deadlock), and in
+// debug builds the scheduler's cross-check names it at once.
+// ----------------------------------------------------------------------
+
+/// A short quantum: spins of 20,000 iterations span dozens of slices.
+fn sliced(pipe_capacity: usize) -> KernelConfig {
+    KernelConfig {
+        quantum: 1000,
+        pipe_capacity,
+        ..KernelConfig::default()
+    }
+}
+
+/// Emits `pipe()` into the stack at `off`: read fd in `rd`, write fd in
+/// `wr`.
+fn emit_pipe_at(f: &mut FnBuilder<'_>, off: i64, rd: Val, wr: Val) {
+    f.addr_of_stack(Ptr(0), off, 8);
+    f.set_arg_ptr(0, Ptr(0));
+    f.syscall(Sys::Pipe as i64);
+    f.load(rd, Ptr(0), 0, Width::W, false);
+    f.load(wr, Ptr(0), 4, Width::W, false);
+}
+
+/// Busy-loops `iters` times (clobbers `Val(1..=3)`).
+fn emit_spin(f: &mut FnBuilder<'_>, iters: i64) {
+    f.li(Val(1), 0);
+    let spin = f.label();
+    f.bind(spin);
+    f.add_imm(Val(1), Val(1), 1);
+    f.li(Val(2), iters);
+    f.sub(Val(3), Val(1), Val(2));
+    f.bnez(Val(3), spin);
+}
+
+/// `close(fd)`.
+fn emit_close(f: &mut FnBuilder<'_>, fd: Val) {
+    f.set_arg_val(0, fd);
+    f.syscall(Sys::Close as i64);
+}
+
+/// `read`/`write` of `len` bytes at stack offset `off` on `fd`; the return
+/// value lands in `ret` (clobbers `Val(2)`).
+fn emit_io(f: &mut FnBuilder<'_>, sys: Sys, fd: Val, off: i64, len: i64, ret: Val) {
+    f.addr_of_stack(Ptr(1), off, 8);
+    f.set_arg_val(0, fd);
+    f.set_arg_ptr(1, Ptr(1));
+    f.li(Val(2), len);
+    f.set_arg_val(2, Val(2));
+    f.syscall(sys as i64);
+    f.ret_val_to(ret);
+}
+
+/// `exit(v)`.
+fn emit_exit(f: &mut FnBuilder<'_>, v: Val) {
+    f.set_arg_val(0, v);
+    f.syscall(Sys::Exit as i64);
+}
+
+/// `waitpid(pid)` with `pid` in `who` (0: any child); the encoded status
+/// lands in `ret`.
+fn emit_waitpid(f: &mut FnBuilder<'_>, who: Val, ret: Val) {
+    f.set_arg_val(0, who);
+    f.syscall(Sys::Waitpid as i64);
+    f.ret_val_to(ret);
+}
+
+/// The low byte of a negated errno, as `exit` reports it through
+/// `waitpid`'s `(code & 0xff) << 8` encoding.
+fn errno_code(e: Errno) -> i64 {
+    (e.as_ret() & 0xff) as i64
+}
+
+/// A writer W blocked on a full pipe, whose last reader R departs: by
+/// `close` (`reader_closes`) or by exiting without closing. R is W's
+/// sibling, not its parent, so only the pipe's own notify can wake W. In
+/// the close case R then waits on a second pipe that only the woken W
+/// writes, so a missed wake deadlocks. The main process exits with W's
+/// exit code, the errno its retried write got.
+fn writer_vs_departing_reader(abi: AbiMode, reader_closes: bool) -> (ExitStatus, RunOutcome) {
+    let mut k = Kernel::new(sliced(4));
+    let prog = program(abi, |f| {
+        f.enter(160);
+        emit_pipe_at(f, 16, Val(6), Val(7)); // A: W -> R, capacity 4
+        emit_pipe_at(f, 24, Val(4), Val(5)); // B: W -> R, the release
+        f.syscall(Sys::Fork as i64);
+        f.ret_val_to(Val(0));
+        let not_w = f.label();
+        f.bnez(Val(0), not_w);
+        // W: fill A, then block on the full buffer until R departs.
+        emit_close(f, Val(6));
+        emit_close(f, Val(4));
+        emit_io(f, Sys::Write, Val(7), 32, 4, Val(3));
+        emit_io(f, Sys::Write, Val(7), 32, 4, Val(3));
+        emit_io(f, Sys::Write, Val(5), 32, 1, Val(0));
+        emit_exit(f, Val(3));
+        f.bind(not_w);
+        f.syscall(Sys::Fork as i64);
+        f.ret_val_to(Val(0));
+        let parent = f.label();
+        f.bnez(Val(0), parent);
+        // R: let W fill A and sleep, then drop the last read end of A.
+        emit_close(f, Val(7));
+        emit_close(f, Val(5));
+        emit_spin(f, 20_000);
+        if reader_closes {
+            emit_close(f, Val(6));
+            emit_io(f, Sys::Read, Val(4), 40, 1, Val(0));
+        }
+        f.li(Val(0), 0);
+        emit_exit(f, Val(0));
+        // Main: hold no pipe end; reap both, exit with the codes or'ed.
+        f.bind(parent);
+        for fd in [Val(4), Val(5), Val(6), Val(7)] {
+            emit_close(f, fd);
+        }
+        f.li(Val(0), 0);
+        emit_waitpid(f, Val(0), Val(4));
+        emit_waitpid(f, Val(0), Val(5));
+        f.or(Val(4), Val(4), Val(5));
+        f.shr_imm(Val(4), Val(4), 8);
+        emit_exit(f, Val(4));
+    });
+    let pid = k.spawn(&prog, &SpawnOpts::new(abi)).expect("loads");
+    let outcome = k.run(100_000_000);
+    assert!(k.stats.blocks >= 2, "{abi}: W and the main process slept");
+    (k.exit_status(pid).expect("main exited"), outcome)
+}
+
+/// A writer blocked on a full pipe is woken, and gets `EINVAL`, when the
+/// last reader closes its end.
+#[test]
+fn blocked_writer_wakes_when_last_reader_closes() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let (status, outcome) = writer_vs_departing_reader(abi, true);
+        assert_eq!(outcome, RunOutcome::AllExited, "{abi}");
+        assert_eq!(status, ExitStatus::Code(errno_code(Errno::EINVAL)), "{abi}");
+    }
+}
+
+/// The same when the last reader exits without closing: teardown drops
+/// its descriptors, and each drop notifies.
+#[test]
+fn blocked_writer_wakes_when_last_reader_exits() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let (status, outcome) = writer_vs_departing_reader(abi, false);
+        assert_eq!(outcome, RunOutcome::AllExited, "{abi}");
+        assert_eq!(status, ExitStatus::Code(errno_code(Errno::EINVAL)), "{abi}");
+    }
+}
+
+/// `waitpid(pid)` and `waitpid(0)` sleep until the child exits, the
+/// second one while its child is the last one; afterwards `waitpid(0)`
+/// has no child left and answers `ECHILD`.
+#[test]
+fn waitpid_is_woken_by_the_child_exit() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let mut k = Kernel::new(sliced(4096));
+        let prog = program(abi, |f| {
+            f.enter(96);
+            for (code, by_pid) in [(7, true), (9, false)] {
+                f.syscall(Sys::Fork as i64);
+                f.ret_val_to(Val(0));
+                let parent = f.label();
+                f.bnez(Val(0), parent);
+                emit_spin(f, 20_000);
+                f.li(Val(0), code);
+                emit_exit(f, Val(0));
+                f.bind(parent);
+                if !by_pid {
+                    f.li(Val(0), 0);
+                }
+                emit_waitpid(f, Val(0), if by_pid { Val(4) } else { Val(5) });
+            }
+            f.li(Val(0), 0);
+            emit_waitpid(f, Val(0), Val(6));
+            // (7 << 4 | 9) + (ret + ECHILD): 0x79 when all three hold.
+            f.shr_imm(Val(4), Val(4), 4);
+            f.shr_imm(Val(5), Val(5), 8);
+            f.add(Val(4), Val(4), Val(5));
+            f.add_imm(Val(6), Val(6), Errno::ECHILD as i64);
+            f.add(Val(4), Val(4), Val(6));
+            emit_exit(f, Val(4));
+        });
+        let (status, _) = k.run_program(&prog, &SpawnOpts::new(abi)).expect("loads");
+        assert_eq!(status, ExitStatus::Code(0x79), "{abi}");
+        assert_eq!(k.stats.blocks, 2, "{abi}: both waits slept");
+        assert_eq!(k.stats.wakes, 2, "{abi}");
+    }
+}
+
+/// `waitpid` on a pid that is not a child answers `ECHILD` at once, even
+/// while a real child is still running: no exit could ever satisfy it.
+#[test]
+fn waitpid_on_a_non_child_is_echild_not_a_deadlock() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let mut k = Kernel::new(sliced(4096));
+        let prog = program(abi, |f| {
+            f.enter(96);
+            f.syscall(Sys::Fork as i64);
+            f.ret_val_to(Val(0));
+            let parent = f.label();
+            f.bnez(Val(0), parent);
+            emit_spin(f, 20_000);
+            f.li(Val(0), 3);
+            emit_exit(f, Val(0));
+            f.bind(parent);
+            f.mv(Val(7), Val(0));
+            f.li(Val(0), 999);
+            emit_waitpid(f, Val(0), Val(4));
+            emit_waitpid(f, Val(7), Val(5));
+            // (ret + ECHILD) * 16 + child code: 3 when both hold.
+            f.add_imm(Val(4), Val(4), Errno::ECHILD as i64);
+            f.shl_imm(Val(4), Val(4), 4);
+            f.shr_imm(Val(5), Val(5), 8);
+            f.add(Val(4), Val(4), Val(5));
+            emit_exit(f, Val(4));
+        });
+        let pid = k.spawn(&prog, &SpawnOpts::new(abi)).expect("loads");
+        assert_eq!(k.run(100_000_000), RunOutcome::AllExited, "{abi}");
+        assert_eq!(k.exit_status(pid), Some(ExitStatus::Code(3)), "{abi}");
+    }
+}
+
+/// A process asleep in `select` (`kevent` when `kevent`) on a pipe's read
+/// end, woken by a write from its spinning child. Returns the main
+/// process's exit status: `select`'s count plus twice the returned bit,
+/// or `kevent`'s count.
+fn poller_woken_by_write(abi: AbiMode, kevent: bool) -> (ExitStatus, Kernel) {
+    let mut k = Kernel::new(sliced(4096));
+    let prog = program(abi, |f| {
+        f.enter(224);
+        emit_pipe_at(f, 16, Val(6), Val(7));
+        if kevent {
+            f.addr_of_stack(Ptr(2), 24, 8);
+            f.set_arg_val(0, Val(6));
+            f.set_arg_ptr(1, Ptr(2));
+            f.syscall(Sys::KeventRegister as i64);
+        }
+        f.syscall(Sys::Fork as i64);
+        f.ret_val_to(Val(0));
+        let parent = f.label();
+        f.bnez(Val(0), parent);
+        emit_spin(f, 20_000);
+        emit_io(f, Sys::Write, Val(7), 32, 1, Val(0));
+        f.li(Val(0), 0);
+        emit_exit(f, Val(0));
+        f.bind(parent);
+        if kevent {
+            f.addr_of_stack(Ptr(3), 64, 64);
+            f.set_arg_ptr(0, Ptr(3));
+            f.li(Val(1), 2);
+            f.set_arg_val(1, Val(1));
+            f.syscall(Sys::KeventWait as i64);
+            f.ret_val_to(Val(4));
+        } else {
+            // select(64, {read fd}, NULL, NULL, NULL): no timeout, sleeps.
+            f.li(Val(1), 1);
+            f.shl(Val(1), Val(1), Val(6));
+            f.addr_of_stack(Ptr(3), 48, 8);
+            f.store(Val(1), Ptr(3), 0, Width::D);
+            f.li(Val(0), 64);
+            f.set_arg_val(0, Val(0));
+            f.set_arg_ptr(1, Ptr(3));
+            f.set_arg_null(2);
+            f.set_arg_null(3);
+            f.set_arg_null(4);
+            f.syscall(Sys::Select as i64);
+            f.ret_val_to(Val(4));
+            f.load(Val(1), Ptr(3), 0, Width::D, false);
+            f.shr(Val(1), Val(1), Val(6));
+            f.add(Val(4), Val(4), Val(1));
+            f.add(Val(4), Val(4), Val(1));
+        }
+        emit_exit(f, Val(4));
+    });
+    let (status, _) = k.run_program(&prog, &SpawnOpts::new(abi)).expect("loads");
+    (status, k)
+}
+
+/// A `select` sleeper is woken by a pipe write.
+#[test]
+fn select_sleeper_is_woken_by_a_pipe_write() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let (status, k) = poller_woken_by_write(abi, false);
+        assert_eq!(
+            status,
+            ExitStatus::Code(3),
+            "{abi}: one fd ready, its bit set"
+        );
+        assert_eq!((k.stats.blocks, k.stats.wakes), (1, 1), "{abi}");
+    }
+}
+
+/// A `kevent` sleeper is woken by a pipe write.
+#[test]
+fn kevent_sleeper_is_woken_by_a_pipe_write() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let (status, k) = poller_woken_by_write(abi, true);
+        assert_eq!(status, ExitStatus::Code(1), "{abi}: one event");
+        assert_eq!((k.stats.blocks, k.stats.wakes), (1, 1), "{abi}");
+    }
+}
+
+/// A reader made runnable by `kill` while asleep runs its handler, blocks
+/// again on the same pipe, and is then woken exactly once by the write:
+/// its stale channel entry neither wakes it twice nor loses it.
+#[test]
+fn reader_killed_awake_reblocks_and_wakes_once() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let mut pb = ProgramBuilder::new("pipes");
+        let mut exe = pb.object("pipes");
+        FnBuilder::begin(&mut exe, "handler", opts_for(abi)).ret();
+        {
+            let mut f = FnBuilder::begin(&mut exe, "main", opts_for(abi));
+            f.enter(128);
+            f.li(Val(0), 10);
+            f.set_arg_val(0, Val(0));
+            f.load_global_ptr(Ptr(0), "handler");
+            f.set_arg_ptr(1, Ptr(0));
+            f.syscall(Sys::Sigaction as i64);
+            emit_pipe_at(&mut f, 16, Val(6), Val(7));
+            f.syscall(Sys::Fork as i64);
+            f.ret_val_to(Val(0));
+            let parent = f.label();
+            f.bnez(Val(0), parent);
+            // Child: one read; exit with the byte it got.
+            emit_io(&mut f, Sys::Read, Val(6), 32, 1, Val(0));
+            f.load(Val(0), Ptr(1), 0, Width::B, false);
+            emit_exit(&mut f, Val(0));
+            // Parent: signal the sleeping child, let it re-block, then
+            // write the byte.
+            f.bind(parent);
+            f.mv(Val(5), Val(0));
+            emit_spin(&mut f, 20_000);
+            f.set_arg_val(0, Val(5));
+            f.li(Val(1), 10);
+            f.set_arg_val(1, Val(1));
+            f.syscall(Sys::Kill as i64);
+            emit_spin(&mut f, 20_000);
+            f.li(Val(1), 0x44);
+            f.addr_of_stack(Ptr(2), 48, 8);
+            f.store(Val(1), Ptr(2), 0, Width::B);
+            emit_io(&mut f, Sys::Write, Val(7), 48, 1, Val(0));
+            emit_waitpid(&mut f, Val(5), Val(4));
+            f.shr_imm(Val(4), Val(4), 8);
+            emit_exit(&mut f, Val(4));
+        }
+        exe.set_entry("main");
+        pb.add(exe.finish());
+        let prog = pb.finish();
+        let mut k = Kernel::new(sliced(4096));
+        let (status, _) = k.run_program(&prog, &SpawnOpts::new(abi)).expect("loads");
+        assert_eq!(status, ExitStatus::Code(0x44), "{abi}");
+        assert_eq!(k.stats.signals_delivered, 1, "{abi}");
+        // The child slept twice (the kill ended the first sleep without a
+        // wake) and woke once; the parent's waitpid slept and woke once.
+        assert_eq!((k.stats.blocks, k.stats.wakes), (3, 2), "{abi}");
+    }
 }

@@ -21,11 +21,12 @@ echo "==> benchmark: perf_ledger builds against the workspace and its tests pass
 cargo test --release --manifest-path crates/bench/src/bin/perf_ledger/Cargo.toml \
     --target-dir target
 
-echo "==> benchmark: seed-1 reference digests of bodiag-boot and fig4-interp are the pinned ones"
-# Guest bytes of kernel boot/teardown and of the interpreter's data path:
+echo "==> benchmark: seed-1 reference digests of bodiag-boot, fig4-interp and server-sched are the pinned ones"
+# Guest bytes of kernel boot/teardown, of the interpreter's data path and
+# of the scheduler (blocking pipes, wakes, context switches, swap):
 # perf_ledger exits 1 when a sweep's digest differs from the pinned one or
 # any case fails. Wall values are printed but not gated.
-for workload in bodiag-boot fig4-interp; do
+for workload in bodiag-boot fig4-interp server-sched; do
     bash crates/bench/src/bin/perf_ledger/run.sh --workload "$workload" \
         --seed 1 --secs 0 --trace 0 > "target/ledger-$workload.txt" || {
         echo "FAIL: perf_ledger $workload at seed 1 is not correct:"
