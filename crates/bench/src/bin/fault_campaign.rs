@@ -18,7 +18,7 @@
 //! killed process surfaces as a degraded request count or a diagnosed
 //! deadlock. Cells ride
 //! the shared harness session, so `--jobs`, `--cache`, `--shard`,
-//! `--retries`, `--fleet` and `--dump-specs` all apply, and the campaign
+//! `--fleet` and `--dump-specs` all apply, and the campaign
 //! JSON — built solely from deterministic fields (outcomes and fault
 //! counters, never wall time) — is byte-identical at any `--jobs` level
 //! and across fleet-dispatched runs.

@@ -19,9 +19,6 @@
 //! * `--deadline S`   per-unit wall deadline in seconds (default 120, ≥ 1)
 //! * `--retries N`    subprocess re-dispatch attempts per unit before
 //!   degrading to in-process execution (default 2)
-//! * `--case-retries N` per-case transient-retry budget (the harness
-//!   `--retries` policy), forwarded to every worker and applied by the
-//!   in-process fallback (default 0)
 //! * `--chaos SEED`   arm the seeded coordinator fault injector
 //! * `--resume`       load completed units from `target/fleet-ckpt/`
 //! * `--no-ckpt`      disable checkpointing entirely
@@ -44,9 +41,6 @@ const USAGE: &str = "usage: fleet_run --specs <path|-> [options]\n  \
     --unit-size N  specs per work unit (default 8)\n  \
     --deadline S   per-unit wall deadline, seconds (default 120, >= 1)\n  \
     --retries N    re-dispatch attempts before in-process fallback (default 2)\n  \
-    --case-retries N  per-case transient-retry budget, forwarded to workers\n                 \
-    as run_specs --retries and applied by the in-process\n                 \
-    fallback (default 0)\n  \
     --chaos SEED   seeded coordinator fault injection (kill/garbage/delay)\n  \
     --resume       load completed units from target/fleet-ckpt/\n  \
     --no-ckpt      disable checkpointing\n  \
@@ -94,9 +88,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
                 parsed.opts.unit_deadline = Duration::from_secs(num(&mut iter, "--deadline")?);
             }
             "--retries" => parsed.opts.retries = num(&mut iter, "--retries")?,
-            "--case-retries" => {
-                parsed.opts.case_retries = num(&mut iter, "--case-retries")?;
-            }
             "--chaos" => parsed.opts.chaos = Some(num(&mut iter, "--chaos")?),
             "--resume" => parsed.opts.resume = true,
             "--no-ckpt" => parsed.opts.checkpoint_dir = None,

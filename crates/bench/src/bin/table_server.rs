@@ -13,7 +13,7 @@
 //!
 //! Everything in a row is deterministic guest data — latencies are guest
 //! cycles, not wall time — so output is byte-identical across `--jobs`
-//! levels, shard merges, and `--fast-path`/`--no-fast-path`.
+//! levels, shard merges, and `--exec-mode` tiers.
 
 use cheri_bench::cli::{self, json_escape};
 use cheri_isa::codegen::CodegenOpts;

@@ -26,7 +26,6 @@ use cheriabi::harness::{
     CaseReport, ExecMode, Harness, MembraneMode, OracleMode, RunSpec, SessionOpts, Shard,
 };
 use cheriabi::spec::Registry;
-use std::fmt::Write as _;
 
 /// Parsed common options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,14 +48,8 @@ pub struct BenchOpts {
     /// Print the session's spec list as JSON lines and exit instead of
     /// running anything (feed the output to `run_specs --specs`).
     pub dump_specs: bool,
-    /// Re-run panicked / deadline-exceeded cases up to this many times
-    /// with deterministic backoff before accepting the outcome.
-    pub retries: u64,
     /// Execution tier for every case (`--exec-mode
     /// single|superblock|template`, default template — the full stack).
-    /// `--no-fast-path` is a legacy alias for `--exec-mode single`, the
-    /// reference interpreter; mixing the alias with the explicit flag is
-    /// rejected at parse time.
     pub exec_mode: ExecMode,
     /// Test-only: drop one compiled template's exit register flush
     /// (`--weaken-flush`) so the cross-tier gates can prove a residency
@@ -81,8 +74,7 @@ pub struct BenchOpts {
     /// with this many worker subprocesses (`--fleet N`). Workers are
     /// sibling `run_specs` processes; results merge byte-identically with
     /// the single-process run, and worker crashes/hangs/corrupt output are
-    /// recovered, not fatal. `--retries` is forwarded to every worker (and
-    /// the in-process fallback); `--shard`, `--cache`, `--cache-limit`,
+    /// recovered, not fatal. `--shard`, `--cache`, `--cache-limit`,
     /// `--json-stream` and `--progress` are rejected rather than silently
     /// dropped.
     pub fleet: Option<usize>,
@@ -104,7 +96,6 @@ impl Default for BenchOpts {
             json_stream: false,
             cache_limit: None,
             dump_specs: false,
-            retries: 0,
             exec_mode: ExecMode::Template,
             weaken_flush: false,
             oracle: OracleMode::Off,
@@ -121,11 +112,6 @@ impl Default for BenchOpts {
 /// name). Returns an error message on anything unrecognised.
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts::default();
-    // `--exec-mode` and the legacy `--fast-path`/`--no-fast-path` aliases
-    // must not mix: silently letting one win would make the command line
-    // order-sensitive in a way nobody can audit.
-    let mut exec_mode_flag = false;
-    let mut legacy_fast_path_flag = false;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -156,19 +142,10 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
                 opts.cache_limit = Some(limit);
             }
             "--dump-specs" => opts.dump_specs = true,
-            "--no-fast-path" => {
-                legacy_fast_path_flag = true;
-                opts.exec_mode = ExecMode::SingleStep;
-            }
-            "--fast-path" => {
-                legacy_fast_path_flag = true;
-                opts.exec_mode = ExecMode::Template;
-            }
             "--exec-mode" => {
                 let value = iter
                     .next()
                     .ok_or("--exec-mode needs a tier (single|superblock|template)")?;
-                exec_mode_flag = true;
                 opts.exec_mode = ExecMode::from_label(&value).map_err(|e| {
                     format!("--exec-mode: {e} (want single, superblock or template)")
                 })?;
@@ -218,13 +195,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
                     .map_err(|_| format!("--chaos: not a seed: {value}"))?;
                 opts.chaos = Some(seed);
             }
-            "--retries" => {
-                let value = iter.next().ok_or("--retries needs a value")?;
-                let retries: u64 = value
-                    .parse()
-                    .map_err(|_| format!("--retries: not a number: {value}"))?;
-                opts.retries = retries;
-            }
             "--specs" => {
                 return Err("--specs is only supported by the run_specs binary".to_string());
             }
@@ -232,18 +202,8 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
             other => return Err(format!("unknown argument: {other}\n{USAGE}")),
         }
     }
-    if exec_mode_flag && legacy_fast_path_flag {
-        return Err(
-            "--exec-mode cannot combine with --fast-path/--no-fast-path (the legacy \
-             aliases name the same knob; pick one spelling)"
-                .to_string(),
-        );
-    }
     if opts.weaken_flush && opts.exec_mode != ExecMode::Template {
-        return Err(
-            "--weaken-flush requires the template tier (drop --exec-mode/--no-fast-path)"
-                .to_string(),
-        );
+        return Err("--weaken-flush requires the template tier (drop --exec-mode)".to_string());
     }
     if opts.exec_mode == ExecMode::SingleStep
         && (opts.oracle == OracleMode::Lockstep || opts.weaken_sem)
@@ -252,15 +212,13 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
         // what --weaken-sem leaves intact: either would be a silent no-op.
         return Err(
             "--oracle lockstep and --weaken-sem shadow the fast tiers; they cannot combine \
-             with --exec-mode single/--no-fast-path"
+             with --exec-mode single"
                 .to_string(),
         );
     }
     if opts.fleet.is_some() {
         // A session flag the fleet cannot honour is an error, not a silent
         // drop: `--fleet` must never change what a command reports.
-        // (`--retries` IS honoured — it is forwarded to every worker and
-        // applied by the in-process fallback.)
         if opts.shard.is_some() {
             return Err(
                 "--fleet cannot combine with --shard (shard first, then fleet each shard)"
@@ -308,14 +266,10 @@ pub const USAGE: &str = "options:\n  \
     B bytes (oldest entries first; never this session's own)\n  \
     --dump-specs   print the session's RunSpec JSON lines and exit\n                 \
     (pipe into `run_specs --specs -` to replay them)\n  \
-    --retries N    re-run panicked / deadline-exceeded cases up to N times\n                 \
-    (deterministic backoff; cache keys and entries are unaffected)\n  \
     --exec-mode T  execution tier for every case: `single` (the reference\n                 \
     interpreter), `superblock` (plain TLB stepping, no templates)\n                 \
     or `template` (the full stack, the default). Guest metrics\n                 \
     are byte-identical by contract; only host speed changes\n  \
-    --no-fast-path legacy alias for --exec-mode single (and --fast-path for\n                 \
-    --exec-mode template); cannot mix with --exec-mode\n  \
     --weaken-flush test-only: drop one compiled template's exit register\n                 \
     flush so the cross-tier gates can prove a residency bug is\n                 \
     detected (template tier only; never cached)\n  \
@@ -337,8 +291,8 @@ pub const USAGE: &str = "options:\n  \
     coordinator with N worker subprocesses (sibling run_specs\n                 \
     processes; crashes, hangs and corrupt output are recovered,\n                 \
     and the merge is byte-identical to a single-process run;\n                 \
-    --retries is forwarded to workers, while --shard, --cache,\n                 \
-    --cache-limit, --json-stream and --progress are rejected)\n  \
+    --shard, --cache, --cache-limit, --json-stream and\n                 \
+    --progress are rejected)\n  \
     --chaos SEED   seeded coordinator fault injection (kill a worker\n                 \
     mid-unit, delay output, insert a garbage line); needs --fleet";
 
@@ -591,7 +545,6 @@ pub fn run_specs(
             } else {
                 None
             },
-            retries: opts.retries,
         },
     );
     if let Some(cache) = &cache {
@@ -646,11 +599,6 @@ fn run_fleet_session(
         workers,
         chaos: opts.chaos,
         worker: sibling_worker(),
-        // Session `--retries` must survive the fleet hop: the coordinator
-        // forwards it to every worker and applies it on the in-process
-        // fallback, so `table1 --retries 3 --fleet 2` reports the same
-        // bytes as `table1 --retries 3`.
-        case_retries: opts.retries,
         ..cheriabi::fleet::FleetOpts::default()
     };
     let out = cheriabi::fleet::run_fleet(registry, specs, &fleet_opts);
@@ -670,19 +618,7 @@ fn run_fleet_session(
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    cheriabi::json::escape_into(s, &mut out);
     out
 }
 
@@ -766,16 +702,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_retries() {
-        let opts = parse_args(args(&["--retries", "3"])).expect("parses");
-        assert_eq!(opts.retries, 3);
-        assert_eq!(parse_args(args(&[])).expect("parses").retries, 0);
-        assert!(parse_args(args(&["--retries"])).is_err());
-        assert!(parse_args(args(&["--retries", "many"])).is_err());
-    }
-
-    #[test]
-    fn parses_exec_mode_and_legacy_aliases() {
+    fn parses_exec_mode() {
         assert_eq!(
             parse_args(args(&[])).expect("parses").exec_mode,
             ExecMode::Template
@@ -794,23 +721,6 @@ mod tests {
         }
         assert!(parse_args(args(&["--exec-mode"])).is_err());
         assert!(parse_args(args(&["--exec-mode", "warp"])).is_err());
-        // The legacy aliases still map onto the tiers; last toggle wins.
-        assert_eq!(
-            parse_args(args(&["--no-fast-path"]))
-                .expect("parses")
-                .exec_mode,
-            ExecMode::SingleStep
-        );
-        assert_eq!(
-            parse_args(args(&["--no-fast-path", "--fast-path"]))
-                .expect("parses")
-                .exec_mode,
-            ExecMode::Template
-        );
-        // ... but mixing the alias with the explicit flag is ambiguous and
-        // rejected regardless of order.
-        assert!(parse_args(args(&["--exec-mode", "template", "--no-fast-path"])).is_err());
-        assert!(parse_args(args(&["--no-fast-path", "--exec-mode", "single"])).is_err());
     }
 
     #[test]
@@ -821,7 +731,7 @@ mod tests {
         assert_eq!(opts.exec_mode, ExecMode::Template);
         // The weakened flush lives in the template tier; asking for it on
         // another tier is a contradiction, not a no-op.
-        assert!(parse_args(args(&["--weaken-flush", "--no-fast-path"])).is_err());
+        assert!(parse_args(args(&["--weaken-flush", "--exec-mode", "single"])).is_err());
         assert!(parse_args(args(&["--exec-mode", "superblock", "--weaken-flush"])).is_err());
         // It forwards through --fleet like any spec rewrite.
         let fleet = parse_args(args(&["--fleet", "2", "--weaken-flush"])).expect("parses");
@@ -853,7 +763,7 @@ mod tests {
         assert!(parse_args(args(&["--oracle", "sideways"])).is_err());
         // Both shadow the fast tiers, so the reference interpreter cannot
         // take them; replay already runs it as its second leg.
-        assert!(parse_args(args(&["--oracle", "lockstep", "--no-fast-path"])).is_err());
+        assert!(parse_args(args(&["--oracle", "lockstep", "--exec-mode", "single"])).is_err());
         assert!(parse_args(args(&["--exec-mode", "single", "--weaken-sem"])).is_err());
         assert!(parse_args(args(&["--exec-mode", "single", "--oracle", "replay"])).is_ok());
         assert!(parse_args(args(&["--exec-mode", "superblock", "--oracle", "lockstep"])).is_ok());
@@ -968,10 +878,6 @@ mod tests {
         ] {
             assert!(parse_args(args(bad)).is_err(), "{bad:?} must be rejected");
         }
-        // ... while --retries composes: it is forwarded to the workers.
-        let opts = parse_args(args(&["--fleet", "2", "--retries", "3"])).expect("parses");
-        assert_eq!(opts.fleet, Some(2));
-        assert_eq!(opts.retries, 3);
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! | `syscall_micro` | §5.2 — system-call timing deltas |
 //! | `initdb_macro` | §5.2 — initdb macro-benchmark + CLC immediate ablation |
 //! | `fig5` | Figure 5 — capability-size CDF from the tlsish trace |
-//!
-//! plus Criterion benches (`cargo bench -p cheri-bench`) for the DESIGN.md
-//! ablations (capability format, CLC immediates, sanitizer cost).
+//! | `cache_sweep` | §6 — L2-size sweep, with the D1 capability-format ablation |
 //!
 //! Shared measurement plumbing lives here.
 
@@ -23,11 +21,10 @@
 pub mod cli;
 
 use cheri_isa::codegen::{CodegenOpts, FnBuilder, Ptr, Val};
-use cheri_kernel::{AbiMode, ExitStatus, KernelConfig, SpawnOpts, Sys};
+use cheri_kernel::{AbiMode, Sys};
 use cheri_rtld::{Program, ProgramBuilder};
 use cheriabi::guest::GuestOps;
 use cheriabi::spec::{ProgramSpec, Registry};
-use cheriabi::{Metrics, System};
 
 /// This crate's entry in the program registry: lowers
 /// [`ProgramSpec::Micro`] (the §5.2 syscall micro-benchmarks, by kind).
@@ -59,26 +56,6 @@ pub fn registry() -> Registry {
         .with(bodiagsuite::lower)
         .with(cheri_workloads::lower)
         .with(lower)
-}
-
-/// A single measured run of `program` under `abi`.
-///
-/// # Panics
-///
-/// Panics if the program fails to load or does not exit cleanly — harness
-/// programs are expected to be correct.
-#[must_use]
-pub fn measure(program: &Program, abi: AbiMode, asan: bool) -> (ExitStatus, Metrics) {
-    let mut sys = System::with_config(KernelConfig::default());
-    let mut opts = SpawnOpts::new(abi);
-    opts.asan = asan;
-    opts.instr_budget = Some(2_000_000_000);
-    let (status, _console, metrics) = sys.measure(program, &opts).expect("program loads");
-    assert!(
-        matches!(status, ExitStatus::Code(_)),
-        "harness program stopped abnormally: {status:?}"
-    );
-    (status, metrics)
 }
 
 /// The four §5.2 configurations.
@@ -304,13 +281,19 @@ pub fn micro_benchmarks() -> Vec<MicroBench> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cheri_kernel::{ExitStatus, KernelConfig, SpawnOpts};
+    use cheriabi::System;
 
     #[test]
     fn micro_benchmarks_run_on_both_abis() {
         for (name, build, _) in micro_benchmarks() {
             for (cname, opts, abi, asan) in configurations().into_iter().take(2) {
                 let program = build(opts, 5);
-                let (status, m) = measure(&program, abi, asan);
+                let mut spawn = SpawnOpts::new(abi);
+                spawn.asan = asan;
+                let (status, _console, m) = System::with_config(KernelConfig::default())
+                    .measure(&program, &spawn)
+                    .expect("program loads");
                 assert_eq!(status, ExitStatus::Code(0), "{name}/{cname}");
                 assert!(m.syscalls >= 5, "{name}/{cname}: {m:?}");
             }

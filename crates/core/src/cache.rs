@@ -14,9 +14,9 @@
 //! L2 override — plus a caller-supplied *salt* (the codegen fingerprint
 //! from `cheri_isa::codegen::fingerprint`, so any change to instruction
 //! selection invalidates every entry wholesale). The spec's display name,
-//! wall-clock deadline, execution tier (`exec_mode`, plus the legacy
-//! `fast_path` key), oracle mode (`oracle`) and lockstep cadence
-//! (`oracle_every`) are *not* part of the identity: none of them changes
+//! wall-clock deadline, execution tier (`exec_mode`), oracle mode
+//! (`oracle`) and lockstep cadence (`oracle_every`) are *not* part of the
+//! identity: none of them changes
 //! what the guest computes — the execution tiers and the oracle are gated
 //! to produce byte-identical guest metrics. The membrane mode (`abi_mode`) *is* identity: a hardened run
 //! observes different allocator behaviour (quarantine, repairs) than a
@@ -208,13 +208,7 @@ impl ReportCache {
             fields.extend(all.into_iter().filter(|(k, _)| {
                 !matches!(
                     k.as_str(),
-                    "name"
-                        | "deadline_nanos"
-                        | "trace"
-                        | "fast_path"
-                        | "exec_mode"
-                        | "oracle"
-                        | "oracle_every"
+                    "name" | "deadline_nanos" | "trace" | "exec_mode" | "oracle" | "oracle_every"
                 )
             }));
         }
@@ -509,10 +503,6 @@ mod tests {
                 "{mode:?} is not identity"
             );
         }
-        assert!(
-            cache.load(&spec.clone().with_fast_path(false)).is_some(),
-            "the legacy fast_path alias is not identity"
-        );
 
         // Name and deadline are display/scheduling concerns, not identity.
         let renamed = cache
@@ -582,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_plans_salt_the_key_but_retry_metadata_does_not() {
+    fn fault_plans_salt_the_key() {
         use crate::fault::{FaultKind, FaultPlan};
         let tmp = TempDir::new("fault-identity");
         let cache = ReportCache::new(&tmp.0, 1).expect("open cache");
@@ -617,27 +607,6 @@ mod tests {
             cache.load(&weakened).is_none(),
             "the weakened hook is part of the identity"
         );
-
-        // Retry metadata, by contrast, is attached after the store: a
-        // session run with retries enabled produces the same keys and
-        // byte-identical entries as one without.
-        let specs = vec![exit_spec("retry", 7)];
-        let with_retries = SessionOpts {
-            cache: Some(&cache),
-            retries: 3,
-            ..SessionOpts::default()
-        };
-        let cold = Harness::new(1).run_session(&registry, &specs, &with_retries);
-        assert_eq!(cold.cache_misses, 1);
-        let without_retries = SessionOpts {
-            cache: Some(&cache),
-            ..SessionOpts::default()
-        };
-        let warm = Harness::new(1).run_session(&registry, &specs, &without_retries);
-        assert_eq!(warm.cache_hits, 1, "retry settings never change the key");
-        let report = &warm.reports[0].1;
-        assert_eq!(report.retries, 0, "cached entries hold no retry metadata");
-        assert!(!report.quarantined);
     }
 
     #[test]

@@ -43,8 +43,7 @@
 //!   worker that answers late, or stops reading its input, is scored hung
 //!   and killed (hang detection);
 //! * a worker that exits non-zero or dies to a signal costs one attempt
-//!   with a deterministic exponential backoff — the exact harness retry
-//!   policy ([`crate::harness::retry_backoff`]);
+//!   with a deterministic exponential backoff (`retry_backoff`);
 //! * corrupt, truncated or miscounted output is scored poisoned and
 //!   counted, never propagated and never fatal;
 //! * a unit that exhausts its subprocess attempts degrades to **in-process
@@ -68,7 +67,7 @@
 //! chaos gate proves the recovery paths produce byte-identical output with
 //! faults armed.
 
-use crate::harness::{execute_spec, outcome_is_transient, retry_backoff, RunSpec};
+use crate::harness::{execute_spec, RunSpec};
 use crate::json::{self, Json};
 use crate::spec::Registry;
 use std::fs;
@@ -135,8 +134,7 @@ pub struct FleetOpts {
     /// detection).
     pub unit_deadline: Duration,
     /// Subprocess re-dispatch attempts per unit before degrading to
-    /// in-process execution. Backoff between attempts is the harness
-    /// policy, [`crate::harness::retry_backoff`].
+    /// in-process execution, with `retry_backoff` between attempts.
     pub retries: u64,
     /// Seeded coordinator-side fault injection: kill a worker mid-unit,
     /// delay its output, or insert a garbage line — deterministically per
@@ -155,13 +153,6 @@ pub struct FleetOpts {
     /// and return an interrupted summary — simulating an interrupted sweep
     /// without needing to deliver a real signal.
     pub stop_after: Option<usize>,
-    /// Per-*case* transient-retry budget (the harness `--retries` policy,
-    /// distinct from [`FleetOpts::retries`], which re-dispatches whole
-    /// units). Forwarded to workers as `--retries N` and applied
-    /// identically by the in-process fallback, so a fleet run with session
-    /// retries merges byte-identically with the equivalent single-process
-    /// run.
-    pub case_retries: u64,
 }
 
 impl Default for FleetOpts {
@@ -176,9 +167,16 @@ impl Default for FleetOpts {
             checkpoint_dir: Some(default_checkpoint_dir()),
             resume: false,
             stop_after: None,
-            case_retries: 0,
         }
     }
+}
+
+/// The deterministic backoff before re-dispatch `attempt` (1-based): 10 ms
+/// doubling per attempt, capped at 320 ms. A pure function of the attempt
+/// number — no jitter — so a sweep's schedule stays reproducible.
+#[must_use]
+fn retry_backoff(attempt: u64) -> Duration {
+    Duration::from_millis(10u64 << attempt.clamp(1, 6).saturating_sub(1))
 }
 
 /// The conventional checkpoint root, `<target dir>/fleet-ckpt/`
@@ -599,7 +597,7 @@ struct Slot<'a> {
 
 impl Slot<'_> {
     /// Runs one unit to completion: up to `retries + 1` worker attempts
-    /// with the harness backoff between them, then the in-process
+    /// with `retry_backoff` between them, then the in-process
     /// fallback. Any attempt that does not complete kills the worker, so
     /// the next attempt starts a fresh one and no stale output ever
     /// reaches another unit.
@@ -620,7 +618,7 @@ impl Slot<'_> {
             let spawned = self.live.is_none();
             let worker = match &mut self.live {
                 Some(worker) => worker,
-                None => match Worker::spawn(cmd, opts.case_retries) {
+                None => match Worker::spawn(cmd) {
                     Some(worker) => self.live.insert(worker),
                     None => {
                         lock(shared).stats.spawn_failures += 1;
@@ -653,33 +651,20 @@ impl Slot<'_> {
             }
         }
         lock(shared).stats.units_inprocess += 1;
-        run_inprocess(registry, specs, range, opts.case_retries)
+        run_inprocess(registry, specs, range)
     }
 }
 
 /// Executes a unit on the calling thread — the fully-degraded tier. Each
-/// spec runs through [`execute_spec`] (panic isolation included) with the
-/// harness per-case transient-retry policy, and is rendered as its
-/// deterministic line with the global index, exactly the bytes a healthy
-/// worker running `--retries case_retries` would have produced.
-fn run_inprocess(
-    registry: &Registry,
-    specs: &[RunSpec],
-    range: Range<usize>,
-    case_retries: u64,
-) -> Vec<String> {
+/// spec runs through [`execute_spec`] (panic isolation included) and is
+/// rendered as its deterministic line with the global index, exactly the
+/// bytes a healthy worker would have produced.
+fn run_inprocess(registry: &Registry, specs: &[RunSpec], range: Range<usize>) -> Vec<String> {
     range
         .map(|global| {
-            let mut report = execute_spec(registry, &specs[global]);
-            let mut attempts = 0u64;
-            while attempts < case_retries && outcome_is_transient(&report.outcome) {
-                attempts += 1;
-                std::thread::sleep(retry_backoff(attempts));
-                report = execute_spec(registry, &specs[global]);
-            }
-            report.retries = attempts;
-            report.quarantined = attempts > 0 && outcome_is_transient(&report.outcome);
-            report.to_json_deterministic(global).to_string()
+            execute_spec(registry, &specs[global])
+                .to_json_deterministic(global)
+                .to_string()
         })
         .collect()
 }
@@ -698,16 +683,9 @@ struct Worker {
 impl Worker {
     /// Starts a worker and its I/O thread; `None` when either cannot be
     /// started.
-    fn spawn(cmd: &WorkerCmd, case_retries: u64) -> Option<Worker> {
-        let mut command = Command::new(&cmd.program);
-        command.args(&cmd.args);
-        if case_retries > 0 {
-            // The per-case transient-retry budget rides along to the worker
-            // so its report lines carry the same retry metadata a
-            // single-process `--retries` session would have produced.
-            command.args(["--retries", &case_retries.to_string()]);
-        }
-        let mut child = command
+    fn spawn(cmd: &WorkerCmd) -> Option<Worker> {
+        let mut child = Command::new(&cmd.program)
+            .args(&cmd.args)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -863,7 +841,7 @@ fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Harness, RunSpec, SessionOpts};
+    use crate::harness::{Harness, RunSpec};
     use crate::spec::ProgramSpec;
     use cheri_isa::codegen::CodegenOpts;
     use cheri_kernel::AbiMode;
@@ -1156,72 +1134,11 @@ mod tests {
     }
 
     #[test]
-    fn case_retries_apply_in_process_and_match_the_session_bytes() {
-        let tmp = TempDir::new("case-retries");
-        let registry = Registry::builtin();
-        let mut specs = exit_specs(5);
-        // Boom panics deterministically, so it spends the whole per-case
-        // retry budget and its report line carries the retry metadata.
-        specs.push(
-            RunSpec::new(
-                "boom",
-                ProgramSpec::Boom,
-                CodegenOpts::purecap(),
-                AbiMode::CheriAbi,
-            )
-            .with_seed(99),
-        );
-        let opts = FleetOpts {
-            case_retries: 2,
-            ..base_opts(&tmp)
-        };
-        let out = run_fleet(&registry, &specs, &opts);
-        let session = Harness::new(1).run_session(
-            &registry,
-            &specs,
-            &SessionOpts {
-                retries: 2,
-                ..SessionOpts::default()
-            },
-        );
-        let golden: Vec<String> = session
-            .reports
-            .iter()
-            .map(|(i, r)| r.to_json_deterministic(*i).to_string())
-            .collect();
-        assert_eq!(out.lines, golden, "fleet --retries matches the session");
-        assert!(
-            golden.iter().any(|l| l.contains("\"retries\":2")),
-            "the transient case actually retried: {golden:?}"
-        );
-    }
-
-    #[test]
-    fn case_retries_are_forwarded_to_worker_commands() {
-        let tmp = TempDir::new("retries-fwd");
-        let registry = Registry::builtin();
-        let specs = exit_specs(1);
-        // `sh -c script arg0 arg1` binds the coordinator-appended
-        // `--retries 3` to $0/$1; the worker echoes $1 back in its report
-        // line, proving the flag reached the command line.
-        let on_end = "echo \"{\\\"case\\\":0,\\\"name\\\":\\\"got $1\\\",\
-                      \\\"outcome\\\":{\\\"outcome\\\":\\\"deadline\\\"}}\";";
-        let opts = FleetOpts {
-            workers: 1,
-            unit_size: 1,
-            case_retries: 3,
-            worker: Some(framed_worker("", on_end)),
-            checkpoint_dir: Some(tmp.0.clone()),
-            ..FleetOpts::default()
-        };
-        let out = run_fleet(&registry, &specs, &opts);
-        assert!(!out.interrupted);
-        assert_eq!(out.lines.len(), 1);
-        assert!(
-            out.lines[0].contains("\"name\":\"got 3\""),
-            "worker saw --retries 3: {:?}",
-            out.lines
-        );
+    fn retry_backoff_doubles_from_10ms_and_caps_at_320ms() {
+        // A pure function of the attempt number: no jitter anywhere.
+        assert_eq!(retry_backoff(1), Duration::from_millis(10));
+        assert_eq!(retry_backoff(2), Duration::from_millis(20));
+        assert_eq!(retry_backoff(100), Duration::from_millis(320));
     }
 
     #[test]

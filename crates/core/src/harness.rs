@@ -322,17 +322,6 @@ impl RunSpec {
         self
     }
 
-    /// Legacy alias for [`RunSpec::with_exec_mode`]: `true` selects the
-    /// full tier stack, `false` the reference interpreter.
-    #[must_use]
-    pub fn with_fast_path(self, fast_path: bool) -> RunSpec {
-        self.with_exec_mode(if fast_path {
-            ExecMode::Template
-        } else {
-            ExecMode::SingleStep
-        })
-    }
-
     /// Test-only: drops one template exit flush so the cross-tier gates
     /// can prove a register-residency bug is actually detected.
     #[must_use]
@@ -824,8 +813,8 @@ impl fmt::Display for CaseOutcome {
 
 /// Host-side interpreter counters: how the simulator ran the case, never
 /// what the guest observed. TLB and resident-region hit rates vary with
-/// the execution mode (they collapse to zero under `--no-fast-path`), so they
-/// are excluded from guest-metric equivalence, from the deterministic
+/// the execution mode (they collapse to zero under `--exec-mode single`), so
+/// they are excluded from guest-metric equivalence, from the deterministic
 /// shard/golden line format, and from the report cache's identity. The
 /// scheduler counters (wakes/blocks/runq depth/context switches) ride in
 /// the same bucket: they happen to be mode-invariant, but they describe
@@ -978,21 +967,6 @@ impl ScenarioStats {
     }
 }
 
-std::thread_local! {
-    // Guest cycles retired by cases executed on this thread — the
-    // deterministic clock the bench measurement reads.
-    static GUEST_CYCLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Total guest cycles consumed by every case executed on the calling
-/// thread so far. Monotonic and fully deterministic (it advances by each
-/// case's `metrics.cycles`), which makes it usable as a virtual clock for
-/// benchmark measurements that must not wobble with host load.
-#[must_use]
-pub fn guest_cycles_consumed() -> u64 {
-    GUEST_CYCLES.with(std::cell::Cell::get)
-}
-
 /// The result of one executed [`RunSpec`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct CaseReport {
@@ -1014,13 +988,13 @@ pub struct CaseReport {
     /// The Figure 5 capability-size distribution, collected only when
     /// [`RunSpec::trace`] was set (never part of the cached/streamed JSON).
     pub cap_cdf: Option<SizeCdf>,
-    /// Times the case was re-executed by the session's retry policy
-    /// ([`SessionOpts::retries`]). Retry metadata never reaches the cache:
-    /// the cache key is a function of the spec alone, and stored entries
-    /// hold the execution result from before the metadata is attached.
+    /// Always 0, and never encoded. Every case is a pure function of its
+    /// spec, so nothing re-executes a case; the field stays only because
+    /// the perf_ledger benchmark's traced sweep builds a `CaseReport`
+    /// literal that names it.
     pub retries: u64,
-    /// True when the case still had a transient outcome
-    /// (panicked/deadline) after exhausting its retries.
+    /// Always false, and never encoded; kept for the same reason as
+    /// [`CaseReport::retries`].
     pub quarantined: bool,
     /// What the armed fault plane did, when [`RunSpec::fault`] was set.
     pub faults: Option<FaultCounters>,
@@ -1043,8 +1017,8 @@ pub struct CaseReport {
 impl CaseReport {
     /// Canonical JSON encoding (omits `cap_cdf`; traced runs are
     /// rendered by their experiment, not by the generic report line).
-    /// Retry metadata and fault counters are appended only when present,
-    /// so a plain, fault-free report encodes byte-identically to before
+    /// Fault counters and the other optional tails are appended only when
+    /// present, so a plain, fault-free report encodes byte-identically to before
     /// the fault plane existed — existing goldens stay valid.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -1064,12 +1038,6 @@ impl CaseReport {
             ),
             ("wall_nanos", Json::Int(self.wall.as_nanos() as i128)),
         ];
-        if self.retries != 0 {
-            fields.push(("retries", Json::u64(self.retries)));
-        }
-        if self.quarantined {
-            fields.push(("quarantined", Json::Bool(true)));
-        }
         if let Some(counters) = &self.faults {
             fields.push(("faults", counters.to_json()));
         }
@@ -1145,15 +1113,9 @@ impl CaseReport {
                 None => Duration::ZERO,
             },
             cap_cdf: None,
+            retries: 0,
+            quarantined: false,
             // Optional tail fields (absent in pre-fault-plane encodings).
-            retries: match v.get("retries") {
-                Some(n) => n.as_u64()?,
-                None => 0,
-            },
-            quarantined: match v.get("quarantined") {
-                Some(b) => b.as_bool()?,
-                None => false,
-            },
             faults: match v.get("faults") {
                 Some(counters) => Some(FaultCounters::from_json(counters)?),
                 None => None,
@@ -1378,8 +1340,6 @@ fn execute_once(registry: &Registry, spec: &RunSpec, reference: bool) -> CaseRep
             None,
         ),
     };
-    // Advance the thread's deterministic guest clock by this case's cost.
-    GUEST_CYCLES.with(|c| c.set(c.get().wrapping_add(metrics.cycles)));
     CaseReport {
         name: spec.name.clone(),
         seed: spec.seed,
@@ -1511,35 +1471,6 @@ pub struct SessionOpts<'a> {
     /// Called once per completed case, as it completes (completion order,
     /// not submission order). Drives `--json-stream`.
     pub on_report: Option<&'a ReportObserver<'a>>,
-    /// Re-execute a case up to this many times when its outcome is
-    /// *transient* — panicked or deadline-exceeded, the two outcomes that
-    /// can reflect host conditions rather than the spec — with a
-    /// deterministic exponential backoff ([`retry_backoff`]) between
-    /// attempts. The final report carries the attempt count in
-    /// [`CaseReport::retries`]; a case still transient after the last
-    /// attempt is marked [`CaseReport::quarantined`]. Retry metadata is
-    /// attached *after* the cache store, so cached entries (and cache
-    /// keys, which depend only on the spec) never see it.
-    pub retries: u64,
-}
-
-/// Whether `outcome` is worth retrying: only panics and missed deadlines
-/// can be environmental; every other outcome is a deterministic function
-/// of the spec.
-#[must_use]
-pub fn outcome_is_transient(outcome: &CaseOutcome) -> bool {
-    matches!(
-        outcome,
-        CaseOutcome::Panicked(_) | CaseOutcome::DeadlineExceeded
-    )
-}
-
-/// The deterministic backoff before retry `attempt` (1-based): 10 ms
-/// doubling per attempt, capped at 320 ms. A pure function of the attempt
-/// number — no jitter — so retried sessions stay reproducible.
-#[must_use]
-pub fn retry_backoff(attempt: u64) -> Duration {
-    Duration::from_millis(10u64 << attempt.clamp(1, 6).saturating_sub(1))
 }
 
 /// What a session produced: the owned reports plus cache counters.
@@ -1652,20 +1583,10 @@ impl Harness {
                     (report, true)
                 }
                 None => {
-                    let mut report = execute_spec(registry, spec);
-                    let mut attempts = 0u64;
-                    while attempts < opts.retries && outcome_is_transient(&report.outcome) {
-                        attempts += 1;
-                        std::thread::sleep(retry_backoff(attempts));
-                        report = execute_spec(registry, spec);
-                    }
-                    // Store first: the cache holds the execution result;
-                    // retry metadata is session bookkeeping, not identity.
+                    let report = execute_spec(registry, spec);
                     if let Some(cache) = opts.cache {
                         cache.store(spec, &report);
                     }
-                    report.retries = attempts;
-                    report.quarantined = attempts > 0 && outcome_is_transient(&report.outcome);
                     (report, false)
                 }
             };
@@ -1987,15 +1908,6 @@ mod tests {
             let back = RunSpec::from_json(&json::parse(&text).expect("parses")).expect("decodes");
             assert_eq!(back.exec_mode, mode, "{legacy}");
         }
-        // And the builder alias maps onto the tiers.
-        assert_eq!(
-            plain.clone().with_fast_path(false).exec_mode,
-            ExecMode::SingleStep
-        );
-        assert_eq!(
-            plain.clone().with_fast_path(true).exec_mode,
-            ExecMode::Template
-        );
         // weaken_flush encodes only when set, and round-trips.
         let weakened = plain.with_weaken_flush(true);
         let text = weakened.to_json().to_string();
@@ -2088,7 +2000,7 @@ mod tests {
     }
 
     #[test]
-    fn retry_metadata_round_trips_but_plain_reports_omit_it() {
+    fn tail_fields_round_trip_but_plain_reports_omit_them() {
         use crate::fault::FaultCounters;
         let mut report = CaseReport {
             name: "rt".to_string(),
@@ -2098,8 +2010,8 @@ mod tests {
             metrics: Metrics::default(),
             wall: Duration::from_micros(5),
             cap_cdf: None,
-            retries: 3,
-            quarantined: true,
+            retries: 0,
+            quarantined: false,
             faults: Some(FaultCounters {
                 flips: 1,
                 tags_cleared: 1,
@@ -2110,20 +2022,14 @@ mod tests {
             membrane: None,
         };
         let text = report.to_json().to_string();
-        assert!(text.contains("\"retries\":3"), "{text}");
-        assert!(text.contains("\"quarantined\":true"), "{text}");
         assert!(text.contains("\"faults\":{"), "{text}");
         let back = CaseReport::from_json(&json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, report);
         assert_eq!(back.to_json().to_string(), text, "byte-identical re-encode");
         // A plain report encodes without any of the tail fields, so every
         // pre-fault-plane golden (and cache entry) stays byte-identical.
-        report.retries = 0;
-        report.quarantined = false;
         report.faults = None;
         let plain = report.to_json().to_string();
-        assert!(!plain.contains("retries"), "{plain}");
-        assert!(!plain.contains("quarantined"), "{plain}");
         assert!(!plain.contains("faults"), "{plain}");
         let back = CaseReport::from_json(&json::parse(&plain).expect("parses")).expect("decodes");
         assert_eq!(back, report, "absent tail fields decode to defaults");
@@ -2386,115 +2292,6 @@ mod tests {
             &hardened.clone().with_oracle(OracleMode::Lockstep),
         );
         assert_eq!(locked.outcome, CaseOutcome::Exited(ExitStatus::Code(0)));
-    }
-
-    #[test]
-    fn retries_rerun_transient_cases_then_quarantine() {
-        let registry = Registry::builtin();
-        let specs = vec![
-            RunSpec::new(
-                "boom",
-                ProgramSpec::Boom,
-                CodegenOpts::purecap(),
-                AbiMode::CheriAbi,
-            ),
-            exit_with_seed_spec("fine", 2),
-        ];
-        let opts = SessionOpts {
-            retries: 2,
-            ..SessionOpts::default()
-        };
-        let session = Harness::new(1).run_session(&registry, &specs, &opts);
-        let reports = session.into_reports();
-        assert!(matches!(reports[0].outcome, CaseOutcome::Panicked(_)));
-        assert_eq!(reports[0].retries, 2, "both retries spent");
-        assert!(reports[0].quarantined, "still transient => quarantined");
-        assert_eq!(reports[1].retries, 0, "healthy cases are not retried");
-        assert!(!reports[1].quarantined);
-        // Backoff is a pure function of the attempt number.
-        assert_eq!(retry_backoff(1), Duration::from_millis(10));
-        assert_eq!(retry_backoff(2), Duration::from_millis(20));
-        assert_eq!(retry_backoff(100), Duration::from_millis(320));
-        assert!(outcome_is_transient(&CaseOutcome::DeadlineExceeded));
-        assert!(!outcome_is_transient(&CaseOutcome::Exited(
-            ExitStatus::Code(0)
-        )));
-    }
-
-    #[test]
-    fn retry_schedule_is_deterministic_across_job_counts() {
-        // The fleet re-dispatch machinery reuses the harness retry policy,
-        // so the whole schedule — how many attempts each case spends and
-        // the backoff before each — must be a pure function of the spec
-        // (seed, case index), never of host timing or worker interleaving.
-        let registry = Registry::builtin();
-        let specs: Vec<RunSpec> = (0..8)
-            .map(|i| {
-                if i % 3 == 0 {
-                    // Transient: every Boom panics deterministically, so it
-                    // spends the full retry budget.
-                    RunSpec::new(
-                        format!("boom-{i}"),
-                        ProgramSpec::Boom,
-                        CodegenOpts::purecap(),
-                        AbiMode::CheriAbi,
-                    )
-                    .with_seed(i)
-                } else {
-                    exit_with_seed_spec("fine", i)
-                }
-            })
-            .collect();
-        let opts = SessionOpts {
-            retries: 3,
-            ..SessionOpts::default()
-        };
-        let schedule = |reports: &[CaseReport]| -> Vec<(u64, Vec<Duration>)> {
-            reports
-                .iter()
-                .map(|r| (r.retries, (1..=r.retries).map(retry_backoff).collect()))
-                .collect()
-        };
-        let solo = Harness::new(1).run_session(&registry, &specs, &opts);
-        let wide = Harness::new(8).run_session(&registry, &specs, &opts);
-        let solo_reports = solo.into_reports();
-        let wide_reports = wide.into_reports();
-        assert_eq!(
-            schedule(&solo_reports),
-            schedule(&wide_reports),
-            "attempt counts and delays are identical at --jobs 1 and --jobs 8"
-        );
-        // And the schedule is exactly what the spec predicts: the full
-        // budget for deterministic panickers, nothing for healthy cases.
-        for (i, (attempts, delays)) in schedule(&solo_reports).iter().enumerate() {
-            if i % 3 == 0 {
-                assert_eq!(*attempts, 3, "case {i}");
-                assert_eq!(
-                    delays.as_slice(),
-                    [
-                        Duration::from_millis(10),
-                        Duration::from_millis(20),
-                        Duration::from_millis(40)
-                    ],
-                    "case {i}"
-                );
-            } else {
-                assert_eq!(*attempts, 0, "case {i}");
-                assert!(delays.is_empty(), "case {i}");
-            }
-        }
-        // The re-run of an identical session reproduces the schedule too:
-        // no jitter anywhere in the policy.
-        let again = Harness::new(8).run_session(&registry, &specs, &opts);
-        assert_eq!(schedule(&again.into_reports()), schedule(&solo_reports));
-        // Full-report determinism across job counts, metadata included.
-        for (i, (a, b)) in solo_reports.iter().zip(&wide_reports).enumerate() {
-            assert_eq!(
-                a.to_json_deterministic(i).to_string(),
-                b.to_json_deterministic(i).to_string()
-            );
-            assert_eq!(a.quarantined, b.quarantined);
-        }
     }
 
     #[test]

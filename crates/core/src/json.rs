@@ -139,7 +139,7 @@ impl Json {
 }
 
 /// Escapes `s` into `out` as a JSON string literal body.
-fn escape_into(s: &str, out: &mut String) {
+pub fn escape_into(s: &str, out: &mut String) {
     use fmt::Write as _;
     for c in s.chars() {
         match c {

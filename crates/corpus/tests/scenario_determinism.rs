@@ -4,7 +4,7 @@
 
 use cheri_corpus::suite::{opts_for, registry};
 use cheri_kernel::{AbiMode, KernelConfig};
-use cheriabi::harness::{execute_spec, CaseOutcome, Harness, RunSpec};
+use cheriabi::harness::{execute_spec, CaseOutcome, ExecMode, Harness, RunSpec};
 use cheriabi::spec::ProgramSpec;
 use cheriabi::ExitStatus;
 
@@ -64,7 +64,10 @@ fn scenario_percentiles_agree_between_execution_modes() {
     let registry = registry();
     for spec in scenario_specs() {
         let fast = execute_spec(&registry, &spec);
-        let slow = execute_spec(&registry, &spec.clone().with_fast_path(false));
+        let slow = execute_spec(
+            &registry,
+            &spec.clone().with_exec_mode(ExecMode::SingleStep),
+        );
         assert_eq!(
             fast.to_json_deterministic(0).to_string(),
             slow.to_json_deterministic(0).to_string(),

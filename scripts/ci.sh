@@ -89,7 +89,7 @@ echo "==> tier equivalence: pinned suites byte-identical across all three exec m
 # The pinned runs above used the default tier (--exec-mode template); the
 # reference interpreter and plain stepping must reproduce them byte for byte.
 ./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
-    --jobs 2 --no-cache --no-fast-path --shard 0/1 > target/table1-singlestep.lines
+    --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/table1-singlestep.lines
 cmp target/table1-pinned.lines target/table1-singlestep.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
     echo "      reference interpreter on the table1 pinned suite"
@@ -104,7 +104,7 @@ cmp target/table1-pinned.lines target/table1-superblock.lines || {
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
-    --jobs 2 --no-cache --no-fast-path --shard 0/1 > target/table3-singlestep.lines
+    --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/table3-singlestep.lines
 cmp target/table3-pinned.lines target/table3-singlestep.lines || {
     echo "FAIL: guest metrics diverge between the template tier and the"
     echo "      reference interpreter on the table3 pinned suite"
@@ -155,7 +155,7 @@ echo "==> fault plane: 8-seed campaign is panic-free with no silent successes"
     echo "FAIL: fault campaign reported host panics or silent successes"
     exit 1
 }
-./target/release/fault_campaign --seeds 8 --jobs 2 --no-fast-path \
+./target/release/fault_campaign --seeds 8 --jobs 2 --exec-mode single \
     --out target/faults-smoke-singlestep.json || {
     echo "FAIL: reference-interpreter fault campaign reported host panics or silent successes"
     exit 1
@@ -301,7 +301,7 @@ cmp scripts/golden/scenario_pinned.golden target/scenario-pinned.lines || {
     exit 1
 }
 ./target/release/run_specs --specs scripts/golden/scenario_pinned.specs \
-    --jobs 2 --no-cache --no-fast-path --shard 0/1 > target/scenario-singlestep.lines
+    --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/scenario-singlestep.lines
 cmp target/scenario-pinned.lines target/scenario-singlestep.lines || {
     echo "FAIL: scenario latency percentiles diverge between plain stepping"
     echo "      and the reference interpreter"
@@ -334,6 +334,15 @@ cmp scripts/golden/fig5.golden target/fig5.lines || {
     echo "FAIL: fig5 capability-size CDF differs from scripts/golden/fig5.golden"
     echo "      (derivation tracing changed; if intentional, regenerate:"
     echo "       ./target/release/fig5 --jobs 1 --json > scripts/golden/fig5.golden)"
+    exit 1
+}
+
+echo "==> golden: cache sweep (with the D1 C256 column) is byte-identical to the committed golden"
+./target/release/cache_sweep --json --no-cache > target/cache_sweep.lines
+cmp scripts/golden/cache_sweep.golden target/cache_sweep.lines || {
+    echo "FAIL: cache_sweep output differs from scripts/golden/cache_sweep.golden"
+    echo "      (cache-model or capability-format metrics changed; if intentional, regenerate:"
+    echo "       ./target/release/cache_sweep --json --no-cache > scripts/golden/cache_sweep.golden)"
     exit 1
 }
 
