@@ -2,10 +2,10 @@
 //! `cheriabi::fleet` — one long-lived `run_specs` worker subprocess per
 //! slot, fed unit after unit as framed spec lines, with per-unit
 //! deadlines, crash/hang recovery by re-dispatch to a fresh worker,
-//! poisoned-output scoring, checkpoint/resume, and seeded chaos
-//! injection — and prints the merged deterministic report lines,
-//! byte-identical to a single-process `run_specs --shard 0/1` over the
-//! same list.
+//! poisoned-output scoring, the report cache as its checkpoint, and
+//! seeded chaos injection — and prints the merged deterministic report
+//! lines, byte-identical to a single-process `run_specs --shard 0/1` over
+//! the same list.
 //!
 //! ```text
 //! table1 --dump-specs | fleet_run --specs - --workers 3 --chaos 7
@@ -20,17 +20,16 @@
 //! * `--retries N`    subprocess re-dispatch attempts per unit before
 //!   degrading to in-process execution (default 2)
 //! * `--chaos SEED`   arm the seeded coordinator fault injector
-//! * `--resume`       load completed units from `target/fleet-ckpt/`
-//! * `--no-ckpt`      disable checkpointing entirely
-//! * `--stop-after N` stop once N units have completed and exit 3 with
-//!   the checkpoints kept (the CI resume gate's interruption hook)
-//! * `--in-process`   no subprocesses: run every unit on the coordinator
-//!   (the fully-degraded mode, useful as a determinism reference)
+//! * `--cache`        serve units whose every case hits
+//!   `target/harness-cache/` and store every completed case there, so a
+//!   re-run of an interrupted sweep redoes zero completed units
+//! * `--stop-after N` stop once N units have completed and exit 3 (the CI
+//!   cache gate's interruption hook)
 //! * `--worker PATH`  use this worker binary instead of the sibling
 //!   `run_specs`
 //!
 //! Exit status: 0 on a completed sweep, 2 on usage errors, 3 when
-//! `--stop-after` interrupted the sweep (completed units checkpointed).
+//! `--stop-after` interrupted the sweep.
 
 use cheri_bench::cli;
 use cheriabi::fleet::{run_fleet, FleetOpts, WorkerCmd};
@@ -42,17 +41,14 @@ const USAGE: &str = "usage: fleet_run --specs <path|-> [options]\n  \
     --deadline S   per-unit wall deadline, seconds (default 120, >= 1)\n  \
     --retries N    re-dispatch attempts before in-process fallback (default 2)\n  \
     --chaos SEED   seeded coordinator fault injection (kill/garbage/delay)\n  \
-    --resume       load completed units from target/fleet-ckpt/\n  \
-    --no-ckpt      disable checkpointing\n  \
-    --stop-after N interrupt after N completed units (exit 3, ckpts kept)\n  \
-    --in-process   run every unit in-process (no worker subprocesses)\n  \
+    --cache        serve and record cases through target/harness-cache/\n  \
+    --stop-after N interrupt after N completed units (exit 3)\n  \
     --worker PATH  worker binary (default: the sibling run_specs)";
 
 struct Args {
     specs: String,
-    opts: FleetOpts,
-    in_process: bool,
-    worker_path: Option<String>,
+    opts: FleetOpts<'static>,
+    cache: bool,
 }
 
 fn num(iter: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u64, String> {
@@ -73,8 +69,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut parsed = Args {
         specs: String::new(),
         opts: FleetOpts::default(),
-        in_process: false,
-        worker_path: None,
+        cache: false,
     };
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
@@ -89,14 +84,13 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
             }
             "--retries" => parsed.opts.retries = num(&mut iter, "--retries")?,
             "--chaos" => parsed.opts.chaos = Some(num(&mut iter, "--chaos")?),
-            "--resume" => parsed.opts.resume = true,
-            "--no-ckpt" => parsed.opts.checkpoint_dir = None,
+            "--cache" => parsed.cache = true,
             "--stop-after" => {
                 parsed.opts.stop_after = Some(unum(&mut iter, "--stop-after")?);
             }
-            "--in-process" => parsed.in_process = true,
             "--worker" => {
-                parsed.worker_path = Some(iter.next().ok_or("--worker needs a path")?);
+                let path = iter.next().ok_or("--worker needs a path")?;
+                parsed.opts.worker = Some(WorkerCmd::run_specs(path));
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument: {other}\n{USAGE}")),
@@ -134,22 +128,20 @@ fn main() {
             list.specs.len()
         );
     }
-    let mut opts = args.opts;
-    opts.worker = if args.in_process {
-        None
-    } else if let Some(path) = args.worker_path {
-        Some(WorkerCmd::run_specs(path))
-    } else {
-        let sibling = cli::sibling_worker();
-        if sibling.is_none() {
-            eprintln!("fleet_run: no sibling run_specs binary; running in-process");
-        }
-        sibling
+    let worker = args.opts.worker.or_else(cli::sibling_worker);
+    if worker.is_none() {
+        eprintln!("fleet_run: no sibling run_specs binary; running in-process");
+    }
+    let cache = if args.cache { cli::open_cache() } else { None };
+    let opts = FleetOpts {
+        worker,
+        cache: cache.as_ref(),
+        ..args.opts
     };
     let out = run_fleet(&cheri_bench::registry(), &list.specs, &opts);
     eprintln!("{}", out.stats.summary_line());
     if out.interrupted {
-        eprintln!("fleet_run: interrupted by --stop-after; checkpoints kept for --resume");
+        eprintln!("fleet_run: interrupted by --stop-after");
         std::process::exit(3);
     }
     for line in &out.lines {

@@ -42,8 +42,8 @@ pub struct BenchOpts {
     pub progress: bool,
     /// Emit each case report as it completes.
     pub json_stream: bool,
-    /// After the session, prune the report cache down to this many bytes
-    /// (LRU by mtime; never evicts entries this session just wrote).
+    /// With `--cache`, prune the report cache down to this many bytes after
+    /// the session (LRU by mtime; never evicts entries it just wrote).
     pub cache_limit: Option<u64>,
     /// Print the session's spec list as JSON lines and exit instead of
     /// running anything (feed the output to `run_specs --specs`).
@@ -74,9 +74,9 @@ pub struct BenchOpts {
     /// with this many worker subprocesses (`--fleet N`). Workers are
     /// sibling `run_specs` processes; results merge byte-identically with
     /// the single-process run, and worker crashes/hangs/corrupt output are
-    /// recovered, not fatal. `--shard`, `--cache`, `--cache-limit`,
-    /// `--json-stream` and `--progress` are rejected rather than silently
-    /// dropped.
+    /// recovered, not fatal. With `--cache` the coordinator serves and
+    /// records cases through the report cache. `--shard`, `--json-stream`
+    /// and `--progress` are rejected rather than silently dropped.
     pub fleet: Option<usize>,
     /// Seeded coordinator-side fault injection for the fleet
     /// (`--chaos SEED`): deterministically kill workers mid-unit, delay
@@ -216,18 +216,15 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
                 .to_string(),
         );
     }
+    if opts.cache_limit.is_some() && !opts.cache {
+        return Err("--cache-limit requires --cache (there is no cache to prune)".to_string());
+    }
     if opts.fleet.is_some() {
         // A session flag the fleet cannot honour is an error, not a silent
         // drop: `--fleet` must never change what a command reports.
         if opts.shard.is_some() {
             return Err(
                 "--fleet cannot combine with --shard (shard first, then fleet each shard)"
-                    .to_string(),
-            );
-        }
-        if opts.cache || opts.cache_limit.is_some() {
-            return Err(
-                "--fleet cannot combine with --cache/--cache-limit (workers run uncached)"
                     .to_string(),
             );
         }
@@ -262,8 +259,8 @@ pub const USAGE: &str = "options:\n  \
     JSON lines (sort all shards' lines by \"case\" to merge)\n  \
     --progress     progress line (completed/total, ETA) on stderr\n  \
     --json-stream  emit each case report as it completes\n  \
-    --cache-limit B  after the session, prune the report cache to at most\n                 \
-    B bytes (oldest entries first; never this session's own)\n  \
+    --cache-limit B  with --cache, prune the cache to at most B bytes after\n                 \
+    the session (oldest entries first; never this session's own)\n  \
     --dump-specs   print the session's RunSpec JSON lines and exit\n                 \
     (pipe into `run_specs --specs -` to replay them)\n  \
     --exec-mode T  execution tier for every case: `single` (the reference\n                 \
@@ -291,8 +288,8 @@ pub const USAGE: &str = "options:\n  \
     coordinator with N worker subprocesses (sibling run_specs\n                 \
     processes; crashes, hangs and corrupt output are recovered,\n                 \
     and the merge is byte-identical to a single-process run;\n                 \
-    --shard, --cache, --cache-limit, --json-stream and\n                 \
-    --progress are rejected)\n  \
+    with --cache the coordinator serves and records cases;\n                 \
+    --shard, --json-stream and --progress are rejected)\n  \
     --chaos SEED   seeded coordinator fault injection (kill a worker\n                 \
     mid-unit, delay output, insert a garbage line); needs --fleet";
 
@@ -514,22 +511,12 @@ pub fn run_specs(
         }
         return None;
     }
+    let cache = if opts.cache { open_cache() } else { None };
     if let Some(workers) = opts.fleet {
-        return Some(run_fleet_session(registry, specs, workers, opts));
+        let reports = run_fleet_session(registry, specs, workers, opts, cache.as_ref());
+        prune_cache(cache.as_ref(), opts.cache_limit);
+        return Some(reports);
     }
-    let cache = if opts.cache {
-        // The salt covers codegen *and* runtime behaviour, so a kernel or
-        // VM change invalidates cached reports just like a codegen change.
-        match ReportCache::open_default(cheriabi::cache::session_salt()) {
-            Ok(cache) => Some(cache),
-            Err(err) => {
-                eprintln!("warning: report cache unavailable ({err}); running uncached");
-                None
-            }
-        }
-    } else {
-        None
-    };
     let stream = |index: usize, report: &CaseReport, _cached: bool| {
         println!("{}", report.to_json_tagged(index));
     };
@@ -554,15 +541,8 @@ pub fn run_specs(
             session.cache_misses,
             cache.dir().display()
         );
-        if let Some(limit) = opts.cache_limit {
-            match cache.prune(limit) {
-                Ok((removed, remaining)) => eprintln!(
-                    "cache: pruned {removed} entries, {remaining} bytes remain (limit {limit})"
-                ),
-                Err(err) => eprintln!("warning: cache prune failed: {err}"),
-            }
-        }
     }
+    prune_cache(cache.as_ref(), opts.cache_limit);
     if opts.shard.is_some() {
         for (index, report) in &session.reports {
             println!("{}", report.to_json_deterministic(*index));
@@ -570,6 +550,34 @@ pub fn run_specs(
         return None;
     }
     Some(session.into_reports())
+}
+
+/// Opens the report cache at its conventional location, or warns on stderr
+/// and returns `None` so the caller runs uncached.
+#[must_use]
+pub fn open_cache() -> Option<ReportCache> {
+    // The salt covers codegen *and* runtime behaviour, so a kernel or VM
+    // change invalidates cached reports just like a codegen change.
+    match ReportCache::open_default(cheriabi::cache::session_salt()) {
+        Ok(cache) => Some(cache),
+        Err(err) => {
+            eprintln!("warning: report cache unavailable ({err}); running uncached");
+            None
+        }
+    }
+}
+
+/// `--cache-limit`: prunes `cache` to `limit` bytes, reporting on stderr.
+fn prune_cache(cache: Option<&ReportCache>, limit: Option<u64>) {
+    let (Some(cache), Some(limit)) = (cache, limit) else {
+        return;
+    };
+    match cache.prune(limit) {
+        Ok((removed, remaining)) => {
+            eprintln!("cache: pruned {removed} entries, {remaining} bytes remain (limit {limit})");
+        }
+        Err(err) => eprintln!("warning: cache prune failed: {err}"),
+    }
 }
 
 /// The canonical worker command for this process: the sibling `run_specs`
@@ -594,11 +602,13 @@ fn run_fleet_session(
     specs: &[RunSpec],
     workers: usize,
     opts: &BenchOpts,
+    cache: Option<&ReportCache>,
 ) -> Vec<CaseReport> {
     let fleet_opts = cheriabi::fleet::FleetOpts {
         workers,
         chaos: opts.chaos,
         worker: sibling_worker(),
+        cache,
         ..cheriabi::fleet::FleetOpts::default()
     };
     let out = cheriabi::fleet::run_fleet(registry, specs, &fleet_opts);
@@ -693,12 +703,22 @@ mod tests {
 
     #[test]
     fn parses_cache_limit_and_dump_specs() {
-        let opts = parse_args(args(&["--cache-limit", "1048576", "--dump-specs"])).expect("parses");
+        let opts = parse_args(args(&[
+            "--cache",
+            "--cache-limit",
+            "1048576",
+            "--dump-specs",
+        ]))
+        .expect("parses");
         assert_eq!(opts.cache_limit, Some(1_048_576));
         assert!(opts.dump_specs);
         let defaults = parse_args(args(&[])).expect("parses");
         assert_eq!(defaults.cache_limit, None);
         assert!(!defaults.dump_specs);
+        // A limit on a cache that is never opened would silently do
+        // nothing, so it is a usage error.
+        assert!(parse_args(args(&["--cache-limit", "10"])).is_err());
+        assert!(parse_args(args(&["--cache", "--cache-limit", "10", "--no-cache"])).is_err());
     }
 
     #[test]
@@ -871,13 +891,16 @@ mod tests {
         // same command report different bytes with and without the fleet;
         // every unsupported combination is an error instead.
         for bad in [
-            &["--fleet", "2", "--cache"][..],
-            &["--fleet", "2", "--cache-limit", "1024"][..],
             &["--fleet", "2", "--json-stream"][..],
             &["--fleet", "2", "--progress"][..],
         ] {
             assert!(parse_args(args(bad)).is_err(), "{bad:?} must be rejected");
         }
+        // The coordinator serves and records cases through the cache.
+        let cached = parse_args(args(&["--fleet", "2", "--cache", "--cache-limit", "1024"]))
+            .expect("parses");
+        assert!(cached.cache);
+        assert_eq!(cached.cache_limit, Some(1024));
     }
 
     #[test]

@@ -131,7 +131,6 @@ fn fleet_run_rejects_a_zero_deadline_and_accepts_the_largest() {
         "2",
         "--unit-size",
         "3",
-        "--no-ckpt",
         "--worker",
         RUN_SPECS,
     ];

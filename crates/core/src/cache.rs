@@ -305,7 +305,7 @@ impl ReportCache {
     ///
     /// Returns the I/O error if the cache directory cannot be listed;
     /// errors on individual files are tolerated — in a shared directory a
-    /// concurrent session (or a fleet worker) may remove or replace any
+    /// concurrent session (or a fleet coordinator) may remove or replace any
     /// entry between our listing and our unlink, and a vanished entry just
     /// counts as already pruned.
     pub fn prune(&self, limit_bytes: u64) -> io::Result<(usize, u64)> {

@@ -23,41 +23,33 @@
 //! `run_specs --shard 0/1` over the whole list — the same contract the
 //! shard-merge machinery already enforces ([`crate::harness::merge_shards`]).
 //!
-//! **The unit lifecycle** (see DESIGN.md "The fleet tier"). Each worker
-//! slot owns one unit from start to finish before it takes the next:
+//! **The unit lifecycle** (details in DESIGN.md "The fleet tier"). Each
+//! worker slot owns one unit from start to finish before it takes the next:
 //!
 //! ```text
-//! Pending -> attempt k --valid lines-----------> Completed -> Checkpointed
+//! Pending -> attempt k --valid lines-----------> Completed -> Cached
 //!              |  crash/hang/poison, k < retries: backoff, attempt k+1
 //!              |  crash/hang/poison, k = retries; or spawn failure
 //!              +-----------------------------> InProcess -> Completed
 //! ```
 //!
-//! * a slot spawns its worker on its first attempt and keeps it for as
-//!   long as attempts complete; any other outcome **kills and reaps** the
-//!   worker, so the next attempt starts a fresh one and no stale output
-//!   crosses units. A slot kills and reaps its worker when it runs out of
-//!   units, so none outlives [`run_fleet`];
-//! * a worker's pipes are served by its own I/O thread, and the slot waits
-//!   for the framed answer on a channel with the per-unit wall deadline: a
-//!   worker that answers late, or stops reading its input, is scored hung
-//!   and killed (hang detection);
-//! * a worker that exits non-zero or dies to a signal costs one attempt
-//!   with a deterministic exponential backoff (`retry_backoff`);
-//! * corrupt, truncated or miscounted output is scored poisoned and
-//!   counted, never propagated and never fatal;
-//! * a unit that exhausts its subprocess attempts degrades to **in-process
-//!   execution** on its slot's own thread — the sweep always completes,
-//!   even with no working worker binary at all. A slot whose worker cannot
-//!   be spawned runs every later unit in-process too.
+//! * a slot keeps its worker for as long as attempts complete; any other
+//!   outcome **kills and reaps** it, so no stale output crosses units, and
+//!   no worker outlives [`run_fleet`];
+//! * the slot awaits the framed answer on a channel from the worker's own
+//!   I/O thread, until the per-unit wall deadline: a late answer, or a
+//!   worker that stops reading its input, is scored hung;
+//! * a crash (non-zero exit or signal) costs one attempt and a
+//!   deterministic backoff (`retry_backoff`); corrupt, truncated or
+//!   miscounted output is scored poisoned — counted, never propagated;
+//! * a unit out of attempts, or on a slot whose worker cannot be spawned,
+//!   runs **in-process** on the slot's thread: the sweep always completes.
 //!
-//! **Checkpointing.** Every completed unit is written (atomic tmp+rename)
-//! to `target/fleet-ckpt/<session>/unit-NNNNN.ckpt`, where `<session>` is
-//! a hash of the full spec list and the unit size. With
-//! [`FleetOpts::resume`], valid checkpoints are loaded before dispatching
-//! and their units are never re-executed; an interrupted sweep therefore
-//! redoes zero completed work. A sweep that runs to completion removes its
-//! session directory.
+//! **The report cache is the checkpoint.** With [`FleetOpts::cache`], a
+//! unit whose every spec hits completes before dispatch, and every
+//! completed unit's cases are stored. A report is a pure function of its
+//! spec, so re-running an interrupted sweep redoes zero completed units.
+//! Workers run uncached: the coordinator is the cache's one writer.
 //!
 //! **Chaos mode.** [`FleetOpts::chaos`] arms a seeded fault injector
 //! *inside the coordinator*: it kills workers mid-unit, delays their
@@ -67,15 +59,14 @@
 //! chaos gate proves the recovery paths produce byte-identical output with
 //! faults armed.
 
-use crate::harness::{execute_spec, RunSpec};
-use crate::json::{self, Json};
+use crate::cache::ReportCache;
+use crate::harness::{execute_spec, CaseReport, RunSpec};
+use crate::json;
 use crate::spec::Registry;
-use std::fs;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -106,26 +97,18 @@ impl WorkerCmd {
     pub fn run_specs(path: impl Into<PathBuf>) -> WorkerCmd {
         WorkerCmd {
             program: path.into(),
-            args: [
-                "--specs",
-                "-",
-                "--jobs",
-                "1",
-                "--no-cache",
-                "--shard",
-                "0/1",
-            ]
-            .iter()
-            .map(ToString::to_string)
-            .collect(),
+            args: "--specs - --jobs 1 --no-cache --shard 0/1"
+                .split(' ')
+                .map(String::from)
+                .collect(),
         }
     }
 }
 
 /// Coordinator configuration.
 #[derive(Clone, Debug)]
-pub struct FleetOpts {
-    /// Worker slots (one worker subprocess each), ≥ 1.
+pub struct FleetOpts<'a> {
+    /// Worker slots (one worker subprocess each), ≥ 1, capped at the units left.
     pub workers: usize,
     /// Specs per work unit, ≥ 1.
     pub unit_size: usize,
@@ -143,19 +126,20 @@ pub struct FleetOpts {
     /// How to launch workers. `None` runs every unit in-process (the
     /// fully-degraded mode, also the pure-library mode for tests).
     pub worker: Option<WorkerCmd>,
-    /// Checkpoint root (`None` disables checkpointing). Completed units
-    /// are written under `<root>/<session>/`.
+    /// Serve every unit whose specs all hit this cache without
+    /// dispatching it, and store every case of every unit that completes —
+    /// so a re-run of an interrupted sweep redoes zero completed units.
+    pub cache: Option<&'a ReportCache>,
+    /// Ignored: the report cache is the fleet's only checkpoint. Kept
+    /// because perf_ledger sets it.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Load valid checkpoints before dispatching; their units are counted
-    /// as resumed and never re-executed.
-    pub resume: bool,
     /// Test/CI hook: stop dispatching once this many units have completed
     /// and return an interrupted summary — simulating an interrupted sweep
     /// without needing to deliver a real signal.
     pub stop_after: Option<usize>,
 }
 
-impl Default for FleetOpts {
+impl Default for FleetOpts<'_> {
     fn default() -> Self {
         FleetOpts {
             workers: 4,
@@ -164,8 +148,8 @@ impl Default for FleetOpts {
             retries: 2,
             chaos: None,
             worker: None,
-            checkpoint_dir: Some(default_checkpoint_dir()),
-            resume: false,
+            cache: None,
+            checkpoint_dir: None,
             stop_after: None,
         }
     }
@@ -179,15 +163,6 @@ fn retry_backoff(attempt: u64) -> Duration {
     Duration::from_millis(10u64 << attempt.clamp(1, 6).saturating_sub(1))
 }
 
-/// The conventional checkpoint root, `<target dir>/fleet-ckpt/`
-/// (honouring `CARGO_TARGET_DIR`).
-#[must_use]
-pub fn default_checkpoint_dir() -> PathBuf {
-    std::env::var_os("CARGO_TARGET_DIR")
-        .map_or_else(|| PathBuf::from("target"), PathBuf::from)
-        .join("fleet-ckpt")
-}
-
 /// Fleet counters. Everything here describes *how* the sweep ran (host
 /// conditions, chaos, recovery); none of it touches the merged output,
 /// which is deterministic by construction.
@@ -195,10 +170,9 @@ pub fn default_checkpoint_dir() -> PathBuf {
 pub struct FleetStats {
     /// Work units in the sweep.
     pub units: usize,
-    /// Units whose results were loaded from checkpoints (never
-    /// re-executed).
-    pub units_resumed: usize,
-    /// Units completed, including resumed ones.
+    /// Units served whole from the report cache (never dispatched).
+    pub units_cached: usize,
+    /// Units completed, including cached ones.
     pub units_completed: usize,
     /// Units that degraded to in-process execution (spawn failure,
     /// exhausted retries, or no worker command configured).
@@ -236,13 +210,13 @@ impl FleetStats {
     #[must_use]
     pub fn summary_line(&self) -> String {
         format!(
-            "fleet: units={} completed={} resumed={} executed={} inprocess={} \
+            "fleet: units={} completed={} cached={} executed={} inprocess={} \
              dispatches={} spawns={} crashes={} hangs={} poisoned={} spawn_failures={} \
              chaos_kills={} chaos_garbage={} chaos_delays={}",
             self.units,
             self.units_completed,
-            self.units_resumed,
-            self.units_completed - self.units_resumed,
+            self.units_cached,
+            self.units_completed - self.units_cached,
             self.units_inprocess,
             self.dispatches,
             self.spawns,
@@ -266,8 +240,8 @@ pub struct FleetOutput {
     pub lines: Vec<String>,
     /// Counters.
     pub stats: FleetStats,
-    /// True when [`FleetOpts::stop_after`] fired: the sweep stopped early
-    /// with its completed units checkpointed for a later `resume`.
+    /// True when [`FleetOpts::stop_after`] stopped the sweep early; the
+    /// completed units' cases are then in [`FleetOpts::cache`], if set.
     pub interrupted: bool,
 }
 
@@ -310,94 +284,6 @@ pub fn chaos_action(seed: u64, unit: usize, attempt: u64) -> Option<ChaosAction>
         2 => Some(ChaosAction::DelayOutput),
         _ => None,
     }
-}
-
-// ---------------------------------------------------------------------
-// Checkpoints
-// ---------------------------------------------------------------------
-
-/// The checkpoint session key: a hash of every spec's canonical JSON plus
-/// the unit size, so a resumed sweep with a different list or different
-/// unit boundaries can never pick up a stale checkpoint.
-#[must_use]
-pub fn session_key(specs: &[RunSpec], unit_size: usize) -> u64 {
-    let mut text = format!("fleet-v1:unit={unit_size};");
-    for spec in specs {
-        text.push_str(&spec.to_json().to_string());
-        text.push('\n');
-    }
-    json::fnv1a(text.as_bytes())
-}
-
-fn unit_ckpt_path(session_dir: &std::path::Path, unit: usize) -> PathBuf {
-    session_dir.join(format!("unit-{unit:05}.ckpt"))
-}
-
-static CKPT_TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Writes one completed unit's lines atomically (tmp + rename; tmp names
-/// carry pid and a process-global nonce so concurrent coordinators sharing
-/// a checkpoint root never collide). I/O failures are swallowed: a
-/// checkpoint that cannot be written merely means that unit is re-executed
-/// on resume.
-fn write_unit_ckpt(session_dir: &std::path::Path, unit: usize, first: usize, lines: &[String]) {
-    if fs::create_dir_all(session_dir).is_err() {
-        return;
-    }
-    let header = Json::obj(vec![
-        ("unit", Json::u64(unit as u64)),
-        ("first", Json::u64(first as u64)),
-        ("lines", Json::u64(lines.len() as u64)),
-    ]);
-    let mut text = header.to_string();
-    text.push('\n');
-    for line in lines {
-        text.push_str(line);
-        text.push('\n');
-    }
-    let path = unit_ckpt_path(session_dir, unit);
-    let tmp = session_dir.join(format!(
-        "unit-{unit:05}.tmp.{}.{}",
-        std::process::id(),
-        CKPT_TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    if fs::write(&tmp, text).is_ok() && fs::rename(&tmp, &path).is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-}
-
-/// Loads one unit's checkpoint, re-validating the header and every line
-/// (parses as JSON, `case` field equals the expected global index). A
-/// torn, corrupt or mismatched checkpoint reads as absent — the unit is
-/// simply re-executed.
-fn load_unit_ckpt(
-    session_dir: &std::path::Path,
-    unit: usize,
-    globals: Range<usize>,
-) -> Option<Vec<String>> {
-    let text = fs::read_to_string(unit_ckpt_path(session_dir, unit)).ok()?;
-    let mut lines = text.lines();
-    let header = json::parse(lines.next()?).ok()?;
-    if header.get("unit")?.as_u64().ok()? != unit as u64
-        || header.get("first")?.as_u64().ok()? != globals.start as u64
-        || header.get("lines")?.as_u64().ok()? != globals.len() as u64
-    {
-        return None;
-    }
-    let body: Vec<&str> = lines.collect();
-    if body.len() != globals.len() {
-        return None;
-    }
-    let mut out = Vec::with_capacity(body.len());
-    for (line, global) in body.iter().zip(globals) {
-        let parsed = json::parse(line).ok()?;
-        if parsed.get("case")?.as_u64().ok()? != global as u64 {
-            return None;
-        }
-        parsed.get("name")?;
-        out.push((*line).to_string());
-    }
-    Some(out)
 }
 
 // ---------------------------------------------------------------------
@@ -488,12 +374,8 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
         .step_by(unit_size)
         .map(|start| start..(start + unit_size).min(specs.len()))
         .collect();
-    let session_dir = opts
-        .checkpoint_dir
-        .as_ref()
-        .map(|root| root.join(format!("{:016x}", session_key(specs, unit_size))));
 
-    // Resume: load valid checkpoints first; their units never dispatch.
+    // Units the cache holds whole complete here; only the rest dispatch.
     let mut results = vec![None; units.len()];
     let mut stats = FleetStats {
         units: units.len(),
@@ -501,27 +383,29 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
     };
     let mut pending = Vec::new();
     for (u, range) in units.iter().enumerate() {
-        let loaded = session_dir
-            .as_deref()
-            .filter(|_| opts.resume)
-            .and_then(|dir| load_unit_ckpt(dir, u, range.clone()));
-        if let Some(lines) = loaded {
-            results[u] = Some(lines);
-            stats.units_resumed += 1;
-            stats.units_completed += 1;
-        } else {
-            pending.push(u);
+        match opts
+            .cache
+            .and_then(|cache| cached_unit(cache, specs, range.clone()))
+        {
+            Some(lines) => {
+                results[u] = Some(lines);
+                stats.units_cached += 1;
+                stats.units_completed += 1;
+            }
+            None => pending.push(u),
         }
     }
 
+    // A slot without a unit would only start and end a thread.
+    let slots = opts.workers.max(1).min(pending.len());
     let shared = Mutex::new(CoordState {
         pending: pending.into_iter(),
         results,
         stats,
     });
     std::thread::scope(|scope| {
-        for _ in 0..opts.workers.max(1) {
-            let (shared, units, session_dir) = (&shared, &units, session_dir.as_deref());
+        for _ in 0..slots {
+            let (shared, units) = (&shared, &units);
             scope.spawn(move || {
                 let mut slot = Slot {
                     cmd: opts.worker.as_ref(),
@@ -530,8 +414,8 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
                 while let Some(u) = next_unit(shared, opts) {
                     let range = units[u].clone();
                     let lines = slot.run_unit(shared, registry, specs, u, range.clone(), opts);
-                    if let Some(dir) = session_dir {
-                        write_unit_ckpt(dir, u, range.start, &lines);
+                    if let Some(cache) = opts.cache {
+                        store_unit(cache, specs, range, &lines);
                     }
                     let mut s = lock(shared);
                     s.results[u] = Some(lines);
@@ -551,10 +435,6 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
     let lines = if interrupted {
         Vec::new()
     } else {
-        // A finished sweep's checkpoints have served their purpose.
-        if let Some(dir) = &session_dir {
-            let _ = fs::remove_dir_all(dir);
-        }
         state
             .results
             .into_iter()
@@ -565,6 +445,27 @@ pub fn run_fleet(registry: &Registry, specs: &[RunSpec], opts: &FleetOpts) -> Fl
         lines,
         stats: state.stats,
         interrupted,
+    }
+}
+
+/// A unit's lines served from the cache — the bytes a worker would have
+/// printed — or `None` unless every one of its specs hits.
+fn cached_unit(cache: &ReportCache, specs: &[RunSpec], range: Range<usize>) -> Option<Vec<String>> {
+    range
+        .map(|global| {
+            let report = cache.load(&specs[global])?;
+            Some(report.to_json_deterministic(global).to_string())
+        })
+        .collect()
+}
+
+/// Stores a completed unit's cases. A line that does not decode as a report
+/// is skipped, and [`ReportCache::store`] refuses what must never be cached.
+fn store_unit(cache: &ReportCache, specs: &[RunSpec], range: Range<usize>, lines: &[String]) {
+    for (global, line) in range.zip(lines) {
+        if let Ok(report) = json::parse(line).and_then(|doc| CaseReport::from_json(&doc)) {
+            cache.store(&specs[global], &report);
+        }
     }
 }
 
@@ -597,10 +498,10 @@ struct Slot<'a> {
 
 impl Slot<'_> {
     /// Runs one unit to completion: up to `retries + 1` worker attempts
-    /// with `retry_backoff` between them, then the in-process
-    /// fallback. Any attempt that does not complete kills the worker, so
-    /// the next attempt starts a fresh one and no stale output ever
-    /// reaches another unit.
+    /// with `retry_backoff` between them, then the in-process fallback.
+    /// Any attempt that does not complete kills the worker, so the next
+    /// attempt starts a fresh one and no stale output ever reaches another
+    /// unit.
     fn run_unit(
         &mut self,
         shared: &Mutex<CoordState>,
@@ -650,23 +551,17 @@ impl Slot<'_> {
                 UnitOutcome::Hung => stats.hangs += 1,
             }
         }
+        // The fully-degraded tier: each spec through `execute_spec` (panic
+        // isolation included), rendered as the line a worker would print.
         lock(shared).stats.units_inprocess += 1;
-        run_inprocess(registry, specs, range)
+        range
+            .map(|global| {
+                execute_spec(registry, &specs[global])
+                    .to_json_deterministic(global)
+                    .to_string()
+            })
+            .collect()
     }
-}
-
-/// Executes a unit on the calling thread — the fully-degraded tier. Each
-/// spec runs through [`execute_spec`] (panic isolation included) and is
-/// rendered as its deterministic line with the global index, exactly the
-/// bytes a healthy worker would have produced.
-fn run_inprocess(registry: &Registry, specs: &[RunSpec], range: Range<usize>) -> Vec<String> {
-    range
-        .map(|global| {
-            execute_spec(registry, &specs[global])
-                .to_json_deterministic(global)
-                .to_string()
-        })
-        .collect()
 }
 
 /// A live worker process and the channels to its I/O thread. Dropping it
@@ -845,7 +740,8 @@ mod tests {
     use crate::spec::ProgramSpec;
     use cheri_isa::codegen::CodegenOpts;
     use cheri_kernel::AbiMode;
-    use std::sync::atomic::AtomicUsize;
+    use std::fs;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct TempDir(PathBuf);
 
@@ -935,23 +831,21 @@ mod tests {
         framed_worker(&on_line, on_end)
     }
 
-    fn base_opts(tmp: &TempDir) -> FleetOpts {
+    fn base_opts() -> FleetOpts<'static> {
         FleetOpts {
             workers: 2,
             unit_size: 3,
             unit_deadline: Duration::from_secs(30),
             retries: 1,
-            checkpoint_dir: Some(tmp.0.clone()),
             ..FleetOpts::default()
         }
     }
 
     #[test]
     fn in_process_fleet_matches_the_single_process_run() {
-        let tmp = TempDir::new("inproc");
         let registry = Registry::builtin();
         let specs = exit_specs(10);
-        let opts = base_opts(&tmp);
+        let opts = base_opts();
         let out = run_fleet(&registry, &specs, &opts);
         assert!(!out.interrupted);
         assert_eq!(out.lines, golden_lines(&registry, &specs));
@@ -963,12 +857,11 @@ mod tests {
 
     #[test]
     fn a_crashing_worker_degrades_to_in_process_and_still_merges() {
-        let tmp = TempDir::new("crash");
         let registry = Registry::builtin();
         let specs = exit_specs(6);
         let opts = FleetOpts {
             worker: Some(framed_worker("", "exit 7;")),
-            ..base_opts(&tmp)
+            ..base_opts()
         };
         let out = run_fleet(&registry, &specs, &opts);
         assert!(!out.interrupted);
@@ -979,12 +872,11 @@ mod tests {
 
     #[test]
     fn poisoned_output_is_counted_and_recovered() {
-        let tmp = TempDir::new("poison");
         let registry = Registry::builtin();
         let specs = exit_specs(6);
         let opts = FleetOpts {
             worker: Some(framed_worker("", "echo '{torn json';")),
-            ..base_opts(&tmp)
+            ..base_opts()
         };
         let out = run_fleet(&registry, &specs, &opts);
         assert!(!out.interrupted);
@@ -995,7 +887,6 @@ mod tests {
 
     #[test]
     fn a_hung_worker_is_killed_at_the_deadline() {
-        let tmp = TempDir::new("hang");
         let registry = Registry::builtin();
         let specs = exit_specs(3);
         let opts = FleetOpts {
@@ -1003,7 +894,7 @@ mod tests {
             worker: Some(sh_worker("exec sleep 600")),
             unit_deadline: Duration::from_millis(80),
             retries: 0,
-            ..base_opts(&tmp)
+            ..base_opts()
         };
         let started = Instant::now();
         let out = run_fleet(&registry, &specs, &opts);
@@ -1018,7 +909,6 @@ mod tests {
 
     #[test]
     fn an_unspawnable_worker_degrades_without_failing() {
-        let tmp = TempDir::new("nospawn");
         let registry = Registry::builtin();
         let specs = exit_specs(4);
         let opts = FleetOpts {
@@ -1026,7 +916,7 @@ mod tests {
                 program: PathBuf::from("/no/such/binary"),
                 args: Vec::new(),
             }),
-            ..base_opts(&tmp)
+            ..base_opts()
         };
         let out = run_fleet(&registry, &specs, &opts);
         assert!(!out.interrupted);
@@ -1051,7 +941,7 @@ mod tests {
             workers: 1,
             unit_size: 1,
             worker: Some(framed_worker("", &on_end)),
-            ..base_opts(&tmp)
+            ..base_opts()
         };
         let out = run_fleet(&registry, &specs, &opts);
         assert!(!out.interrupted);
@@ -1065,17 +955,17 @@ mod tests {
     fn a_worker_persists_across_units_and_is_replaced_once_per_failure() {
         let registry = Registry::builtin();
         let specs = exit_specs(12); // 4 units of 3
-        let opts = |tmp: &TempDir, worker| FleetOpts {
+        let opts = |worker| FleetOpts {
             workers: 1,
             worker: Some(worker),
-            ..base_opts(tmp)
+            ..base_opts()
         };
 
         let tmp = TempDir::new("persist");
         let out = run_fleet(
             &registry,
             &specs,
-            &opts(&tmp, golden_worker(&tmp, &registry, &specs, "")),
+            &opts(golden_worker(&tmp, &registry, &specs, "")),
         );
         assert!(!out.interrupted);
         assert_eq!(out.lines, golden_lines(&registry, &specs));
@@ -1091,7 +981,7 @@ mod tests {
             tmp.0.join("marker").display()
         );
         let worker = golden_worker(&tmp, &registry, &specs, &on_end);
-        let out = run_fleet(&registry, &specs, &opts(&tmp, worker));
+        let out = run_fleet(&registry, &specs, &opts(worker));
         assert!(!out.interrupted);
         assert_eq!(out.lines, golden_lines(&registry, &specs));
         assert_eq!(out.stats.spawns, 2, "{:?}", out.stats);
@@ -1102,7 +992,6 @@ mod tests {
 
     #[test]
     fn a_worker_that_never_reads_is_hung_not_a_wedged_feed() {
-        let tmp = TempDir::new("feed-hang");
         let registry = Registry::builtin();
         // Long names push the unit's spec text past a 64 KiB pipe buffer,
         // so writing it blocks for as long as the worker does not read.
@@ -1119,7 +1008,7 @@ mod tests {
             worker: Some(sh_worker("exec sleep 600")),
             unit_deadline: Duration::from_millis(200),
             retries: 0,
-            ..base_opts(&tmp)
+            ..base_opts()
         };
         let started = Instant::now();
         let out = run_fleet(&registry, &specs, &opts);
@@ -1144,91 +1033,82 @@ mod tests {
     #[test]
     fn stop_after_interrupts_and_resume_redoes_zero_units() {
         let tmp = TempDir::new("resume");
+        let cache = ReportCache::new(&tmp.0, 1).expect("cache");
         let registry = Registry::builtin();
         let specs = exit_specs(10); // 4 units of 3
         let opts = FleetOpts {
             workers: 1,
             stop_after: Some(2),
-            ..base_opts(&tmp)
+            cache: Some(&cache),
+            ..base_opts()
         };
         let first = run_fleet(&registry, &specs, &opts);
         assert!(first.interrupted);
         assert!(first.lines.is_empty());
-        assert!(first.stats.units_completed >= 2);
-        let done_first = first.stats.units_completed;
+        assert_eq!(first.stats.units_completed, 2);
         let resumed = run_fleet(
             &registry,
             &specs,
             &FleetOpts {
                 stop_after: None,
-                resume: true,
                 ..opts
             },
         );
         assert!(!resumed.interrupted);
         assert_eq!(resumed.lines, golden_lines(&registry, &specs));
         assert_eq!(
-            resumed.stats.units_resumed, done_first,
-            "every checkpointed unit loads; zero are redone"
+            resumed.stats.units_cached, first.stats.units_completed,
+            "every completed unit is served from the cache; zero are redone"
         );
-        assert_eq!(
-            resumed.stats.units_completed - resumed.stats.units_resumed,
-            4 - done_first
-        );
-        // A finished sweep cleans up its session directory.
-        let session = tmp
-            .0
-            .join(format!("{:016x}", session_key(&specs, opts.unit_size)));
-        assert!(
-            !session.exists(),
-            "completed sweeps clean their checkpoints"
-        );
+        assert_eq!(resumed.stats.units_inprocess, 2, "{:?}", resumed.stats);
     }
 
     #[test]
-    fn corrupt_checkpoints_read_as_absent() {
-        let tmp = TempDir::new("ckpt-corrupt");
+    fn a_torn_cache_entry_redispatches_only_its_unit() {
+        let tmp = TempDir::new("torn-entry");
+        let cache = ReportCache::new(tmp.0.join("cache"), 1).expect("cache");
         let registry = Registry::builtin();
-        let specs = exit_specs(6);
+        let specs = exit_specs(6); // 2 units of 3
         let opts = FleetOpts {
             workers: 1,
-            stop_after: Some(1),
-            unit_size: 3,
-            ..base_opts(&tmp)
+            worker: Some(golden_worker(&tmp, &registry, &specs, "")),
+            cache: Some(&cache),
+            ..base_opts()
         };
-        let first = run_fleet(&registry, &specs, &opts);
-        assert!(first.interrupted);
-        let session = tmp.0.join(format!("{:016x}", session_key(&specs, 3)));
-        // Corrupt every checkpoint the interrupted run left behind.
-        for entry in fs::read_dir(&session).expect("session dir") {
-            let path = entry.expect("entry").path();
-            fs::write(&path, "{ torn").expect("corrupt");
-        }
-        let resumed = run_fleet(
-            &registry,
-            &specs,
-            &FleetOpts {
-                stop_after: None,
-                resume: true,
-                ..opts
-            },
-        );
-        assert!(!resumed.interrupted);
-        assert_eq!(resumed.stats.units_resumed, 0, "corrupt ckpts are ignored");
-        assert_eq!(resumed.lines, golden_lines(&registry, &specs));
+        let cold = run_fleet(&registry, &specs, &opts);
+        assert_eq!(cold.lines, golden_lines(&registry, &specs));
+        assert_eq!(cold.stats.dispatches, 2, "{:?}", cold.stats);
+        let entry = fs::read_dir(cache.dir())
+            .expect("cache dir")
+            .map(|e| e.expect("entry").path())
+            .find(|p| p.extension().is_some_and(|x| x == "json"))
+            .expect("a stored entry");
+        fs::write(entry, "{ torn").expect("tear");
+        let warm = run_fleet(&registry, &specs, &opts);
+        assert_eq!(warm.lines, golden_lines(&registry, &specs));
+        assert_eq!(warm.stats.units_cached, 1, "{:?}", warm.stats);
+        assert_eq!(warm.stats.dispatches, 1, "{:?}", warm.stats);
+        assert_eq!(warm.stats.units_inprocess, 0, "{:?}", warm.stats);
     }
 
     #[test]
-    fn a_stale_session_never_serves_a_different_spec_list() {
-        let specs_a = exit_specs(6);
-        let mut specs_b = exit_specs(6);
-        specs_b[0] = specs_b[0].clone().with_seed(99);
-        assert_ne!(session_key(&specs_a, 3), session_key(&specs_b, 3));
-        assert_ne!(
-            session_key(&specs_a, 3),
-            session_key(&specs_a, 2),
-            "unit boundaries are part of the session key"
-        );
+    fn slots_never_outnumber_the_units_left() {
+        let tmp = TempDir::new("slots");
+        let cache = ReportCache::new(&tmp.0, 1).expect("cache");
+        let registry = Registry::builtin();
+        let specs = exit_specs(4); // 2 units of 3
+                                   // One thread per requested slot could not even be started.
+        let opts = FleetOpts {
+            workers: usize::MAX,
+            cache: Some(&cache),
+            ..base_opts()
+        };
+        let cold = run_fleet(&registry, &specs, &opts);
+        assert_eq!(cold.lines, golden_lines(&registry, &specs));
+        let warm = run_fleet(&registry, &specs, &opts);
+        assert_eq!(warm.lines, cold.lines);
+        assert_eq!(warm.stats.units_cached, 2, "{:?}", warm.stats);
+        assert_eq!(warm.stats.units_inprocess, 0, "{:?}", warm.stats);
     }
 
     #[test]
@@ -1279,12 +1159,12 @@ mod tests {
         let stats = FleetStats {
             units: 8,
             units_completed: 8,
-            units_resumed: 3,
+            units_cached: 3,
             ..FleetStats::default()
         };
         let line = stats.summary_line();
         assert!(line.contains("units=8"), "{line}");
-        assert!(line.contains("resumed=3"), "{line}");
+        assert!(line.contains("cached=3"), "{line}");
         assert!(line.contains("executed=5"), "{line}");
     }
 }

@@ -52,6 +52,20 @@ cmp target/table1-cold.json target/table1-warm.json || {
     exit 1
 }
 
+echo "==> report cache: a warm --fleet table1 run dispatches nothing and is byte-identical"
+./target/release/table1 --jobs 2 --json --fleet 2 --cache \
+    > target/table1-fleet-warm.json 2> target/table1-fleet-warm.err
+cmp target/table1-cold.json target/table1-fleet-warm.json || {
+    echo "FAIL: warm table1 under --fleet 2 --cache differs from the cold run:"
+    cat target/table1-fleet-warm.err
+    exit 1
+}
+grep -q " dispatches=0 " target/table1-fleet-warm.err || {
+    echo "FAIL: the fleet dispatched units the warm cache already holds:"
+    cat target/table1-fleet-warm.err
+    exit 1
+}
+
 echo "==> shards: table1 0/2 + 1/2 merge byte-identically to the unsharded run"
 ./target/release/table1 --jobs 2 --shard 0/1 > target/table1-full.lines
 ./target/release/table1 --jobs 2 --shard 0/2 > target/table1-s0.lines
@@ -347,7 +361,6 @@ cmp scripts/golden/cache_sweep.golden target/cache_sweep.lines || {
 }
 
 echo "==> fleet: one long-lived worker per slot serves every unit byte-identically"
-rm -rf target/fleet-ckpt
 ./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
     --workers 3 --unit-size 2 \
     > target/fleet-plain.lines 2> target/fleet-plain.err
@@ -365,7 +378,6 @@ grep -q " spawns=3 " target/fleet-plain.err || {
 }
 
 echo "==> fleet: chaos sweep (worker kills + garbage lines) merges byte-identically"
-rm -rf target/fleet-ckpt
 ./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
     --workers 3 --unit-size 2 --chaos 7 \
     > target/fleet-chaos.lines 2> target/fleet-chaos.err
@@ -392,28 +404,29 @@ grep -q " inprocess=0 " target/fleet-chaos.err || {
     exit 1
 }
 
-echo "==> fleet: resume redoes zero completed units and stays byte-identical"
-rm -rf target/fleet-ckpt
+echo "==> fleet: the report cache resumes an interrupted sweep, redoing zero completed units"
+# The table1 cache gates above filled the cache; start this sweep cold.
+rm -rf target/harness-cache
 if ./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
-    --workers 1 --unit-size 2 --stop-after 3 \
+    --workers 1 --unit-size 2 --cache --stop-after 3 \
     > /dev/null 2> target/fleet-interrupt.err; then
     echo "FAIL: an interrupted fleet sweep (--stop-after) must exit non-zero"
     exit 1
 fi
 completed=$(sed -n 's/.* completed=\([0-9]*\).*/\1/p' target/fleet-interrupt.err)
 ./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
-    --workers 3 --unit-size 2 --resume \
-    > target/fleet-resume.lines 2> target/fleet-resume.err
-cmp target/table1-pinned.lines target/fleet-resume.lines || {
-    echo "FAIL: resumed fleet output differs from the single-process run"
-    cat target/fleet-resume.err
+    --workers 3 --unit-size 2 --cache \
+    > target/fleet-cached.lines 2> target/fleet-cached.err
+cmp target/table1-pinned.lines target/fleet-cached.lines || {
+    echo "FAIL: the fleet sweep served from the cache differs from the single-process run"
+    cat target/fleet-cached.err
     exit 1
 }
-resumed=$(sed -n 's/.*resumed=\([0-9]*\).*/\1/p' target/fleet-resume.err)
-[ "${completed:-0}" -gt 0 ] && [ "${resumed:-x}" = "${completed:-y}" ] || {
-    echo "FAIL: the resumed sweep redid checkpointed units"
-    echo "      (interrupted run completed ${completed:-?}, resume loaded ${resumed:-?}):"
-    cat target/fleet-interrupt.err target/fleet-resume.err
+cached=$(sed -n 's/.* cached=\([0-9]*\).*/\1/p' target/fleet-cached.err)
+[ "${completed:-0}" -gt 0 ] && [ "${cached:-x}" = "${completed:-y}" ] || {
+    echo "FAIL: the re-run redid units the interrupted sweep completed"
+    echo "      (interrupted run completed ${completed:-?}, cache served ${cached:-?}):"
+    cat target/fleet-interrupt.err target/fleet-cached.err
     exit 1
 }
 
