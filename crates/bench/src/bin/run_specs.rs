@@ -10,7 +10,11 @@
 //! case, and any subset of those lines replays a pinned sub-suite (the
 //! `scripts/ci.sh` golden gate does exactly that).
 //!
-//! It is also the fleet worker: `fleet_run` (and `--fleet N` on any
+//! With `--fleet N` it is the command-line way into the fleet coordinator:
+//! `table1 --dump-specs | run_specs --specs - --fleet 3 --chaos 7` prints
+//! the merged deterministic lines, byte-identical to `--shard 0/1`.
+//!
+//! It is also the fleet worker: the coordinator (`--fleet N` on any
 //! binary) keeps one `run_specs --specs - --jobs 1 --no-cache --shard 0/1`
 //! per slot and streams unit after unit into it. On line-format stdin, a
 //! [`UNIT_END`] line ends a *frame*: the specs read since the previous
@@ -24,7 +28,7 @@
 //! frame is echoed whatever it held. The exit is non-zero only when
 //! *every* line of the unframed remainder is malformed.
 
-use cheri_bench::cli::{self, BenchOpts, SpecList};
+use cheri_bench::cli::{self, BenchOpts, Output, SpecList};
 use cheriabi::fleet::UNIT_END;
 use cheriabi::spec::Registry;
 use std::io::{BufRead as _, Read as _, Write as _};
@@ -62,7 +66,7 @@ fn main() {
             if !pending.specs.is_empty() {
                 print_reports(&registry, &opts, &pending);
             }
-            println!("{UNIT_END}");
+            cli::emit(UNIT_END);
             let _ = std::io::stdout().flush();
             pending = SpecList::default();
             framed = true;
@@ -108,10 +112,13 @@ fn report_rejected(list: &SpecList) {
 }
 
 fn print_reports(registry: &Registry, opts: &BenchOpts, list: &SpecList) {
-    let Some(reports) = cli::run_specs(registry, &list.specs, opts) else {
-        return;
-    };
-    for (index, report) in reports.iter().enumerate() {
-        println!("{}", report.to_json_tagged(index));
+    match cli::session(registry, &list.specs, opts) {
+        None => {}
+        Some(Output::Reports(reports)) => {
+            for (index, report) in reports.iter().enumerate() {
+                cli::emit(report.to_json_tagged(index));
+            }
+        }
+        Some(Output::FleetLines(lines)) => lines.iter().for_each(cli::emit),
     }
 }

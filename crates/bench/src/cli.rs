@@ -74,7 +74,8 @@ pub struct BenchOpts {
     /// with this many worker subprocesses (`--fleet N`). Workers are
     /// sibling `run_specs` processes; results merge byte-identically with
     /// the single-process run, and worker crashes/hangs/corrupt output are
-    /// recovered, not fatal. With `--cache` the coordinator serves and
+    /// recovered, not fatal. `run_specs` prints the merged lines, the
+    /// `--shard 0/1` format. With `--cache` the coordinator serves and
     /// records cases through the report cache. `--shard`, `--json-stream`
     /// and `--progress` are rejected rather than silently dropped.
     pub fleet: Option<usize>,
@@ -244,7 +245,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
         }
     }
     if opts.chaos.is_some() && opts.fleet.is_none() {
-        return Err("--chaos requires --fleet (or the fleet_run binary)".to_string());
+        return Err("--chaos requires --fleet".to_string());
     }
     Ok(opts)
 }
@@ -288,6 +289,7 @@ pub const USAGE: &str = "options:\n  \
     coordinator with N worker subprocesses (sibling run_specs\n                 \
     processes; crashes, hangs and corrupt output are recovered,\n                 \
     and the merge is byte-identical to a single-process run;\n                 \
+    run_specs prints it as --shard 0/1 lines;\n                 \
     with --cache the coordinator serves and records cases;\n                 \
     --shard, --json-stream and --progress are rejected)\n  \
     --chaos SEED   seeded coordinator fault injection (kill a worker\n                 \
@@ -451,8 +453,8 @@ pub fn parse_specs(text: &str, source: &str) -> Result<SpecList, String> {
 }
 
 /// Runs one harness session over `specs` honouring every shared flag:
-/// cache (with a hit/miss summary on stderr), shard, progress and the
-/// JSON stream.
+/// cache (with a hit/miss summary on stderr), shard, progress, the JSON
+/// stream and the fleet.
 ///
 /// Returns the reports in submission order — or `None` in shard mode,
 /// where the aggregate cannot be computed and the per-case deterministic
@@ -463,6 +465,35 @@ pub fn run_specs(
     specs: &[RunSpec],
     opts: &BenchOpts,
 ) -> Option<Vec<CaseReport>> {
+    match session(registry, specs, opts)? {
+        Output::Reports(reports) => Some(reports),
+        Output::FleetLines(lines) => Some(
+            lines
+                .iter()
+                .map(|line| {
+                    // Fleet lines are validated on receipt; a decode failure
+                    // here is a coordinator bug, not worker behaviour.
+                    let doc = cheriabi::json::parse(line).expect("validated fleet line");
+                    CaseReport::from_json(&doc).expect("validated fleet report")
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// What a [`session`] produced.
+pub enum Output {
+    /// The reports in submission order.
+    Reports(Vec<CaseReport>),
+    /// Under `--fleet`: the coordinator's merged deterministic lines,
+    /// byte-identical to a `--shard 0/1` run of the same specs.
+    FleetLines(Vec<String>),
+}
+
+/// [`run_specs`] without decoding the fleet's merged lines, for a caller
+/// that prints them as they are (`run_specs --fleet N`).
+#[must_use]
+pub fn session(registry: &Registry, specs: &[RunSpec], opts: &BenchOpts) -> Option<Output> {
     // `--exec-mode`, `--oracle`, `--oracle-every`, `--hardened`,
     // `--weaken-sem` and `--weaken-flush` rewrite every spec before
     // anything else sees it, so dumps, cache lookups, fleet workers and
@@ -507,18 +538,18 @@ pub fn run_specs(
     };
     if opts.dump_specs {
         for spec in specs {
-            println!("{}", spec.to_json());
+            emit(spec.to_json());
         }
         return None;
     }
     let cache = if opts.cache { open_cache() } else { None };
     if let Some(workers) = opts.fleet {
-        let reports = run_fleet_session(registry, specs, workers, opts, cache.as_ref());
+        let lines = run_fleet_session(registry, specs, workers, opts, cache.as_ref());
         prune_cache(cache.as_ref(), opts.cache_limit);
-        return Some(reports);
+        return Some(Output::FleetLines(lines));
     }
     let stream = |index: usize, report: &CaseReport, _cached: bool| {
-        println!("{}", report.to_json_tagged(index));
+        emit(report.to_json_tagged(index));
     };
     let session = Harness::new(opts.jobs).run_session(
         registry,
@@ -545,17 +576,28 @@ pub fn run_specs(
     prune_cache(cache.as_ref(), opts.cache_limit);
     if opts.shard.is_some() {
         for (index, report) in &session.reports {
-            println!("{}", report.to_json_deterministic(*index));
+            emit(report.to_json_deterministic(*index));
         }
         return None;
     }
-    Some(session.into_reports())
+    Some(Output::Reports(session.into_reports()))
+}
+
+/// Prints `line` and a newline to stdout. A reader that has gone away
+/// (`EPIPE`: `table1 --dump-specs | head -1`) ends the process with
+/// status 0, where `println!` would panic; any other write error is fatal.
+pub fn emit(line: impl std::fmt::Display) {
+    use std::io::Write as _;
+    match writeln!(std::io::stdout().lock(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
 }
 
 /// Opens the report cache at its conventional location, or warns on stderr
 /// and returns `None` so the caller runs uncached.
-#[must_use]
-pub fn open_cache() -> Option<ReportCache> {
+fn open_cache() -> Option<ReportCache> {
     // The salt covers codegen *and* runtime behaviour, so a kernel or VM
     // change invalidates cached reports just like a codegen change.
     match ReportCache::open_default(cheriabi::cache::session_salt()) {
@@ -594,16 +636,15 @@ pub fn sibling_worker() -> Option<cheriabi::fleet::WorkerCmd> {
 }
 
 /// Dispatches `specs` through the fleet coordinator (`--fleet N`) and
-/// decodes the merged deterministic lines back into reports, so the
-/// calling table/figure binary aggregates exactly as it would have from an
-/// in-process session. The fleet summary goes to stderr.
+/// returns its merged deterministic lines. The fleet summary goes to
+/// stderr.
 fn run_fleet_session(
     registry: &Registry,
     specs: &[RunSpec],
     workers: usize,
     opts: &BenchOpts,
     cache: Option<&ReportCache>,
-) -> Vec<CaseReport> {
+) -> Vec<String> {
     let fleet_opts = cheriabi::fleet::FleetOpts {
         workers,
         chaos: opts.chaos,
@@ -614,14 +655,6 @@ fn run_fleet_session(
     let out = cheriabi::fleet::run_fleet(registry, specs, &fleet_opts);
     eprintln!("{}", out.stats.summary_line());
     out.lines
-        .iter()
-        .map(|line| {
-            // Fleet lines are validated on receipt; a decode failure here
-            // is a coordinator bug, not worker behaviour.
-            let doc = cheriabi::json::parse(line).expect("validated fleet line");
-            CaseReport::from_json(&doc).expect("validated fleet report")
-        })
-        .collect()
 }
 
 /// Escapes a string for inclusion in a JSON string literal.

@@ -1,12 +1,23 @@
 //! The fleet worker protocol end to end: `run_specs` answering framed
-//! units on a kept-open stdin, and `fleet_run`'s deadline handling.
+//! units on a kept-open stdin, `run_specs --fleet N` printing the merged
+//! lines, and the coordinator driving real `run_specs` workers through a
+//! deadline that never fires and an interrupted, cache-resumed sweep.
 
-use cheriabi::fleet::UNIT_END;
+use cheriabi::cache::ReportCache;
+use cheriabi::fleet::{run_fleet, FleetOpts, WorkerCmd, UNIT_END};
 use std::io::Write as _;
 use std::process::{Command, Output, Stdio};
+use std::time::Duration;
 
 const RUN_SPECS: &str = env!("CARGO_BIN_EXE_run_specs");
-const FLEET_RUN: &str = env!("CARGO_BIN_EXE_fleet_run");
+const PINNED_SPECS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../scripts/golden/table1_pinned.specs"
+);
+const PINNED_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../scripts/golden/table1_pinned.golden"
+);
 const WORKER_ARGS: [&str; 7] = [
     "--specs",
     "-",
@@ -18,11 +29,7 @@ const WORKER_ARGS: [&str; 7] = [
 ];
 
 fn pinned_specs() -> Vec<String> {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../scripts/golden/table1_pinned.specs"
-    );
-    std::fs::read_to_string(path)
+    std::fs::read_to_string(PINNED_SPECS)
         .expect("pinned spec list")
         .lines()
         .map(str::to_string)
@@ -116,27 +123,76 @@ fn a_torn_line_inside_a_frame_is_counted_and_the_frame_still_echoed() {
 }
 
 #[test]
-fn fleet_run_rejects_a_zero_deadline_and_accepts_the_largest() {
-    let specs = lines(&pinned_specs());
-    let zero = run(FLEET_RUN, &["--specs", "-", "--deadline", "0"], &specs);
-    assert_eq!(zero.status.code(), Some(2), "{zero:?}");
+fn run_specs_under_fleet_prints_the_pinned_golden() {
+    let golden = std::fs::read_to_string(PINNED_GOLDEN).expect("pinned golden");
+    for extra in [&[][..], &["--chaos", "7"][..]] {
+        let mut args = vec!["--specs", PINNED_SPECS, "--fleet", "3"];
+        args.extend_from_slice(extra);
+        let out = run(RUN_SPECS, &args, "");
+        assert_eq!(stdout(&out), golden, "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(" inprocess=0 "), "{err}");
+    }
+}
 
-    let max = u64::MAX.to_string();
-    let args = [
-        "--specs",
-        "-",
-        "--deadline",
-        &max,
-        "--workers",
-        "2",
-        "--unit-size",
-        "3",
-        "--worker",
-        RUN_SPECS,
-    ];
-    let out = run(FLEET_RUN, &args, &specs);
-    assert_eq!(stdout(&out), stdout(&run(RUN_SPECS, &WORKER_ARGS, &specs)));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains(" inprocess=0 "), "{err}");
-    assert!(err.contains(" hangs=0 "), "{err}");
+/// The pinned list parsed for the library coordinator, with the lines a
+/// single-process `run_specs --shard 0/1` prints for it.
+fn pinned_list_and_lines() -> (Vec<cheriabi::harness::RunSpec>, Vec<String>) {
+    let specs = pinned_specs();
+    let list = cheri_bench::cli::parse_specs(&lines(&specs), "pinned").expect("pinned specs");
+    let want = stdout(&run(RUN_SPECS, &WORKER_ARGS, &lines(&specs)));
+    (list.specs, want.lines().map(str::to_string).collect())
+}
+
+#[test]
+fn the_largest_deadline_never_fires() {
+    let (specs, want) = pinned_list_and_lines();
+    let opts = FleetOpts {
+        workers: 2,
+        unit_size: 3,
+        unit_deadline: Duration::from_secs(u64::MAX),
+        worker: Some(WorkerCmd::run_specs(RUN_SPECS)),
+        ..FleetOpts::default()
+    };
+    let out = run_fleet(&cheri_bench::registry(), &specs, &opts);
+    assert_eq!(out.lines, want);
+    assert_eq!(out.stats.units_inprocess, 0, "{:?}", out.stats);
+    assert_eq!(out.stats.hangs, 0, "{:?}", out.stats);
+}
+
+#[test]
+fn an_interrupted_sweep_resumes_from_the_cache_redoing_zero_units() {
+    let (specs, want) = pinned_list_and_lines();
+    let dir = std::env::temp_dir().join(format!("worker-protocol-cache-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = ReportCache::new(&dir, cheriabi::cache::session_salt()).expect("cache");
+    let registry = cheri_bench::registry();
+    let opts = FleetOpts {
+        workers: 1,
+        unit_size: 2,
+        stop_after: Some(3),
+        worker: Some(WorkerCmd::run_specs(RUN_SPECS)),
+        cache: Some(&cache),
+        ..FleetOpts::default()
+    };
+    let first = run_fleet(&registry, &specs, &opts);
+    assert!(first.interrupted);
+    assert_eq!(first.stats.units_completed, 3, "{:?}", first.stats);
+    let resumed = run_fleet(
+        &registry,
+        &specs,
+        &FleetOpts {
+            workers: 3,
+            stop_after: None,
+            ..opts
+        },
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!resumed.interrupted);
+    assert_eq!(resumed.lines, want);
+    assert_eq!(
+        resumed.stats.units_cached, first.stats.units_completed,
+        "every completed unit is served from the cache; zero are redone"
+    );
+    assert_eq!(resumed.stats.units_inprocess, 0, "{:?}", resumed.stats);
 }

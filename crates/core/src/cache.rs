@@ -21,8 +21,8 @@
 //! to produce byte-identical guest metrics. The membrane mode (`abi_mode`) *is* identity: a hardened run
 //! observes different allocator behaviour (quarantine, repairs) than a
 //! strict one. Stored entries embed the full identity JSON
-//! and every load re-compares it, so an FNV collision degrades to a cache
-//! miss, never a wrong report.
+//! and every load re-compares it (as canonical text), so an FNV collision
+//! degrades to a cache miss, never a wrong report.
 //!
 //! **What is never cached.** Panicked and deadline-exceeded outcomes
 //! (environmental, not functions of the spec), oracle divergences (a
@@ -152,6 +152,11 @@ fn tmp_nonce() -> u64 {
     })
 }
 
+/// An entry's text is `{"identity":<identity>,"report":<report>}` and a
+/// newline: the canonical JSON object of those two fields.
+const ENTRY_HEAD: &str = "{\"identity\":";
+const ENTRY_MID: &str = ",\"report\":";
+
 /// A handle to one cache directory + salt.
 #[derive(Debug)]
 pub struct ReportCache {
@@ -221,8 +226,17 @@ impl ReportCache {
         json::fnv1a(self.identity(spec).to_string().as_bytes())
     }
 
+    /// The identity text of `spec` and the path of the entry its key names:
+    /// one derivation serves a whole load or store.
+    fn locate(&self, spec: &RunSpec) -> (String, PathBuf) {
+        let identity = self.identity(spec).to_string();
+        let key = json::fnv1a(identity.as_bytes());
+        (identity, self.dir.join(format!("{key:016x}.json")))
+    }
+
+    #[cfg(test)]
     fn entry_path(&self, spec: &RunSpec) -> PathBuf {
-        self.dir.join(format!("{:016x}.json", self.key(spec)))
+        self.locate(spec).1
     }
 
     /// The cached report for `spec`, if one exists — with the entry's
@@ -234,12 +248,16 @@ impl ReportCache {
         if spec.trace || spec.weaken_sem || spec.weaken_quarantine || spec.weaken_flush {
             return None;
         }
-        let text = fs::read_to_string(self.entry_path(spec)).ok()?;
-        let entry = json::parse(&text).ok()?;
-        if *entry.get("identity")? != self.identity(spec) {
-            return None;
-        }
-        let mut report = CaseReport::from_json(entry.get("report")?).ok()?;
+        let (identity, path) = self.locate(spec);
+        let text = fs::read_to_string(path).ok()?;
+        // The stored identity compares as text; only the report is parsed.
+        let report = text
+            .strip_prefix(ENTRY_HEAD)?
+            .strip_prefix(identity.as_str())?
+            .strip_prefix(ENTRY_MID)?
+            .trim_end()
+            .strip_suffix('}')?;
+        let mut report = CaseReport::from_json(&json::parse(report).ok()?).ok()?;
         report.name = spec.name.clone();
         Some(report)
     }
@@ -262,24 +280,19 @@ impl ReportCache {
         {
             return;
         }
-        let entry = Json::obj(vec![
-            ("identity", self.identity(spec)),
-            ("report", report.to_json()),
-        ]);
-        let path = self.entry_path(spec);
-        // pid + process nonce + process-global sequence: unique even when
-        // several handles in several processes store the same key into a
-        // shared directory at once. The rename then lets last-writer-win
-        // without any reader ever seeing a torn entry.
-        let tmp = self.dir.join(format!(
-            "{:016x}.tmp.{}.{:08x}.{}",
-            self.key(spec),
+        let (identity, path) = self.locate(spec);
+        // `<key>.tmp.<pid>.<nonce>.<seq>`: pid + process nonce +
+        // process-global sequence is unique even when several handles in
+        // several processes store the same key into a shared directory at
+        // once. The rename then lets last-writer-win without any reader
+        // ever seeing a torn entry.
+        let tmp = path.with_extension(format!(
+            "tmp.{}.{:08x}.{}",
             std::process::id(),
             tmp_nonce() & 0xffff_ffff,
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let mut text = entry.to_string();
-        text.push('\n');
+        let text = format!("{ENTRY_HEAD}{identity}{ENTRY_MID}{}}}\n", report.to_json());
         if fs::write(&tmp, text).is_ok() {
             if fs::rename(&tmp, &path).is_ok() {
                 self.written

@@ -205,8 +205,8 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
-    /// One-line machine-greppable rendering (the `fleet_run` stderr
-    /// summary).
+    /// One-line machine-greppable rendering (the stderr summary of every
+    /// `--fleet N` run).
     #[must_use]
     pub fn summary_line(&self) -> String {
         format!(

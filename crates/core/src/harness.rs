@@ -82,6 +82,8 @@ pub struct RunSpec {
     pub config: KernelConfig,
     /// Optional shared-L2 capacity override in bytes (the cache-sweep
     /// experiment); L1 geometry and line size stay at the paper's defaults.
+    /// [`RunSpec::from_json`] and [`RunSpec::with_l2_size`] accept only a
+    /// power of two from 16 KiB to 16 MiB.
     pub l2_size: Option<u64>,
     /// Collect the capability-derivation trace (Figure 5); the report then
     /// carries the size distribution. Traced runs are never cached.
@@ -295,9 +297,13 @@ impl RunSpec {
     }
 
     /// Overrides the shared-L2 capacity (bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bytes` is not a power of two from 16 KiB to 16 MiB.
     #[must_use]
     pub fn with_l2_size(mut self, bytes: u64) -> RunSpec {
-        self.l2_size = Some(bytes);
+        self.l2_size = Some(check_l2_size(bytes).unwrap_or_else(|e| panic!("{e}")));
         self
     }
 
@@ -432,7 +438,11 @@ impl RunSpec {
                 .map(|n| Duration::from_nanos(u64::try_from(n).unwrap_or(u64::MAX))),
             seed: v.field("seed")?.as_u64()?,
             config: kernel_config_from_json(v.field("config")?)?,
-            l2_size: v.field("l2_size")?.as_opt(Json::as_u64)?,
+            l2_size: v
+                .field("l2_size")?
+                .as_opt(Json::as_u64)?
+                .map(check_l2_size)
+                .transpose()?,
             trace: v.field("trace")?.as_bool()?,
             // Absent in all pre-fault-plane encodings; `get` keeps them
             // parseable.
@@ -478,6 +488,22 @@ impl RunSpec {
                 None => false,
             },
         })
+    }
+}
+
+/// The L2 capacities a spec may ask for: a power of two from 16 KiB to
+/// 16 MiB. The cache sweep spans 64 KiB–1 MiB around the 256 KiB default;
+/// outside this domain the 8-way, 64-byte-line model has no set to index
+/// (below 512 bytes) or allocates more host memory than a case may use.
+const L2_SIZE_DOMAIN: std::ops::RangeInclusive<u64> = (16 << 10)..=(16 << 20);
+
+fn check_l2_size(bytes: u64) -> Result<u64, String> {
+    if bytes.is_power_of_two() && L2_SIZE_DOMAIN.contains(&bytes) {
+        Ok(bytes)
+    } else {
+        Err(format!(
+            "l2_size {bytes} is not a power of two from 16 KiB to 16 MiB"
+        ))
     }
 }
 
@@ -1872,6 +1898,26 @@ mod tests {
         let back = RunSpec::from_json(&json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, spec);
         assert_eq!(back.to_json().to_string(), text);
+    }
+
+    #[test]
+    fn l2_size_outside_its_domain_is_rejected_not_run() {
+        let spec = exit_with_seed_spec("l2", 0).with_l2_size(256 * 1024);
+        let text = spec.to_json().to_string();
+        let with = |bytes: u64| text.replace("\"l2_size\":262144", &format!("\"l2_size\":{bytes}"));
+        for bytes in [16 << 10, 64 << 10, 1 << 20, 16 << 20] {
+            let back = RunSpec::from_json(&json::parse(&with(bytes)).expect("parses"));
+            assert_eq!(back.expect("in the domain").l2_size, Some(bytes));
+        }
+        // Zero and 100 leave the cache model no set to index; 2^40 would
+        // ask the host for tens of gigabytes.
+        for bytes in [0, 100, 8 << 10, 32 << 20, 1 << 40, 3 << 16] {
+            let err = RunSpec::from_json(&json::parse(&with(bytes)).expect("parses"))
+                .expect_err("outside the domain");
+            assert!(err.contains("l2_size"), "{err}");
+            let built = catch_unwind(|| exit_with_seed_spec("l2", 0).with_l2_size(bytes));
+            assert!(built.is_err(), "with_l2_size({bytes}) must refuse");
+        }
     }
 
     #[test]

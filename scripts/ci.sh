@@ -99,39 +99,40 @@ cmp scripts/golden/table3_pinned.golden target/table3-pinned.lines || {
     exit 1
 }
 
-echo "==> tier equivalence: pinned suites byte-identical across all three exec modes"
-# The pinned runs above used the default tier (--exec-mode template); the
-# reference interpreter and plain stepping must reproduce them byte for byte.
-./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
-    --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/table1-singlestep.lines
-cmp target/table1-pinned.lines target/table1-singlestep.lines || {
-    echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      reference interpreter on the table1 pinned suite"
+echo "==> scenario plane: pinned table_server grid is byte-identical to the golden"
+./target/release/run_specs --specs scripts/golden/scenario_pinned.specs \
+    --jobs 2 --no-cache --shard 0/1 > target/scenario-pinned.lines
+cmp scripts/golden/scenario_pinned.golden target/scenario-pinned.lines || {
+    echo "FAIL: scenario output differs from scripts/golden/scenario_pinned.golden"
+    echo "      (latency percentiles or scheduling changed; if intentional, regenerate:"
+    echo "       ./target/release/run_specs --specs scripts/golden/scenario_pinned.specs \\"
+    echo "           --jobs 2 --no-cache --shard 0/1 > scripts/golden/scenario_pinned.golden)"
     exit 1
 }
-./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
-    --jobs 2 --no-cache --exec-mode superblock --shard 0/1 \
-    > target/table1-superblock.lines
-cmp target/table1-pinned.lines target/table1-superblock.lines || {
-    echo "FAIL: guest metrics diverge between the template tier and"
-    echo "      plain stepping on the table1 pinned suite"
-    exit 1
-}
-./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
-    --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/table3-singlestep.lines
-cmp target/table3-pinned.lines target/table3-singlestep.lines || {
-    echo "FAIL: guest metrics diverge between the template tier and the"
-    echo "      reference interpreter on the table3 pinned suite"
-    exit 1
-}
-./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
-    --jobs 2 --no-cache --exec-mode superblock --shard 0/1 \
-    > target/table3-superblock.lines
-cmp target/table3-pinned.lines target/table3-superblock.lines || {
-    echo "FAIL: guest metrics diverge between the template tier and"
-    echo "      plain stepping on the table3 pinned suite"
-    exit 1
-}
+
+echo "==> equivalence: pinned suites are byte-identical across tiers and oracles"
+# One row per gate: suite|flags|failure message. Each run must reproduce
+# the suite's default-tier lines above byte for byte ($flags splits into
+# words on purpose); a failed run's lines stay in target/equivalence.lines.
+while IFS='|' read -r suite flags message; do
+    ./target/release/run_specs --specs "scripts/golden/${suite}_pinned.specs" \
+        --jobs 2 --no-cache $flags --shard 0/1 < /dev/null > target/equivalence.lines
+    cmp "target/${suite}-pinned.lines" target/equivalence.lines || {
+        printf 'FAIL: %b\n' "$message"
+        exit 1
+    }
+done <<'GATES'
+table1|--exec-mode single|guest metrics diverge between the template tier and the\n      reference interpreter on the table1 pinned suite
+table1|--exec-mode superblock|guest metrics diverge between the template tier and\n      plain stepping on the table1 pinned suite
+table3|--exec-mode single|guest metrics diverge between the template tier and the\n      reference interpreter on the table3 pinned suite
+table3|--exec-mode superblock|guest metrics diverge between the template tier and\n      plain stepping on the table3 pinned suite
+table1|--oracle replay|the fast machine and the reference interpreter disagree on the\n      table1 pinned suite (--oracle replay changed the output)
+table3|--oracle replay|the fast machine and the reference interpreter disagree on the\n      table3 pinned suite (--oracle replay changed the output)
+table1|--oracle lockstep|the per-step lockstep shadow diverged (or perturbed guest metrics)\n      on the table1 pinned suite
+table3|--oracle lockstep|the per-step lockstep shadow diverged (or perturbed guest metrics)\n      on the table3 pinned suite
+table1|--oracle lockstep --oracle-every 64|sampled lockstep perturbed guest metrics (or diverged) on the\n      table1 pinned suite (--oracle-every must be observation-only)
+scenario|--exec-mode single|scenario latency percentiles diverge between plain stepping\n      and the reference interpreter
+GATES
 
 echo "==> template tier: interp cross-check is clean, and catches --weaken-flush"
 ./target/release/interp_throughput --trials 1 --spin-iters 200000 \
@@ -194,38 +195,6 @@ cmp scripts/golden/fault_campaign.specs target/faults-specs.lines || {
     exit 1
 }
 
-echo "==> oracle plane: pinned suites are byte-identical under --oracle replay"
-./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
-    --jobs 2 --no-cache --oracle replay --shard 0/1 > target/table1-oracle-replay.lines
-cmp target/table1-pinned.lines target/table1-oracle-replay.lines || {
-    echo "FAIL: the fast machine and the reference interpreter disagree on the"
-    echo "      table1 pinned suite (--oracle replay changed the output)"
-    exit 1
-}
-./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
-    --jobs 2 --no-cache --oracle replay --shard 0/1 > target/table3-oracle-replay.lines
-cmp target/table3-pinned.lines target/table3-oracle-replay.lines || {
-    echo "FAIL: the fast machine and the reference interpreter disagree on the"
-    echo "      table3 pinned suite (--oracle replay changed the output)"
-    exit 1
-}
-
-echo "==> oracle plane: pinned suites are byte-identical under --oracle lockstep"
-./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
-    --jobs 2 --no-cache --oracle lockstep --shard 0/1 > target/table1-oracle-lockstep.lines
-cmp target/table1-pinned.lines target/table1-oracle-lockstep.lines || {
-    echo "FAIL: the per-step lockstep shadow diverged (or perturbed guest metrics)"
-    echo "      on the table1 pinned suite"
-    exit 1
-}
-./target/release/run_specs --specs scripts/golden/table3_pinned.specs \
-    --jobs 2 --no-cache --oracle lockstep --shard 0/1 > target/table3-oracle-lockstep.lines
-cmp target/table3-pinned.lines target/table3-oracle-lockstep.lines || {
-    echo "FAIL: the per-step lockstep shadow diverged (or perturbed guest metrics)"
-    echo "      on the table3 pinned suite"
-    exit 1
-}
-
 echo "==> oracle plane: 8-seed fault campaign is divergence-free under lockstep"
 ./target/release/fault_campaign --seeds 8 --jobs 2 --no-cache --oracle lockstep \
     --out target/faults-oracle.json || {
@@ -244,16 +213,6 @@ if ./target/release/prop_oracle --cases 64 --seed 7 --weaken-sem > /dev/null 2>&
     echo "      oracle is broken (it must diverge when the bounds clamp is off)"
     exit 1
 fi
-
-echo "==> oracle plane: sampled lockstep (--oracle-every 64) matches the plain run"
-./target/release/run_specs --specs scripts/golden/table1_pinned.specs \
-    --jobs 2 --no-cache --oracle lockstep --oracle-every 64 --shard 0/1 \
-    > target/table1-oracle-sampled.lines
-cmp target/table1-pinned.lines target/table1-oracle-sampled.lines || {
-    echo "FAIL: sampled lockstep perturbed guest metrics (or diverged) on the"
-    echo "      table1 pinned suite (--oracle-every must be observation-only)"
-    exit 1
-}
 
 echo "==> attack plane: spec matrix is byte-identical to the committed golden"
 ./target/release/table_attacks --dump-specs > target/attacks-specs.lines
@@ -304,23 +263,7 @@ echo "==> attack plane: hardened 8-seed fault campaign is clean under lockstep"
     exit 1
 }
 
-echo "==> scenario plane: pinned table_server grid is byte-identical to the golden"
-./target/release/run_specs --specs scripts/golden/scenario_pinned.specs \
-    --jobs 2 --no-cache --shard 0/1 > target/scenario-pinned.lines
-cmp scripts/golden/scenario_pinned.golden target/scenario-pinned.lines || {
-    echo "FAIL: scenario output differs from scripts/golden/scenario_pinned.golden"
-    echo "      (latency percentiles or scheduling changed; if intentional, regenerate:"
-    echo "       ./target/release/run_specs --specs scripts/golden/scenario_pinned.specs \\"
-    echo "           --jobs 2 --no-cache --shard 0/1 > scripts/golden/scenario_pinned.golden)"
-    exit 1
-}
-./target/release/run_specs --specs scripts/golden/scenario_pinned.specs \
-    --jobs 2 --no-cache --exec-mode single --shard 0/1 > target/scenario-singlestep.lines
-cmp target/scenario-pinned.lines target/scenario-singlestep.lines || {
-    echo "FAIL: scenario latency percentiles diverge between plain stepping"
-    echo "      and the reference interpreter"
-    exit 1
-}
+echo "==> scenario plane: table_server spec grid is byte-identical to the golden"
 ./target/release/table_server --dump-specs > target/scenario-specs.lines
 cmp scripts/golden/scenario_pinned.specs target/scenario-specs.lines || {
     echo "FAIL: table_server spec grid differs from scripts/golden/scenario_pinned.specs"
@@ -360,29 +303,30 @@ cmp scripts/golden/cache_sweep.golden target/cache_sweep.lines || {
     exit 1
 }
 
-echo "==> fleet: one long-lived worker per slot serves every unit byte-identically"
-./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
-    --workers 3 --unit-size 2 \
+echo "==> fleet: table1's full list merges byte-identically, one long-lived worker per slot"
+./target/release/table1 --dump-specs > target/table1-all.specs
+./target/release/run_specs --specs target/table1-all.specs \
+    --jobs 2 --no-cache --shard 0/1 > target/table1-all.lines
+./target/release/run_specs --specs target/table1-all.specs --fleet 3 \
     > target/fleet-plain.lines 2> target/fleet-plain.err
-cmp target/table1-pinned.lines target/fleet-plain.lines || {
-    echo "FAIL: fleet_run output differs from the single-process run:"
+cmp target/table1-all.lines target/fleet-plain.lines || {
+    echo "FAIL: run_specs --fleet 3 output differs from the single-process run:"
     cat target/fleet-plain.err
     exit 1
 }
 # One spawn per unit would merge the same bytes, so only this counter shows
-# that the 8 units reused the 3 slots' workers.
+# that the units reused the 3 slots' workers.
 grep -q " spawns=3 " target/fleet-plain.err || {
-    echo "FAIL: expected spawns=3 (one worker per slot) for 8 units on 3 slots:"
+    echo "FAIL: expected spawns=3 (one worker per slot) for every unit on 3 slots:"
     cat target/fleet-plain.err
     exit 1
 }
 
 echo "==> fleet: chaos sweep (worker kills + garbage lines) merges byte-identically"
-./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
-    --workers 3 --unit-size 2 --chaos 7 \
+./target/release/run_specs --specs target/table1-all.specs --fleet 3 --chaos 7 \
     > target/fleet-chaos.lines 2> target/fleet-chaos.err
-cmp target/table1-pinned.lines target/fleet-chaos.lines || {
-    echo "FAIL: fleet_run --chaos output differs from the single-process run"
+cmp target/table1-all.lines target/fleet-chaos.lines || {
+    echo "FAIL: run_specs --fleet 3 --chaos 7 output differs from the single-process run"
     echo "      (a recovery path corrupted the merge):"
     cat target/fleet-chaos.err
     exit 1
@@ -404,31 +348,10 @@ grep -q " inprocess=0 " target/fleet-chaos.err || {
     exit 1
 }
 
-echo "==> fleet: the report cache resumes an interrupted sweep, redoing zero completed units"
-# The table1 cache gates above filled the cache; start this sweep cold.
-rm -rf target/harness-cache
-if ./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
-    --workers 1 --unit-size 2 --cache --stop-after 3 \
-    > /dev/null 2> target/fleet-interrupt.err; then
-    echo "FAIL: an interrupted fleet sweep (--stop-after) must exit non-zero"
-    exit 1
-fi
-completed=$(sed -n 's/.* completed=\([0-9]*\).*/\1/p' target/fleet-interrupt.err)
-./target/release/fleet_run --specs scripts/golden/table1_pinned.specs \
-    --workers 3 --unit-size 2 --cache \
-    > target/fleet-cached.lines 2> target/fleet-cached.err
-cmp target/table1-pinned.lines target/fleet-cached.lines || {
-    echo "FAIL: the fleet sweep served from the cache differs from the single-process run"
-    cat target/fleet-cached.err
-    exit 1
-}
-cached=$(sed -n 's/.* cached=\([0-9]*\).*/\1/p' target/fleet-cached.err)
-[ "${completed:-0}" -gt 0 ] && [ "${cached:-x}" = "${completed:-y}" ] || {
-    echo "FAIL: the re-run redid units the interrupted sweep completed"
-    echo "      (interrupted run completed ${completed:-?}, cache served ${cached:-?}):"
-    cat target/fleet-interrupt.err target/fleet-cached.err
-    exit 1
-}
+echo "==> fleet: worker protocol, closed stdout and the cache-resumed interrupted sweep"
+# Integration tests against the real run_specs worker: an interrupted sweep
+# re-run through the report cache redoes zero completed units.
+cargo test -q --release -p cheri-bench --test worker_protocol --test closed_stdout
 
 echo "==> fleet: one torn spec line is skipped and counted, not fatal"
 {
