@@ -15,6 +15,9 @@
 //! flush so CI can prove that check has teeth (the run must exit
 //! non-zero).
 //!
+//! Each row also reports `tmpl_share`, the template tier's coverage: the
+//! share of the program's retired instructions that templates retired.
+//!
 //! Writes `BENCH_interp.json` (see EXPERIMENTS.md).
 
 use std::time::Instant;
@@ -112,8 +115,14 @@ impl Mode {
     };
 }
 
-/// One timed execution. Returns guest metrics and host wall seconds.
-fn run_once(registry: &Registry, spec: &ProgramSpec, mode: Mode, weaken: bool) -> (Metrics, f64) {
+/// One timed execution. Returns guest metrics, host wall seconds and the
+/// instructions retired inside templates.
+fn run_once(
+    registry: &Registry,
+    spec: &ProgramSpec,
+    mode: Mode,
+    weaken: bool,
+) -> (Metrics, f64, u64) {
     let program = registry.lower(spec, CodegenOpts::purecap(), 0);
     let mut sys = System::with_config(KernelConfig::default());
     sys.kernel.cpu.set_fast_path(mode.fast);
@@ -124,25 +133,27 @@ fn run_once(registry: &Registry, spec: &ProgramSpec, mode: Mode, weaken: bool) -
     let opts = SpawnOpts::new(AbiMode::CheriAbi);
     let start = Instant::now();
     let (_, _, metrics) = sys.measure(&program, &opts).expect("program loads");
-    (metrics, start.elapsed().as_secs_f64())
+    let wall = start.elapsed().as_secs_f64();
+    (metrics, wall, sys.kernel.cpu.stats.tmpl_instrs)
 }
 
-/// Best-of-`trials` wall time for one (program, mode) pair; asserts the
-/// guest metrics are identical across trials.
+/// Best-of-`trials` wall time for one (program, mode) pair, with the
+/// guest metrics and the instructions retired inside templates; asserts
+/// the guest metrics are identical across trials.
 fn run_mode(
     registry: &Registry,
     spec: &ProgramSpec,
     mode: Mode,
     trials: u32,
     weaken: bool,
-) -> (Metrics, f64) {
-    let (metrics, mut best) = run_once(registry, spec, mode, weaken);
+) -> (Metrics, f64, u64) {
+    let (metrics, mut best, in_templates) = run_once(registry, spec, mode, weaken);
     for _ in 1..trials {
-        let (m, wall) = run_once(registry, spec, mode, weaken);
+        let (m, wall, _) = run_once(registry, spec, mode, weaken);
         assert_eq!(m, metrics, "guest metrics must be identical across trials");
         best = best.min(wall);
     }
-    (metrics, best)
+    (metrics, best, in_templates)
 }
 
 fn mips(instructions: u64, wall: f64) -> f64 {
@@ -185,17 +196,24 @@ fn main() {
     let mut spin_tmpl_speedup: Option<f64> = None;
     let mut mismatch = false;
     println!(
-        "{:<28} {:>12} {:>11} {:>11} {:>11} {:>8} {:>9}",
-        "program", "guest instrs", "ref MIPS", "step MIPS", "tmpl MIPS", "speedup", "tmpl gain"
+        "{:<28} {:>12} {:>11} {:>11} {:>11} {:>8} {:>9} {:>10}",
+        "program",
+        "guest instrs",
+        "ref MIPS",
+        "step MIPS",
+        "tmpl MIPS",
+        "speedup",
+        "tmpl gain",
+        "tmpl share"
     );
     for (name, spec) in &programs {
-        let (ref_metrics, ref_wall) = run_mode(&registry, spec, Mode::REF, opts.trials, false);
+        let (ref_metrics, ref_wall, _) = run_mode(&registry, spec, Mode::REF, opts.trials, false);
         let ref_mips = mips(ref_metrics.instructions, ref_wall);
         // (step, tmpl) as (wall, MIPS) pairs, when the fast modes run.
         let fast = opts.fast_too.then(|| {
-            let (step_metrics, step_wall) =
+            let (step_metrics, step_wall, _) =
                 run_mode(&registry, spec, Mode::STEP, opts.trials, false);
-            let (tmpl_metrics, tmpl_wall) =
+            let (tmpl_metrics, tmpl_wall, in_templates) =
                 run_mode(&registry, spec, Mode::TMPL, opts.trials, opts.weaken_flush);
             for (mode, m) in [("step", &step_metrics), ("template", &tmpl_metrics)] {
                 if m != &ref_metrics {
@@ -209,10 +227,11 @@ fn main() {
             (
                 (step_wall, mips(step_metrics.instructions, step_wall)),
                 (tmpl_wall, mips(tmpl_metrics.instructions, tmpl_wall)),
+                in_templates as f64 / tmpl_metrics.instructions as f64,
             )
         });
         // speedup: tmpl over ref; tmpl gain: tmpl over plain stepping.
-        let gains = fast.map(|((_, step), (_, tmpl))| (tmpl / ref_mips, tmpl / step));
+        let gains = fast.map(|((_, step), (_, tmpl), _)| (tmpl / ref_mips, tmpl / step));
         if name == "spin" {
             spin_speedup = gains.map(|g| g.0);
             spin_tmpl_speedup = gains.map(|g| g.1);
@@ -222,8 +241,9 @@ fn main() {
             |v: Option<f64>, suffix: &str| v.map_or("-".to_string(), |v| format!("{v:.2}{suffix}"));
         let step = fast.map(|f| f.0);
         let tmpl = fast.map(|f| f.1);
+        let share = fast.map(|f| f.2);
         println!(
-            "{:<28} {:>12} {:>11.2} {:>11} {:>11} {:>8} {:>9}",
+            "{:<28} {:>12} {:>11.2} {:>11} {:>11} {:>8} {:>9} {:>10}",
             name,
             ref_metrics.instructions,
             ref_mips,
@@ -231,9 +251,10 @@ fn main() {
             cell(tmpl.map(|t| t.1), ""),
             cell(gains.map(|g| g.0), "x"),
             cell(gains.map(|g| g.1), "x"),
+            cell(share, ""),
         );
         lines.push(format!(
-            "{{\"program\":\"{}\",\"instructions\":{},\"cycles\":{},\"wall_ms_ref\":{},\"mips_ref\":{},\"wall_ms_step\":{},\"mips_step\":{},\"wall_ms_tmpl\":{},\"mips_tmpl\":{},\"tmpl_speedup\":{},\"ref_overhead\":{}}}",
+            "{{\"program\":\"{}\",\"instructions\":{},\"cycles\":{},\"wall_ms_ref\":{},\"mips_ref\":{},\"wall_ms_step\":{},\"mips_step\":{},\"wall_ms_tmpl\":{},\"mips_tmpl\":{},\"tmpl_speedup\":{},\"ref_overhead\":{},\"tmpl_share\":{}}}",
             cheri_bench::cli::json_escape(name),
             ref_metrics.instructions,
             ref_metrics.cycles,
@@ -245,6 +266,7 @@ fn main() {
             num(tmpl.map(|t| t.1)),
             num(gains.map(|g| g.1)),
             num(gains.map(|g| g.0)),
+            num(share),
         ));
     }
     let doc = format!(

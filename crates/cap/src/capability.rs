@@ -400,6 +400,7 @@ impl Capability {
     ///
     /// Returns the CHERI exception cause the access would raise: tag, seal,
     /// permission (mapped to the specific missing permission), or length.
+    #[inline]
     pub fn check_access(&self, vaddr: u64, size: u64, need: Perms) -> Result<(), CapFault> {
         if !self.tag {
             return Err(CapFault::TagViolation);

@@ -63,7 +63,9 @@ pub struct RunSpec {
     /// Declarative identity of the guest program (lowered via a
     /// [`Registry`] at execution time).
     pub program: ProgramSpec,
-    /// Codegen options handed to the lowering.
+    /// Codegen options handed to the lowering. [`RunSpec::from_json`] and
+    /// [`RunSpec::new`] accept only a pointer size code generation
+    /// supports: 8 bytes for mips64, 16 or 32 for purecap.
     pub opts: CodegenOpts,
     /// Process ABI to run under.
     pub abi: AbiMode,
@@ -79,6 +81,8 @@ pub struct RunSpec {
     /// Deterministic input seed handed to the lowering.
     pub seed: u64,
     /// Kernel configuration for the fresh kernel this case runs in.
+    /// [`RunSpec::from_json`] and [`RunSpec::with_config`] accept only
+    /// `phys_frames` from 1 to 65,536 (256 MiB).
     pub config: KernelConfig,
     /// Optional shared-L2 capacity override in bytes (the cache-sweep
     /// experiment); L1 geometry and line size stay at the paper's defaults.
@@ -231,6 +235,11 @@ impl OracleMode {
 impl RunSpec {
     /// A spec with the default kernel configuration, no budget override, no
     /// deadline, no sanitizer, no tracing and seed 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `opts.ptr_size` is not one its ABI supports (8 for
+    /// mips64, 16 or 32 for purecap).
     #[must_use]
     pub fn new(
         name: impl Into<String>,
@@ -241,7 +250,7 @@ impl RunSpec {
         RunSpec {
             name: name.into(),
             program,
-            opts,
+            opts: check_ptr_size(opts).unwrap_or_else(|e| panic!("{e}")),
             abi,
             asan: false,
             instr_budget: None,
@@ -290,9 +299,13 @@ impl RunSpec {
     }
 
     /// Overrides the kernel configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.phys_frames` is outside 1..=65,536.
     #[must_use]
     pub fn with_config(mut self, config: KernelConfig) -> RunSpec {
-        self.config = config;
+        self.config = check_phys_frames(config).unwrap_or_else(|e| panic!("{e}"));
         self
     }
 
@@ -428,7 +441,7 @@ impl RunSpec {
         Ok(RunSpec {
             name: v.field("name")?.as_str()?.to_string(),
             program: ProgramSpec::from_json(v.field("spec")?)?,
-            opts: codegen_opts_from_json(v.field("opts")?)?,
+            opts: check_ptr_size(codegen_opts_from_json(v.field("opts")?)?)?,
             abi: abi_mode_from_label(v.field("abi")?.as_str()?)?,
             asan: v.field("asan")?.as_bool()?,
             instr_budget: v.field("instr_budget")?.as_opt(Json::as_u64)?,
@@ -437,7 +450,7 @@ impl RunSpec {
                 .as_opt(Json::as_u128)?
                 .map(|n| Duration::from_nanos(u64::try_from(n).unwrap_or(u64::MAX))),
             seed: v.field("seed")?.as_u64()?,
-            config: kernel_config_from_json(v.field("config")?)?,
+            config: check_phys_frames(kernel_config_from_json(v.field("config")?)?)?,
             l2_size: v
                 .field("l2_size")?
                 .as_opt(Json::as_u64)?
@@ -504,6 +517,35 @@ fn check_l2_size(bytes: u64) -> Result<u64, String> {
         Err(format!(
             "l2_size {bytes} is not a power of two from 16 KiB to 16 MiB"
         ))
+    }
+}
+
+/// The physical memory a spec may give its kernel, in 4 KiB frames: one
+/// frame up to 256 MiB, four times the 64 MiB default. Frames are built on
+/// demand, so this is the only bound on the host memory a guest can
+/// claim; without it a swap-heavy guest grows the host until it aborts.
+const PHYS_FRAMES_DOMAIN: std::ops::RangeInclusive<usize> = 1..=(1 << 16);
+
+fn check_phys_frames(config: KernelConfig) -> Result<KernelConfig, String> {
+    if PHYS_FRAMES_DOMAIN.contains(&config.phys_frames) {
+        Ok(config)
+    } else {
+        Err(format!(
+            "phys_frames {} is outside 1..=65536",
+            config.phys_frames
+        ))
+    }
+}
+
+/// The pointer sizes code generation supports: 8 bytes for mips64, and
+/// the 16-byte (C128) or 32-byte (C256) capability for purecap. Any other
+/// size lays out frames and structures no machine can run.
+fn check_ptr_size(opts: CodegenOpts) -> Result<CodegenOpts, String> {
+    match (opts.abi, opts.ptr_size) {
+        (Abi::Mips64, 8) | (Abi::PureCap, 16 | 32) => Ok(opts),
+        (abi, size) => Err(format!(
+            "ptr_size {size} is not 8 for mips64 or 16 or 32 for purecap (abi {abi:?})"
+        )),
     }
 }
 
@@ -1917,6 +1959,74 @@ mod tests {
             assert!(err.contains("l2_size"), "{err}");
             let built = catch_unwind(|| exit_with_seed_spec("l2", 0).with_l2_size(bytes));
             assert!(built.is_err(), "with_l2_size({bytes}) must refuse");
+        }
+    }
+
+    #[test]
+    fn phys_frames_and_ptr_size_outside_their_domains_are_rejected_not_run() {
+        let spec = exit_with_seed_spec("domains", 0);
+        let text = spec.to_json().to_string();
+        let frames =
+            |n: u64| text.replace("\"phys_frames\":16384", &format!("\"phys_frames\":{n}"));
+        for n in [1, 16 << 10, 1 << 16] {
+            let back = RunSpec::from_json(&json::parse(&frames(n)).expect("parses"));
+            assert_eq!(back.expect("in the domain").config.phys_frames, n as usize);
+        }
+        // Zero frames cannot hold a page table; u64::MAX frames let a
+        // swap stress grow the host until it aborts.
+        for n in [0, (1 << 16) + 1, u64::MAX] {
+            let err = RunSpec::from_json(&json::parse(&frames(n)).expect("parses"))
+                .expect_err("outside the domain");
+            assert!(err.contains("phys_frames"), "{err}");
+            let config = KernelConfig {
+                phys_frames: n as usize,
+                ..KernelConfig::default()
+            };
+            let built = catch_unwind(|| exit_with_seed_spec("domains", 0).with_config(config));
+            assert!(built.is_err(), "with_config(phys_frames {n}) must refuse");
+        }
+
+        let size = |abi: &str, n: u64| {
+            text.replace(
+                "\"abi\":\"purecap\",\"ptr_size\":16",
+                &format!("\"abi\":\"{abi}\",\"ptr_size\":{n}"),
+            )
+        };
+        assert!(
+            text.contains("\"abi\":\"purecap\",\"ptr_size\":16"),
+            "{text}"
+        );
+        for (abi, n) in [("mips64", 8), ("purecap", 16), ("purecap", 32)] {
+            let back = RunSpec::from_json(&json::parse(&size(abi, n)).expect("parses"));
+            assert_eq!(back.expect("in the domain").opts.ptr_size, n);
+        }
+        for (abi, n) in [
+            ("purecap", 3),
+            ("purecap", 8),
+            ("mips64", 16),
+            ("mips64", 0),
+        ] {
+            let err = RunSpec::from_json(&json::parse(&size(abi, n)).expect("parses"))
+                .expect_err("outside the domain");
+            assert!(err.contains("ptr_size"), "{err}");
+            let opts = CodegenOpts {
+                abi: if abi == "mips64" {
+                    Abi::Mips64
+                } else {
+                    Abi::PureCap
+                },
+                ptr_size: n,
+                ..CodegenOpts::purecap()
+            };
+            let built = catch_unwind(|| {
+                RunSpec::new(
+                    "domains",
+                    ProgramSpec::Exit { code: 0 },
+                    opts,
+                    AbiMode::CheriAbi,
+                )
+            });
+            assert!(built.is_err(), "RunSpec::new with ptr_size {n} must refuse");
         }
     }
 

@@ -3,11 +3,11 @@
 use crate::ops::{self, CpuPorts, RefPorts};
 use crate::oracle::{self, Divergence, LockstepState};
 use crate::region::{DecodedInstr, DecodedRegion};
-use crate::template::{self, TOp, TTerm, Template, TmplState};
+use crate::template::{self, CapOp, MemOp, TOp, TTerm, Template, TmplState};
 use crate::{DerivationTrace, RegFile};
 use cheri_cap::{CapFault, Capability, Perms};
 use cheri_isa::Instr;
-use cheri_mem::{AccessKind, CacheHierarchy, FRAME_SIZE};
+use cheri_mem::{AccessKind, CacheHierarchy, PAddr, PhysMem, FRAME_SIZE};
 use cheri_sem::{SemExit, StepCtx};
 use cheri_vm::{Access, AsId, Vm, VmError, USER_TOP};
 use std::collections::HashMap;
@@ -80,6 +80,9 @@ pub struct CpuStats {
     /// Host-side: template executions (each may run many loop
     /// iterations).
     pub tmpl_hits: u64,
+    /// Host-side: instructions retired inside templates (a share of
+    /// `instret`: the template tier's coverage).
+    pub tmpl_instrs: u64,
 }
 
 impl PartialEq for CpuStats {
@@ -224,6 +227,55 @@ fn sem_exit(e: SemExit) -> Exit {
     }
 }
 
+/// In-order fetch accounting of a template. Only the first fetch of each
+/// line run can miss the L1I and reach the shared L2, so only these *head*
+/// fetches are charged in program order, before the data accesses that
+/// follow them. Every other fetch is of the line fetched just before it,
+/// the L1I's most recent line, which data accesses never displace: it is
+/// a hit wherever it lands, and all of them land at exit.
+#[derive(Default)]
+struct HeadFetches {
+    /// Line runs of the current pass whose head fetch is charged.
+    charged: usize,
+    /// Head fetches charged as real accesses so far.
+    real: u64,
+}
+
+/// The direction of an in-trace integer data access.
+#[derive(Clone, Copy)]
+enum Data {
+    /// Into local `d`, sign-extended when `signed`.
+    Load { d: u8, signed: bool },
+    /// Of this value.
+    Store(u64),
+}
+
+/// How a template execution left off.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Left {
+    /// At a control transfer (a side exit, the terminator, or the budget
+    /// at the loop head): the next pc may enter a template.
+    Transfer,
+    /// Before a data access whose guard failed: the stepper executes it.
+    Guard,
+}
+
+/// Executes an in-trace capability-register op, with the handler's
+/// semantics: capability registers in the register file, integer ones in
+/// `locals`.
+#[inline(never)]
+fn cap_op(op: CapOp, locals: &mut [u64; template::MAX_LOCALS], rf: &mut RegFile) {
+    match op {
+        CapOp::IncOffset { cd, cb, s } => {
+            rf.wc(cd, rf.c(cb).inc_addr(locals[usize::from(s)] as i64));
+        }
+        CapOp::IncOffsetImm { cd, cb, imm } => rf.wc(cd, rf.c(cb).inc_addr(imm)),
+        CapOp::Move { cd, cb } => rf.wc(cd, rf.c(cb)),
+        CapOp::GetTag { d, cb } => locals[usize::from(d)] = u64::from(rf.c(cb).tag()),
+        CapOp::GetAddr { d, cb } => locals[usize::from(d)] = rf.c(cb).addr(),
+    }
+}
+
 impl fmt::Debug for Cpu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Cpu{{{:?}}}", self.stats)
@@ -313,9 +365,11 @@ impl Cpu {
 
     /// Holds the core on plain stepping (no template promotion). Every
     /// cache access is charged at its exact program point in every mode,
-    /// and a template holds no store, capability op, syscall or trap, so
-    /// this is not needed for exactness: fault-plan arming and scenarios
-    /// set it only to stay on the tier their recorded runs used.
+    /// a template's data accesses go through the same `PhysMem` entry
+    /// points as the stepper's, and a template never traps or calls into
+    /// the VM (a failed guard hands the instruction back to the stepper),
+    /// so this is not needed for exactness: fault-plan arming and
+    /// scenarios set it only to stay on the tier their recorded runs used.
     pub fn set_exact_mem_events(&mut self, on: bool) {
         self.exact_events = on;
     }
@@ -465,6 +519,18 @@ impl Cpu {
         access as usize * TLB_SETS + ((vpn as usize ^ self.cur_set) & (TLB_SETS - 1))
     }
 
+    /// The physical address the TLB holds for `vaddr` and `access` in the
+    /// current space, if any. Meaningful only while `seen_epoch` is the
+    /// VM's epoch. At or above USER_TOP the vpn spills into the space bits
+    /// and could alias another space's entry: such an address is never
+    /// cached, so it never hits.
+    #[inline]
+    fn tlb_lookup(&self, vaddr: u64, access: Access) -> Option<u64> {
+        let vpn = vaddr / FRAME_SIZE;
+        let e = self.tlb[self.tlb_index(access, vpn)];
+        (vaddr < USER_TOP && e.tag == self.cur_tag | vpn).then(|| e.base + vaddr % FRAME_SIZE)
+    }
+
     pub(crate) fn translate_cached(
         &mut self,
         vm: &mut Vm,
@@ -480,17 +546,9 @@ impl Cpu {
             self.reset_tlb();
             self.seen_epoch = epoch;
         }
-        let vpn = vaddr / FRAME_SIZE;
-        let tag = self.cur_tag | vpn;
-        let idx = self.tlb_index(access, vpn);
-        let e = self.tlb[idx];
-        // At or above USER_TOP the vpn spills into the space bits and
-        // could alias another space's entry: such an access always takes
-        // the walk, and is never cached.
-        let user = vaddr < USER_TOP;
-        if e.tag == tag && user {
+        if let Some(pa) = self.tlb_lookup(vaddr, access) {
             self.stats.tlb_hits += 1;
-            return Ok(e.base + vaddr % FRAME_SIZE);
+            return Ok(pa);
         }
         self.stats.tlb_misses += 1;
         let pa = vm.translate(id, vaddr, access).map_err(|e| TrapInfo {
@@ -498,7 +556,7 @@ impl Cpu {
             pc,
             vaddr: Some(vaddr),
         })?;
-        if !user {
+        if vaddr >= USER_TOP {
             return Ok(pa.0);
         }
         // The translation itself may have bumped the epoch (COW resolution,
@@ -509,8 +567,10 @@ impl Cpu {
             self.reset_tlb();
             self.seen_epoch = now;
         }
+        let vpn = vaddr / FRAME_SIZE;
+        let idx = self.tlb_index(access, vpn);
         self.tlb[idx] = TlbEntry {
-            tag,
+            tag: self.cur_tag | vpn,
             base: pa.0 - pa.0 % FRAME_SIZE,
         };
         Ok(pa.0)
@@ -597,8 +657,14 @@ impl Cpu {
         // loop head re-enters its template at once.
         let mut taken = promote;
         while executed < max_instrs {
-            if taken && self.enter_template(vm, id, rf, max_instrs - executed, &mut executed) {
-                continue;
+            if taken {
+                if let Some(left) =
+                    self.enter_template(vm, id, rf, max_instrs - executed, &mut executed)
+                {
+                    // A failed guard leaves the stepper its instruction.
+                    taken = left == Left::Transfer;
+                    continue;
+                }
             }
             let pc = rf.pc;
             match self.step(vm, id, rf) {
@@ -737,15 +803,16 @@ impl Cpu {
     /// guard hit counts toward promotion, the [`template::PROMOTE_THRESHOLD`]th
     /// compiles a template from the resident region and the TLB
     /// translation, and a compiled template runs when at least one full
-    /// pass fits the remaining `budget`. Returns whether a template ran.
+    /// pass fits the remaining `budget`. Returns how the template left, or
+    /// `None` if none ran.
     fn enter_template(
         &mut self,
-        vm: &Vm,
+        vm: &mut Vm,
         id: AsId,
         rf: &mut RegFile,
         budget: u64,
         executed: &mut u64,
-    ) -> bool {
+    ) -> Option<Left> {
         let pc = rf.pc;
         let epoch = vm.epoch();
         let slot = (pc >> 2) as usize & (HOT_SLOTS - 1);
@@ -757,10 +824,10 @@ impl Cpu {
                     TmplState::Cold(hits) => {
                         *hits = hits.saturating_add(1);
                         if *hits < template::PROMOTE_THRESHOLD {
-                            return false;
+                            return None;
                         }
                     }
-                    TmplState::Rejected => return false,
+                    TmplState::Rejected => return None,
                     TmplState::Hot(_) => {}
                 }
             }
@@ -772,31 +839,32 @@ impl Cpu {
                     pcc: rf.pcc,
                     tmpl: TmplState::default(),
                 });
-                return false;
+                return None;
             }
         }
         // Promotion or execution: the entry moves out of its slot for the
         // duration (no refcount traffic) and back at the end.
-        let Some(mut e) = self.hot[slot].take() else {
-            return false;
-        };
+        let mut e = self.hot[slot].take()?;
         if let TmplState::Cold(_) = e.tmpl {
             if let Some(state) = self.compile_at(epoch, rf) {
                 e.tmpl = state;
             }
         }
-        let ran = match &e.tmpl {
+        let left = match &e.tmpl {
             // Below one full pass of budget the template cannot stop at
-            // the exact instruction stepping would, so step instead.
-            TmplState::Hot(t) if budget >= u64::from(t.n_trace) => {
+            // the exact instruction stepping would, so step instead. The
+            // guards' TLB probes need the TLB filled under this epoch;
+            // compilation required that, and nothing since could change
+            // it, but it is checked here once for the whole execution.
+            TmplState::Hot(t) if budget >= u64::from(t.n_trace) && self.seen_epoch == epoch => {
                 self.stats.tmpl_hits += 1;
-                self.run_template(t, rf, budget, executed);
-                true
+                let phys = &mut vm.phys;
+                Some(self.run_template(t, phys, rf, budget, executed))
             }
-            _ => false,
+            _ => None,
         };
         self.hot[slot] = Some(e);
-        ran
+        left
     }
 
     /// Compiles the trace at `rf.pc`, entered under `rf.pcc` and VM
@@ -809,23 +877,15 @@ impl Cpu {
         if rf.pcc.check_access(pc, 4, Perms::EXECUTE).is_err() {
             return Some(TmplState::Rejected);
         }
-        let vpn = pc / FRAME_SIZE;
-        let tlb = self.tlb[self.tlb_index(Access::Exec, vpn)];
-        if pc >= USER_TOP || self.seen_epoch != epoch || tlb.tag != self.cur_tag | vpn {
+        if self.seen_epoch != epoch {
             return None;
         }
+        let pa = self.tlb_lookup(pc, Access::Exec)?;
         let region = self.cur_code.as_ref().filter(|r| r.contains(pc))?;
-        let pcc_top = rf.pcc.base().saturating_add(rf.pcc.length());
-        let pcc_rem = ((pcc_top - pc) / 4) as usize;
+        let pcc_base = rf.pcc.base();
+        let pcc_top = pcc_base.saturating_add(rf.pcc.length());
         Some(
-            match template::compile(
-                region,
-                region.index_of(pc),
-                pc,
-                tlb.base + pc % FRAME_SIZE,
-                pcc_rem,
-                self.caches.l1_line(),
-            ) {
+            match template::compile(region, pc, pa, pcc_base, pcc_top, self.caches.l1_line()) {
                 Some(t) => {
                     self.stats.tmpl_compiles += 1;
                     TmplState::Hot(Box::new(t))
@@ -845,19 +905,41 @@ impl Cpu {
         self.stats.cycles += self.caches.access_run(pa, AccessKind::Fetch, count);
     }
 
+    /// Charges, in order, the head fetches of line runs `heads.charged..to`
+    /// of the current pass of `t` (see [`HeadFetches`]).
+    #[inline(never)]
+    fn fetch_heads(&mut self, t: &Template, heads: &mut HeadFetches, to: usize) {
+        while heads.charged < to {
+            let (pa, _) = t.fetch_runs[heads.charged];
+            self.stats.cycles += self.caches.access_run(pa, AccessKind::Fetch, 1);
+            heads.charged += 1;
+            heads.real += 1;
+        }
+    }
+
     /// Executes a compiled trace template: loads the read∪write register
     /// set into locals, runs the straight-line plan (looping internally
-    /// on a backedge terminator) until a side exit, the terminator's
-    /// departure, or budget exhaustion, then flushes the write set and
-    /// accounts retired instructions, base cycles and line-coalesced
-    /// fetches exactly as stepping would have.
+    /// on a backedge terminator) until a side exit, a failed guard, the
+    /// terminator's departure, or budget exhaustion, then flushes the
+    /// write set and accounts retired instructions, base cycles and
+    /// line-coalesced fetches exactly as stepping would have.
     ///
     /// The caller guarantees `budget >= n_trace` (so at least one full
-    /// pass fits) and that the entry guard (pc/space/epoch/PCC) holds; pure-int
-    /// ops can neither trap nor touch memory, so the guard stays valid
-    /// for the whole execution and no exit other than a pc redirect can
-    /// occur.
-    fn run_template(&mut self, t: &Template, rf: &mut RegFile, budget: u64, executed: &mut u64) {
+    /// pass fits) and that the entry guard (pc/space/epoch/PCC) holds. No
+    /// op changes the PCC, the mappings or the epoch, so that guard stays
+    /// valid for the whole execution. Each data access checks its own
+    /// guards before any side effect ([`Cpu::tmpl_access`]); a failed one
+    /// leaves the template just before its instruction, with exactly the
+    /// prefix retired and charged and [`Left::Guard`] returned, so the
+    /// stepper executes that instruction next.
+    fn run_template(
+        &mut self,
+        t: &Template,
+        phys: &mut PhysMem,
+        rf: &mut RegFile,
+        budget: u64,
+        executed: &mut u64,
+    ) -> Left {
         let n_trace = u64::from(t.n_trace);
         let mut locals = [0u64; template::MAX_LOCALS];
         for &(reg, local) in &t.init {
@@ -865,7 +947,12 @@ impl Cpu {
         }
         let iters_max = budget / n_trace;
         let mut full = 0u64;
-        let mut side: Option<(usize, u64)> = None;
+        // Head fetches are charged as the trace goes (see `HeadFetches`).
+        let mut heads = HeadFetches::default();
+        // Instructions retired by the final, partial pass (a side exit or
+        // a failed guard).
+        let mut partial: Option<usize> = None;
+        let mut left = Left::Transfer;
         let next;
         'run: loop {
             for (k, op) in t.ops.iter().enumerate() {
@@ -975,14 +1062,29 @@ impl Cpu {
                         taken_next,
                     } => {
                         if cond.taken(locals[usize::from(a)], locals[usize::from(b)]) {
-                            side = Some((k, taken_next));
+                            partial = Some(k + 1);
                             next = taken_next;
                             break 'run;
                         }
                     }
+                    TOp::Mem(m) => {
+                        if !self.tmpl_access(m, t, k, &mut heads, &mut locals, rf, phys) {
+                            partial = Some(k);
+                            left = Left::Guard;
+                            next = t.pcs[k];
+                            break 'run;
+                        }
+                    }
+                    TOp::Cap(c) => cap_op(c, &mut locals, rf),
                 }
             }
             full += 1;
+            if heads.charged < t.fetch_runs.len() {
+                self.fetch_heads(t, &mut heads, t.fetch_runs.len());
+            }
+            // The next pass of a single-line trace starts on the line just
+            // fetched: its head fetch is a hit too.
+            heads.charged = usize::from(t.fetch_runs.len() == 1);
             match t.term {
                 TTerm::Loop => {
                     if full == iters_max {
@@ -1022,38 +1124,31 @@ impl Cpu {
                 }
             }
         }
-        // Metric settlement, in program order: the completed passes,
-        // then the side-exiting partial pass (if any).
+        // Metric settlement: the heads the partial pass fetched, then
+        // every other fetch as a hit on the line fetched last, still the
+        // L1I's most recent.
+        let last = match partial {
+            Some(r) if r > 0 => Some(r - 1),
+            _ if full > 0 => Some(t.n_trace as usize - 1),
+            _ => None,
+        };
+        if let Some(last) = last {
+            let run = usize::from(t.run_of[last]);
+            if partial.is_some_and(|r| r > 0) {
+                self.fetch_heads(t, &mut heads, run + 1);
+            }
+            let fetched = full * n_trace + partial.unwrap_or(0) as u64;
+            self.fetch_run(t.fetch_runs[run].0, fetched - heads.real);
+        }
         let mut retired = full * n_trace;
         let mut cycles = full * t.cycles_total;
-        if full > 0 {
-            if let [(pa, count)] = t.fetch_runs[..] {
-                // Single-line trace: every fetch of every pass hits the
-                // same line, so the whole run coalesces into one event.
-                self.fetch_run(pa, count * full);
-            } else {
-                for _ in 0..full {
-                    for &(pa, count) in &t.fetch_runs {
-                        self.fetch_run(pa, count);
-                    }
-                }
-            }
-        }
-        if let Some((k, _)) = side {
-            retired += k as u64 + 1;
-            cycles += u64::from(t.cum_cycles[k]);
-            let mut rem = k as u64 + 1;
-            for &(pa, count) in &t.fetch_runs {
-                let take = count.min(rem);
-                self.fetch_run(pa, take);
-                rem -= take;
-                if rem == 0 {
-                    break;
-                }
-            }
+        if let Some(r) = partial {
+            retired += r as u64;
+            cycles += u64::from(t.cum_cycles[r]);
         }
         self.stats.instret += retired;
         self.stats.cycles += cycles;
+        self.stats.tmpl_instrs += retired;
         *executed += retired;
         if self.weaken_flush && !self.flush_weakened {
             // --weaken-flush: drop the first execution's write set on
@@ -1065,6 +1160,160 @@ impl Cpu {
             }
         }
         rf.pc = next;
+        left
+    }
+
+    /// Runs one in-trace data access, instruction `k` of the current pass
+    /// of `t`. Every guard comes first, with no side effect: the
+    /// capability checks the handler applies, alignment (so the access
+    /// stays on one page, and an unaligned legacy access is left to the
+    /// stepper's fix-up), and a TLB hit for the access kind. Returns
+    /// false, having done nothing, when one fails. Otherwise it charges
+    /// the head fetches through instruction `k`'s line (a data access
+    /// follows its own fetch into the shared L2), then the access itself,
+    /// and moves the data through the same `PhysMem` entry points as
+    /// [`CpuPorts`]. Inlined into the data-path loop of `run_template`:
+    /// a call per access measurably slows qsort-style loops.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn tmpl_access(
+        &mut self,
+        m: MemOp,
+        t: &Template,
+        k: usize,
+        heads: &mut HeadFetches,
+        locals: &mut [u64; template::MAX_LOCALS],
+        rf: &mut RegFile,
+        phys: &mut PhysMem,
+    ) -> bool {
+        // Integer data accesses: (authorizing capability, vaddr, width,
+        // direction).
+        let (cap, vaddr, w, data) = match m {
+            MemOp::Load {
+                d,
+                base,
+                off,
+                w,
+                signed,
+            } => (
+                rf.ddc,
+                locals[usize::from(base)].wrapping_add(off as u64),
+                w,
+                Data::Load { d, signed },
+            ),
+            MemOp::Store { s, base, off, w } => (
+                rf.ddc,
+                locals[usize::from(base)].wrapping_add(off as u64),
+                w,
+                Data::Store(locals[usize::from(s)]),
+            ),
+            MemOp::CLoad {
+                d,
+                cb,
+                off,
+                w,
+                signed,
+            } => {
+                let cap = rf.c(cb);
+                let vaddr = cap.addr().wrapping_add(off as u64);
+                (cap, vaddr, w, Data::Load { d, signed })
+            }
+            MemOp::CStore { s, cb, off, w } => {
+                let cap = rf.c(cb);
+                let vaddr = cap.addr().wrapping_add(off as u64);
+                (cap, vaddr, w, Data::Store(locals[usize::from(s)]))
+            }
+            MemOp::Clc { cd, cb, off } => {
+                let cap = rf.c(cb);
+                let vaddr = cap.addr().wrapping_add(off as u64);
+                let Some(pa) = cheri_sem::check_cap_access(&cap, vaddr, Perms::LOAD)
+                    .ok()
+                    .and_then(|()| self.tlb_lookup(vaddr, Access::Read))
+                else {
+                    return false;
+                };
+                self.tmpl_data(t, k, heads, pa, AccessKind::Load);
+                phys.note_cap_load(PAddr(pa));
+                let value = match phys.load_cap(PAddr(pa)).expect("translated frame") {
+                    Some(c) => cheri_sem::loaded_cap(&cap, c),
+                    None => {
+                        // As the handler: an untagged granule reads its
+                        // first doubleword as a second data access.
+                        self.stats.tlb_hits += 1;
+                        self.mem_access(pa, AccessKind::Load);
+                        let mut buf = [0u8; 8];
+                        phys.read_bytes(PAddr(pa), &mut buf)
+                            .expect("translated frame");
+                        Capability::null(cap.format()).with_addr(u64::from_le_bytes(buf))
+                    }
+                };
+                rf.wc(cd, value);
+                return true;
+            }
+            MemOp::Csc { cs, cb, off } => {
+                let cap = rf.c(cb);
+                let value = rf.c(cs);
+                let vaddr = cap.addr().wrapping_add(off as u64);
+                let Some(pa) = cheri_sem::check_cap_access(&cap, vaddr, Perms::STORE)
+                    .and_then(|()| cheri_sem::check_cap_store(&cap, &value))
+                    .ok()
+                    .and_then(|()| self.tlb_lookup(vaddr, Access::Write))
+                else {
+                    return false;
+                };
+                self.tmpl_data(t, k, heads, pa, AccessKind::Store);
+                phys.store_cap(PAddr(pa), value).expect("translated frame");
+                return true;
+            }
+        };
+        let size = w.bytes();
+        let (need, access, kind) = match data {
+            Data::Load { .. } => (Perms::LOAD, Access::Read, AccessKind::Load),
+            Data::Store(_) => (Perms::STORE, Access::Write, AccessKind::Store),
+        };
+        // For a legacy access `cap` is DDC: its tag check is the DDC guard.
+        let Some(pa) = cheri_sem::check_data(&cap, vaddr, size, need, true)
+            .ok()
+            .and_then(|()| self.tlb_lookup(vaddr, access))
+        else {
+            return false;
+        };
+        self.tmpl_data(t, k, heads, pa, kind);
+        let mut buf = [0u8; 8];
+        let bytes = &mut buf[..size as usize];
+        match data {
+            Data::Load { d, signed } => {
+                phys.read_bytes(PAddr(pa), bytes).expect("translated frame");
+                locals[usize::from(d)] = cheri_sem::extend(u64::from_le_bytes(buf), w, signed);
+            }
+            Data::Store(v) => {
+                // Clears tags and counts the mutation, as in `CpuPorts`.
+                bytes.copy_from_slice(&v.to_le_bytes()[..size as usize]);
+                phys.write_bytes(PAddr(pa), bytes)
+                    .expect("translated frame");
+            }
+        }
+        true
+    }
+
+    /// Charges an in-trace data access at `pa` once its guards passed:
+    /// first the head fetches of the current pass through instruction
+    /// `k`'s line, then the access, as stepping orders them.
+    #[inline]
+    fn tmpl_data(
+        &mut self,
+        t: &Template,
+        k: usize,
+        heads: &mut HeadFetches,
+        pa: u64,
+        kind: AccessKind,
+    ) {
+        let run = usize::from(t.run_of[k]);
+        if heads.charged <= run {
+            self.fetch_heads(t, heads, run + 1);
+        }
+        self.stats.tlb_hits += 1;
+        self.mem_access(pa, kind);
     }
 
     /// Executes a single instruction.
@@ -1538,6 +1787,13 @@ mod tests {
             ("widen-trap", widen_probe(), true, 1, true),
             ("null-ddc-trap", ddc_probe, true, 1, true),
             ("page-straddle", page_straddle_probe(), false, 1, false),
+            (
+                "cload-cincoffset-cstore-loop",
+                pointer_walk_loop(),
+                true,
+                1,
+                false,
+            ),
         ];
         for (probe, code, purecap, runs, traps) in probes {
             let mut results = Vec::new();
@@ -1559,6 +1815,18 @@ mod tests {
                 if !templates {
                     assert_eq!(cpu.stats.tmpl_compiles, 0, "{probe} under {mode}");
                     assert_eq!(cpu.stats.tmpl_hits, 0, "{probe} under {mode}");
+                    assert_eq!(cpu.stats.tmpl_instrs, 0, "{probe} under {mode}");
+                }
+                if probe == "cload-cincoffset-cstore-loop" && templates {
+                    // The loop body is all data accesses and capability
+                    // arithmetic: it must compile and retire in-trace.
+                    assert!(cpu.stats.tmpl_compiles >= 1, "the loop must compile");
+                    assert!(
+                        cpu.stats.tmpl_instrs * 10 >= cpu.stats.instret * 9,
+                        "templates retired only {} of {} instructions",
+                        cpu.stats.tmpl_instrs,
+                        cpu.stats.instret
+                    );
                 }
                 if probe == "spin" {
                     assert_eq!(rf.r(ireg::T0), 400);
@@ -2395,5 +2663,435 @@ mod tests {
         assert!(stats.tmpl_hits > 0, "the loops must run templated");
         assert_eq!(regs, vec![(0x10000, 1000), (0x10000, 2000)]);
         assert_eq!((regs, stats, caches), outcome(false));
+    }
+
+    // ------------------------------------------------------------------
+    // Data accesses inside compiled traces
+    // ------------------------------------------------------------------
+
+    /// Everything one machine leaves behind: its exits, the guest-visible
+    /// counters, the cache and VM statistics and the register file.
+    type Outcome = (
+        Vec<Exit>,
+        CpuStats,
+        cheri_mem::MemStats,
+        cheri_vm::VmStats,
+        RegFile,
+    );
+
+    /// Runs `code` on each machine of [`MODES`]: `prep` adjusts the fresh
+    /// machine, then `runs` calls of `run` follow, `between` going before
+    /// each call after the first. Asserts that every machine leaves the
+    /// reference interpreter's [`Outcome`], and returns the template
+    /// machine's.
+    fn agree_across_modes(
+        code: &[Instr],
+        purecap: bool,
+        runs: usize,
+        prep: impl Fn(&mut Cpu, &mut Vm, AsId, &mut RegFile),
+        between: impl Fn(&mut Vm, AsId, &mut RegFile),
+    ) -> Outcome {
+        let mut results: Vec<Outcome> = Vec::new();
+        for (mode, fast, templates) in MODES {
+            let (mut cpu, mut vm, id, mut rf) = machine(code.to_vec(), purecap);
+            cpu.set_fast_path(fast);
+            cpu.set_templates(templates);
+            prep(&mut cpu, &mut vm, id, &mut rf);
+            let mut exits = Vec::new();
+            for run in 0..runs {
+                if run > 0 {
+                    between(&mut vm, id, &mut rf);
+                }
+                exits.push(cpu.run(&mut vm, id, &mut rf, 100_000));
+            }
+            let outcome = (exits, cpu.stats, cpu.caches.stats(), vm.stats, rf);
+            if let Some(reference) = results.first() {
+                assert_eq!(&outcome, reference, "{mode} vs reference");
+            }
+            results.push(outcome);
+        }
+        let tmpl = results.pop().expect("three machines ran");
+        assert!(tmpl.1.tmpl_instrs > 0, "no instruction retired in-trace");
+        tmpl
+    }
+
+    /// `li` of a 64-bit constant into `rd`.
+    fn li(rd: cheri_isa::IReg, imm: i64) -> Instr {
+        Instr::Li { rd, imm }
+    }
+
+    /// `addi rd, rs, imm`.
+    fn addi(rd: cheri_isa::IReg, rs: cheri_isa::IReg, imm: i64) -> Instr {
+        Instr::AddI { rd, rs, imm }
+    }
+
+    /// A legacy doubleword load `rd = [base + off]`.
+    fn ld(rd: cheri_isa::IReg, base: cheri_isa::IReg, off: i32) -> Instr {
+        Instr::Load {
+            rd,
+            base,
+            off,
+            w: Width::D,
+            signed: false,
+        }
+    }
+
+    /// A legacy doubleword store `[base + off] = rs`.
+    fn sd(rs: cheri_isa::IReg, base: cheri_isa::IReg, off: i32) -> Instr {
+        Instr::Store {
+            rs,
+            base,
+            off,
+            w: Width::D,
+        }
+    }
+
+    /// The purecap pointer walk: 400 times, load the doubleword at `c14`,
+    /// add one, store it back, sum it into `t0` and advance `c14` by `t3`
+    /// (8) — a loop of data accesses and capability arithmetic only.
+    fn pointer_walk_loop() -> Vec<Instr> {
+        vec![
+            li(ireg::T1, 400),
+            li(ireg::T3, 8),
+            Instr::CMove {
+                cd: creg::ptr(1),
+                cb: creg::ptr(0),
+            },
+            // top:
+            Instr::CLoad {
+                rd: ireg::T2,
+                cb: creg::ptr(1),
+                off: 0,
+                w: Width::D,
+                signed: false,
+            },
+            addi(ireg::T2, ireg::T2, 1),
+            Instr::CStore {
+                rs: ireg::T2,
+                cb: creg::ptr(1),
+                off: 0,
+                w: Width::D,
+            },
+            Instr::Add {
+                rd: ireg::T0,
+                rs: ireg::T0,
+                rt: ireg::T2,
+            },
+            Instr::CIncOffset {
+                cd: creg::ptr(1),
+                cb: creg::ptr(1),
+                rs: ireg::T3,
+            },
+            addi(ireg::T1, ireg::T1, -1),
+            Instr::Bgtz {
+                rs: ireg::T1,
+                target: 3,
+            },
+            Instr::Syscall,
+        ]
+    }
+
+    /// A legacy loop over `iters` 64-byte steps from 0x20000: load the
+    /// doubleword at `t1`, add it into `t3`, store `t3` 8 bytes further
+    /// on. At 64 steps a page, it crosses into each later data page from
+    /// inside its compiled trace.
+    fn page_walk_loop(iters: i64) -> Vec<Instr> {
+        vec![
+            li(ireg::T1, 0x20000),
+            li(ireg::T0, iters),
+            // top:
+            ld(ireg::T2, ireg::T1, 0),
+            Instr::Add {
+                rd: ireg::T3,
+                rs: ireg::T3,
+                rt: ireg::T2,
+            },
+            sd(ireg::T3, ireg::T1, 8),
+            addi(ireg::T1, ireg::T1, 64),
+            addi(ireg::T0, ireg::T0, -1),
+            Instr::Bgtz {
+                rs: ireg::T0,
+                target: 2,
+            },
+            Instr::Syscall,
+        ]
+    }
+
+    #[test]
+    fn first_touch_of_a_data_page_leaves_the_trace_for_the_walk() {
+        // 160 steps cover pages 0x20000-0x22000: the first touches of the
+        // second and third page miss the TLB inside the trace, exit
+        // before the load, and the stepper demand-faults them.
+        let (exits, stats, _, vm_stats, _) = agree_across_modes(
+            &page_walk_loop(160),
+            false,
+            1,
+            |_, _, _, _| {},
+            |_, _, _| {},
+        );
+        assert_eq!(exits, vec![Exit::Syscall]);
+        assert_eq!(vm_stats.faults, 4, "the text page and three data pages");
+        assert!(stats.tmpl_hits >= 3, "the trace re-enters after each walk");
+    }
+
+    #[test]
+    fn bounds_fault_on_a_later_iteration_traps_at_the_stepper() {
+        // c14 is c13 narrowed to 256 bytes; the loop stores through it 8
+        // bytes at a time, so iteration 33 lands at 0x20100: still on the
+        // TLB-resident page, so only the bounds guard stops the trace.
+        let code = vec![
+            Instr::CSetBoundsImm {
+                cd: creg::ptr(1),
+                cb: creg::ptr(0),
+                imm: 256,
+            },
+            li(ireg::T1, 1000),
+            // top:
+            Instr::CStore {
+                rs: ireg::T1,
+                cb: creg::ptr(1),
+                off: 0,
+                w: Width::D,
+            },
+            Instr::CIncOffsetImm {
+                cd: creg::ptr(1),
+                cb: creg::ptr(1),
+                imm: 8,
+            },
+            addi(ireg::T1, ireg::T1, -1),
+            Instr::Bgtz {
+                rs: ireg::T1,
+                target: 2,
+            },
+            Instr::Syscall,
+        ];
+        let (exits, stats, ..) = agree_across_modes(&code, true, 1, |_, _, _, _| {}, |_, _, _| {});
+        match exits[..] {
+            [Exit::Trap(t)] => {
+                assert_eq!(t.cause, TrapCause::Cap(CapFault::LengthViolation));
+                assert_eq!(t.pc, 0x10000 + 2 * 4, "the cstore");
+                assert_eq!(t.vaddr, Some(0x20100));
+            }
+            ref e => panic!("expected a length trap, got {e:?}"),
+        }
+        assert_eq!(
+            stats.instret,
+            2 + 32 * 4 + 1,
+            "32 iterations, then the cstore"
+        );
+    }
+
+    #[test]
+    fn unaligned_legacy_access_straddling_a_page_is_left_to_the_stepper() {
+        // An aligned load and an unaligned one 4 bytes on, walking 8
+        // bytes a step from 0x20f00: every unaligned load fails its guard
+        // (the stepper charges the fix-up), and step 31 straddles into
+        // the untouched page 0x21000.
+        let code = vec![
+            li(ireg::T1, 0x20f00),
+            li(ireg::T0, 40),
+            // top:
+            ld(ireg::T2, ireg::T1, 0),
+            ld(ireg::T3, ireg::T1, 4),
+            Instr::Add {
+                rd: ireg::temp(4),
+                rs: ireg::temp(4),
+                rt: ireg::T3,
+            },
+            addi(ireg::T1, ireg::T1, 8),
+            addi(ireg::T0, ireg::T0, -1),
+            Instr::Bgtz {
+                rs: ireg::T0,
+                target: 2,
+            },
+            Instr::Syscall,
+        ];
+        let prep = |_: &mut Cpu, vm: &mut Vm, id: AsId, _: &mut RegFile| {
+            vm.write_bytes(id, 0x20ff8, &u64::MAX.to_le_bytes())
+                .unwrap();
+        };
+        let (exits, _, _, vm_stats, rf) = agree_across_modes(&code, false, 1, prep, |_, _, _| {});
+        assert_eq!(exits, vec![Exit::Syscall]);
+        assert_eq!(
+            vm_stats.faults, 3,
+            "text, the first data page, the straddled one"
+        );
+        // The loads at 0x20ff4 and 0x20ffc each see half of the marked
+        // doubleword, in its high and low half.
+        assert_eq!(
+            rf.r(ireg::temp(4)),
+            u64::MAX,
+            "two loads saw the marked word"
+        );
+    }
+
+    #[test]
+    fn store_to_a_cow_page_after_fork_breaks_cow_at_the_stepper() {
+        // All three data pages are resident, then the space forks: every
+        // page is copy-on-write. The page walk stores into each; the
+        // second and third are first written from inside the trace.
+        let prep = |cpu: &mut Cpu, vm: &mut Vm, id: AsId, _: &mut RegFile| {
+            for page in 0..3 {
+                vm.write_bytes(id, 0x20000 + page * 4096, &7u64.to_le_bytes())
+                    .unwrap();
+            }
+            let child = vm.fork_space(id).unwrap();
+            cpu.clone_code(id, child);
+        };
+        let (exits, _, _, vm_stats, _) =
+            agree_across_modes(&page_walk_loop(160), false, 1, prep, |_, _, _| {});
+        assert_eq!(exits, vec![Exit::Syscall]);
+        assert_eq!(vm_stats.cow_copies, 3);
+    }
+
+    #[test]
+    fn a_store_clearing_a_tag_is_seen_by_clc_in_the_same_trace() {
+        // Store c13 to a granule, overwrite one byte of it, load it back:
+        // the byte store must clear the tag before the `clc` reads it.
+        let code = vec![
+            li(ireg::T1, 100),
+            li(ireg::T0, 0xab),
+            // top:
+            Instr::Csc {
+                cs: creg::ptr(0),
+                cb: creg::ptr(0),
+                off: 32,
+            },
+            Instr::CStore {
+                rs: ireg::T0,
+                cb: creg::ptr(0),
+                off: 40,
+                w: Width::B,
+            },
+            Instr::Clc {
+                cd: creg::ptr(1),
+                cb: creg::ptr(0),
+                off: 32,
+            },
+            Instr::CGetTag {
+                rd: ireg::T2,
+                cb: creg::ptr(1),
+            },
+            Instr::Add {
+                rd: ireg::T3,
+                rs: ireg::T3,
+                rt: ireg::T2,
+            },
+            addi(ireg::T1, ireg::T1, -1),
+            Instr::Bgtz {
+                rs: ireg::T1,
+                target: 2,
+            },
+            Instr::Syscall,
+        ];
+        let (exits, _, _, _, rf) =
+            agree_across_modes(&code, true, 1, |_, _, _, _| {}, |_, _, _| {});
+        assert_eq!(exits, vec![Exit::Syscall]);
+        assert_eq!(rf.r(ireg::T3), 0, "no clc may see the stored tag");
+    }
+
+    #[test]
+    fn mprotect_between_template_runs_traps_the_store() {
+        // Run the page walk once (its trace compiles and runs), revoke
+        // write on the first data page, and run it again from the top:
+        // the store must take the protection trap.
+        let between = |vm: &mut Vm, id: AsId, rf: &mut RegFile| {
+            vm.protect(id, 0x20000, 4096, Prot::READ).unwrap();
+            rf.pc = 0x10000;
+        };
+        let (exits, ..) =
+            agree_across_modes(&page_walk_loop(40), false, 2, |_, _, _, _| {}, between);
+        assert_eq!(exits[0], Exit::Syscall);
+        match exits[1] {
+            Exit::Trap(t) => {
+                assert_eq!(t.cause, TrapCause::Vm(VmError::Protection(0x20008)));
+                assert_eq!(t.pc, 0x10000 + 4 * 4, "the store");
+            }
+            ref e => panic!("expected a protection fault, got {e:?}"),
+        }
+    }
+
+    #[test]
+    fn in_trace_accesses_keep_the_stepping_order_of_the_shared_l2() {
+        // One-line L1s and a two-line L2: every fetch that changes line
+        // and every data access goes to the L2, whose replacement then
+        // depends on the exact order of fetches and data accesses. The
+        // loop spans three lines, with accesses at the first and last
+        // instruction of each.
+        let mut code = vec![li(ireg::T1, 0x20000), li(ireg::T0, 300)];
+        // top (index 2): 46 instructions, then the backedge at 48.
+        while code.len() < 48 {
+            let i = code.len();
+            code.push(match i % 16 {
+                0 | 15 => ld(ireg::T2, ireg::T1, (i as i32 % 3) * 64),
+                7 => sd(ireg::T0, ireg::T1, 256),
+                _ => addi(ireg::T3, ireg::T3, 1),
+            });
+        }
+        code.push(addi(ireg::T0, ireg::T0, -1));
+        code.push(Instr::Bgtz {
+            rs: ireg::T0,
+            target: 2,
+        });
+        code.push(Instr::Syscall);
+        let tiny = |cpu: &mut Cpu, _: &mut Vm, _: AsId, _: &mut RegFile| {
+            let line = |size, ways| cheri_mem::CacheConfig {
+                size,
+                line: 64,
+                ways,
+            };
+            cpu.caches = CacheHierarchy::new(line(64, 1), line(128, 2));
+        };
+        let (exits, stats, caches, ..) = agree_across_modes(&code, false, 1, tiny, |_, _, _| {});
+        assert_eq!(exits, vec![Exit::Syscall]);
+        assert!(caches.l2_hits > 0 && caches.l2_misses > 0, "{caches:?}");
+        assert!(stats.tmpl_instrs * 10 >= stats.instret * 9, "{stats:?}");
+    }
+
+    #[test]
+    fn a_continue_block_jumping_back_runs_in_one_trace() {
+        // A loop whose iterations skip, unless the counter is a multiple
+        // of 8, to a `continue` block that bumps the counters and jumps
+        // back to the head. The block's trace follows that jump into the
+        // loop body and closes at the body's branch back to the block.
+        let code = vec![
+            li(ireg::T1, 0x20000),
+            li(ireg::T3, 1000),
+            // head (2):
+            Instr::Beq {
+                rs: ireg::T0,
+                rt: ireg::T3,
+                target: 12,
+            },
+            ld(ireg::T2, ireg::T1, 0),
+            Instr::AndI {
+                rd: ireg::temp(4),
+                rs: ireg::T0,
+                imm: 7,
+            },
+            Instr::Bne {
+                rs: ireg::temp(4),
+                rt: ireg::ZERO,
+                target: 9,
+            },
+            Instr::Add {
+                rd: ireg::temp(5),
+                rs: ireg::temp(5),
+                rt: ireg::T0,
+            },
+            sd(ireg::temp(5), ireg::T1, 0),
+            Instr::Nop,
+            // continue (9):
+            addi(ireg::T0, ireg::T0, 1),
+            addi(ireg::T1, ireg::T1, 8),
+            Instr::J { target: 2 },
+            // done (12):
+            Instr::Syscall,
+        ];
+        let (exits, stats, _, _, rf) =
+            agree_across_modes(&code, false, 1, |_, _, _, _| {}, |_, _, _| {});
+        assert_eq!(exits, vec![Exit::Syscall]);
+        assert_eq!(rf.r(ireg::temp(5)), (0..1000).step_by(8).sum::<u64>());
+        assert!(stats.tmpl_instrs * 10 >= stats.instret * 9, "{stats:?}");
     }
 }

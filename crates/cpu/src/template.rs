@@ -5,10 +5,14 @@
 //! translation epoch, same exact PCC — keeps passing), the target is
 //! *promoted*: starting from it, the compiler walks the decoded region
 //! forward through fall-through control flow and compiles the longest
-//! prefix of **pure-integer** instructions (per the static
-//! [`cheri_sem::RegEffects`] metadata declared beside every handler) into
-//! a [`Template`] — a closure-free straight-line plan in which every hot
-//! guest register lives in a dense local slot for the whole trace.
+//! prefix of instructions it can run in-trace into a [`Template`] — a
+//! closure-free straight-line plan in which every hot guest register lives
+//! in a dense local slot for the whole trace. In-trace instructions are the
+//! **pure-integer** ones (per the static [`cheri_sem::RegEffects`]
+//! metadata declared beside every handler), the data accesses of
+//! [`MemOp`] (legacy loads and stores through DDC, `cload`/`cstore`,
+//! `clc`/`csc`) and the capability-register ops of [`CapOp`]
+//! (`cincoffset`, `cmove`, `cgettag`, `cgetaddr`).
 //!
 //! A conditional branch does not end the trace. The not-taken path
 //! continues in the trace; the taken path becomes a *side exit* carrying
@@ -20,24 +24,39 @@
 //! `StepCtx` setup and port construction of the stepper are all folded
 //! away.
 //!
-//! Soundness leans on one fact: an instruction whose effects clause says
-//! [`is_pure_int`](cheri_sem::RegEffects::is_pure_int) touches no memory
-//! and no capability state, so it can neither trap nor observe anything
-//! outside the integer register file. The entry guard (pc/space/epoch/PCC) is
-//! therefore checked once per template entry and remains valid for the
-//! whole execution, however many iterations run. Anything the guard can't
-//! cover — a memory access, a capability op, `syscall`/`break` — ends the
-//! trace at compile time and returns to the stepper at runtime.
+//! Soundness rests on two rules. **Every guard precedes every side
+//! effect:** a data access first checks, with no effect at all, everything
+//! that could make the stepper do something other than its plain fast
+//! path — the capability checks ([`cheri_sem::check_data`] and friends,
+//! the same functions the handlers call; for a legacy access that includes
+//! the DDC tag), alignment (an unaligned legacy access, which the stepper
+//! fixes up at a 50-cycle charge, counts as a failed guard; an aligned
+//! access never crosses a page), and a TLB hit for its access kind. The
+//! TLB is only valid under the epoch it was filled in, and the entry guard
+//! checks that epoch once: nothing in a trace calls into the VM, so
+//! nothing can bump it mid-trace. Pure-integer and capability-register
+//! ops have no guard because they cannot trap. **A failed guard exits
+//! precisely before its instruction:** the write set is flushed, exactly
+//! the prefix is retired and charged, and the stepper re-executes the
+//! instruction, taking the trap, the VM walk, the copy-on-write break or
+//! the page-straddle fallback itself.
+//!
+//! An unconditional jump to an address on the entry's page does not end
+//! the trace either: the walk follows it, so a `continue` block that jumps
+//! back to its loop head compiles into the same trace as the loop body.
 //!
 //! Templates are a pure accelerant: retired instructions, base cycles and
 //! fetches (charged in cache-line runs, see
 //! [`cheri_mem::CacheHierarchy::access_run`]) are accounted exactly as
-//! stepping would, so guest-visible metrics are byte-identical across all
-//! tiers — which `interp_throughput` and the cpu-level mode-matrix test
-//! enforce.
+//! stepping would. Each data access is charged in place, after the first
+//! fetch of every line up to its own, so the shared L2 sees stepping's
+//! access order; the other fetches hit the L1I's most recent line, which
+//! data accesses never displace, and land at exit.
+//! Guest-visible metrics are therefore byte-identical across all tiers —
+//! which `interp_throughput` and the cpu-level mode-matrix test enforce.
 
 use crate::region::DecodedRegion;
-use cheri_isa::{IReg, Instr};
+use cheri_isa::{CReg, IReg, Instr, Width};
 use cheri_mem::FRAME_SIZE;
 use cheri_sem::ops::reg_effects;
 
@@ -52,8 +71,8 @@ const SCRATCH: u8 = 1;
 const FIRST_REG_LOCAL: u8 = 2;
 
 /// Trace length cap, in instructions. Generous: a trace is also clamped
-/// to the page boundary and the PCC top, and ends at the first
-/// non-pure-int instruction anyway.
+/// to the entry's page and the PCC bounds, and ends at the first
+/// instruction that cannot run in-trace anyway.
 const MAX_TRACE: usize = 64;
 /// Non-looping traces shorter than this are not worth the entry/exit
 /// load/flush traffic; looping traces always qualify.
@@ -170,6 +189,59 @@ pub(crate) enum TOp {
         /// Absolute successor pc when taken.
         taken_next: u64,
     },
+    /// A guarded data access.
+    Mem(MemOp),
+    /// A capability-register op.
+    Cap(CapOp),
+}
+
+/// A data access compiled into a trace. Each one checks its guards before
+/// any side effect and exits the template just before itself when one
+/// fails (see the module docs). Capability registers are read from and
+/// written to the register file in program order; integer operands are
+/// locals.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum MemOp {
+    /// Legacy load through DDC: `d = [base + off]`.
+    Load {
+        d: u8,
+        base: u8,
+        off: i32,
+        w: Width,
+        signed: bool,
+    },
+    /// Legacy store through DDC: `[base + off] = s`.
+    Store { s: u8, base: u8, off: i32, w: Width },
+    /// `cload`: `d = [cb.addr + off]`.
+    CLoad {
+        d: u8,
+        cb: CReg,
+        off: i32,
+        w: Width,
+        signed: bool,
+    },
+    /// `cstore`: `[cb.addr + off] = s`.
+    CStore { s: u8, cb: CReg, off: i32, w: Width },
+    /// `clc`: `cd = [cb.addr + off]`, a capability-width granule.
+    Clc { cd: CReg, cb: CReg, off: i32 },
+    /// `csc`: `[cb.addr + off] = cs`.
+    Csc { cs: CReg, cb: CReg, off: i32 },
+}
+
+/// A capability-register op compiled into a trace: it touches no memory
+/// and cannot trap, so it needs no guard.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum CapOp {
+    /// `cincoffset`: `cd = cb` advanced by local `s`.
+    IncOffset { cd: CReg, cb: CReg, s: u8 },
+    /// `cincoffset` with an immediate.
+    IncOffsetImm { cd: CReg, cb: CReg, imm: i64 },
+    /// `cmove`: `cd = cb`.
+    Move { cd: CReg, cb: CReg },
+    /// `cgettag`: `d = cb.tag`.
+    GetTag { d: u8, cb: CReg },
+    /// `cgetaddr`: `d = cb.addr`.
+    GetAddr { d: u8, cb: CReg },
 }
 
 /// How a full pass over the trace ends.
@@ -203,8 +275,8 @@ pub(crate) enum TTerm {
         /// Local holding the jump target (read after the link write).
         s: u8,
     },
-    /// The trace was truncated (non-pure-int successor, page/PCC/length
-    /// clamp): single pass, exit to the fall-through pc.
+    /// The trace was truncated (a successor that cannot run in-trace, or
+    /// a page/PCC/length clamp): single pass, exit to the fall-through pc.
     Fallthrough,
 }
 
@@ -217,8 +289,9 @@ pub(crate) struct Template {
     pub(crate) n_trace: u32,
     /// Base cycles per complete pass.
     pub(crate) cycles_total: u64,
-    /// Inclusive base-cycle prefix sums, one per trace instruction:
-    /// `cum_cycles[k]` is what a departure after instruction `k` charges.
+    /// Base-cycle prefix sums, `n_trace + 1` of them: `cum_cycles[r]` is
+    /// what a departure after the first `r` instructions of a pass
+    /// charges.
     pub(crate) cum_cycles: Vec<u32>,
     /// Entry loads: `(guest reg, local)` for every allocated register —
     /// the full read∪write set, so flushing the whole write set is exact
@@ -236,10 +309,15 @@ pub(crate) struct Template {
     /// `n_trace`. Single-run traces additionally merge across loop
     /// iterations (same line throughout).
     pub(crate) fetch_runs: Vec<(u64, u64)>,
+    /// The index in `fetch_runs` of each instruction's run.
+    pub(crate) run_of: Vec<u8>,
+    /// Virtual address of each trace instruction (where a failed guard
+    /// exits). Consecutive within the page, except after a followed jump.
+    pub(crate) pcs: Vec<u64>,
     /// Virtual entry address of the trace (where [`TTerm::Loop`] /
     /// [`TTerm::CondLoop`] resume when the budget expires mid-loop).
     pub(crate) entry_pc: u64,
-    /// Virtual fall-through successor of the whole trace.
+    /// Virtual fall-through successor of the last trace instruction.
     pub(crate) fall_pc: u64,
 }
 
@@ -259,7 +337,7 @@ pub(crate) enum TmplState {
     /// Counting guard hits toward [`PROMOTE_THRESHOLD`].
     Cold(u32),
     /// Compilation was attempted and declined (trace too short or the
-    /// entry instruction is not pure-int); don't retry on this entry.
+    /// entry instruction cannot run in-trace); don't retry on this entry.
     Rejected,
     /// Compiled and executable.
     Hot(Box<Template>),
@@ -325,68 +403,87 @@ impl Locals {
     }
 }
 
-/// Compiles the trace starting at (`pc0`, `pa0`) = instruction `idx` of
-/// `region`, entered under a PCC with `pcc_rem` fetchable instructions
-/// remaining and an L1 line size of `line` bytes. Returns `None` when no
-/// worthwhile trace exists (see [`MIN_TRACE`]).
+/// Compiles the trace entered at `pc0` in `region`, whose page the TLB
+/// maps to the frame holding `pa0`, under a PCC that lets it fetch from
+/// `pcc_base` up to `pcc_top`, with an L1 line size of `line` bytes.
+/// Returns `None` when no worthwhile trace exists (see [`MIN_TRACE`]).
 pub(crate) fn compile(
     region: &DecodedRegion,
-    idx: usize,
     pc0: u64,
     pa0: u64,
-    pcc_rem: usize,
+    pcc_base: u64,
+    pcc_top: u64,
     line: u64,
 ) -> Option<Template> {
     let rstart = region.start();
-    // The contiguous-pa argument (pa = pa0 + 4k) only holds within the
-    // entry's page, and every fetch must sit below the PCC top the guard
-    // validated.
-    let page_rem = ((FRAME_SIZE - pc0 % FRAME_SIZE) / 4) as usize;
-    let cap = MAX_TRACE.min(page_rem).min(pcc_rem).min(region.len() - idx);
+    let target = |t: u32| rstart + u64::from(t) * 4;
+    // Every fetch comes from the entry's page, the one translation the
+    // guard validated, and lies within the PCC bounds and the region.
+    let fetchable = |pc: u64| {
+        pc / FRAME_SIZE == pc0 / FRAME_SIZE
+            && pc >= pcc_base
+            && pc.saturating_add(4) <= pcc_top
+            && region.contains(pc)
+    };
 
-    // Pass 1: walk forward through fall-through control flow, collecting
-    // pure-int instructions until a terminator or a clamp.
-    let mut trace: Vec<Instr> = Vec::new();
+    // Pass 1: walk forward through fall-through control flow and
+    // unconditional jumps, collecting in-trace instructions until a
+    // terminator or a clamp.
+    let mut trace: Vec<(u64, Instr)> = Vec::new();
     let mut end = End::Fall;
-    while trace.len() < cap {
-        let instr = region.instr_at(idx + trace.len()).instr;
-        if !reg_effects(&instr).is_pure_int() {
+    let mut pc = pc0;
+    while trace.len() < MAX_TRACE && fetchable(pc) {
+        let instr = region.instr_at(region.index_of(pc)).instr;
+        if !in_trace(&instr) {
             break;
         }
+        trace.push((pc, instr));
         match instr {
-            Instr::J { target } => {
-                trace.push(instr);
-                let t = rstart + u64::from(target) * 4;
-                end = if t == pc0 { End::Loop } else { End::Jump(t) };
+            Instr::J { target: t } => {
+                let t = target(t);
+                if t == pc0 {
+                    end = End::Loop;
+                    break;
+                }
+                // A jump within the page continues the trace at its
+                // target, unless the trace already holds it (a loop the
+                // entry does not head).
+                if fetchable(t) && trace.iter().all(|&(p, _)| p != t) {
+                    pc = t;
+                    continue;
+                }
+                end = End::Jump(t);
                 break;
             }
             Instr::Jr { rs } => {
-                trace.push(instr);
                 end = End::Jr(rs);
                 break;
             }
             Instr::Jalr { rd, rs } => {
-                trace.push(instr);
                 end = End::Jalr(rd, rs);
                 break;
             }
-            Instr::Beq { target, .. }
-            | Instr::Bne { target, .. }
-            | Instr::Blez { target, .. }
-            | Instr::Bgtz { target, .. }
-            | Instr::Bltz { target, .. }
-            | Instr::Bgez { target, .. }
-                if rstart + u64::from(target) * 4 == pc0 =>
+            Instr::Beq { target: t, .. }
+            | Instr::Bne { target: t, .. }
+            | Instr::Blez { target: t, .. }
+            | Instr::Bgtz { target: t, .. }
+            | Instr::Bltz { target: t, .. }
+            | Instr::Bgez { target: t, .. }
+                if target(t) == pc0 =>
             {
                 // A conditional backedge: end the trace here so taken
                 // iterates inside the template instead of side-exiting
                 // and re-entering through the guard every iteration.
-                trace.push(instr);
                 end = End::CondLoop(instr);
                 break;
             }
-            _ => trace.push(instr),
+            _ => {}
         }
+        pc += 4;
+    }
+    // A trace cut right after a jump it followed leaves through the jump.
+    if let (End::Fall, Some(&(_, Instr::J { target: t }))) = (&end, trace.last()) {
+        end = End::Jump(target(t));
     }
     let n = trace.len();
     let looping = matches!(end, End::Loop | End::CondLoop(_));
@@ -398,7 +495,7 @@ pub(crate) fn compile(
     let mut locals = Locals::new();
     let n_ops = if matches!(end, End::Fall) { n } else { n - 1 };
     let mut ops = Vec::with_capacity(n_ops);
-    for &instr in &trace[..n_ops] {
+    for &(_, instr) in &trace[..n_ops] {
         ops.push(lower(instr, &mut locals, rstart));
     }
     let term = match end {
@@ -434,7 +531,7 @@ pub(crate) fn compile(
             init.push((r, l));
             if trace
                 .iter()
-                .any(|i| reg_effects(i).int_writes & (1 << r) != 0)
+                .any(|(_, i)| reg_effects(i).int_writes & (1 << r) != 0)
             {
                 flush.push((l, r));
             }
@@ -442,19 +539,23 @@ pub(crate) fn compile(
     }
 
     // Metrics: base-cycle prefix sums and line-coalesced fetch runs.
-    let mut cum_cycles = Vec::with_capacity(n);
+    let mut cum_cycles = Vec::with_capacity(n + 1);
     let mut total = 0u32;
-    for k in 0..n {
-        total += u32::from(region.instr_at(idx + k).base_cycles);
+    cum_cycles.push(total);
+    for &(pc, _) in &trace {
+        total += u32::from(region.instr_at(region.index_of(pc)).base_cycles);
         cum_cycles.push(total);
     }
+    let frame = pa0 - pc0 % FRAME_SIZE;
     let mut fetch_runs: Vec<(u64, u64)> = Vec::new();
-    for k in 0..n as u64 {
-        let pa = pa0 + 4 * k;
+    let mut run_of = Vec::with_capacity(n);
+    for &(pc, _) in &trace {
+        let pa = frame + pc % FRAME_SIZE;
         match fetch_runs.last_mut() {
             Some((first, count)) if pa / line == *first / line => *count += 1,
             _ => fetch_runs.push((pa, 1)),
         }
+        run_of.push((fetch_runs.len() - 1) as u8);
     }
 
     Some(Template {
@@ -466,9 +567,34 @@ pub(crate) fn compile(
         ops,
         term,
         fetch_runs,
+        run_of,
+        pcs: trace.iter().map(|&(pc, _)| pc).collect(),
         entry_pc: pc0,
-        fall_pc: pc0 + 4 * n as u64,
+        fall_pc: trace[n - 1].0 + 4,
     })
+}
+
+/// Whether `instr` can run in-trace: a pure-integer instruction, a data
+/// access with in-trace guards ([`MemOp`]) or a capability-register op
+/// that cannot trap ([`CapOp`]). `csetbounds`, `candperm` and the other
+/// capability ops end a trace: they can trap or record derivations, and
+/// they are rare in hot loops.
+fn in_trace(instr: &Instr) -> bool {
+    reg_effects(instr).is_pure_int()
+        || matches!(
+            instr,
+            Instr::Load { .. }
+                | Instr::Store { .. }
+                | Instr::CLoad { .. }
+                | Instr::CStore { .. }
+                | Instr::Clc { .. }
+                | Instr::Csc { .. }
+                | Instr::CIncOffset { .. }
+                | Instr::CIncOffsetImm { .. }
+                | Instr::CMove { .. }
+                | Instr::CGetTag { .. }
+                | Instr::CGetAddr { .. }
+        )
 }
 
 /// Lowers a straight-line (or mid-trace branch) instruction to a [`TOp`].
@@ -478,7 +604,8 @@ fn lower(instr: Instr, l: &mut Locals, rstart: u64) -> TOp {
     // the write) — irrelevant for correctness, kept for readability of
     // the dense mapping.
     match instr {
-        Instr::Nop => TOp::Nop,
+        // A jump the walk followed: the trace goes on at its target.
+        Instr::Nop | Instr::J { .. } => TOp::Nop,
         Instr::Li { rd, imm } => TOp::Li {
             d: l.write(rd),
             imm: imm as u64,
@@ -621,9 +748,58 @@ fn lower(instr: Instr, l: &mut Locals, rstart: u64) -> TOp {
                 taken_next: rstart + u64::from(target) * 4,
             }
         }
+        Instr::Load {
+            rd,
+            base,
+            off,
+            w,
+            signed,
+        } => TOp::Mem(MemOp::Load {
+            base: l.read(base),
+            d: l.write(rd),
+            off,
+            w,
+            signed,
+        }),
+        Instr::Store { rs, base, off, w } => TOp::Mem(MemOp::Store {
+            s: l.read(rs),
+            base: l.read(base),
+            off,
+            w,
+        }),
+        Instr::CLoad {
+            rd,
+            cb,
+            off,
+            w,
+            signed,
+        } => TOp::Mem(MemOp::CLoad {
+            d: l.write(rd),
+            cb,
+            off,
+            w,
+            signed,
+        }),
+        Instr::CStore { rs, cb, off, w } => TOp::Mem(MemOp::CStore {
+            s: l.read(rs),
+            cb,
+            off,
+            w,
+        }),
+        Instr::Clc { cd, cb, off } => TOp::Mem(MemOp::Clc { cd, cb, off }),
+        Instr::Csc { cs, cb, off } => TOp::Mem(MemOp::Csc { cs, cb, off }),
+        Instr::CIncOffset { cd, cb, rs } => TOp::Cap(CapOp::IncOffset {
+            cd,
+            cb,
+            s: l.read(rs),
+        }),
+        Instr::CIncOffsetImm { cd, cb, imm } => TOp::Cap(CapOp::IncOffsetImm { cd, cb, imm }),
+        Instr::CMove { cd, cb } => TOp::Cap(CapOp::Move { cd, cb }),
+        Instr::CGetTag { rd, cb } => TOp::Cap(CapOp::GetTag { d: l.write(rd), cb }),
+        Instr::CGetAddr { rd, cb } => TOp::Cap(CapOp::GetAddr { d: l.write(rd), cb }),
         // The walk in `compile` never lets anything else through: J/Jr/
-        // Jalr end the trace as terminators, non-pure-int ops end it
-        // before inclusion.
+        // Jalr end the trace as terminators, instructions `in_trace`
+        // refuses end it before inclusion.
         other => unreachable!("non-templatable instruction in trace: {other:?}"),
     }
 }
@@ -684,7 +860,7 @@ mod tests {
     fn spin_loop_compiles_to_internal_loop() {
         let r = DecodedRegion::decode(0x10000, &spin_body());
         // Enter at `top` (index 1).
-        let t = compile(&r, 1, 0x10004, 0x5004, 1 << 20, LINE).unwrap();
+        let t = compile(&r, 0x10004, 0x5004, 0, u64::MAX, LINE).unwrap();
         assert_eq!(t.n_trace, 5, "li, sub, beqz, addi, j");
         assert!(matches!(t.term, TTerm::Loop));
         assert!(t.looping());
@@ -699,7 +875,7 @@ mod tests {
         assert_eq!(t.flush.len(), 2);
         // 5 instructions, one cycle each.
         assert_eq!(t.cycles_total, 5);
-        assert_eq!(t.cum_cycles, vec![1, 2, 3, 4, 5]);
+        assert_eq!(t.cum_cycles, vec![0, 1, 2, 3, 4, 5]);
         // 20 bytes from 0x5004: one line run.
         assert_eq!(t.fetch_runs, vec![(0x5004, 5)]);
     }
@@ -724,7 +900,7 @@ mod tests {
             Instr::Syscall,
         ];
         let r = DecodedRegion::decode(0, &code);
-        let t = compile(&r, 0, 0, 0, 1 << 20, LINE).unwrap();
+        let t = compile(&r, 0, 0, 0, u64::MAX, LINE).unwrap();
         assert_eq!(t.n_trace, 3);
         assert!(matches!(t.term, TTerm::Fallthrough));
         assert!(!t.looping());
@@ -741,9 +917,9 @@ mod tests {
             Instr::Syscall,
         ];
         let r = DecodedRegion::decode(0, &code);
-        assert!(compile(&r, 0, 0, 0, 1 << 20, LINE).is_none());
-        // A non-pure entry instruction rejects immediately.
-        assert!(compile(&r, 1, 4, 4, 1 << 20, LINE).is_none());
+        assert!(compile(&r, 0, 0, 0, u64::MAX, LINE).is_none());
+        // An entry instruction that cannot run in-trace rejects at once.
+        assert!(compile(&r, 4, 4, 0, u64::MAX, LINE).is_none());
     }
 
     #[test]
@@ -762,7 +938,7 @@ mod tests {
             Instr::Syscall,
         ];
         let r = DecodedRegion::decode(0, &code);
-        let t = compile(&r, 0, 0, 0, 1 << 20, LINE).unwrap();
+        let t = compile(&r, 0, 0, 0, u64::MAX, LINE).unwrap();
         assert_eq!(t.n_trace, 2);
         assert!(matches!(
             t.term,
@@ -787,7 +963,7 @@ mod tests {
         ];
         let r = DecodedRegion::decode(0x10000, &code);
         // PCC allows only 4 more instructions.
-        let t = compile(&r, 0, 0x10000, 0, 4, LINE).unwrap();
+        let t = compile(&r, 0x10000, 0, 0x10000, 0x10000 + 16, LINE).unwrap();
         assert_eq!(t.n_trace, 4);
         // Entry 8 bytes before a page boundary: 2 instructions fit.
         let near_end = FRAME_SIZE - 8;
@@ -801,7 +977,7 @@ mod tests {
         ];
         let r2 = DecodedRegion::decode(near_end, &code2);
         assert!(
-            compile(&r2, 0, near_end, near_end, 1 << 20, LINE).is_none(),
+            compile(&r2, near_end, near_end, 0, u64::MAX, LINE).is_none(),
             "2-instruction straight-line trace is below MIN_TRACE"
         );
     }
@@ -819,9 +995,49 @@ mod tests {
             20
         ];
         let r = DecodedRegion::decode(0x10000, &code);
-        let t = compile(&r, 0, 0x10000, LINE - 8, 1 << 20, LINE).unwrap();
+        let t = compile(&r, 0x10000, LINE - 8, 0, u64::MAX, LINE).unwrap();
         assert_eq!(t.fetch_runs, vec![(LINE - 8, 2), (LINE, 16), (2 * LINE, 2)]);
         assert_eq!(t.fetch_runs.iter().map(|r| r.1).sum::<u64>(), 20);
+    }
+
+    #[test]
+    fn traces_follow_jumps_within_the_page() {
+        // 0: addi t0 ; 1: j 3 ; 2: syscall ; 3: addi t1 ; 4: bne t0, t2, 0
+        // ; 5: j 2. From 0 the walk follows `j 3` and ends at the
+        // conditional backedge; from 3 it follows nothing, as `j 2` lands
+        // on a syscall, and leaves through that jump.
+        let code = vec![
+            Instr::AddI {
+                rd: ireg::T0,
+                rs: ireg::T0,
+                imm: 1,
+            },
+            Instr::J { target: 3 },
+            Instr::Syscall,
+            Instr::AddI {
+                rd: ireg::T1,
+                rs: ireg::T1,
+                imm: 2,
+            },
+            Instr::Bne {
+                rs: ireg::T0,
+                rt: ireg::T2,
+                target: 0,
+            },
+            Instr::J { target: 2 },
+        ];
+        let r = DecodedRegion::decode(0x10000, &code);
+        let t = compile(&r, 0x10000, 0x5000, 0, u64::MAX, LINE).unwrap();
+        assert!(matches!(t.term, TTerm::CondLoop { cond: Cond::Ne, .. }));
+        assert_eq!(t.pcs, vec![0x10000, 0x10004, 0x1000c, 0x10010]);
+        assert!(matches!(t.ops[1], TOp::Nop), "the followed jump");
+        assert_eq!(t.fall_pc, 0x10014);
+        assert_eq!(t.fetch_runs, vec![(0x5000, 4)]);
+        assert_eq!(t.cum_cycles, vec![0, 1, 2, 3, 4]);
+
+        let t = compile(&r, 0x1000c, 0x500c, 0, u64::MAX, LINE).unwrap();
+        assert!(matches!(t.term, TTerm::Jump(0x10008)));
+        assert_eq!(t.pcs, vec![0x1000c, 0x10010, 0x10014]);
     }
 
     #[test]
@@ -841,7 +1057,7 @@ mod tests {
             Instr::J { target: 0 },
         ];
         let r = DecodedRegion::decode(0, &code);
-        let t = compile(&r, 0, 0, 0, 1 << 20, LINE).unwrap();
+        let t = compile(&r, 0, 0, 0, u64::MAX, LINE).unwrap();
         assert!(matches!(t.term, TTerm::Loop));
         assert!(matches!(t.ops[0], TOp::Add { a: 0, b: 0, .. }));
         assert!(matches!(t.ops[1], TOp::Mov { d: 1, .. }));

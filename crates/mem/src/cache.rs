@@ -56,6 +56,9 @@ impl CacheConfig {
     }
 }
 
+/// Marks an unused way: no line tag reaches it (see `Cache::access`).
+const EMPTY: u32 = u32::MAX;
+
 /// One set-associative cache with LRU replacement.
 #[derive(Clone, Debug)]
 struct Cache {
@@ -68,8 +71,11 @@ struct Cache {
     line_shift: u32,
     /// `num_sets - 1` when `pow2`.
     set_mask: u64,
-    /// `sets[s]` holds line tags in LRU order (front = most recent).
-    sets: Vec<Vec<u64>>,
+    /// Number of sets.
+    num_sets: usize,
+    /// `ways` line tags per set, set after set: each set in LRU order
+    /// (first = most recent), unused ways [`EMPTY`] at the end.
+    lines: Vec<u32>,
 }
 
 impl Cache {
@@ -80,7 +86,8 @@ impl Cache {
             pow2: cfg.line.is_power_of_two() && num_sets.is_power_of_two(),
             line_shift: cfg.line.trailing_zeros(),
             set_mask: num_sets as u64 - 1,
-            sets: vec![Vec::new(); num_sets],
+            num_sets,
+            lines: vec![EMPTY; num_sets * cfg.ways],
         }
     }
 
@@ -91,30 +98,36 @@ impl Cache {
             (line, (line & self.set_mask) as usize)
         } else {
             let line = paddr / self.cfg.line;
-            (line, (line as usize) % self.sets.len())
+            (line, (line as usize) % self.num_sets)
         };
+        // Tags are 32 bits to halve the arrays. Frames are handed out in
+        // ascending id order, so a 64-byte line past 2^32 would take
+        // 256 GiB of allocated guest memory; the check keeps a wider
+        // address from aliasing instead of trusting that.
+        let tag = u32::try_from(line)
+            .ok()
+            .filter(|&t| t != EMPTY)
+            .expect("physical line fits a 32-bit tag");
         let ways = self.cfg.ways;
-        let set = &mut self.sets[set_idx];
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
         // Hot loops hammer the most-recently-used line: a hit at the LRU
         // front needs no reordering at all.
-        if set.first() == Some(&line) {
+        if set[0] == tag {
             return true;
         }
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            set.remove(pos);
-            set.insert(0, line);
+        if let Some(pos) = set.iter().position(|&t| t == tag) {
+            set[..=pos].rotate_right(1);
             true
         } else {
-            set.insert(0, line);
-            set.truncate(ways);
+            // The least recent way (or an unused one) makes room.
+            set.rotate_right(1);
+            set[0] = tag;
             false
         }
     }
 
     fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lines.fill(EMPTY);
     }
 }
 
@@ -165,6 +178,7 @@ impl CacheHierarchy {
 
     /// Performs an access and returns the stall cycles it cost (0 for an L1
     /// hit — the pipeline's base cost covers it).
+    #[inline]
     pub fn access(&mut self, paddr: u64, kind: AccessKind) -> u64 {
         let l1 = match kind {
             AccessKind::Fetch => &mut self.l1i,
@@ -201,6 +215,7 @@ impl CacheHierarchy {
     /// a same-line re-access takes the front fast path in `Cache::access`
     /// (no LRU reorder, no L2 involvement, 0 stall cycles), so only the
     /// L1 hit counter advances.
+    #[inline]
     pub fn access_run(&mut self, paddr: u64, kind: AccessKind, n: u64) -> u64 {
         if n == 0 {
             return 0;

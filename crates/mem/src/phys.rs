@@ -3,6 +3,7 @@
 use cheri_cap::{Capability, TAG_GRANULE};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of a physical frame (and of a virtual page) in bytes.
 pub const FRAME_SIZE: u64 = 4096;
@@ -48,6 +49,31 @@ impl fmt::Debug for PAddr {
     }
 }
 
+/// Hashes a granule index of a frame's capability map with one multiply
+/// (Fibonacci hashing) instead of SipHash: a map lookup sits on every
+/// capability load and store, and the keys are granule numbers below 256,
+/// too few for any guest to flood a bucket. The table picks buckets by the
+/// product's low bits, as spread as the granule numbers themselves, and
+/// keeps its top bits, which the multiply mixes, as tags.
+#[derive(Clone, Copy, Default)]
+struct GranuleHasher(u64);
+
+impl Hasher for GranuleHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u16(u16::from(b) ^ (self.0 as u16));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 #[derive(Clone)]
 struct Frame {
     data: Box<[u8]>,
@@ -56,7 +82,7 @@ struct Frame {
     /// Full capability values for tagged granules. The `data` bytes hold the
     /// address so integer reads of pointer memory behave like real CHERI;
     /// the rest of the encoding lives here.
-    caps: HashMap<u16, Capability>,
+    caps: HashMap<u16, Capability, BuildHasherDefault<GranuleHasher>>,
 }
 
 impl Frame {
@@ -64,7 +90,7 @@ impl Frame {
         Frame {
             data: vec![0u8; FRAME_SIZE as usize].into_boxed_slice(),
             tags: [0; GRANULES_PER_FRAME / 64],
-            caps: HashMap::new(),
+            caps: HashMap::default(),
         }
     }
 
@@ -367,6 +393,7 @@ impl PhysMem {
     /// # Panics
     ///
     /// Panics if the access crosses the end of the frame.
+    #[inline]
     pub fn read_bytes(&self, addr: PAddr, buf: &mut [u8]) -> Result<(), BadFrame> {
         let f = self.frame(addr.frame())?;
         let off = addr.offset() as usize;
@@ -457,10 +484,11 @@ impl PhysMem {
         assert_eq!(addr.0 % size, 0, "unaligned capability store");
         // Mirror the address (cursor) into the first 8 data bytes, then a
         // digest of the metadata; this also clears stale tags in the range.
-        let mut bytes = vec![0u8; size as usize];
+        let mut granule = [0u8; 32];
+        let bytes = &mut granule[..size as usize];
         bytes[..8].copy_from_slice(&cap.addr().to_le_bytes());
         bytes[8..16].copy_from_slice(&cap.base().to_le_bytes());
-        self.write_bytes(addr, &bytes)?;
+        self.write_bytes(addr, bytes)?;
         if cap.tag() {
             let f = self.frame_mut(addr.frame())?;
             let off = addr.offset() as usize;
@@ -488,6 +516,7 @@ impl PhysMem {
     /// # Panics
     ///
     /// Panics if `addr` is not granule-aligned.
+    #[inline]
     pub fn load_cap(&self, addr: PAddr) -> Result<Option<Capability>, BadFrame> {
         assert_eq!(addr.0 % TAG_GRANULE, 0, "unaligned capability load");
         let f = self.frame(addr.frame())?;

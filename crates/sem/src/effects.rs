@@ -89,10 +89,12 @@ impl RegEffects {
     }
 
     /// Whether the handler's whole effect is captured by the declared
-    /// integer read/write sets plus (optionally) a control transfer — the
-    /// precondition for compiling it into a register-resident template.
-    /// Such a handler can never trap: it touches no memory and no
-    /// capability state, so there is no check to fail.
+    /// integer read/write sets plus (optionally) a control transfer. Such
+    /// a handler can never trap: it touches no memory and no capability
+    /// state, so there is no check to fail, and the template compiler
+    /// takes it into a register-resident trace as is (data accesses and
+    /// capability-register ops it admits by name, with in-trace guards
+    /// where they can fail).
     #[must_use]
     pub const fn is_pure_int(&self) -> bool {
         !self.caps && !self.mem && !self.exit

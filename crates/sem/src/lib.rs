@@ -129,8 +129,94 @@ pub trait MemoryPort: TrapPort {
     fn write_granule(&mut self, vaddr: u64, value: Capability, pc: u64) -> Result<(), Self::Fault>;
 }
 
-/// Checked data read: alignment (when required), `LOAD` bounds/permission
-/// check against `cap`, raw read, sign extension.
+/// The capability checks of a `size`-byte data access at `vaddr` through
+/// `cap`, in handler order: alignment (when required), then tag, seal,
+/// permission `need` and bounds. The handlers and the template tier's
+/// in-trace guards both call it, so they cannot disagree about which
+/// accesses pass.
+///
+/// # Errors
+///
+/// The first failed check.
+#[inline]
+pub fn check_data(
+    cap: &Capability,
+    vaddr: u64,
+    size: u64,
+    need: Perms,
+    aligned_required: bool,
+) -> Result<(), CapFault> {
+    if aligned_required && !vaddr.is_multiple_of(size) {
+        return Err(CapFault::UnalignedDataAccess);
+    }
+    cap.check_access(vaddr, size, need)
+}
+
+/// The checks of a capability-width access (`clc`/`csc`) at `vaddr`
+/// through `cap`: granule alignment, then tag, seal, permission `need` and
+/// bounds.
+///
+/// # Errors
+///
+/// The first failed check.
+#[inline]
+pub fn check_cap_access(cap: &Capability, vaddr: u64, need: Perms) -> Result<(), CapFault> {
+    let size = cap.format().in_memory_size();
+    if !vaddr.is_multiple_of(size) {
+        return Err(CapFault::UnalignedCapAccess);
+    }
+    cap.check_access(vaddr, size, need)
+}
+
+/// The extra checks of `csc` storing `value` through `cap`: a tagged value
+/// needs `STORE_CAP`, and a non-global one also `STORE_LOCAL_CAP`.
+///
+/// # Errors
+///
+/// The first failed check.
+#[inline]
+pub fn check_cap_store(cap: &Capability, value: &Capability) -> Result<(), CapFault> {
+    if value.tag() {
+        if !cap.perms().contains(Perms::STORE_CAP) {
+            return Err(CapFault::PermitStoreCapViolation);
+        }
+        if !value.perms().contains(Perms::GLOBAL) && !cap.perms().contains(Perms::STORE_LOCAL_CAP) {
+            return Err(CapFault::PermitStoreLocalCapViolation);
+        }
+    }
+    Ok(())
+}
+
+/// What `clc` through `cap` writes for a tagged granule holding `c`:
+/// loading through a capability without `LOAD_CAP` strips the tag.
+#[must_use]
+#[inline]
+pub fn loaded_cap(cap: &Capability, c: Capability) -> Capability {
+    if cap.perms().contains(Perms::LOAD_CAP) {
+        c
+    } else {
+        c.clear_tag()
+    }
+}
+
+/// The destination value of a `w`-wide load that read `raw` (the low
+/// bytes): sign-extended when `signed`, else as read.
+#[must_use]
+#[inline]
+pub fn extend(raw: u64, w: Width, signed: bool) -> u64 {
+    if !signed {
+        return raw;
+    }
+    match w {
+        Width::B => raw as u8 as i8 as i64 as u64,
+        Width::H => raw as u16 as i16 as i64 as u64,
+        Width::W => raw as u32 as i32 as i64 as u64,
+        Width::D => raw,
+    }
+}
+
+/// Checked data read: [`check_data`] with `LOAD`, raw read, sign
+/// extension.
 ///
 /// # Errors
 ///
@@ -146,26 +232,13 @@ pub fn data_read<P: MemoryPort>(
     pc: u64,
 ) -> Result<u64, P::Fault> {
     let size = w.bytes();
-    if aligned_required && !vaddr.is_multiple_of(size) {
-        return Err(p.cap_fault(pc, CapFault::UnalignedDataAccess, Some(vaddr)));
-    }
-    cap.check_access(vaddr, size, Perms::LOAD)
+    check_data(cap, vaddr, size, Perms::LOAD, aligned_required)
         .map_err(|f| p.cap_fault(pc, f, Some(vaddr)))?;
     let raw = p.read_raw(vaddr, size, pc)?;
-    Ok(if signed {
-        match w {
-            Width::B => raw as u8 as i8 as i64 as u64,
-            Width::H => raw as u16 as i16 as i64 as u64,
-            Width::W => raw as u32 as i32 as i64 as u64,
-            Width::D => raw,
-        }
-    } else {
-        raw
-    })
+    Ok(extend(raw, w, signed))
 }
 
-/// Checked data write: alignment (when required), `STORE` bounds/permission
-/// check against `cap`, raw write.
+/// Checked data write: [`check_data`] with `STORE`, raw write.
 ///
 /// # Errors
 ///
@@ -181,10 +254,7 @@ pub fn data_write<P: MemoryPort>(
     pc: u64,
 ) -> Result<(), P::Fault> {
     let size = w.bytes();
-    if aligned_required && !vaddr.is_multiple_of(size) {
-        return Err(p.cap_fault(pc, CapFault::UnalignedDataAccess, Some(vaddr)));
-    }
-    cap.check_access(vaddr, size, Perms::STORE)
+    check_data(cap, vaddr, size, Perms::STORE, aligned_required)
         .map_err(|f| p.cap_fault(pc, f, Some(vaddr)))?;
     p.write_raw(vaddr, size, value, pc)
 }

@@ -13,7 +13,7 @@
 
 use crate::effects::{eff, RegEffects};
 use crate::{MemoryPort, OpResult, SemExit, StepCtx};
-use cheri_cap::{CapFault, Capability, Perms};
+use cheri_cap::{Capability, Perms};
 use cheri_isa::{Instr, Width};
 
 macro_rules! define_ops {
@@ -338,23 +338,10 @@ define_ops! {
     op_clc: Instr::Clc { cd, cb, off } => [eff().mem().caps()] |p, cx| {
         let cap = cx.rf.c(cb);
         let vaddr = cap.addr().wrapping_add(off as u64);
-        let size = cap.format().in_memory_size();
-        if !vaddr.is_multiple_of(size) {
-            return Err(p.cap_fault(cx.pc, CapFault::UnalignedCapAccess, Some(vaddr)));
-        }
-        cap.check_access(vaddr, size, Perms::LOAD)
+        crate::check_cap_access(&cap, vaddr, Perms::LOAD)
             .map_err(|f| p.cap_fault(cx.pc, f, Some(vaddr)))?;
-        let loaded = p.read_granule(vaddr, cx.pc)?;
-        let value = match loaded {
-            Some(c) => {
-                if cap.perms().contains(Perms::LOAD_CAP) {
-                    c
-                } else {
-                    // Loading through a no-LOAD_CAP capability strips the
-                    // tag.
-                    c.clear_tag()
-                }
-            }
+        let value = match p.read_granule(vaddr, cx.pc)? {
+            Some(c) => crate::loaded_cap(&cap, c),
             None => {
                 let raw = crate::data_read(p, &cap, vaddr, Width::D, false, true, cx.pc)?;
                 Capability::null(cap.format()).with_addr(raw)
@@ -367,26 +354,9 @@ define_ops! {
         let cap = cx.rf.c(cb);
         let value = cx.rf.c(cs);
         let vaddr = cap.addr().wrapping_add(off as u64);
-        let size = cap.format().in_memory_size();
-        if !vaddr.is_multiple_of(size) {
-            return Err(p.cap_fault(cx.pc, CapFault::UnalignedCapAccess, Some(vaddr)));
-        }
-        cap.check_access(vaddr, size, Perms::STORE)
+        crate::check_cap_access(&cap, vaddr, Perms::STORE)
+            .and_then(|()| crate::check_cap_store(&cap, &value))
             .map_err(|f| p.cap_fault(cx.pc, f, Some(vaddr)))?;
-        if value.tag() {
-            if !cap.perms().contains(Perms::STORE_CAP) {
-                return Err(p.cap_fault(cx.pc, CapFault::PermitStoreCapViolation, Some(vaddr)));
-            }
-            if !value.perms().contains(Perms::GLOBAL)
-                && !cap.perms().contains(Perms::STORE_LOCAL_CAP)
-            {
-                return Err(p.cap_fault(
-                    cx.pc,
-                    CapFault::PermitStoreLocalCapViolation,
-                    Some(vaddr),
-                ));
-            }
-        }
         p.write_granule(vaddr, value, cx.pc)?;
         Ok(None)
     }

@@ -15,6 +15,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> workspace: every crate's own tests"
+# The root package has no default-members, so `cargo test -q` above tests
+# only the root package; the cpu, vm, kernel, harness and fleet tests live
+# in the workspace crates.
+cargo test --workspace --release -q
+
 echo "==> benchmark: perf_ledger builds against the workspace and its tests pass"
 # The benchmark is a package of its own, outside the workspace: a workspace
 # API change that breaks it would otherwise go unnoticed.
@@ -110,6 +116,19 @@ cmp scripts/golden/scenario_pinned.golden target/scenario-pinned.lines || {
     exit 1
 }
 
+echo "==> golden: fig4 sampled sub-grid is byte-identical to the committed golden"
+./target/release/run_specs --specs scripts/golden/fig4_pinned.specs \
+    --jobs 2 --no-cache --shard 0/1 > target/fig4-pinned.lines
+cmp scripts/golden/fig4_pinned.golden target/fig4-pinned.lines || {
+    echo "FAIL: fig4 sampled output differs from scripts/golden/fig4_pinned.golden"
+    echo "      (workload metrics changed; if intentional, regenerate the sample:"
+    echo "       ./target/release/fig4 --dump-specs | awk 'NR % 9 == 1' \\"
+    echo "           > scripts/golden/fig4_pinned.specs"
+    echo "       ./target/release/run_specs --specs scripts/golden/fig4_pinned.specs \\"
+    echo "           --jobs 2 --no-cache --shard 0/1 > scripts/golden/fig4_pinned.golden)"
+    exit 1
+}
+
 echo "==> equivalence: pinned suites are byte-identical across tiers and oracles"
 # One row per gate: suite|flags|failure message. Each run must reproduce
 # the suite's default-tier lines above byte for byte ($flags splits into
@@ -132,6 +151,9 @@ table1|--oracle lockstep|the per-step lockstep shadow diverged (or perturbed gue
 table3|--oracle lockstep|the per-step lockstep shadow diverged (or perturbed guest metrics)\n      on the table3 pinned suite
 table1|--oracle lockstep --oracle-every 64|sampled lockstep perturbed guest metrics (or diverged) on the\n      table1 pinned suite (--oracle-every must be observation-only)
 scenario|--exec-mode single|scenario latency percentiles diverge between plain stepping\n      and the reference interpreter
+fig4|--exec-mode single|guest metrics diverge between the template tier and the\n      reference interpreter on the fig4 sampled sub-grid
+fig4|--exec-mode superblock|guest metrics diverge between the template tier and\n      plain stepping on the fig4 sampled sub-grid
+fig4|--oracle replay|the fast machine and the reference interpreter disagree on the\n      fig4 sampled sub-grid (--oracle replay changed the output)
 GATES
 
 echo "==> template tier: interp cross-check is clean, and catches --weaken-flush"
@@ -269,19 +291,6 @@ cmp scripts/golden/scenario_pinned.specs target/scenario-specs.lines || {
     echo "FAIL: table_server spec grid differs from scripts/golden/scenario_pinned.specs"
     echo "      (if intentional, regenerate the specs AND the golden:"
     echo "       ./target/release/table_server --dump-specs > scripts/golden/scenario_pinned.specs)"
-    exit 1
-}
-
-echo "==> golden: fig4 sampled sub-grid is byte-identical to the committed golden"
-./target/release/run_specs --specs scripts/golden/fig4_pinned.specs \
-    --jobs 2 --no-cache --shard 0/1 > target/fig4-pinned.lines
-cmp scripts/golden/fig4_pinned.golden target/fig4-pinned.lines || {
-    echo "FAIL: fig4 sampled output differs from scripts/golden/fig4_pinned.golden"
-    echo "      (workload metrics changed; if intentional, regenerate the sample:"
-    echo "       ./target/release/fig4 --dump-specs | awk 'NR % 9 == 1' \\"
-    echo "           > scripts/golden/fig4_pinned.specs"
-    echo "       ./target/release/run_specs --specs scripts/golden/fig4_pinned.specs \\"
-    echo "           --jobs 2 --no-cache --shard 0/1 > scripts/golden/fig4_pinned.golden)"
     exit 1
 }
 
