@@ -33,7 +33,7 @@
 //!
 //! Exits non-zero iff any cell is a host panic or a silent success.
 
-use cheri_bench::cli::{self, BenchOpts};
+use cheri_bench::cli;
 use cheri_isa::codegen::CodegenOpts;
 use cheri_kernel::{AbiMode, KernelConfig};
 use cheriabi::fault::{all_kinds, FaultKind, FaultPlan};
@@ -199,51 +199,26 @@ fn build_specs(seeds: u64, weaken: bool) -> Vec<RunSpec> {
     specs
 }
 
+const USAGE: &str = "\n  \
+    --seeds N      seeds per (kind, ABI) cell (default 17)\n  \
+    --weaken-tag-clear  self-test: break tag clearing; the\n                 \
+    campaign must then report silent successes and fail\n  \
+    --out PATH     campaign JSON destination (default\n                 \
+    BENCH_faults.json; - for stdout only)";
+
 fn main() {
-    let mut rest = Vec::new();
     let mut seeds: u64 = 17;
     let mut weaken = false;
     let mut out = "BENCH_faults.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seeds" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => seeds = n,
-                _ => {
-                    eprintln!("--seeds needs a positive number");
-                    std::process::exit(2);
-                }
-            },
+    let opts = cli::parse_env_with(USAGE, |flag, args| {
+        match flag {
+            "--seeds" => seeds = cli::count(args, flag)?,
             "--weaken-tag-clear" => weaken = true,
-            "--out" => match args.next() {
-                Some(path) => out = path,
-                None => {
-                    eprintln!("--out needs a path (or - for stdout only)");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!("fault_campaign: seeded fault-injection sweep");
-                println!("{}", cli::USAGE);
-                println!(
-                    "  --seeds N      seeds per (kind, ABI) cell (default 17)\n  \
-                     --weaken-tag-clear  self-test: break tag clearing; the\n                 \
-                     campaign must then report silent successes and fail\n  \
-                     --out PATH     campaign JSON destination (default\n                 \
-                     BENCH_faults.json; - for stdout only)"
-                );
-                return;
-            }
-            other => rest.push(other.to_string()),
+            "--out" => out = cli::value(args, flag)?,
+            _ => return Ok(false),
         }
-    }
-    let opts: BenchOpts = match cli::parse_args(rest) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+        Ok(true)
+    });
     let specs = build_specs(seeds, weaken);
     let Some(reports) = cli::run_specs(&cheri_bench::registry(), &specs, &opts) else {
         return;
@@ -301,8 +276,7 @@ fn main() {
         let mut text = campaign.to_string();
         text.push('\n');
         if let Err(err) = std::fs::write(&out, text) {
-            eprintln!("fault_campaign: writing {out}: {err}");
-            std::process::exit(2);
+            cli::fail(&format!("fault_campaign: writing {out}: {err}"));
         }
     }
     if opts.json {

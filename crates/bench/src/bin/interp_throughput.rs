@@ -15,6 +15,9 @@
 //! flush so CI can prove that check has teeth (the run must exit
 //! non-zero).
 //!
+//! Each program runs `--trials` rounds; every round runs each mode once,
+//! so the modes take turns, and a mode's figure is its best round.
+//!
 //! Each row also reports `tmpl_share`, the template tier's coverage: the
 //! share of the program's retired instructions that templates retired.
 //!
@@ -33,7 +36,8 @@ const USAGE: &str = "usage: interp_throughput [options]
   --no-fast-path    measure only the reference interpreter
   --weaken-flush    test-only: drop one template exit flush; the metric
                     cross-check must then fail (exit non-zero)
-  --trials <n>      wall-time trials per mode (default 3, best-of)
+  --trials <n>      wall-time trials per mode, the modes taking turns
+                    trial by trial (default 3, best-of)
   --spin-iters <n>  spin loop iterations (default 2000000)
   --out <path>      output JSON path (default BENCH_interp.json)
   -h, --help        this help";
@@ -137,23 +141,34 @@ fn run_once(
     (metrics, wall, sys.kernel.cpu.stats.tmpl_instrs)
 }
 
-/// Best-of-`trials` wall time for one (program, mode) pair, with the
-/// guest metrics and the instructions retired inside templates; asserts
-/// the guest metrics are identical across trials.
-fn run_mode(
+/// Best-of-`trials` wall time for each of `modes` on one program, with the
+/// guest metrics and the instructions retired inside templates. The modes
+/// take turns trial by trial, so a change in host speed during the run
+/// hits every mode alike instead of skewing their ratios. Asserts each
+/// mode's guest metrics are identical across trials.
+fn run_modes(
     registry: &Registry,
     spec: &ProgramSpec,
-    mode: Mode,
+    modes: &[Mode],
     trials: u32,
     weaken: bool,
-) -> (Metrics, f64, u64) {
-    let (metrics, mut best, in_templates) = run_once(registry, spec, mode, weaken);
-    for _ in 1..trials {
-        let (m, wall, _) = run_once(registry, spec, mode, weaken);
-        assert_eq!(m, metrics, "guest metrics must be identical across trials");
-        best = best.min(wall);
+) -> Vec<(Metrics, f64, u64)> {
+    let mut best: Vec<(Metrics, f64, u64)> = Vec::new();
+    for trial in 0..trials {
+        for (i, &mode) in modes.iter().enumerate() {
+            let run = run_once(registry, spec, mode, weaken);
+            if trial == 0 {
+                best.push(run);
+            } else {
+                assert_eq!(
+                    run.0, best[i].0,
+                    "guest metrics must be identical across trials"
+                );
+                best[i].1 = best[i].1.min(run.1);
+            }
+        }
     }
-    (metrics, best, in_templates)
+    best
 }
 
 fn mips(instructions: u64, wall: f64) -> f64 {
@@ -207,14 +222,18 @@ fn main() {
         "tmpl share"
     );
     for (name, spec) in &programs {
-        let (ref_metrics, ref_wall, _) = run_mode(&registry, spec, Mode::REF, opts.trials, false);
+        let modes: &[Mode] = if opts.fast_too {
+            &[Mode::REF, Mode::STEP, Mode::TMPL]
+        } else {
+            &[Mode::REF]
+        };
+        let runs = run_modes(&registry, spec, modes, opts.trials, opts.weaken_flush);
+        let (ref_metrics, ref_wall, _) = runs[0];
         let ref_mips = mips(ref_metrics.instructions, ref_wall);
         // (step, tmpl) as (wall, MIPS) pairs, when the fast modes run.
         let fast = opts.fast_too.then(|| {
-            let (step_metrics, step_wall, _) =
-                run_mode(&registry, spec, Mode::STEP, opts.trials, false);
-            let (tmpl_metrics, tmpl_wall, in_templates) =
-                run_mode(&registry, spec, Mode::TMPL, opts.trials, opts.weaken_flush);
+            let (step_metrics, step_wall, _) = runs[1];
+            let (tmpl_metrics, tmpl_wall, in_templates) = runs[2];
             for (mode, m) in [("step", &step_metrics), ("template", &tmpl_metrics)] {
                 if m != &ref_metrics {
                     eprintln!(

@@ -3,11 +3,11 @@
 //! external tooling can drive arbitrary spec matrices without a dedicated
 //! binary per experiment.
 //!
-//! The list comes from `--specs <path>` or stdin with `--specs -`, as a
-//! top-level JSON array of spec objects or one object per line. Every
-//! table/figure binary prints its own session's list with `--dump-specs`,
-//! so `table1 --dump-specs | run_specs --specs -` replays table 1 case by
-//! case, and any subset of those lines replays a pinned sub-suite (the
+//! The list comes from `--specs <path>` or stdin with `--specs -`, one
+//! spec object per line. Every table/figure binary prints its own
+//! session's list in that format with `--dump-specs`, so `table1
+//! --dump-specs | run_specs --specs -` replays table 1 case by case, and
+//! any subset of those lines replays a pinned sub-suite (the
 //! `scripts/ci.sh` golden gate does exactly that).
 //!
 //! With `--fleet N` it is the command-line way into the fleet coordinator:
@@ -16,51 +16,52 @@
 //!
 //! It is also the fleet worker: the coordinator (`--fleet N` on any
 //! binary) keeps one `run_specs --specs - --jobs 1 --no-cache --shard 0/1`
-//! per slot and streams unit after unit into it. On line-format stdin, a
-//! [`UNIT_END`] line ends a *frame*: the specs read since the previous
-//! frame run as one session (case indices from 0), their lines are
-//! printed, then `UNIT_END` is echoed and stdout flushed. Whatever is left
-//! at EOF runs as one session exactly as an unframed list always has, so
-//! plain and JSON-array stdin behave as before.
+//! per slot and streams unit after unit into it. A [`UNIT_END`] line ends
+//! a *frame*: the specs read since the previous frame run as one session
+//! (case indices from 0), their lines are printed, then `UNIT_END` is
+//! echoed and stdout flushed. Whatever is left at EOF runs as one session,
+//! so an unframed list is simply one frame. A file and stdin go through
+//! the same line loop.
 //!
-//! Malformed spec lines are skipped and counted (`specs_rejected` on
-//! stderr), never fatal — one torn line must not kill a fleet unit, and a
-//! frame is echoed whatever it held. The exit is non-zero only when
-//! *every* line of the unframed remainder is malformed.
+//! Malformed spec lines (a pasted JSON array included) are skipped and
+//! counted (`specs_rejected` on stderr), never fatal — one torn line must
+//! not kill a fleet unit, and a frame is echoed whatever it held. The exit
+//! is 2 only when *every* line of the unframed remainder is malformed.
 
 use cheri_bench::cli::{self, BenchOpts, Output, SpecList};
 use cheriabi::fleet::UNIT_END;
 use cheriabi::spec::Registry;
-use std::io::{BufRead as _, Read as _, Write as _};
+use std::io::{BufRead, Write as _};
+
+const USAGE: &str = "\n  \
+    --specs P      read the RunSpec list, one spec object per line, from\n                 \
+    file P, or from stdin with `--specs -`";
 
 fn main() {
-    let (opts, specs_source) = cli::parse_env_with_specs();
-    let Some(source) = specs_source else {
-        eprintln!("run_specs: requires --specs <path> (or --specs - for stdin)");
-        std::process::exit(2);
+    let mut source = None;
+    let opts = cli::parse_env_with(USAGE, |flag, args| {
+        if flag != "--specs" {
+            return Ok(false);
+        }
+        source = Some(cli::value(args, flag)?);
+        Ok(true)
+    });
+    let Some(source) = source else {
+        cli::fail("run_specs: requires --specs <path> (or --specs - for stdin)");
+    };
+    let input: Box<dyn BufRead> = if source == "-" {
+        Box::new(std::io::stdin().lock())
+    } else {
+        match std::fs::File::open(&source) {
+            Ok(file) => Box::new(std::io::BufReader::new(file)),
+            Err(e) => cli::fail(&format!("run_specs: reading {source}: {e}")),
+        }
     };
     let registry = cheri_bench::registry();
-    if source != "-" {
-        run(&registry, &opts, cli::read_specs(&source));
-        return;
-    }
-    let mut stdin = std::io::stdin().lock();
     let mut pending = SpecList::default();
     let mut framed = false;
-    // Whitespace read ahead of the first spec line: kept so that a JSON
-    // array document is parsed from exactly the text it always was.
-    let mut head = String::new();
-    let mut raw = String::new();
-    for lineno in 0.. {
-        raw.clear();
-        match stdin.read_line(&mut raw) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) => fail(&format!("reading stdin: {e}")),
-        }
-        let line = raw.strip_suffix('\n').unwrap_or(&raw);
-        let line = line.strip_suffix('\r').unwrap_or(line);
-        let untouched = !framed && pending.specs.is_empty() && pending.rejected == 0;
+    for (lineno, line) in input.lines().enumerate() {
+        let line = line.unwrap_or_else(|e| cli::fail(&format!("run_specs: reading {source}: {e}")));
         if line == UNIT_END {
             report_rejected(&pending);
             if !pending.specs.is_empty() {
@@ -70,35 +71,17 @@ fn main() {
             let _ = std::io::stdout().flush();
             pending = SpecList::default();
             framed = true;
-        } else if untouched && line.trim_start().starts_with('[') {
-            let mut text = std::mem::take(&mut head) + &raw;
-            if let Err(e) = stdin.read_to_string(&mut text) {
-                fail(&format!("reading stdin: {e}"));
-            }
-            run(&registry, &opts, cli::parse_specs(&text, "-"));
-            return;
         } else {
-            if untouched {
-                head.push_str(&raw);
-            }
-            pending.push_line(lineno, line);
+            pending.push_line(lineno, &line);
         }
     }
     if !framed || !pending.specs.is_empty() || pending.rejected > 0 {
-        run(&registry, &opts, pending.finish("-"));
+        report_rejected(&pending);
+        let list = pending
+            .finish(&source)
+            .unwrap_or_else(|msg| cli::fail(&format!("run_specs: {msg}")));
+        print_reports(&registry, &opts, &list);
     }
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("run_specs: {msg}");
-    std::process::exit(2);
-}
-
-/// Runs a complete list as one session, or exits 2 on its error.
-fn run(registry: &Registry, opts: &BenchOpts, list: Result<SpecList, String>) {
-    let list = list.unwrap_or_else(|msg| fail(&msg));
-    report_rejected(&list);
-    print_reports(registry, opts, &list);
 }
 
 fn report_rejected(list: &SpecList) {

@@ -38,32 +38,17 @@ fn columns() -> [(&'static str, AbiMode, MembraneMode); 3] {
     ]
 }
 
+const USAGE: &str = "\n  \
+    --weaken-quarantine  self-test: disable the hardened quarantine so\n                 \
+    reuse-based UAF escapes again (this run MUST exit non-zero)";
+
 fn main() {
-    // One local flag on top of the shared set.
     let mut weaken = false;
-    let mut rest = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--weaken-quarantine" {
-            weaken = true;
-        } else {
-            rest.push(arg);
-        }
-    }
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", cli::USAGE);
-        println!(
-            "  --weaken-quarantine  self-test: disable the hardened quarantine so\n                 \
-             reuse-based UAF escapes again (this run MUST exit non-zero)"
-        );
-        std::process::exit(0);
-    }
-    let opts = match cli::parse_args(rest) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = cli::parse_env_with(USAGE, |flag, _| {
+        let ours = flag == "--weaken-quarantine";
+        weaken |= ours;
+        Ok(ours)
+    });
 
     let cases = attack_suite();
     let mut specs = Vec::new();

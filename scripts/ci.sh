@@ -41,6 +41,21 @@ for workload in bodiag-boot fig4-interp server-sched; do
     }
 done
 
+echo "==> benchmark: perf_ledger --self-test MUST catch its weakened sweep"
+# One fig4-interp sweep with weakened template flushes: its digest must
+# differ from the reference, so perf_ledger must exit non-zero and say so.
+if bash crates/bench/src/bin/perf_ledger/run.sh --self-test \
+    > target/ledger-self-test.txt 2> target/ledger-self-test.err; then
+    echo "FAIL: perf_ledger --self-test passed — a weakened sweep went undetected"
+    cat target/ledger-self-test.txt target/ledger-self-test.err
+    exit 1
+fi
+grep -q "the weakened sweep was caught" target/ledger-self-test.err || {
+    echo "FAIL: perf_ledger --self-test failed without catching the weakened sweep:"
+    cat target/ledger-self-test.err
+    exit 1
+}
+
 echo "==> report cache: warm table1 re-run is 100% hits and byte-identical"
 cargo build --release -p cheri-bench --bins
 rm -rf target/harness-cache
