@@ -45,8 +45,8 @@
 #![warn(missing_docs)]
 
 use cheri_cap::{CapFault, CapSource, Capability, Perms};
+use cheri_mem::IntMap;
 use cheri_vm::{AsId, Backing, Prot, Vm, VmError};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -146,9 +146,9 @@ struct QuarantineEntry {
 #[derive(Clone, Default)]
 struct Ledger {
     /// Live allocations by user base address.
-    live: HashMap<u64, LedgerEntry>,
+    live: IntMap<u64, LedgerEntry>,
     /// Free lists per size class (slot size -> slot base addresses).
-    free_lists: HashMap<u64, Vec<u64>>,
+    free_lists: IntMap<u64, Vec<u64>>,
     /// Freed regions held back from reuse until the next sweep.
     quarantine: Vec<QuarantineEntry>,
     /// Bytes currently in quarantine (slot sizes).

@@ -133,7 +133,7 @@ mod tests {
             CapFault::UnalignedDataAccess,
             CapFault::DdcNull,
         ];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for f in all {
             assert!(
                 seen.insert(f.mnemonic()),

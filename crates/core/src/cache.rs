@@ -40,7 +40,6 @@
 
 use crate::harness::{execute_spec, CaseOutcome, CaseReport, RunSpec};
 use crate::json::{self, Json};
-use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -166,7 +165,8 @@ pub struct ReportCache {
     /// the session that just produced a report must never lose it to its
     /// own size bound (mtime granularity makes "newest by timestamp" an
     /// unreliable substitute).
-    written: Mutex<HashSet<PathBuf>>,
+    #[allow(clippy::disallowed_types)] // entry paths, host-side cache I/O
+    written: Mutex<std::collections::HashSet<PathBuf>>,
 }
 
 impl ReportCache {
@@ -182,7 +182,7 @@ impl ReportCache {
         Ok(ReportCache {
             dir,
             salt,
-            written: Mutex::new(HashSet::new()),
+            written: Mutex::default(),
         })
     }
 

@@ -15,7 +15,6 @@ use cheri_kernel::{AbiMode, ExitStatus};
 use cheri_rtld::Program;
 use cheriabi::harness::{CaseOutcome, CaseReport, Harness, RunSpec};
 use cheriabi::spec::{ProgramSpec, Registry};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -170,10 +169,11 @@ const CASE_BUDGET: u64 = 20_000_000;
 /// suites — always denoting the identical program (same family
 /// constructor, same parameters), which is what makes name-keyed lowering
 /// (and name-keyed report caching) sound.
-fn case_builders() -> &'static HashMap<String, CaseBuilder> {
-    static MAP: OnceLock<HashMap<String, CaseBuilder>> = OnceLock::new();
+#[allow(clippy::disallowed_types)] // case names, one lookup per lowered spec
+fn case_builders() -> &'static std::collections::HashMap<String, CaseBuilder> {
+    static MAP: OnceLock<std::collections::HashMap<String, CaseBuilder>> = OnceLock::new();
     MAP.get_or_init(|| {
-        let mut map = HashMap::new();
+        let mut map = std::collections::HashMap::new();
         for case in crate::families::freebsd_suite()
             .into_iter()
             .chain(crate::families::libcxx_suite())

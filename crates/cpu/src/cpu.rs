@@ -10,7 +10,6 @@ use cheri_isa::Instr;
 use cheri_mem::{AccessKind, CacheHierarchy, PAddr, PhysMem, FRAME_SIZE};
 use cheri_sem::{SemExit, StepCtx};
 use cheri_vm::{Access, AsId, Vm, VmError, USER_TOP};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -118,6 +117,12 @@ fn tlb_set_offset(id: AsId) -> usize {
     (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - TLB_SETS.trailing_zeros())) as usize
 }
 
+/// The [`Cpu`] code-table slot of space `id`: ids are handed out densely
+/// from 1 by [`Vm`] and never reused, so slot 0 stays empty.
+fn code_slot(id: AsId) -> usize {
+    usize::try_from(id.0).expect("address-space ids are dense")
+}
+
 /// One direct-mapped TLB slot: the tag of the translation it holds (the
 /// space's tag above the virtual page number) and the physical frame base
 /// it maps to. Folding the space into the vpn word keeps the slot at 16
@@ -168,7 +173,10 @@ pub struct Cpu {
     pub stats: CpuStats,
     /// Derivation tracing for Figure 5.
     pub trace: DerivationTrace,
-    code: HashMap<AsId, Vec<Arc<DecodedRegion>>>,
+    /// Registered code regions of each address space, indexed by
+    /// [`AsId`] (ids are dense and never reused, so this is a table, not a
+    /// map); a space without code has an empty slot.
+    code: Vec<Vec<Arc<DecodedRegion>>>,
     cur_as: Option<AsId>,
     /// The TLB tag bits of `cur_as` (see [`VPN_BITS`]).
     cur_tag: u64,
@@ -292,7 +300,7 @@ impl Cpu {
             caches: CacheHierarchy::fpga_default(),
             stats: CpuStats::default(),
             trace: DerivationTrace::new(),
-            code: HashMap::new(),
+            code: Vec::new(),
             cur_as: None,
             cur_tag: 0,
             cur_set: 0,
@@ -419,7 +427,7 @@ impl Cpu {
     /// / RTLD when mapping an object's text segment). The region is shared
     /// by reference: registration, fork and residency never copy it.
     pub fn register_region(&mut self, id: AsId, region: Arc<DecodedRegion>) {
-        self.code.entry(id).or_default().push(region);
+        self.regions_mut(id).push(region);
         self.cur_code = None;
         self.reset_hot();
     }
@@ -433,7 +441,9 @@ impl Cpu {
 
     /// Forgets all code regions of an address space (process teardown).
     pub fn clear_code(&mut self, id: AsId) {
-        self.code.remove(&id);
+        if let Some(regions) = self.code.get_mut(code_slot(id)) {
+            *regions = Vec::new();
+        }
         self.cur_code = None;
         self.reset_hot();
     }
@@ -442,12 +452,22 @@ impl Cpu {
     /// parent's text mappings). Regions are immutable and `Arc`-shared, so
     /// this bumps reference counts instead of cloning instruction vectors.
     pub fn clone_code(&mut self, from: AsId, to: AsId) {
-        if let Some(regions) = self.code.get(&from) {
-            let shared = regions.clone();
-            self.code.insert(to, shared);
-            self.cur_code = None;
-            self.reset_hot();
+        let shared = match self.code.get(code_slot(from)) {
+            Some(regions) if !regions.is_empty() => regions.clone(),
+            _ => return,
+        };
+        *self.regions_mut(to) = shared;
+        self.cur_code = None;
+        self.reset_hot();
+    }
+
+    /// The code-region list of space `id`, growing the table to reach it.
+    fn regions_mut(&mut self, id: AsId) -> &mut Vec<Arc<DecodedRegion>> {
+        let slot = code_slot(id);
+        if self.code.len() <= slot {
+            self.code.resize_with(slot + 1, Vec::new);
         }
+        &mut self.code[slot]
     }
 
     /// Charges the cost of work performed by a trusted runtime service on
@@ -551,10 +571,10 @@ impl Cpu {
     // Fetch
     // ------------------------------------------------------------------
 
-    /// Scans the region map for the region containing `pc`.
+    /// Scans the space's region list for the region containing `pc`.
     fn find_region(&self, id: AsId, pc: u64) -> Option<Arc<DecodedRegion>> {
         self.code
-            .get(&id)?
+            .get(code_slot(id))?
             .iter()
             .find(|r| r.contains(pc))
             .map(Arc::clone)
@@ -2536,16 +2556,32 @@ mod tests {
         }
     }
 
+    /// A destroyed space answers `NoCode` from the CPU and `NoSuchSpace`
+    /// from the VM, and a space created after it gets a fresh id that
+    /// never meets the old space's TLB entries or hot-pc templates.
     #[test]
     fn a_new_space_never_hits_a_destroyed_spaces_entries() {
         let (mut cpu, mut vm, old, mut rf) = machine(load_at(0x20010), false);
         vm.write_bytes(old, 0x20010, &0x1111u64.to_le_bytes())
             .unwrap();
+        let entry = rf.clone();
         assert_eq!(cpu.run(&mut vm, old, &mut rf, 100), Exit::Syscall);
         assert_eq!(rf.r(ireg::T2), 0x1111);
+        let trap_cause =
+            |cpu: &mut Cpu, vm: &mut Vm| match cpu.run(vm, old, &mut entry.clone(), 100) {
+                Exit::Trap(t) => t.cause,
+                e => panic!("expected a trap, got {e:?}"),
+            };
         cpu.clear_code(old);
+        assert_eq!(trap_cause(&mut cpu, &mut vm), TrapCause::NoCode);
         vm.destroy_space(old);
+        assert_eq!(
+            trap_cause(&mut cpu, &mut vm),
+            TrapCause::Vm(VmError::NoSuchSpace)
+        );
+        assert!(cpu.find_region(old, 0x10000).is_none());
         let new = add_space(&mut vm, &mut cpu, load_at(0x20010));
+        assert_eq!(new, AsId(old.0 + 1), "ids are never reused");
         vm.write_bytes(new, 0x20010, &0x2222u64.to_le_bytes())
             .unwrap();
         let (hits, misses) = (cpu.stats.tlb_hits, cpu.stats.tlb_misses);
@@ -2556,6 +2592,25 @@ mod tests {
         // touch of each page must walk.
         assert_eq!(cpu.stats.tlb_misses - misses, 2);
         assert_eq!(cpu.stats.tlb_hits - hits, 2);
+
+        // Hot-pc entries: a loop promoted to a template in a space that is
+        // then destroyed must never run in the space created after it,
+        // which has a different loop at the same pc.
+        let spin = add_space(&mut vm, &mut cpu, add_loop(1));
+        let mut rf = entry_regs(&vm, spin, false);
+        for _ in 0..40 {
+            assert_eq!(cpu.run(&mut vm, spin, &mut rf, 50), Exit::InstrLimit);
+        }
+        assert!(cpu.stats.tmpl_hits > 0, "the loop must run templated");
+        cpu.clear_code(spin);
+        vm.destroy_space(spin);
+        let next = add_space(&mut vm, &mut cpu, add_loop(2));
+        assert_eq!(next, AsId(spin.0 + 1));
+        let mut rf = entry_regs(&vm, next, false);
+        for _ in 0..40 {
+            assert_eq!(cpu.run(&mut vm, next, &mut rf, 50), Exit::InstrLimit);
+        }
+        assert_eq!((rf.pc, rf.r(ireg::T0)), (0x10000, 2000));
     }
 
     #[test]

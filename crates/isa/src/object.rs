@@ -3,7 +3,6 @@
 
 use crate::{Assembler, Instr};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -71,7 +70,8 @@ pub struct DataReloc {
 #[derive(Debug, Default)]
 pub struct GotTable {
     entries: Vec<GotEntry>,
-    index: HashMap<String, usize>,
+    #[allow(clippy::disallowed_types)] // symbol names, looked up at build time only
+    index: std::collections::HashMap<String, usize>,
 }
 
 impl GotTable {

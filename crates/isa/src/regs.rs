@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn register_maps_do_not_collide() {
         // Argument, temp and saved integer registers are disjoint.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..8 {
             assert!(seen.insert(ireg::arg(i)));
         }
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn cap_register_maps_do_not_collide() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..8 {
             assert!(seen.insert(creg::arg(i)));
         }

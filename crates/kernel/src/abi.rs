@@ -92,6 +92,9 @@ pub enum Sys {
 }
 
 impl Sys {
+    /// The largest syscall number.
+    pub(crate) const MAX_NUMBER: u64 = Sys::RtRevoke as u64;
+
     /// Decodes a syscall number.
     #[must_use]
     pub fn from_number(n: u64) -> Option<Sys> {

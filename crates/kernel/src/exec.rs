@@ -16,9 +16,10 @@ use cheri_alloc::Allocator;
 use cheri_cap::{CapSource, Capability, Perms};
 use cheri_cpu::{DecodedRegion, RegFile};
 use cheri_isa::{creg, ireg, Instr};
+use cheri_mem::IntMap;
 use cheri_rtld::{LoadError, Program};
 use cheri_vm::{Backing, Prot, VmError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Base address of the signal-return trampoline page ("a read-only shared
@@ -261,8 +262,7 @@ impl Kernel {
             }
         }
 
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
+        let pid = self.procs.next_pid();
         let process = Process {
             pid,
             parent: None,
@@ -282,7 +282,7 @@ impl Kernel {
                 Some(FileDesc::Console),
                 Some(FileDesc::Console),
             ],
-            sighandlers: HashMap::new(),
+            sighandlers: IntMap::default(),
             pending_signals: VecDeque::new(),
             signal_frames: Vec::new(),
             console: Vec::new(),
@@ -301,7 +301,7 @@ impl Kernel {
             stack_top,
             stack_size,
         };
-        self.procs.insert(pid, process);
+        self.procs.push(process);
         self.runq.push_back(pid);
         Ok(pid)
     }

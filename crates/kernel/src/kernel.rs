@@ -1,14 +1,22 @@
 //! The kernel proper: state, copyin/copyout, scheduler and trap handling.
+//!
+//! Processes live in a dense table indexed by pid (pids start at 1 and are
+//! never reused), so every per-syscall process lookup is an index. Pipes,
+//! shared-memory keys and signal handlers, keyed by integers the kernel
+//! hands out, sit in [`cheri_mem::IntMap`]s; syscall counts are one
+//! counter per syscall number. See DESIGN.md, "Dense tables and the one
+//! hasher".
 
-use crate::abi::{AbiMode, Errno};
+use crate::abi::{AbiMode, Errno, Sys};
 use crate::costs;
 use crate::process::{ExitStatus, FileDesc, Pid, ProcState, Process, WaitReason};
 use crate::signal::SIGPROT;
 use cheri_alloc::AllocEvidence;
 use cheri_cap::{CapFormat, Capability, Perms, PrincipalAllocator};
 use cheri_cpu::{Cpu, Exit, TrapCause, TrapInfo};
+use cheri_mem::IntMap;
 use cheri_vm::{Vm, VmError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Global kernel configuration, including the design-choice toggles used by
@@ -49,8 +57,8 @@ impl Default for KernelConfig {
 /// Aggregate kernel statistics.
 #[derive(Clone, Debug, Default)]
 pub struct KernelStats {
-    /// Syscalls dispatched, by name.
-    pub syscalls: HashMap<&'static str, u64>,
+    /// Syscalls dispatched, by call.
+    pub syscalls: SyscallCounts,
     /// Context switches performed.
     pub ctx_switches: u64,
     /// Signals delivered.
@@ -65,6 +73,34 @@ pub struct KernelStats {
     pub blocks: u64,
     /// Deepest run-queue occupancy observed.
     pub max_runq_depth: u64,
+}
+
+/// Syscalls dispatched, one counter per [`Sys`], indexed by its number.
+#[derive(Clone, Debug)]
+pub struct SyscallCounts([u64; Sys::MAX_NUMBER as usize + 1]);
+
+impl Default for SyscallCounts {
+    fn default() -> Self {
+        SyscallCounts([0; Sys::MAX_NUMBER as usize + 1])
+    }
+}
+
+impl SyscallCounts {
+    pub(crate) fn bump(&mut self, sys: Sys) {
+        self.0[sys as usize] += 1;
+    }
+
+    /// Calls of `sys` dispatched so far.
+    #[must_use]
+    pub fn get(&self, sys: Sys) -> u64 {
+        self.0[sys as usize]
+    }
+
+    /// Every counter, in syscall-number order; numbers no syscall has
+    /// read 0.
+    pub fn values(&self) -> impl Iterator<Item = &u64> {
+        self.0.iter()
+    }
 }
 
 /// Schedule for injected transient syscall errors (the fault plane's third
@@ -163,7 +199,49 @@ impl UserRef {
     }
 }
 
-/// The simulated CheriBSD kernel.
+/// The process table: every process ever spawned, indexed by `pid − 1`.
+/// Pids come from the table's length, so they start at 1 and are never
+/// reused, and an exited process keeps its entry (its exit status and
+/// console stay readable).
+#[derive(Default)]
+pub(crate) struct ProcTable(Vec<Process>);
+
+impl ProcTable {
+    fn slot(pid: Pid) -> Option<usize> {
+        usize::try_from(pid.0.checked_sub(1)?).ok()
+    }
+
+    /// The pid the next [`ProcTable::push`] must carry.
+    pub(crate) fn next_pid(&self) -> Pid {
+        Pid(self.0.len() as u64 + 1)
+    }
+
+    pub(crate) fn push(&mut self, p: Process) {
+        debug_assert_eq!(p.pid, self.next_pid());
+        self.0.push(p);
+    }
+
+    pub(crate) fn get(&self, pid: Pid) -> Option<&Process> {
+        self.0.get(Self::slot(pid)?)
+    }
+
+    pub(crate) fn get_mut(&mut self, pid: Pid) -> Option<&mut Process> {
+        self.0.get_mut(Self::slot(pid)?)
+    }
+
+    /// Every process, in pid order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Process> {
+        self.0.iter()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// The simulated CheriBSD kernel: one [`Vm`], one [`Cpu`] and the process
+/// table they run, which keeps every process ever spawned (exited ones
+/// included) at index `pid − 1`.
 pub struct Kernel {
     /// Virtual-memory subsystem.
     pub vm: Vm,
@@ -173,15 +251,14 @@ pub struct Kernel {
     pub config: KernelConfig,
     /// Statistics.
     pub stats: KernelStats,
-    pub(crate) procs: HashMap<Pid, Process>,
+    pub(crate) procs: ProcTable,
     pub(crate) runq: VecDeque<Pid>,
-    pub(crate) next_pid: u64,
     pub(crate) principals: PrincipalAllocator,
-    pub(crate) pipes: HashMap<u64, Pipe>,
+    pub(crate) pipes: IntMap<u64, Pipe>,
     pub(crate) next_pipe: u64,
     /// In-memory filesystem (path -> bytes).
-    pub memfs: HashMap<String, Vec<u8>>,
-    pub(crate) shm: HashMap<u64, u64>,
+    pub memfs: BTreeMap<String, Vec<u8>>,
+    pub(crate) shm: IntMap<u64, u64>,
     pub(crate) syscall_faults: SyscallFaults,
     /// Blocked pids whose wait condition may have become true since their
     /// last check: newly blocked ones, the sleepers of a pipe that saw an
@@ -216,14 +293,13 @@ impl Kernel {
             cpu: Cpu::new(),
             config,
             stats: KernelStats::default(),
-            procs: HashMap::new(),
+            procs: ProcTable::default(),
             runq: VecDeque::new(),
-            next_pid: 1,
             principals: PrincipalAllocator::new(),
-            pipes: HashMap::new(),
+            pipes: IntMap::default(),
             next_pipe: 1,
-            memfs: HashMap::new(),
-            shm: HashMap::new(),
+            memfs: BTreeMap::new(),
+            shm: IntMap::default(),
             syscall_faults: SyscallFaults::default(),
             wake_check: Vec::new(),
             pollers: Vec::new(),
@@ -254,7 +330,7 @@ impl Kernel {
     /// Panics for unknown pids (kernel-internal identifiers).
     #[must_use]
     pub fn process(&self, pid: Pid) -> &Process {
-        self.procs.get(&pid).expect("unknown pid")
+        self.procs.get(pid).expect("unknown pid")
     }
 
     /// Mutable access to a process entry.
@@ -263,31 +339,29 @@ impl Kernel {
     ///
     /// Panics for unknown pids.
     pub fn process_mut(&mut self, pid: Pid) -> &mut Process {
-        self.procs.get_mut(&pid).expect("unknown pid")
+        self.procs.get_mut(pid).expect("unknown pid")
     }
 
-    /// Non-panicking process lookup, for paths reachable with a stale pid.
+    /// Non-panicking process lookup, for paths reachable with a stale or
+    /// guest-supplied pid: `None` for pid 0 and for any pid not yet
+    /// handed out. An exited process stays readable.
     #[must_use]
     pub fn try_process(&self, pid: Pid) -> Option<&Process> {
-        self.procs.get(&pid)
+        self.procs.get(pid)
     }
 
     /// Non-panicking mutable process lookup.
     pub fn try_process_mut(&mut self, pid: Pid) -> Option<&mut Process> {
-        self.procs.get_mut(&pid)
+        self.procs.get_mut(pid)
     }
 
     /// The exit status of `pid` if it has finished.
     #[must_use]
     pub fn exit_status(&self, pid: Pid) -> Option<ExitStatus> {
-        match self.procs.get(&pid)?.state {
+        match self.procs.get(pid)?.state {
             ProcState::Exited(s) => Some(s),
             _ => None,
         }
-    }
-
-    pub(crate) fn bump_syscall(&mut self, name: &'static str) {
-        *self.stats.syscalls.entry(name).or_insert(0) += 1;
     }
 
     // ------------------------------------------------------------------
@@ -544,11 +618,12 @@ impl Kernel {
     /// A failure names a notify point that is missing.
     #[cfg(debug_assertions)]
     fn assert_no_missed_wake(&self) {
-        for (&pid, p) in &self.procs {
+        for p in self.procs.iter() {
             if let ProcState::Blocked(reason) = p.state {
                 assert!(
-                    !self.wait_satisfied(pid, reason),
-                    "missed wake: {pid} is blocked on {reason:?}, which holds"
+                    !self.wait_satisfied(p.pid, reason),
+                    "missed wake: {} is blocked on {reason:?}, which holds",
+                    p.pid
                 );
             }
         }
@@ -564,7 +639,7 @@ impl Kernel {
             let Some(pid) = self.runq.pop_front() else {
                 if self
                     .procs
-                    .values()
+                    .iter()
                     .all(|p| matches!(p.state, ProcState::Exited(_)))
                 {
                     return RunOutcome::AllExited;
@@ -605,7 +680,7 @@ impl Kernel {
         }
         let exit = {
             // The CPU runs on the process's own register file, in place.
-            let p = self.procs.get_mut(&pid).expect("unknown pid");
+            let p = self.procs.get_mut(pid).expect("unknown pid");
             let before = self.cpu.stats.instret;
             let exit = self.cpu.run(&mut self.vm, p.space, &mut p.regs, quantum);
             let used = self.cpu.stats.instret - before;
@@ -730,7 +805,7 @@ impl Kernel {
             self.drop_fd(fd);
         }
         if let Some(pp) = parent {
-            if let Some(parent_proc) = self.procs.get_mut(&pp) {
+            if let Some(parent_proc) = self.procs.get_mut(pp) {
                 parent_proc.children.retain(|c| *c != pid);
                 parent_proc.zombies.push((pid, status));
                 // The parent's `Child` wait may now hold.
@@ -784,11 +859,10 @@ impl Kernel {
     /// who is waiting on what.
     #[must_use]
     pub fn blocked_diagnostics(&self) -> String {
-        let mut pids: Vec<Pid> = self.procs.keys().copied().collect();
-        pids.sort_unstable();
         let mut parts = Vec::new();
-        for pid in pids {
-            let line = match self.process(pid).state {
+        for p in self.procs.iter() {
+            let pid = p.pid;
+            let line = match p.state {
                 ProcState::Exited(_) => continue,
                 ProcState::Runnable => format!("{pid}: runnable"),
                 ProcState::Blocked(reason) => match reason {

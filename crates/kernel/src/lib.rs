@@ -37,7 +37,9 @@ mod syscall;
 pub use abi::{AbiMode, Errno, Sys};
 pub use cheri_alloc::AllocEvidence;
 pub use exec::SpawnOpts;
-pub use kernel::{Kernel, KernelConfig, KernelStats, RunOutcome, SyscallFaultSpec, SyscallFaults};
+pub use kernel::{
+    Kernel, KernelConfig, KernelStats, RunOutcome, SyscallCounts, SyscallFaultSpec, SyscallFaults,
+};
 pub use process::{ExitStatus, Pid, ProcState, Process, WaitReason};
 pub use ptrace::PtraceOp;
 pub use signal::{Signal, SIGBUS, SIGPROT};

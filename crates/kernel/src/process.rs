@@ -4,9 +4,10 @@ use crate::abi::AbiMode;
 use cheri_alloc::Allocator;
 use cheri_cap::{Capability, PrincipalId};
 use cheri_cpu::{RegFile, TrapCause};
+use cheri_mem::IntMap;
 use cheri_rtld::LoadedProgram;
 use cheri_vm::AsId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Process identifier.
@@ -128,7 +129,7 @@ pub struct Process {
     /// File descriptor table.
     pub fds: Vec<Option<FileDesc>>,
     /// Signal handlers: signal -> handler function address.
-    pub sighandlers: HashMap<u8, u64>,
+    pub sighandlers: IntMap<u8, u64>,
     /// Signals queued for delivery.
     pub pending_signals: VecDeque<u8>,
     /// Stack of signal-frame addresses (for nested delivery/sigreturn).

@@ -93,7 +93,7 @@ impl Kernel {
     pub(crate) fn sys_ptrace(&mut self, tracer: Pid) -> Result<u64, Errno> {
         let op = PtraceOp::from_u64(self.user_val(tracer, 0)).ok_or(Errno::EINVAL)?;
         let target = Pid(self.user_val(tracer, 1));
-        if !self.procs.contains_key(&target) || target == tracer {
+        if self.procs.get(target).is_none() || target == tracer {
             return Err(Errno::ESRCH);
         }
         // Except for Attach, the tracer must already be attached.

@@ -79,7 +79,7 @@ impl Kernel {
         let result: SysRet = match Sys::from_number(num) {
             None => Err(err(Errno::ENOSYS)),
             Some(sys) => {
-                self.bump_syscall(name_of(sys));
+                self.stats.syscalls.bump(sys);
                 match sys {
                     Sys::Exit => {
                         let code = self.user_val(pid, 0) as i64;
@@ -329,8 +329,7 @@ impl Kernel {
         // fork_space bumped the translation epoch, so any stale write
         // translation dies on the next access.
         let pages = self.vm.space(child_space).pages.len() as u64;
-        let child_pid = Pid(self.next_pid);
-        self.next_pid += 1;
+        let child_pid = self.procs.next_pid();
         let parent = self.process(pid);
         let mut regs = parent.regs.clone();
         regs.w(ireg::V0, 0); // child returns 0
@@ -379,7 +378,7 @@ impl Kernel {
         }
         let parent_space = self.process(pid).space;
         self.cpu.clone_code(parent_space, child_space);
-        self.procs.insert(child_pid, child);
+        self.procs.push(child);
         self.process_mut(pid).children.push(child_pid);
         self.runq.push_back(child_pid);
         // Cost model: base + per-page COW marking, with the CheriABI
@@ -424,10 +423,9 @@ impl Kernel {
     fn sys_kill(&mut self, pid: Pid) -> SysRet {
         let target = Pid(self.user_val(pid, 0));
         let sig = self.user_val(pid, 1) as u8;
-        if !self.procs.contains_key(&target) {
+        let Some(t) = self.procs.get_mut(target) else {
             return Err(err(Errno::ESRCH));
-        }
-        let t = self.process_mut(target);
+        };
         if matches!(t.state, ProcState::Exited(_)) {
             return Err(err(Errno::ESRCH));
         }
@@ -869,7 +867,7 @@ impl Kernel {
     fn sys_rt_malloc(&mut self, pid: Pid) -> SysRet {
         let len = self.user_val(pid, 0);
         let space_ok = {
-            let p = self.procs.get_mut(&pid).ok_or(err(Errno::ESRCH))?;
+            let p = self.procs.get_mut(pid).ok_or(err(Errno::ESRCH))?;
             p.allocator.malloc(&mut self.vm, len)
         };
         self.charge_allocator(pid);
@@ -885,7 +883,7 @@ impl Kernel {
     fn sys_rt_free(&mut self, pid: Pid) -> SysRet {
         let target = self.user_ref(pid, 0);
         let (res, hardened) = {
-            let p = self.procs.get_mut(&pid).ok_or(err(Errno::ESRCH))?;
+            let p = self.procs.get_mut(pid).ok_or(err(Errno::ESRCH))?;
             let r = match target {
                 UserRef::Cap(c) => p.allocator.free(&mut self.vm, &c),
                 UserRef::Addr(a) => p.allocator.free_addr(&mut self.vm, a),
@@ -911,7 +909,7 @@ impl Kernel {
         let target = self.user_ref(pid, 0);
         let new_len = self.user_val(pid, 1);
         let (res, hardened) = {
-            let p = self.procs.get_mut(&pid).ok_or(err(Errno::ESRCH))?;
+            let p = self.procs.get_mut(pid).ok_or(err(Errno::ESRCH))?;
             let r = match target {
                 UserRef::Cap(c) => p.allocator.realloc(&mut self.vm, &c, new_len),
                 UserRef::Addr(a) => {
@@ -928,7 +926,7 @@ impl Kernel {
         // region stays quarantined) rather than failing the caller.
         let res = match res {
             Err(cheri_alloc::AllocError::BadFree) if hardened => {
-                let p = self.procs.get_mut(&pid).ok_or(err(Errno::ESRCH))?;
+                let p = self.procs.get_mut(pid).ok_or(err(Errno::ESRCH))?;
                 p.allocator.note_repair();
                 p.allocator.malloc(&mut self.vm, new_len)
             }
@@ -988,11 +986,11 @@ impl Kernel {
     /// then recycles the quarantine. Returns the number revoked.
     fn sys_rt_revoke(&mut self, pid: Pid) -> SysRet {
         let ranges = {
-            let p = self.procs.get_mut(&pid).ok_or(err(Errno::ESRCH))?;
+            let p = self.procs.get_mut(pid).ok_or(err(Errno::ESRCH))?;
             p.allocator.quarantined_ranges()
         };
         let res = {
-            let p = self.procs.get_mut(&pid).ok_or(err(Errno::ESRCH))?;
+            let p = self.procs.get_mut(pid).ok_or(err(Errno::ESRCH))?;
             p.allocator.revoke(&mut self.vm)
         };
         self.charge_allocator(pid);
@@ -1015,43 +1013,5 @@ impl Kernel {
             }
         }
         Ok(revoked)
-    }
-}
-
-fn name_of(sys: Sys) -> &'static str {
-    match sys {
-        Sys::Exit => "exit",
-        Sys::Write => "write",
-        Sys::Read => "read",
-        Sys::Open => "open",
-        Sys::Close => "close",
-        Sys::Pipe => "pipe",
-        Sys::Getpid => "getpid",
-        Sys::Fork => "fork",
-        Sys::Waitpid => "waitpid",
-        Sys::Mmap => "mmap",
-        Sys::Munmap => "munmap",
-        Sys::Shmget => "shmget",
-        Sys::Shmat => "shmat",
-        Sys::Shmdt => "shmdt",
-        Sys::Sigaction => "sigaction",
-        Sys::Sigreturn => "sigreturn",
-        Sys::Kill => "kill",
-        Sys::Select => "select",
-        Sys::KeventRegister => "kevent_register",
-        Sys::KeventWait => "kevent_wait",
-        Sys::Ptrace => "ptrace",
-        Sys::Sbrk => "sbrk",
-        Sys::Ioctl => "ioctl",
-        Sys::Sysctl => "sysctl",
-        Sys::Unlink => "unlink",
-        Sys::Swapctl => "swapctl",
-        Sys::RtMalloc => "rt_malloc",
-        Sys::RtFree => "rt_free",
-        Sys::RtRealloc => "rt_realloc",
-        Sys::RtSetTemporal => "rt_set_temporal",
-        Sys::RtRevoke => "rt_revoke",
-        Sys::Mprotect => "mprotect",
-        Sys::Cycles => "cycles",
     }
 }

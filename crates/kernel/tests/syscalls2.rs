@@ -3,7 +3,9 @@
 
 use cheri_isa::codegen::{CodegenOpts, FnBuilder, Ptr, Val};
 use cheri_isa::Width;
-use cheri_kernel::{AbiMode, ExitStatus, Kernel, KernelConfig, RunOutcome, SpawnOpts, Sys};
+use cheri_kernel::{
+    AbiMode, ExitStatus, Kernel, KernelConfig, Pid, ProcState, RunOutcome, SpawnOpts, Sys,
+};
 use cheri_rtld::{Program, ProgramBuilder};
 
 fn opts_for(abi: AbiMode) -> CodegenOpts {
@@ -347,4 +349,71 @@ fn sysctl_length_protocol() {
         f.syscall(Sys::Exit as i64);
     });
     assert_eq!(status, ExitStatus::Code(13));
+}
+
+/// `kill` and `ptrace` take guest-supplied pids: pid 0 and `u64::MAX`
+/// index nothing in the process table and answer ESRCH, never a host
+/// panic.
+#[test]
+fn kill_and_ptrace_of_pids_never_handed_out_are_esrch() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let (status, _) = run(abi, |f| {
+            f.li(Val(4), 0);
+            for (i, target) in [0i64, -1].into_iter().enumerate() {
+                f.li(Val(0), target);
+                f.set_arg_val(0, Val(0));
+                f.li(Val(1), 9);
+                f.set_arg_val(1, Val(1));
+                f.syscall(Sys::Kill as i64);
+                f.ret_val_to(Val(2));
+                f.li(Val(3), 1000 / 10i64.pow(i as u32)); // weights 1000, 100
+                f.mul(Val(2), Val(2), Val(3));
+                f.add(Val(4), Val(4), Val(2));
+                f.li(Val(1), 1); // PtraceOp::Attach
+                f.set_arg_val(0, Val(1));
+                f.set_arg_val(1, Val(0));
+                f.syscall(Sys::Ptrace as i64);
+                f.ret_val_to(Val(2));
+                f.li(Val(3), 10 / 10i64.pow(i as u32)); // weights 10, 1
+                f.mul(Val(2), Val(2), Val(3));
+                f.add(Val(4), Val(4), Val(2));
+            }
+            f.set_arg_val(0, Val(4));
+            f.syscall(Sys::Exit as i64);
+        });
+        assert_eq!(status, ExitStatus::Code(-3333), "{abi}");
+    }
+}
+
+/// The process table answers `None` for pid 0, for `u64::MAX` and for a
+/// pid not yet handed out, and keeps an exited process readable.
+#[test]
+fn process_table_lookups_by_pid() {
+    let mut k = Kernel::new(KernelConfig::default());
+    let prog = program(AbiMode::CheriAbi, |f| {
+        f.li(Val(0), 7);
+        f.set_arg_val(0, Val(0));
+        f.syscall(Sys::Exit as i64);
+    });
+    let pid = k
+        .spawn(&prog, &SpawnOpts::new(AbiMode::CheriAbi))
+        .expect("loads");
+    assert_eq!(pid, Pid(1));
+    assert_eq!(k.run(1_000_000), RunOutcome::AllExited);
+    for unknown in [Pid(0), Pid(u64::MAX), Pid(pid.0 + 1)] {
+        assert!(k.try_process(unknown).is_none(), "{unknown}");
+        assert_eq!(k.exit_status(unknown), None, "{unknown}");
+    }
+    let p = k
+        .try_process(pid)
+        .expect("an exited process stays in the table");
+    assert_eq!(p.state, ProcState::Exited(ExitStatus::Code(7)));
+    assert_eq!(k.exit_status(pid), Some(ExitStatus::Code(7)));
+    assert_eq!(k.blocked_diagnostics(), "");
+    assert_eq!(k.stats.syscalls.get(Sys::Exit), 1);
+    assert_eq!(k.stats.syscalls.values().sum::<u64>(), 1);
+    let next = k
+        .spawn(&prog, &SpawnOpts::new(AbiMode::CheriAbi))
+        .expect("loads");
+    assert_eq!(next, Pid(2), "pids are never reused");
 }

@@ -24,9 +24,11 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod intmap;
 mod phys;
 mod stats;
 
 pub use cache::{AccessKind, CacheConfig, CacheHierarchy};
+pub use intmap::{IntHasher, IntMap, IntSet};
 pub use phys::{FrameId, PAddr, PhysFaultSpec, PhysFaults, PhysMem, FRAME_SIZE};
 pub use stats::MemStats;

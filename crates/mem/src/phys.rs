@@ -1,9 +1,8 @@
 //! Tagged physical memory: 4-KiB frames with one tag bit per 16-byte granule.
 
+use crate::intmap::{IntMap, IntSet};
 use cheri_cap::{Capability, TAG_GRANULE};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of a physical frame (and of a virtual page) in bytes.
 pub const FRAME_SIZE: u64 = 4096;
@@ -49,31 +48,6 @@ impl fmt::Debug for PAddr {
     }
 }
 
-/// Hashes a granule index of a frame's capability map with one multiply
-/// (Fibonacci hashing) instead of SipHash: a map lookup sits on every
-/// capability load and store, and the keys are granule numbers below 256,
-/// too few for any guest to flood a bucket. The table picks buckets by the
-/// product's low bits, as spread as the granule numbers themselves, and
-/// keeps its top bits, which the multiply mixes, as tags.
-#[derive(Clone, Copy, Default)]
-struct GranuleHasher(u64);
-
-impl Hasher for GranuleHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u16(u16::from(b) ^ (self.0 as u16));
-        }
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 #[derive(Clone)]
 struct Frame {
     data: Box<[u8]>,
@@ -82,7 +56,7 @@ struct Frame {
     /// Full capability values for tagged granules. The `data` bytes hold the
     /// address so integer reads of pointer memory behave like real CHERI;
     /// the rest of the encoding lives here.
-    caps: HashMap<u16, Capability, BuildHasherDefault<GranuleHasher>>,
+    caps: IntMap<u16, Capability>,
 }
 
 impl Frame {
@@ -90,7 +64,7 @@ impl Frame {
         Frame {
             data: vec![0u8; FRAME_SIZE as usize].into_boxed_slice(),
             tags: [0; GRANULES_PER_FRAME / 64],
-            caps: HashMap::default(),
+            caps: IntMap::default(),
         }
     }
 
@@ -137,7 +111,7 @@ pub struct PhysFaults {
     fired: bool,
     /// Granules whose bytes were corrupted by the injector and not yet
     /// rewritten, as `(frame, granule)` pairs.
-    corrupt: HashSet<(u32, u16)>,
+    corrupt: IntSet<(u32, u16)>,
     /// Mutating accesses observed (write paths only; loads are free).
     pub mutations: u64,
     /// Bit-flips actually performed.

@@ -5,7 +5,7 @@
 use cheri_cap::{CapFormat, CapSource, Capability, PrincipalId, TAG_GRANULE};
 use cheri_mem::{PAddr, PhysMem, FRAME_SIZE};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -53,7 +53,7 @@ proptest! {
         let frame = pm.alloc_frame().unwrap();
         let scratch = pm.alloc_frame().unwrap();
         // granule -> expected tagged capability
-        let mut model: HashMap<u64, Capability> = HashMap::new();
+        let mut model: BTreeMap<u64, Capability> = BTreeMap::new();
         for op in &ops {
             match op {
                 Op::Data(off, fill, len) => {
@@ -107,7 +107,7 @@ proptest! {
     ) {
         let mut pm = PhysMem::new(2);
         let frame = pm.alloc_frame().unwrap();
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for (i, (off, v)) in writes.iter().enumerate() {
             let off = u64::from(*off) & !7;
             pm.write_u64(PAddr::new(frame, off), *v).unwrap();

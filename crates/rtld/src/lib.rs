@@ -30,7 +30,6 @@ use cheri_isa::codegen::Abi;
 use cheri_isa::{GotTable, Instr, Object, ObjectBuilder, SymKind};
 use cheri_vm::{AsId, Backing, Prot, Vm, VmError};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
@@ -169,7 +168,8 @@ pub struct LoadedProgram {
     /// Mapped objects.
     pub objects: Vec<LoadedObject>,
     /// TLS capability per object name (CheriABI) — also published in GOT.
-    pub tls_caps: HashMap<String, Capability>,
+    #[allow(clippy::disallowed_types)] // object names, looked up once per spawn
+    pub tls_caps: std::collections::HashMap<String, Capability>,
     /// Estimated (instructions, cycles) of startup relocation work — "this
     /// adds overhead comparable to position-independent binaries" (§4).
     pub startup_cost: (u64, u64),
@@ -268,7 +268,8 @@ pub fn load(
     } else {
         0
     };
-    let mut tls_caps = HashMap::new();
+    #[allow(clippy::disallowed_types)] // object names, as in `LoadedProgram::tls_caps`
+    let mut tls_caps = std::collections::HashMap::new();
     for (name, off, size) in &tls_layout {
         if *size == 0 {
             continue;

@@ -1,8 +1,8 @@
 //! Per-process address spaces: mapping lists and page state.
 
 use cheri_cap::{CapFormat, CapSource, Capability, Perms, PrincipalId};
-use cheri_mem::{FrameId, FRAME_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use cheri_mem::{FrameId, IntMap, FRAME_SIZE};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -167,7 +167,7 @@ pub struct AddressSpace {
     /// Mappings keyed by start address.
     pub maps: BTreeMap<u64, Mapping>,
     /// Per-page residency, keyed by virtual page number.
-    pub pages: HashMap<u64, PageState>,
+    pub pages: IntMap<u64, PageState>,
     /// Bump hint for placing anonymous mappings.
     pub mmap_hint: u64,
 }
@@ -184,7 +184,7 @@ impl AddressSpace {
             principal,
             root,
             maps: BTreeMap::new(),
-            pages: HashMap::new(),
+            pages: IntMap::default(),
             mmap_hint: 0x70_0000_0000,
         }
     }

@@ -1,10 +1,15 @@
 //! The VM subsystem: translation, demand paging, COW, shared segments and
 //! tag-preserving swap.
+//!
+//! Address spaces live in a dense table indexed by [`AsId`] (ids start at
+//! 1 and are never reused; a destroyed space leaves an empty slot), so
+//! finding a space is an index. Page tables, frame reference counts and
+//! shared segments are [`IntMap`]s: see DESIGN.md, "Dense tables and the
+//! one hasher".
 
 use crate::space::{AddressSpace, AsId, Backing, Mapping, PageState, Prot, USER_TOP};
 use cheri_cap::{CapFormat, Capability, PrincipalId};
-use cheri_mem::{FrameId, PAddr, PhysMem, FRAME_SIZE};
-use std::collections::HashMap;
+use cheri_mem::{FrameId, IntMap, PAddr, PhysMem, FRAME_SIZE};
 use std::error::Error;
 use std::fmt;
 
@@ -172,18 +177,57 @@ struct SharedSeg {
     refs: usize,
 }
 
+/// Every address space ever created, indexed by `AsId − 1`. Ids come from
+/// the table's length, so they start at 1 and are never reused: a destroyed
+/// space leaves `None` behind, and a stale id finds nothing rather than a
+/// newer space.
+#[derive(Default)]
+struct SpaceTable(Vec<Option<AddressSpace>>);
+
+impl SpaceTable {
+    fn slot(id: AsId) -> Option<usize> {
+        usize::try_from(id.0.checked_sub(1)?).ok()
+    }
+
+    /// The id the next [`SpaceTable::push`] must carry.
+    fn next_id(&self) -> AsId {
+        AsId(self.0.len() as u64 + 1)
+    }
+
+    fn push(&mut self, space: AddressSpace) {
+        debug_assert_eq!(space.id, self.next_id());
+        self.0.push(Some(space));
+    }
+
+    fn get(&self, id: AsId) -> Option<&AddressSpace> {
+        self.0.get(Self::slot(id)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: AsId) -> Option<&mut AddressSpace> {
+        self.0.get_mut(Self::slot(id)?)?.as_mut()
+    }
+
+    fn remove(&mut self, id: AsId) -> Option<AddressSpace> {
+        self.0.get_mut(Self::slot(id)?)?.take()
+    }
+
+    /// Spaces not yet destroyed.
+    fn live(&self) -> usize {
+        self.0.iter().flatten().count()
+    }
+}
+
 /// The machine-wide virtual-memory subsystem.
 pub struct Vm {
     /// Tagged physical memory.
     pub phys: PhysMem,
     /// Paging statistics.
     pub stats: VmStats,
-    spaces: HashMap<AsId, AddressSpace>,
-    next_as: u64,
+    spaces: SpaceTable,
     swap: Vec<Option<SwapSlot>>,
-    shared: HashMap<u64, SharedSeg>,
+    shared: IntMap<u64, SharedSeg>,
     next_seg: u64,
-    frame_refs: HashMap<FrameId, usize>,
+    frame_refs: IntMap<FrameId, usize>,
     swap_faults: SwapFaults,
     /// Monotone translation epoch: bumped by every operation that can
     /// change an established virtual→physical translation (map, unmap,
@@ -199,7 +243,7 @@ impl fmt::Debug for Vm {
         write!(
             f,
             "Vm{{spaces={}, {:?}, swap_slots={}}}",
-            self.spaces.len(),
+            self.spaces.live(),
             self.phys,
             self.swap.iter().filter(|s| s.is_some()).count()
         )
@@ -213,12 +257,11 @@ impl Vm {
         Vm {
             phys: PhysMem::new(num_frames),
             stats: VmStats::default(),
-            spaces: HashMap::new(),
-            next_as: 1,
+            spaces: SpaceTable::default(),
             swap: Vec::new(),
-            shared: HashMap::new(),
+            shared: IntMap::default(),
             next_seg: 1,
-            frame_refs: HashMap::new(),
+            frame_refs: IntMap::default(),
             swap_faults: SwapFaults::default(),
             epoch: 0,
         }
@@ -259,10 +302,8 @@ impl Vm {
 
     /// Creates an empty address space for `principal`.
     pub fn create_space(&mut self, principal: PrincipalId, fmt: CapFormat) -> AsId {
-        let id = AsId(self.next_as);
-        self.next_as += 1;
-        self.spaces
-            .insert(id, AddressSpace::new(id, principal, fmt));
+        let id = self.spaces.next_id();
+        self.spaces.push(AddressSpace::new(id, principal, fmt));
         id
     }
 
@@ -274,7 +315,7 @@ impl Vm {
     /// lifetime is managed by the process table.
     #[must_use]
     pub fn space(&self, id: AsId) -> &AddressSpace {
-        self.spaces.get(&id).expect("unknown address space")
+        self.spaces.get(id).expect("unknown address space")
     }
 
     /// Mutable access to a space.
@@ -283,7 +324,7 @@ impl Vm {
     ///
     /// Panics on an unknown id.
     pub fn space_mut(&mut self, id: AsId) -> &mut AddressSpace {
-        self.spaces.get_mut(&id).expect("unknown address space")
+        self.spaces.get_mut(id).expect("unknown address space")
     }
 
     /// Destroys a space, releasing frames, swap slots and shared-segment
@@ -291,7 +332,7 @@ impl Vm {
     /// frame free list — and with it every later allocation — does not
     /// depend on hash-map iteration order.
     pub fn destroy_space(&mut self, id: AsId) {
-        let Some(space) = self.spaces.remove(&id) else {
+        let Some(space) = self.spaces.remove(id) else {
             return;
         };
         let mut pages: Vec<(u64, PageState)> = space.pages.into_iter().collect();
@@ -320,19 +361,18 @@ impl Vm {
     ///
     /// Returns [`VmError::NoSuchSpace`] for an unknown parent.
     pub fn fork_space(&mut self, parent: AsId) -> Result<AsId, VmError> {
-        let id = AsId(self.next_as);
-        self.next_as += 1;
         let (principal, fmt) = {
-            let p = self.spaces.get(&parent).ok_or(VmError::NoSuchSpace)?;
+            let p = self.spaces.get(parent).ok_or(VmError::NoSuchSpace)?;
             (p.principal, p.root.format())
         };
+        let id = self.spaces.next_id();
         let mut child = AddressSpace::new(id, principal, fmt);
-        let parent_sp = self.spaces.get_mut(&parent).ok_or(VmError::NoSuchSpace)?;
+        let parent_sp = self.spaces.get_mut(parent).ok_or(VmError::NoSuchSpace)?;
         child.maps = parent_sp.maps.clone();
         child.mmap_hint = parent_sp.mmap_hint;
         child.root = parent_sp.root;
         // Decide per-page sharing.
-        let mut child_pages = HashMap::new();
+        let mut child_pages = IntMap::default();
         let mut new_swap_slots: Vec<(u64, SwapSlot)> = Vec::new();
         for (&vpn, st) in parent_sp.pages.iter_mut() {
             let mapping_shared = {
@@ -378,7 +418,7 @@ impl Vm {
             child_pages.insert(vpn, PageState::Swapped { slot: idx });
         }
         child.pages = child_pages;
-        self.spaces.insert(id, child);
+        self.spaces.push(child);
         // Previously-writable parent pages were just re-marked COW: a cached
         // write translation for the parent would bypass the copy.
         self.bump_epoch();
@@ -415,7 +455,7 @@ impl Vm {
                 return Err(VmError::NoSuchSegment);
             }
         }
-        let space = self.spaces.get_mut(&id).ok_or(VmError::NoSuchSpace)?;
+        let space = self.spaces.get_mut(id).ok_or(VmError::NoSuchSpace)?;
         let start = match fixed {
             Some(va) => {
                 if va % FRAME_SIZE != 0 {
@@ -462,7 +502,7 @@ impl Vm {
             return Err(VmError::BadAlignment(start));
         }
         let end = start + len;
-        let space = self.spaces.get_mut(&id).ok_or(VmError::NoSuchSpace)?;
+        let space = self.spaces.get_mut(id).ok_or(VmError::NoSuchSpace)?;
         // Split/trim overlapping mappings.
         let overlapping: Vec<u64> = space
             .maps
@@ -552,7 +592,7 @@ impl Vm {
         // Verify full coverage first.
         let mut cursor = start;
         while cursor < end {
-            let space = self.spaces.get(&id).ok_or(VmError::NoSuchSpace)?;
+            let space = self.spaces.get(id).ok_or(VmError::NoSuchSpace)?;
             let m = space.mapping_at(cursor).ok_or(VmError::Unmapped(cursor))?;
             cursor = m.end();
         }
@@ -560,7 +600,7 @@ impl Vm {
         // refcount adjustments are deferred until the space borrow ends.
         let mut seg_deltas: Vec<(u64, i64)> = Vec::new();
         {
-            let space = self.spaces.get_mut(&id).ok_or(VmError::NoSuchSpace)?;
+            let space = self.spaces.get_mut(id).ok_or(VmError::NoSuchSpace)?;
             let overlapping: Vec<u64> = space
                 .maps
                 .values()
@@ -704,7 +744,7 @@ impl Vm {
     /// guest-visible behaviour.
     #[must_use]
     pub fn lookup(&self, id: AsId, vaddr: u64, access: Access) -> Option<PAddr> {
-        let space = self.spaces.get(&id)?;
+        let space = self.spaces.get(id)?;
         let mapping = space.mapping_at(vaddr)?;
         if !mapping.prot.allows(access.required_prot()) {
             return None;
@@ -737,7 +777,7 @@ impl Vm {
     fn translate_slow(&mut self, id: AsId, vaddr: u64, access: Access) -> Result<PAddr, VmError> {
         let vpn = vaddr / FRAME_SIZE;
         let off = vaddr % FRAME_SIZE;
-        let space = self.spaces.get_mut(&id).ok_or(VmError::NoSuchSpace)?;
+        let space = self.spaces.get_mut(id).ok_or(VmError::NoSuchSpace)?;
         let mapping = space.mapping_at(vaddr).ok_or(VmError::Unmapped(vaddr))?;
         if !mapping.prot.allows(access.required_prot()) {
             return Err(VmError::Protection(vaddr));
@@ -868,7 +908,7 @@ impl Vm {
     /// [`VmError::NoSuchSpace`] for an unknown space.
     pub fn swap_out(&mut self, id: AsId, vaddr: u64) -> Result<bool, VmError> {
         let vpn = vaddr / FRAME_SIZE;
-        let space = self.spaces.get(&id).ok_or(VmError::NoSuchSpace)?;
+        let space = self.spaces.get(id).ok_or(VmError::NoSuchSpace)?;
         let Some(&PageState::Resident { frame, .. }) = space.pages.get(&vpn) else {
             return Ok(false);
         };
@@ -913,7 +953,7 @@ impl Vm {
     /// [`VmError::NoSuchSpace`] for an unknown space.
     pub fn swap_out_space(&mut self, id: AsId, max: usize) -> Result<usize, VmError> {
         let mut vpns: Vec<u64> = {
-            let space = self.spaces.get(&id).ok_or(VmError::NoSuchSpace)?;
+            let space = self.spaces.get(id).ok_or(VmError::NoSuchSpace)?;
             space
                 .pages
                 .iter()
@@ -921,10 +961,11 @@ impl Vm {
                 .map(|(&vpn, _)| vpn)
                 .collect()
         };
-        // The page table is a HashMap; evict in address order rather than
-        // (seeded, per-process) iteration order so that *which* pages a
-        // bounded pageout takes — and every fault count and cycle total
-        // downstream of it — is identical across runs and shards.
+        // The page table is a hash map; evict in address order rather than
+        // its iteration order (which depends on the hasher and the table's
+        // history) so that *which* pages a bounded pageout takes — and
+        // every fault count and cycle total downstream of it — is a
+        // function of the guest alone.
         vpns.sort_unstable();
         let mut n = 0;
         for vpn in vpns {
@@ -976,14 +1017,14 @@ impl Vm {
         };
         let mut pages: Vec<PageState> = self
             .spaces
-            .get(&id)
+            .get(id)
             .ok_or(VmError::NoSuchSpace)?
             .pages
             .values()
             .copied()
             .collect();
-        // The page table is a HashMap; fix the walk order so sweep costs
-        // (and any counter downstream) are identical across runs.
+        // The page table is a hash map; fix the walk order so sweep costs
+        // (and any counter downstream) do not depend on its hasher.
         pages.sort_unstable_by_key(|st| match st {
             PageState::Resident { frame, .. } => (0, u64::from(frame.0)),
             PageState::Swapped { slot } => (1, *slot),
@@ -1201,6 +1242,32 @@ mod tests {
         let mut vm = Vm::new(64);
         let id = vm.create_space(PrincipalId::from_raw(1), CapFormat::C128);
         (vm, id)
+    }
+
+    /// Space ids index a table: a destroyed id, id 0 and an id not yet
+    /// handed out all answer `NoSuchSpace` (never a panic or another
+    /// space), and ids are never reused.
+    #[test]
+    fn unknown_space_ids_answer_no_such_space() {
+        let (mut vm, old) = setup();
+        vm.map(old, None, 4096, Prot::rw(), Backing::Zero, "anon")
+            .unwrap();
+        vm.destroy_space(old);
+        vm.destroy_space(old); // a second teardown is a no-op
+        for id in [old, AsId(0), AsId(old.0 + 1), AsId(u64::MAX)] {
+            assert_eq!(vm.translate(id, 0, Access::Read), Err(VmError::NoSuchSpace));
+            assert_eq!(vm.lookup(id, 0, Access::Read), None);
+            assert_eq!(vm.fork_space(id), Err(VmError::NoSuchSpace));
+            assert_eq!(
+                vm.map(id, None, 4096, Prot::rw(), Backing::Zero, "anon"),
+                Err(VmError::NoSuchSpace)
+            );
+            assert_eq!(vm.swap_out_space(id, 1), Err(VmError::NoSuchSpace));
+        }
+        let new = vm.create_space(PrincipalId::from_raw(2), CapFormat::C128);
+        assert_eq!(new, AsId(old.0 + 1), "a failed fork takes no id");
+        assert_eq!(vm.space(new).id, new);
+        assert_eq!(vm.fork_space(old), Err(VmError::NoSuchSpace));
     }
 
     #[test]

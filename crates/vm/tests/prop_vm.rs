@@ -6,7 +6,7 @@
 use cheri_cap::{CapFormat, CapSource, Capability, Perms, PrincipalId};
 use cheri_vm::{AsId, Backing, Prot, Vm};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn fresh() -> (Vm, AsId) {
     let mut vm = Vm::new(512);
@@ -47,8 +47,8 @@ proptest! {
         let base = vm.map(id, None, 8 * 4096, Prot::rw(), Backing::Zero, "anon").unwrap();
         let root = vm.space(id).root;
         // Model state: latest u64 writes and capability stores by address.
-        let mut words: HashMap<u64, u64> = HashMap::new();
-        let mut caps: HashMap<u64, Capability> = HashMap::new();
+        let mut words: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut caps: BTreeMap<u64, Capability> = BTreeMap::new();
         for op in &ops {
             match op {
                 Op::Write(p, o, v) => {
@@ -120,8 +120,8 @@ proptest! {
         vm.store_cap(parent, base + 1024, cap).unwrap();
         let child = vm.fork_space(parent).unwrap();
 
-        let mut pw: HashMap<u64, u64> = HashMap::new();
-        let mut cw: HashMap<u64, u64> = HashMap::new();
+        let mut pw: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut cw: BTreeMap<u64, u64> = BTreeMap::new();
         for (to_child, off, v) in &writes {
             let va = base + u64::from(*off & !7) % 1000;
             let va = va & !7;
@@ -145,7 +145,7 @@ proptest! {
         // whichever side never wrote over it.
         for side in [parent, child] {
             let got = vm.load_cap(side, base + 1024).unwrap();
-            let wrote_over = |m: &HashMap<u64, u64>| {
+            let wrote_over = |m: &BTreeMap<u64, u64>| {
                 m.keys().any(|k| *k & !15 == (base + 1024) || *k & !15 == base + 1024 + 8)
             };
             let damaged = if side == parent { wrote_over(&pw) } else { wrote_over(&cw) };
