@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use cheri_bench::cli::json_f64;
+use cheri_bench::cli::{self, json_f64};
 use cheri_corpus::families::freebsd_suite;
 use cheri_isa::codegen::CodegenOpts;
 use cheri_kernel::{AbiMode, KernelConfig, SpawnOpts};
@@ -38,7 +38,7 @@ const USAGE: &str = "usage: interp_throughput [options]
                     cross-check must then fail (exit non-zero)
   --trials <n>      wall-time trials per mode, the modes taking turns
                     trial by trial (default 3, best-of)
-  --spin-iters <n>  spin loop iterations (default 2000000)
+  --spin-iters <n>  spin loop iterations (default 20000000)
   --out <path>      output JSON path (default BENCH_interp.json)
   -h, --help        this help";
 
@@ -50,45 +50,28 @@ struct Opts {
     out: String,
 }
 
-fn parse_args() -> Result<Opts, String> {
+/// The command line, through the shared parser (none of the shared
+/// harness flags apply here); a usage error exits 2.
+fn parse_args() -> Opts {
     let mut opts = Opts {
         fast_too: true,
         weaken_flush: false,
         trials: 3,
-        spin_iters: 2_000_000,
+        spin_iters: 20_000_000,
         out: "BENCH_interp.json".to_string(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
+    cli::parse_env_own(USAGE, |flag, args| {
+        match flag {
             "--no-fast-path" => opts.fast_too = false,
             "--weaken-flush" => opts.weaken_flush = true,
-            "--trials" => {
-                opts.trials = args
-                    .next()
-                    .ok_or("--trials needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--trials: {e}"))?;
-            }
-            "--spin-iters" => {
-                opts.spin_iters = args
-                    .next()
-                    .ok_or("--spin-iters needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--spin-iters: {e}"))?;
-            }
-            "--out" => opts.out = args.next().ok_or("--out needs a value")?,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            "--trials" => opts.trials = cli::count(args, "--trials")?,
+            "--spin-iters" => opts.spin_iters = cli::count(args, "--spin-iters")?,
+            "--out" => opts.out = cli::value(args, "--out")?,
+            _ => return Ok(false),
         }
-    }
-    if opts.trials == 0 {
-        return Err("--trials must be at least 1".to_string());
-    }
-    Ok(opts)
+        Ok(true)
+    });
+    opts
 }
 
 /// An interpreter execution mode: the stepper (fast path) and, on top of
@@ -176,13 +159,7 @@ fn mips(instructions: u64, wall: f64) -> f64 {
 }
 
 fn main() {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("interp_throughput: {e}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args();
     let registry = cheri_bench::registry();
     let corpus_case = freebsd_suite()
         .first()
@@ -274,7 +251,7 @@ fn main() {
         );
         lines.push(format!(
             "{{\"program\":\"{}\",\"instructions\":{},\"cycles\":{},\"wall_ms_ref\":{},\"mips_ref\":{},\"wall_ms_step\":{},\"mips_step\":{},\"wall_ms_tmpl\":{},\"mips_tmpl\":{},\"tmpl_speedup\":{},\"ref_overhead\":{},\"tmpl_share\":{}}}",
-            cheri_bench::cli::json_escape(name),
+            cli::json_escape(name),
             ref_metrics.instructions,
             ref_metrics.cycles,
             json_f64(ref_wall * 1e3),

@@ -33,6 +33,7 @@
 //! Flags: `--cases N` (default 64), `--seed S` (default 0xC4E1), `--steps
 //! N` per-case retirement budget (default 512), `--weaken-sem`, `--json`.
 
+use cheri_bench::cli;
 use cheri_cap::{CapFormat, CapSource, Capability, Perms, PrincipalId};
 use cheri_cpu::{Cpu, Exit, RegFile};
 use cheri_isa::{creg, ireg, Instr, Width};
@@ -681,7 +682,17 @@ struct Opts {
     json: bool,
 }
 
-fn parse(args: impl Iterator<Item = String>) -> Result<Opts, String> {
+const USAGE: &str = "prop_oracle: property-fuzz the differential oracle
+  --cases N      generated cases (default 64; case 0 is the widen probe)
+  --seed S       base RNG seed (default 0xC4E1)
+  --steps N      per-case retirement budget (default 512)
+  --weaken-sem   self-test: disarm the csetbounds clamp; the run must fail
+  --json         machine-readable summary line
+  -h, --help     this help";
+
+/// The command line, through the shared parser (none of the shared
+/// harness flags apply here); a usage error exits 2.
+fn parse_args() -> Opts {
     let mut opts = Opts {
         cases: 64,
         seed: 0xC4E1,
@@ -689,44 +700,22 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Opts, String> {
         weaken: false,
         json: false,
     };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let mut num = |name: &str| {
-            args.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| format!("{name} needs a number"))
-        };
-        match arg.as_str() {
-            "--cases" => opts.cases = num("--cases")?,
-            "--seed" => opts.seed = num("--seed")?,
-            "--steps" => opts.steps = num("--steps")?.max(1),
+    cli::parse_env_own(USAGE, |flag, args| {
+        match flag {
+            "--cases" => opts.cases = cli::number(args, "--cases")?,
+            "--seed" => opts.seed = cli::number(args, "--seed")?,
+            "--steps" => opts.steps = cli::count(args, "--steps")?,
             "--weaken-sem" => opts.weaken = true,
             "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!(
-                    "prop_oracle: property-fuzz the differential oracle\n  \
-                     --cases N      generated cases (default 64; case 0 is the widen probe)\n  \
-                     --seed S       base RNG seed (default 0xC4E1)\n  \
-                     --steps N      per-case retirement budget (default 512)\n  \
-                     --weaken-sem   self-test: disarm the csetbounds clamp; the run must fail\n  \
-                     --json         machine-readable summary line"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("prop_oracle: unknown flag `{other}`")),
+            _ => return Ok(false),
         }
-    }
-    Ok(opts)
+        Ok(true)
+    });
+    opts
 }
 
 fn main() {
-    let opts = match parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = parse_args();
     let strategy = program_strategy();
     let mut failures = 0u64;
     for case in 0..opts.cases {

@@ -3,7 +3,9 @@
 //! Every harness binary parses its arguments with [`parse_env_with`]: one
 //! parser for the shared flags plus the flags the binary declares for
 //! itself, one `--help` (the shared [`USAGE`], then the binary's own
-//! lines) and one exit-2 path for usage errors. The shared flags include:
+//! lines) and one exit-2 path for usage errors. `interp_throughput` and
+//! `prop_oracle`, which take none of the shared flags, use the same loop
+//! through [`parse_env_own`]. The shared flags include:
 //!
 //! * `--jobs N` — number of harness workers (default: all available
 //!   cores). Results are identical at any level; `--jobs 1` is the exact
@@ -122,18 +124,17 @@ fn parse_args(
     mut local: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
 ) -> Result<BenchOpts, String> {
     let mut opts = BenchOpts::default();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--jobs" | "-j" => opts.jobs = count(&mut iter, "--jobs")?,
+    parse_flags(args, &format!("{USAGE}{usage}"), |arg, iter| {
+        match arg {
+            "--jobs" | "-j" => opts.jobs = count(iter, "--jobs")?,
             "--json" => opts.json = true,
             "--cache" => opts.cache = true,
             "--no-cache" => opts.cache = false,
-            "--shard" => opts.shard = Some(Shard::parse(&value(&mut iter, "--shard")?)?),
+            "--shard" => opts.shard = Some(Shard::parse(&value(iter, "--shard")?)?),
             "--progress" => opts.progress = true,
             "--json-stream" => opts.json_stream = true,
             "--cache-limit" => {
-                let bytes = value(&mut iter, "--cache-limit")?;
+                let bytes = value(iter, "--cache-limit")?;
                 let limit = bytes
                     .parse()
                     .map_err(|_| format!("--cache-limit: not a byte count: {bytes}"))?;
@@ -142,12 +143,12 @@ fn parse_args(
             "--dump-specs" => opts.dump_specs = true,
             "--exec-mode" => {
                 opts.exec_mode =
-                    ExecMode::from_label(&value(&mut iter, "--exec-mode")?).map_err(|e| {
+                    ExecMode::from_label(&value(iter, "--exec-mode")?).map_err(|e| {
                         format!("--exec-mode: {e} (want single, superblock or template)")
                     })?;
             }
             "--oracle" => {
-                opts.oracle = match value(&mut iter, "--oracle")?.as_str() {
+                opts.oracle = match value(iter, "--oracle")?.as_str() {
                     "lockstep" => OracleMode::Lockstep,
                     "replay" => OracleMode::Replay,
                     "off" => OracleMode::Off,
@@ -158,23 +159,14 @@ fn parse_args(
                     }
                 };
             }
-            "--oracle-every" => opts.oracle_every = count(&mut iter, "--oracle-every")?,
+            "--oracle-every" => opts.oracle_every = count(iter, "--oracle-every")?,
             "--hardened" => opts.hardened = true,
-            "--fleet" => opts.fleet = Some(count(&mut iter, "--fleet")?),
-            "--chaos" => {
-                let seed = value(&mut iter, "--chaos")?;
-                opts.chaos = Some(
-                    seed.parse()
-                        .map_err(|_| format!("--chaos: not a seed: {seed}"))?,
-                );
-            }
-            flag => {
-                if !local(flag, &mut iter)? {
-                    return Err(format!("unknown argument: {flag}\n{USAGE}{usage}"));
-                }
-            }
+            "--fleet" => opts.fleet = Some(count(iter, "--fleet")?),
+            "--chaos" => opts.chaos = Some(number(iter, "--chaos")?),
+            flag => return local(flag, iter),
         }
-    }
+        Ok(true)
+    })?;
     if opts.exec_mode == ExecMode::SingleStep && opts.oracle == OracleMode::Lockstep {
         // The reference interpreter is what lockstep checks against: the
         // check would be a silent no-op.
@@ -255,6 +247,34 @@ pub const USAGE: &str = "options:\n  \
     --chaos SEED   seeded coordinator fault injection (kill a worker\n                 \
     mid-unit, delay output, insert a garbage line); needs --fleet";
 
+/// The one flag loop: hands every argument to `flag`, which takes any
+/// value off the iterator and returns `Ok(false)` for a flag it does not
+/// know. `usage` follows the message for an unknown flag.
+fn parse_flags(
+    args: impl IntoIterator<Item = String>,
+    usage: &str,
+    mut flag: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut iter = args.into_iter();
+    while let Some(arg) = iter.next() {
+        if !flag(&arg, &mut iter)? {
+            return Err(format!("unknown argument: {arg}\n{usage}"));
+        }
+    }
+    Ok(())
+}
+
+/// The process arguments, after `--help` (or `-h`) anywhere among them has
+/// printed `help` and exited 0.
+fn env_args(help: &dyn std::fmt::Display) -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{help}");
+        std::process::exit(0);
+    }
+    args
+}
+
 /// Parses the process arguments with [`parse_args`]. `--help` prints
 /// [`USAGE`] and `usage` and exits 0; a usage error goes to [`fail`].
 #[must_use]
@@ -262,12 +282,19 @@ pub fn parse_env_with(
     usage: &str,
     local: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
 ) -> BenchOpts {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}{usage}");
-        std::process::exit(0);
-    }
+    let args = env_args(&format_args!("{USAGE}{usage}"));
     parse_args(args, usage, local).unwrap_or_else(|msg| fail(&msg))
+}
+
+/// [`parse_env_with`] for a binary that takes none of the shared flags,
+/// only its own (`interp_throughput`, `prop_oracle`): `--help` prints
+/// `usage` alone and exits 0, and a usage error goes to [`fail`].
+pub fn parse_env_own(
+    usage: &str,
+    local: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+) {
+    let args = env_args(&usage);
+    parse_flags(args, usage, local).unwrap_or_else(|msg| fail(&msg));
 }
 
 /// [`parse_env_with`] for a binary with no flags of its own.
@@ -293,6 +320,20 @@ pub fn value(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<Strin
         .ok_or_else(|| format!("{flag} needs a value (see --help)"))
 }
 
+/// Takes the value of `flag` off `args` as a number.
+///
+/// # Errors
+///
+/// Returns a message when the value is missing or not a number.
+pub fn number<T: std::str::FromStr>(
+    args: &mut dyn Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let text = value(args, flag)?;
+    text.parse()
+        .map_err(|_| format!("{flag}: not a number: {text}"))
+}
+
 /// Takes the value of `flag` off `args` as a count of at least 1.
 ///
 /// # Errors
@@ -302,10 +343,7 @@ pub fn count<T>(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<T,
 where
     T: std::str::FromStr + PartialOrd + From<u8>,
 {
-    let text = value(args, flag)?;
-    let n: T = text
-        .parse()
-        .map_err(|_| format!("{flag}: not a number: {text}"))?;
+    let n: T = number(args, flag)?;
     if n < T::from(1) {
         return Err(format!("{flag} must be at least 1"));
     }

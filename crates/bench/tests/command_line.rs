@@ -1,6 +1,8 @@
 //! The harness binaries share one command line: `--help` lists the shared
 //! flags and the binary's own, every usage error exits 2, and a spec list
 //! is one spec object per line (a JSON array is rejected line by line).
+//! `interp_throughput` and `prop_oracle` go through the same parser with
+//! their own flags alone.
 
 use std::io::Write as _;
 use std::process::{Command, Output, Stdio};
@@ -54,6 +56,33 @@ fn help_lists_the_shared_flags_and_the_binarys_own() {
 }
 
 #[test]
+fn binaries_without_shared_flags_help_with_their_own_alone() {
+    for (program, own) in [
+        (
+            env!("CARGO_BIN_EXE_interp_throughput"),
+            &["--trials", "--spin-iters", "--out", "--weaken-flush"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_prop_oracle"),
+            &["--cases", "--seed", "--steps", "--weaken-sem", "--json"][..],
+        ),
+    ] {
+        let out = run(program, &["--help"], "");
+        assert_eq!(out.status.code(), Some(0), "{program}: {out:?}");
+        let text = String::from_utf8(out.stdout).expect("utf8");
+        for flag in own {
+            assert!(
+                text.contains(flag),
+                "{program} --help lacks {flag}:\n{text}"
+            );
+        }
+        for shared in ["--jobs", "--cache", "--shard", "--fleet"] {
+            assert!(!text.contains(shared), "{program} --help:\n{text}");
+        }
+    }
+}
+
+#[test]
 fn usage_and_input_errors_exit_2() {
     for (program, args) in [
         (env!("CARGO_BIN_EXE_table1"), &["--frobnicate"][..]),
@@ -66,6 +95,29 @@ fn usage_and_input_errors_exit_2() {
         (
             env!("CARGO_BIN_EXE_run_specs"),
             &["--specs", "/nonexistent/specs.lines"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_interp_throughput"),
+            &["--frobnicate"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_interp_throughput"),
+            &["--trials", "0"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_interp_throughput"),
+            &["--spin-iters"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_interp_throughput"),
+            &["--jobs", "2"][..],
+        ),
+        (env!("CARGO_BIN_EXE_prop_oracle"), &["--frobnicate"][..]),
+        (env!("CARGO_BIN_EXE_prop_oracle"), &["--cases", "many"][..]),
+        (env!("CARGO_BIN_EXE_prop_oracle"), &["--steps", "0"][..]),
+        (
+            env!("CARGO_BIN_EXE_prop_oracle"),
+            &["--json", "--cache"][..],
         ),
     ] {
         let out = run(program, args, "");

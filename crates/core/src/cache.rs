@@ -223,13 +223,20 @@ impl ReportCache {
     /// The content key for `spec`: FNV-1a over its canonical identity.
     #[must_use]
     pub fn key(&self, spec: &RunSpec) -> u64 {
-        json::fnv1a(self.identity(spec).to_string().as_bytes())
+        json::fnv1a(self.identity_text(spec).as_bytes())
+    }
+
+    /// The canonical text of [`ReportCache::identity`].
+    fn identity_text(&self, spec: &RunSpec) -> String {
+        let mut text = String::with_capacity(json::LINE_CAPACITY);
+        self.identity(spec).write_into(&mut text);
+        text
     }
 
     /// The identity text of `spec` and the path of the entry its key names:
     /// one derivation serves a whole load or store.
     fn locate(&self, spec: &RunSpec) -> (String, PathBuf) {
-        let identity = self.identity(spec).to_string();
+        let identity = self.identity_text(spec);
         let key = json::fnv1a(identity.as_bytes());
         (identity, self.dir.join(format!("{key:016x}.json")))
     }
@@ -292,7 +299,12 @@ impl ReportCache {
             tmp_nonce() & 0xffff_ffff,
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let text = format!("{ENTRY_HEAD}{identity}{ENTRY_MID}{}}}\n", report.to_json());
+        let mut text = String::with_capacity(2 * identity.len() + 64);
+        text.push_str(ENTRY_HEAD);
+        text.push_str(&identity);
+        text.push_str(ENTRY_MID);
+        report.to_json().write_into(&mut text);
+        text.push_str("}\n");
         if fs::write(&tmp, text).is_ok() {
             if fs::rename(&tmp, &path).is_ok() {
                 self.written

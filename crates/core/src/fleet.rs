@@ -41,7 +41,8 @@
 //!   worker that stops reading its input, is scored hung;
 //! * a crash (non-zero exit or signal) costs one attempt and a
 //!   deterministic backoff (`retry_backoff`); corrupt, truncated or
-//!   miscounted output is scored poisoned — counted, never propagated;
+//!   miscounted output, or an answer past [`ANSWER_BYTES_PER_SPEC`] per
+//!   spec, is scored poisoned — counted, never propagated;
 //! * a unit out of attempts, or on a slot whose worker cannot be spawned,
 //!   runs **in-process** on the slot's thread: the sweep always completes.
 //!
@@ -75,6 +76,15 @@ use std::time::{Duration, Instant};
 /// a unit's spec lines, and the worker echoes it after the unit's report
 /// lines.
 pub const UNIT_END: &str = "{\"unit_end\":true}";
+
+/// The most a worker may print per spec of a unit: an answer longer than
+/// this times the unit's spec count (plus the frame) is cut off unread and
+/// scored poisoned, so a worker that floods its stdout costs the
+/// coordinator a bounded buffer instead of everything it prints until the
+/// unit deadline. 64 KiB is over 100 times the longest spec or report line
+/// the pinned suites produce (under 600 bytes); a case whose honest line is
+/// longer still completes, in-process once its unit's retries are spent.
+pub const ANSWER_BYTES_PER_SPEC: usize = 64 * 1024;
 
 /// How a worker subprocess is launched. The command must read spec JSON
 /// lines on stdin until each [`UNIT_END`] line, then print one
@@ -342,7 +352,8 @@ enum UnitOutcome {
     Completed(Vec<String>),
     /// The answer was corrupt — a torn or non-JSON line, a wrong or
     /// out-of-order `case` index, a line count that does not match the
-    /// unit — or the worker exited cleanly without answering.
+    /// unit, more than [`ANSWER_BYTES_PER_SPEC`] per spec — or the worker
+    /// exited cleanly without answering.
     Poisoned,
     /// The worker exited non-zero or died to a signal.
     Crashed,
@@ -568,11 +579,13 @@ impl Slot<'_> {
 /// kills and reaps the process.
 struct Worker {
     child: Child,
-    /// Unit inputs (spec lines plus [`UNIT_END`]) for the I/O thread.
-    feed: Sender<String>,
+    /// Unit inputs (spec lines plus [`UNIT_END`]) for the I/O thread, each
+    /// with the byte bound on its answer.
+    feed: Sender<(String, usize)>,
     /// One raw answer per unit: everything the worker printed before its
-    /// echoed [`UNIT_END`]. Disconnected once the worker's pipes fail.
-    answers: Receiver<Vec<u8>>,
+    /// echoed [`UNIT_END`], or `None` for an answer past its bound.
+    /// Disconnected once the worker's pipes fail.
+    answers: Receiver<Option<Vec<u8>>>,
 }
 
 impl Worker {
@@ -621,20 +634,22 @@ impl Worker {
         let deadline = Instant::now().checked_add(deadline);
         let mut input = String::new();
         for global in range.clone() {
-            input.push_str(&specs[global].to_json().to_string());
+            specs[global].to_json().write_into(&mut input);
             input.push('\n');
         }
         input.push_str(UNIT_END);
         input.push('\n');
+        let bound = ANSWER_BYTES_PER_SPEC * range.len() + UNIT_END.len() + 1;
         // A failed send means the I/O thread is gone, which the receive
         // below reports as a disconnect.
-        let _ = self.feed.send(input);
+        let _ = self.feed.send((input, bound));
         if chaos == Some(ChaosAction::KillWorker) {
             let _ = self.child.kill();
             return UnitOutcome::Crashed;
         }
         let raw = match self.answers.recv_timeout(remaining(deadline)) {
-            Ok(raw) => raw,
+            Ok(Some(raw)) => raw,
+            Ok(None) => return UnitOutcome::Poisoned,
             Err(RecvTimeoutError::Timeout) => return UnitOutcome::Hung,
             Err(RecvTimeoutError::Disconnected) => return self.disconnected(deadline),
         };
@@ -685,7 +700,9 @@ fn remaining(deadline: Option<Instant>) -> Duration {
 
 /// A worker's I/O thread: writes each unit input to the worker's stdin,
 /// then reads its stdout until the answer ends with the echoed
-/// [`UNIT_END`] line and sends everything before that line. A worker
+/// [`UNIT_END`] line and sends everything before that line. An answer
+/// that grows past its bound is sent as `None`, and the thread stops
+/// reading: the slot kills the worker. A worker
 /// writes nothing after its frame until it has read the next unit, so the
 /// frame always ends what the pipe holds; one that breaks this rule is
 /// scored hung or poisoned like any other broken answer. Returns —
@@ -697,10 +714,10 @@ fn remaining(deadline: Option<Instant>) -> Duration {
 fn serve(
     mut stdin: ChildStdin,
     mut stdout: ChildStdout,
-    inputs: &Receiver<String>,
-    answers: &Sender<Vec<u8>>,
+    inputs: &Receiver<(String, usize)>,
+    answers: &Sender<Option<Vec<u8>>>,
 ) {
-    for input in inputs {
+    for (input, bound) in inputs {
         if stdin.write_all(input.as_bytes()).is_err() {
             return;
         }
@@ -717,6 +734,10 @@ fn serve(
                 Err(e) if e.kind() == ErrorKind::Interrupted => answer.truncate(start),
                 Err(_) => return,
             }
+            if answer.len() > bound {
+                let _ = answers.send(None);
+                return;
+            }
             let framed = answer
                 .strip_suffix(b"\n")
                 .and_then(|rest| rest.strip_suffix(UNIT_END.as_bytes()));
@@ -727,7 +748,7 @@ fn serve(
             }
         };
         answer.truncate(body);
-        if answers.send(answer).is_err() {
+        if answers.send(Some(answer)).is_err() {
             return;
         }
     }
@@ -1020,6 +1041,51 @@ mod tests {
             started.elapsed() < Duration::from_secs(60),
             "the feed must not outlive the deadline"
         );
+    }
+
+    #[test]
+    fn a_flooding_worker_is_poisoned_at_its_answer_bound() {
+        let registry = Registry::builtin();
+        let specs = exit_specs(3);
+        // Prints without end once it has read a spec line: only the bound
+        // ends the answer before the deadline.
+        let opts = FleetOpts {
+            workers: 1,
+            worker: Some(framed_worker("while :; do echo flood; done;", "")),
+            unit_deadline: Duration::from_secs(60),
+            retries: 0,
+            ..base_opts()
+        };
+        let started = Instant::now();
+        let out = run_fleet(&registry, &specs, &opts);
+        assert_eq!(out.lines, golden_lines(&registry, &specs));
+        assert_eq!(out.stats.poisoned, 1, "{:?}", out.stats);
+        assert_eq!(out.stats.hangs, 0, "{:?}", out.stats);
+        assert_eq!(out.stats.units_inprocess, 1, "{:?}", out.stats);
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "the bound, not the deadline, must end the answer"
+        );
+    }
+
+    #[test]
+    fn the_answer_bound_clears_every_pinned_line_a_hundredfold() {
+        // The longest spec and report lines of the pinned suites are under
+        // 600 bytes; the bound leaves two orders of magnitude above them.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/golden");
+        let longest = fs::read_dir(root)
+            .expect("pinned suites")
+            .flat_map(|entry| {
+                fs::read_to_string(entry.expect("entry").path())
+                    .expect("pinned file")
+                    .lines()
+                    .map(str::len)
+                    .collect::<Vec<_>>()
+            })
+            .max()
+            .expect("pinned lines");
+        assert!(longest < 600, "longest pinned line: {longest} bytes");
+        assert!(ANSWER_BYTES_PER_SPEC >= 100 * longest);
     }
 
     #[test]

@@ -1090,11 +1090,37 @@ impl CaseReport {
     /// the fault plane existed — existing goldens stay valid.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("name", Json::str(self.name.clone())),
+        self.encode(None, true)
+    }
+
+    /// [`CaseReport::to_json`] with the submission index prepended — the
+    /// `--json-stream` line format.
+    #[must_use]
+    pub fn to_json_tagged(&self, index: usize) -> Json {
+        self.encode(Some(index), true)
+    }
+
+    /// [`CaseReport::to_json_tagged`] minus the wall-clock and host fields —
+    /// the `--shard` line format, where byte-identity across machines and
+    /// runs matters and host-side values would break it.
+    #[must_use]
+    pub fn to_json_deterministic(&self, index: usize) -> Json {
+        self.encode(Some(index), false)
+    }
+
+    /// The one field builder behind every report format: `case` leads when
+    /// an index is given, and `wall_nanos` and `host` (the host-side
+    /// fields) are built only when `host_side` asks for them.
+    fn encode(&self, case: Option<usize>, host_side: bool) -> Json {
+        let mut fields = Vec::with_capacity(11);
+        if let Some(index) = case {
+            fields.push(("case", Json::u64(index as u64)));
+        }
+        fields.extend([
+            ("name", Json::str(self.name.as_str())),
             ("seed", Json::u64(self.seed)),
             ("outcome", self.outcome.to_json()),
-            ("console", Json::str(self.console.clone())),
+            ("console", Json::str(self.console.as_str())),
             (
                 "metrics",
                 Json::obj(vec![
@@ -1104,12 +1130,14 @@ impl CaseReport {
                     ("syscalls", Json::u64(self.metrics.syscalls)),
                 ]),
             ),
-            ("wall_nanos", Json::Int(self.wall.as_nanos() as i128)),
-        ];
+        ]);
+        if host_side {
+            fields.push(("wall_nanos", Json::Int(self.wall.as_nanos() as i128)));
+        }
         if let Some(counters) = &self.faults {
             fields.push(("faults", counters.to_json()));
         }
-        if let Some(host) = &self.host {
+        if let Some(host) = self.host.as_ref().filter(|_| host_side) {
             fields.push(("host", host.to_json()));
         }
         if let Some(scenario) = &self.scenario {
@@ -1126,34 +1154,6 @@ impl CaseReport {
             ));
         }
         Json::obj(fields)
-    }
-
-    /// [`CaseReport::to_json`] with the submission index prepended — the
-    /// `--json-stream` line format.
-    #[must_use]
-    pub fn to_json_tagged(&self, index: usize) -> Json {
-        let mut fields = vec![("case".to_string(), Json::u64(index as u64))];
-        if let Json::Obj(rest) = self.to_json() {
-            fields.extend(rest);
-        }
-        Json::Obj(fields)
-    }
-
-    /// [`CaseReport::to_json_tagged`] minus the wall-clock field — the
-    /// `--shard` line format, where byte-identity across machines and runs
-    /// matters and wall time (the one nondeterministic field) would break
-    /// it.
-    #[must_use]
-    pub fn to_json_deterministic(&self, index: usize) -> Json {
-        match self.to_json_tagged(index) {
-            Json::Obj(fields) => Json::Obj(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| !matches!(k.as_str(), "wall_nanos" | "host"))
-                    .collect(),
-            ),
-            other => other,
-        }
     }
 
     /// Decodes [`CaseReport::to_json`] output.
