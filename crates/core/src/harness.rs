@@ -239,7 +239,8 @@ impl RunSpec {
     /// # Panics
     ///
     /// Panics when `opts.ptr_size` is not one its ABI supports (8 for
-    /// mips64, 16 or 32 for purecap).
+    /// mips64, 16 or 32 for purecap), or when `program` is a scenario
+    /// outside 1..=64 clients or 1..=1,024 queries.
     #[must_use]
     pub fn new(
         name: impl Into<String>,
@@ -249,7 +250,7 @@ impl RunSpec {
     ) -> RunSpec {
         RunSpec {
             name: name.into(),
-            program,
+            program: check_scenario_shape(program).unwrap_or_else(|e| panic!("{e}")),
             opts: check_ptr_size(opts).unwrap_or_else(|e| panic!("{e}")),
             abi,
             asan: false,
@@ -302,10 +303,11 @@ impl RunSpec {
     ///
     /// # Panics
     ///
-    /// Panics when `config.phys_frames` is outside 1..=65,536.
+    /// Panics when `config.phys_frames` is outside 1..=65,536, or
+    /// `config.quantum` or `config.pipe_capacity` is 0.
     #[must_use]
     pub fn with_config(mut self, config: KernelConfig) -> RunSpec {
-        self.config = check_phys_frames(config).unwrap_or_else(|e| panic!("{e}"));
+        self.config = check_config(config).unwrap_or_else(|e| panic!("{e}"));
         self
     }
 
@@ -440,7 +442,7 @@ impl RunSpec {
     pub fn from_json(v: &Json) -> Result<RunSpec, String> {
         Ok(RunSpec {
             name: v.field("name")?.as_str()?.to_string(),
-            program: ProgramSpec::from_json(v.field("spec")?)?,
+            program: check_scenario_shape(ProgramSpec::from_json(v.field("spec")?)?)?,
             opts: check_ptr_size(codegen_opts_from_json(v.field("opts")?)?)?,
             abi: abi_mode_from_label(v.field("abi")?.as_str()?)?,
             asan: v.field("asan")?.as_bool()?,
@@ -450,7 +452,7 @@ impl RunSpec {
                 .as_opt(Json::as_u128)?
                 .map(|n| Duration::from_nanos(u64::try_from(n).unwrap_or(u64::MAX))),
             seed: v.field("seed")?.as_u64()?,
-            config: check_phys_frames(kernel_config_from_json(v.field("config")?)?)?,
+            config: check_config(kernel_config_from_json(v.field("config")?)?)?,
             l2_size: v
                 .field("l2_size")?
                 .as_opt(Json::as_u64)?
@@ -526,15 +528,55 @@ fn check_l2_size(bytes: u64) -> Result<u64, String> {
 /// claim; without it a swap-heavy guest grows the host until it aborts.
 const PHYS_FRAMES_DOMAIN: std::ops::RangeInclusive<usize> = 1..=(1 << 16);
 
-fn check_phys_frames(config: KernelConfig) -> Result<KernelConfig, String> {
-    if PHYS_FRAMES_DOMAIN.contains(&config.phys_frames) {
-        Ok(config)
-    } else {
+/// The scheduler quanta a spec may set, in instructions: at least one. A
+/// zero quantum ends every process as budget-exhausted before its first
+/// instruction.
+const QUANTUM_DOMAIN: std::ops::RangeFrom<u64> = 1..;
+
+/// The pipe capacities a spec may set, in bytes: at least one. A pipe
+/// that holds nothing blocks every writer forever.
+const PIPE_CAPACITY_DOMAIN: std::ops::RangeFrom<usize> = 1..;
+
+fn check_config(config: KernelConfig) -> Result<KernelConfig, String> {
+    if !PHYS_FRAMES_DOMAIN.contains(&config.phys_frames) {
         Err(format!(
             "phys_frames {} is outside 1..=65536",
             config.phys_frames
         ))
+    } else if !QUANTUM_DOMAIN.contains(&config.quantum) {
+        Err(format!("quantum {} is below 1", config.quantum))
+    } else if !PIPE_CAPACITY_DOMAIN.contains(&config.pipe_capacity) {
+        Err(format!("pipe_capacity {} is below 1", config.pipe_capacity))
+    } else {
+        Ok(config)
     }
+}
+
+/// The scenario client counts a spec may ask for: 1 to 64. Every client is
+/// a forked process with its own address space and pipes, so a count far
+/// past this grows the host until it aborts. table_server runs up to 16
+/// clients and perf_ledger's server-sched 4; 64 leaves room for wider
+/// grids.
+const CLIENTS_DOMAIN: std::ops::RangeInclusive<u64> = 1..=64;
+
+/// The requests per scenario client a spec may ask for: 1 to 1,024.
+/// table_server issues 12 and perf_ledger's server-sched 24; the harness
+/// keeps one latency stamp per request.
+const QUERIES_DOMAIN: std::ops::RangeInclusive<u64> = 1..=1024;
+
+fn check_scenario_shape(program: ProgramSpec) -> Result<ProgramSpec, String> {
+    if let ProgramSpec::Scenario {
+        clients, queries, ..
+    } = &program
+    {
+        if !CLIENTS_DOMAIN.contains(clients) {
+            return Err(format!("clients {clients} is outside 1..=64"));
+        }
+        if !QUERIES_DOMAIN.contains(queries) {
+            return Err(format!("queries {queries} is outside 1..=1024"));
+        }
+    }
+    Ok(program)
 }
 
 /// The pointer sizes code generation supports: 8 bytes for mips64, and
@@ -2027,6 +2069,89 @@ mod tests {
                 )
             });
             assert!(built.is_err(), "RunSpec::new with ptr_size {n} must refuse");
+        }
+    }
+
+    #[test]
+    fn scenario_shape_quantum_and_pipe_capacity_outside_their_domains_are_rejected_not_run() {
+        let scenario = |clients, queries| ProgramSpec::Scenario {
+            clients,
+            queries,
+            mix: "mixed".to_string(),
+            swap_pressure: false,
+        };
+        let tight_pipes = KernelConfig {
+            pipe_capacity: 6,
+            ..KernelConfig::default()
+        };
+        let spec = || {
+            RunSpec::new(
+                "domains",
+                scenario(4, 12),
+                CodegenOpts::purecap(),
+                AbiMode::CheriAbi,
+            )
+            .with_config(tight_pipes)
+        };
+        let text = spec().to_json().to_string();
+        // `text` with its one `"key":from` field set to `to`.
+        let edit = |text: &str, key: &str, from: u64, to: u64| {
+            let old = format!("\"{key}\":{from}");
+            assert_eq!(text.matches(&old).count(), 1, "{text}");
+            text.replace(&old, &format!("\"{key}\":{to}"))
+        };
+        // Every shape the binaries run, and the domain's edges.
+        for (clients, queries) in [(1, 1), (16, 12), (4, 24), (64, 1024)] {
+            let line = edit(&edit(&text, "clients", 4, clients), "queries", 12, queries);
+            let back = RunSpec::from_json(&json::parse(&line).expect("parses"));
+            assert_eq!(
+                back.expect("in the domain").program,
+                scenario(clients, queries)
+            );
+        }
+        // A million clients aborted the host in `run_session`; zero
+        // clients or queries measure nothing, a zero quantum runs nothing
+        // and a zero-byte pipe blocks every writer.
+        for (key, from, to) in [
+            ("clients", 4, 1_000_000),
+            ("clients", 4, 0),
+            ("clients", 4, 65),
+            ("queries", 12, 0),
+            ("queries", 12, 1025),
+            ("quantum", 100_000, 0),
+            ("pipe_capacity", 6, 0),
+        ] {
+            let line = edit(&text, key, from, to);
+            let err = RunSpec::from_json(&json::parse(&line).expect("parses"))
+                .expect_err("outside the domain");
+            assert!(err.contains(key), "{err}");
+        }
+        for (clients, queries) in [(1_000_000, 12), (0, 12), (4, 0), (4, 1025)] {
+            let built = catch_unwind(|| {
+                RunSpec::new(
+                    "domains",
+                    scenario(clients, queries),
+                    CodegenOpts::purecap(),
+                    AbiMode::CheriAbi,
+                )
+            });
+            assert!(
+                built.is_err(),
+                "RunSpec::new({clients} x {queries}) must refuse"
+            );
+        }
+        for config in [
+            KernelConfig {
+                quantum: 0,
+                ..tight_pipes
+            },
+            KernelConfig {
+                pipe_capacity: 0,
+                ..tight_pipes
+            },
+        ] {
+            let built = catch_unwind(|| spec().with_config(config));
+            assert!(built.is_err(), "with_config({config:?}) must refuse");
         }
     }
 

@@ -944,100 +944,12 @@ impl Cpu {
                     TOp::Nop => {}
                     TOp::Li { d, imm } => locals[usize::from(d)] = imm,
                     TOp::Mov { d, s } => locals[usize::from(d)] = locals[usize::from(s)],
-                    TOp::Add { d, a, b } => {
+                    TOp::Alu { op, d, a, b } => {
                         locals[usize::from(d)] =
-                            locals[usize::from(a)].wrapping_add(locals[usize::from(b)]);
+                            op.eval(locals[usize::from(a)], locals[usize::from(b)]);
                     }
-                    TOp::Sub { d, a, b } => {
-                        locals[usize::from(d)] =
-                            locals[usize::from(a)].wrapping_sub(locals[usize::from(b)]);
-                    }
-                    TOp::Mul { d, a, b } => {
-                        locals[usize::from(d)] =
-                            locals[usize::from(a)].wrapping_mul(locals[usize::from(b)]);
-                    }
-                    TOp::DivU { d, a, b } => {
-                        locals[usize::from(d)] = locals[usize::from(a)]
-                            .checked_div(locals[usize::from(b)])
-                            .unwrap_or(0);
-                    }
-                    TOp::DivS { d, a, b } => {
-                        let den = locals[usize::from(b)] as i64;
-                        let num = locals[usize::from(a)] as i64;
-                        locals[usize::from(d)] = if den == 0 {
-                            0
-                        } else {
-                            num.wrapping_div(den) as u64
-                        };
-                    }
-                    TOp::RemU { d, a, b } => {
-                        let den = locals[usize::from(b)];
-                        locals[usize::from(d)] = if den == 0 {
-                            0
-                        } else {
-                            locals[usize::from(a)] % den
-                        };
-                    }
-                    TOp::And { d, a, b } => {
-                        locals[usize::from(d)] = locals[usize::from(a)] & locals[usize::from(b)];
-                    }
-                    TOp::Or { d, a, b } => {
-                        locals[usize::from(d)] = locals[usize::from(a)] | locals[usize::from(b)];
-                    }
-                    TOp::Xor { d, a, b } => {
-                        locals[usize::from(d)] = locals[usize::from(a)] ^ locals[usize::from(b)];
-                    }
-                    TOp::Nor { d, a, b } => {
-                        locals[usize::from(d)] = !(locals[usize::from(a)] | locals[usize::from(b)]);
-                    }
-                    TOp::Sllv { d, a, b } => {
-                        locals[usize::from(d)] =
-                            locals[usize::from(a)] << (locals[usize::from(b)] & 63);
-                    }
-                    TOp::Srlv { d, a, b } => {
-                        locals[usize::from(d)] =
-                            locals[usize::from(a)] >> (locals[usize::from(b)] & 63);
-                    }
-                    TOp::Srav { d, a, b } => {
-                        locals[usize::from(d)] = ((locals[usize::from(a)] as i64)
-                            >> (locals[usize::from(b)] & 63))
-                            as u64;
-                    }
-                    TOp::Slt { d, a, b } => {
-                        locals[usize::from(d)] = u64::from(
-                            (locals[usize::from(a)] as i64) < (locals[usize::from(b)] as i64),
-                        );
-                    }
-                    TOp::Sltu { d, a, b } => {
-                        locals[usize::from(d)] =
-                            u64::from(locals[usize::from(a)] < locals[usize::from(b)]);
-                    }
-                    TOp::AddI { d, s, imm } => {
-                        locals[usize::from(d)] = locals[usize::from(s)].wrapping_add(imm);
-                    }
-                    TOp::AndI { d, s, imm } => {
-                        locals[usize::from(d)] = locals[usize::from(s)] & imm;
-                    }
-                    TOp::OrI { d, s, imm } => {
-                        locals[usize::from(d)] = locals[usize::from(s)] | imm;
-                    }
-                    TOp::XorI { d, s, imm } => {
-                        locals[usize::from(d)] = locals[usize::from(s)] ^ imm;
-                    }
-                    TOp::SllI { d, s, sh } => {
-                        locals[usize::from(d)] = locals[usize::from(s)] << sh;
-                    }
-                    TOp::SrlI { d, s, sh } => {
-                        locals[usize::from(d)] = locals[usize::from(s)] >> sh;
-                    }
-                    TOp::SraI { d, s, sh } => {
-                        locals[usize::from(d)] = ((locals[usize::from(s)] as i64) >> sh) as u64;
-                    }
-                    TOp::SltI { d, s, imm } => {
-                        locals[usize::from(d)] = u64::from((locals[usize::from(s)] as i64) < imm);
-                    }
-                    TOp::SltuI { d, s, imm } => {
-                        locals[usize::from(d)] = u64::from(locals[usize::from(s)] < imm);
+                    TOp::AluI { op, d, s, imm } => {
+                        locals[usize::from(d)] = op.eval(locals[usize::from(s)], imm);
                     }
                     TOp::Branch {
                         cond,
@@ -3110,6 +3022,134 @@ mod tests {
             agree_across_modes(&code, false, 1, |_, _, _, _| {}, |_, _, _| {});
         assert_eq!(exits, vec![Exit::Syscall]);
         assert_eq!(rf.r(ireg::temp(5)), (0..1000).step_by(8).sum::<u64>());
+        assert!(stats.tmpl_instrs * 10 >= stats.instret * 9, "{stats:?}");
+    }
+
+    #[test]
+    fn every_alu_form_and_branch_condition_agrees_inside_a_template() {
+        // `alu!(Add rd, rs, rt: r)` or `alu!(AddI rd, rs, imm: i)`.
+        macro_rules! alu {
+            ($op:ident $rd:expr, $rs:expr, $f:ident: $b:expr) => {
+                Instr::$op {
+                    rd: $rd,
+                    rs: $rs,
+                    $f: $b,
+                }
+            };
+        }
+        let (n, x, min, m1, s64, s127, m3) = (
+            ireg::T0,
+            ireg::saved(0),
+            ireg::saved(1),
+            ireg::saved(2),
+            ireg::saved(3),
+            ireg::saved(4),
+            ireg::saved(5),
+        );
+        // `v` carries the chain of one pass, `w` each side result, `e` to
+        // `h` the branch operands; `x` carries state across passes.
+        let (v, w, e, f, g, h) = (
+            ireg::arg(0),
+            ireg::arg(1),
+            ireg::arg(2),
+            ireg::arg(3),
+            ireg::arg(4),
+            ireg::arg(5),
+        );
+        let zero = ireg::ZERO;
+        let mut code = vec![
+            li(n, 300),
+            li(x, 0x0123_4567_89ab_cdef),
+            li(min, i64::MIN),
+            li(m1, -1),
+            li(s64, 64),
+            li(s127, 127),
+            li(m3, -3),
+        ];
+        let top = code.len() as u32;
+        code.extend([
+            alu!(Add v, x, rt: n),
+            alu!(Sub v, v, rt: m1),
+            alu!(OrI x, x, imm: 1),
+            alu!(Mul v, v, rt: x),
+            alu!(DivU w, v, rt: n),
+            alu!(Xor v, v, rt: w),
+            alu!(DivU w, v, rt: zero),
+            alu!(Or v, v, rt: w),
+            alu!(DivS w, min, rt: m1),
+            alu!(Add v, v, rt: w),
+            alu!(DivS w, v, rt: m3),
+            alu!(Nor v, v, rt: w),
+            alu!(DivS w, v, rt: zero),
+            alu!(Add v, v, rt: w),
+            alu!(RemU w, v, rt: n),
+            alu!(Sub v, v, rt: w),
+            alu!(RemU w, v, rt: zero),
+            alu!(Xor v, v, rt: w),
+            alu!(Sllv w, v, rt: s64),
+            alu!(Add v, v, rt: w),
+            alu!(Srlv w, v, rt: s127),
+            alu!(Add v, v, rt: w),
+            alu!(Srav w, v, rt: s127),
+            alu!(Xor v, v, rt: w),
+            alu!(And w, v, rt: x),
+            alu!(Add v, v, rt: w),
+            alu!(Slt w, v, rt: zero),
+            alu!(Add v, v, rt: w),
+            alu!(Sltu w, n, rt: v),
+            alu!(Add v, v, rt: w),
+            alu!(AddI v, v, imm: -7),
+            alu!(AndI w, v, imm: 0xff),
+            alu!(XorI v, v, imm: 0x5a5a),
+            alu!(SllI w, v, sh: 64),
+            alu!(Add v, v, rt: w),
+            alu!(SrlI w, v, sh: 127),
+            alu!(Add v, v, rt: w),
+            alu!(SraI w, v, sh: 13),
+            alu!(Xor v, v, rt: w),
+            alu!(SltI w, v, imm: -5),
+            alu!(Add v, v, rt: w),
+            alu!(SltuI w, m3, imm: -5i64 as u64),
+            alu!(Add v, v, rt: w),
+            alu!(Xor x, x, rt: v),
+            // Branch operands: the low nibble `f`, `f < 1`, `f - 1` and
+            // `f - 14`.
+            alu!(AndI f, v, imm: 15),
+            alu!(SltuI e, f, imm: 1),
+            alu!(AddI g, f, imm: -1),
+            alu!(AddI h, f, imm: -14),
+        ]);
+        // Each branch skips one `addi x`; each holds on one or two nibble
+        // values, so it is mostly not taken and sometimes a side exit.
+        let mut branch = |bump: i64, make: &dyn Fn(u32) -> Instr| {
+            let skip = code.len() as u32 + 2;
+            code.push(make(skip));
+            code.push(alu!(AddI x, x, imm: bump));
+        };
+        branch(3, &|target| Instr::Beq {
+            rs: f,
+            rt: zero,
+            target,
+        });
+        branch(5, &|target| Instr::Bne {
+            rs: e,
+            rt: zero,
+            target,
+        });
+        branch(7, &|target| Instr::Blez { rs: g, target });
+        branch(11, &|target| Instr::Bltz { rs: g, target });
+        branch(13, &|target| Instr::Bgez { rs: h, target });
+        branch(17, &|target| Instr::Bgtz { rs: h, target });
+        code.push(alu!(AddI n, n, imm: -1));
+        code.push(Instr::Bgtz { rs: n, target: top });
+        code.push(Instr::Syscall);
+        assert!(
+            code.len() - 1 - top as usize <= 64,
+            "the loop fits one trace"
+        );
+
+        let (exits, stats, ..) = agree_across_modes(&code, false, 1, |_, _, _, _| {}, |_, _, _| {});
+        assert_eq!(exits, vec![Exit::Syscall]);
         assert!(stats.tmpl_instrs * 10 >= stats.instret * 9, "{stats:?}");
     }
 }

@@ -9,7 +9,8 @@
 //! closure-free straight-line plan in which every hot guest register lives
 //! in a dense local slot for the whole trace. In-trace instructions are the
 //! **pure-integer** ones (per the static [`cheri_sem::RegEffects`]
-//! metadata declared beside every handler), the data accesses of
+//! metadata declared beside every handler; their results come from
+//! `cheri-sem`'s [`Alu`] and [`Cond`] kernels), the data accesses of
 //! [`MemOp`] (legacy loads and stores through DDC, `cload`/`cstore`,
 //! `clc`/`csc`) and the capability-register ops of [`CapOp`]
 //! (`cincoffset`, `cmove`, `cgettag`, `cgetaddr`).
@@ -59,6 +60,7 @@ use crate::region::DecodedRegion;
 use cheri_isa::{CReg, IReg, Instr, Width};
 use cheri_mem::FRAME_SIZE;
 use cheri_sem::ops::reg_effects;
+use cheri_sem::{alu_form, Alu, Cond, Src};
 
 /// Local slot count: the two pseudo-slots below plus up to 31 guest
 /// registers (`$0` never takes a slot).
@@ -80,100 +82,23 @@ const MIN_TRACE: usize = 3;
 /// Guard hits on one hot-pc slot before its target is promoted.
 pub(crate) const PROMOTE_THRESHOLD: u32 = 16;
 
-/// Branch condition, evaluated over locals.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Cond {
-    /// `a == b`
-    Eq,
-    /// `a != b`
-    Ne,
-    /// `(a as i64) <= 0`
-    Lez,
-    /// `(a as i64) > 0`
-    Gtz,
-    /// `(a as i64) < 0`
-    Ltz,
-    /// `(a as i64) >= 0`
-    Gez,
-}
-
-impl Cond {
-    /// Whether the branch is taken for operand values `a`, `b` — the
-    /// exact predicates of the `op_beq`..`op_bgez` handlers.
-    #[inline]
-    pub(crate) fn taken(self, a: u64, b: u64) -> bool {
-        match self {
-            Cond::Eq => a == b,
-            Cond::Ne => a != b,
-            Cond::Lez => (a as i64) <= 0,
-            Cond::Gtz => (a as i64) > 0,
-            Cond::Ltz => (a as i64) < 0,
-            Cond::Gez => (a as i64) >= 0,
-        }
-    }
-}
-
 /// One compiled trace instruction. Operands are local-slot indices, not
-/// guest register numbers; immediates are pre-converted to the exact
-/// form the corresponding semantics handler uses (e.g. `li`'s `i64`
-/// immediate is already `as u64`, shift amounts already `& 63`).
+/// guest register numbers. Integer results and branch decisions come from
+/// `cheri-sem`'s kernels ([`Alu`], [`Cond`]), the same ones the handlers
+/// call, so the template tier holds no integer semantics of its own.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum TOp {
     /// Retires and charges a cycle, nothing else.
     Nop,
-    /// `d = imm`
+    /// `d = imm` (`li`'s `i64` immediate already `as u64`).
     Li { d: u8, imm: u64 },
     /// `d = s`
     Mov { d: u8, s: u8 },
-    /// `d = a (op) b` — the three-register ALU group, with the precise
-    /// wrapping / zero-divisor behaviour of the handlers.
-    Add { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Sub { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Mul { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    DivU { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    DivS { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    RemU { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    And { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Or { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Xor { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Nor { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Sllv { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Srlv { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Srav { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Slt { d: u8, a: u8, b: u8 },
-    /// See [`TOp::Add`].
-    Sltu { d: u8, a: u8, b: u8 },
-    /// `d = s + imm` (wrapping; `imm` pre-cast to `u64`).
-    AddI { d: u8, s: u8, imm: u64 },
-    /// `d = s & imm`
-    AndI { d: u8, s: u8, imm: u64 },
-    /// `d = s | imm`
-    OrI { d: u8, s: u8, imm: u64 },
-    /// `d = s ^ imm`
-    XorI { d: u8, s: u8, imm: u64 },
-    /// `d = s << sh` (`sh` pre-masked).
-    SllI { d: u8, s: u8, sh: u8 },
-    /// `d = s >> sh` (logical).
-    SrlI { d: u8, s: u8, sh: u8 },
-    /// `d = s >> sh` (arithmetic).
-    SraI { d: u8, s: u8, sh: u8 },
-    /// `d = (s as i64) < imm`
-    SltI { d: u8, s: u8, imm: i64 },
-    /// `d = s < imm`
-    SltuI { d: u8, s: u8, imm: u64 },
+    /// `d = op(a, b)`: a three-register ALU instruction.
+    Alu { op: Alu, d: u8, a: u8, b: u8 },
+    /// `d = op(s, imm)`: an immediate ALU instruction, `imm` cast as
+    /// [`alu_form`] casts it.
+    AluI { op: Alu, d: u8, s: u8, imm: u64 },
     /// A mid-trace conditional branch: not taken falls through to the
     /// next trace instruction; taken is a **side exit** to `taken_next`
     /// with metrics for exactly the instructions up to and including
@@ -576,9 +501,13 @@ pub(crate) fn compile(
 
 /// Whether `instr` can run in-trace: a pure-integer instruction, a data
 /// access with in-trace guards ([`MemOp`]) or a capability-register op
-/// that cannot trap ([`CapOp`]). `csetbounds`, `candperm` and the other
-/// capability ops end a trace: they can trap or record derivations, and
-/// they are rare in hot loops.
+/// that cannot trap ([`CapOp`]). Every pure-integer instruction is `li`,
+/// `move`, `nop`, a jump (`j`, `jr`, `jalr`), a conditional branch
+/// ([`Cond`]) or has an [`alu_form`] ([`Alu`]); a `cheri-sem` test holds
+/// each new one to that, so [`lower`] never meets a pure instruction it
+/// cannot compile. `csetbounds`, `candperm` and the other capability ops
+/// end a trace: they can trap or record derivations, and they are rare in
+/// hot loops.
 fn in_trace(instr: &Instr) -> bool {
     reg_effects(instr).is_pure_int()
         || matches!(
@@ -598,11 +527,27 @@ fn in_trace(instr: &Instr) -> bool {
 }
 
 /// Lowers a straight-line (or mid-trace branch) instruction to a [`TOp`].
-/// Immediates are pre-converted to exactly what the handler computes.
 fn lower(instr: Instr, l: &mut Locals, rstart: u64) -> TOp {
     // Allocation order mirrors handler evaluation order (reads before
     // the write) — irrelevant for correctness, kept for readability of
     // the dense mapping.
+    if let Some((op, rd, rs, src)) = alu_form(&instr) {
+        let a = l.read(rs);
+        return match src {
+            Src::Reg(rt) => TOp::Alu {
+                op,
+                a,
+                b: l.read(rt),
+                d: l.write(rd),
+            },
+            Src::Imm(imm) => TOp::AluI {
+                op,
+                s: a,
+                imm,
+                d: l.write(rd),
+            },
+        };
+    }
     match instr {
         // A jump the walk followed: the trace goes on at its target.
         Instr::Nop | Instr::J { .. } => TOp::Nop,
@@ -613,126 +558,6 @@ fn lower(instr: Instr, l: &mut Locals, rstart: u64) -> TOp {
         Instr::Move { rd, rs } => TOp::Mov {
             s: l.read(rs),
             d: l.write(rd),
-        },
-        Instr::Add { rd, rs, rt } => TOp::Add {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Sub { rd, rs, rt } => TOp::Sub {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Mul { rd, rs, rt } => TOp::Mul {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::DivU { rd, rs, rt } => TOp::DivU {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::DivS { rd, rs, rt } => TOp::DivS {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::RemU { rd, rs, rt } => TOp::RemU {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::And { rd, rs, rt } => TOp::And {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Or { rd, rs, rt } => TOp::Or {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Xor { rd, rs, rt } => TOp::Xor {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Nor { rd, rs, rt } => TOp::Nor {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Sllv { rd, rs, rt } => TOp::Sllv {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Srlv { rd, rs, rt } => TOp::Srlv {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Srav { rd, rs, rt } => TOp::Srav {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Slt { rd, rs, rt } => TOp::Slt {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::Sltu { rd, rs, rt } => TOp::Sltu {
-            a: l.read(rs),
-            b: l.read(rt),
-            d: l.write(rd),
-        },
-        Instr::AddI { rd, rs, imm } => TOp::AddI {
-            s: l.read(rs),
-            d: l.write(rd),
-            imm: imm as u64,
-        },
-        Instr::AndI { rd, rs, imm } => TOp::AndI {
-            s: l.read(rs),
-            d: l.write(rd),
-            imm,
-        },
-        Instr::OrI { rd, rs, imm } => TOp::OrI {
-            s: l.read(rs),
-            d: l.write(rd),
-            imm,
-        },
-        Instr::XorI { rd, rs, imm } => TOp::XorI {
-            s: l.read(rs),
-            d: l.write(rd),
-            imm,
-        },
-        Instr::SllI { rd, rs, sh } => TOp::SllI {
-            s: l.read(rs),
-            d: l.write(rd),
-            sh: sh & 63,
-        },
-        Instr::SrlI { rd, rs, sh } => TOp::SrlI {
-            s: l.read(rs),
-            d: l.write(rd),
-            sh: sh & 63,
-        },
-        Instr::SraI { rd, rs, sh } => TOp::SraI {
-            s: l.read(rs),
-            d: l.write(rd),
-            sh: sh & 63,
-        },
-        Instr::SltI { rd, rs, imm } => TOp::SltI {
-            s: l.read(rs),
-            d: l.write(rd),
-            imm,
-        },
-        Instr::SltuI { rd, rs, imm } => TOp::SltuI {
-            s: l.read(rs),
-            d: l.write(rd),
-            imm,
         },
         Instr::Beq { target, .. }
         | Instr::Bne { target, .. }
@@ -1059,7 +884,15 @@ mod tests {
         let r = DecodedRegion::decode(0, &code);
         let t = compile(&r, 0, 0, 0, u64::MAX, LINE).unwrap();
         assert!(matches!(t.term, TTerm::Loop));
-        assert!(matches!(t.ops[0], TOp::Add { a: 0, b: 0, .. }));
+        assert!(matches!(
+            t.ops[0],
+            TOp::Alu {
+                op: Alu::Add,
+                a: 0,
+                b: 0,
+                ..
+            }
+        ));
         assert!(matches!(t.ops[1], TOp::Mov { d: 1, .. }));
         assert_eq!(t.flush.len(), 1, "only t0 flushes");
     }

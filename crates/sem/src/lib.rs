@@ -3,16 +3,22 @@
 //! The per-instruction semantics of the simulated CHERI-MIPS core, as a
 //! *pure* layer: every handler in [`ops`] is generic over a minimal
 //! [`MemoryPort`]/[`TrapPort`] surface and depends only on the capability
-//! algebra (`cheri-cap`) and the instruction set (`cheri-isa`). Two
+//! algebra (`cheri-cap`) and the instruction set (`cheri-isa`). Three
 //! machines consume it:
 //!
 //! * the stepper in `cheri-cpu`, which plugs in its TLB and decode-once
-//!   regions behind the port traits; and
+//!   regions behind the port traits;
 //! * the deliberately simple reference interpreter (also in `cheri-cpu`),
 //!   which plugs in direct VM walks — no TLB, no resident region, no
-//!   dispatch table.
+//!   dispatch table; and
+//! * the template tier in `cheri-cpu`, which runs hot loops over
+//!   register-resident locals. It does not call the handlers, but it
+//!   computes every integer result and branch decision through the same
+//!   kernels they do: [`Alu`] and [`Cond`] are the one home of integer
+//!   semantics, and [`alu_form`] maps each ALU instruction onto them. Its
+//!   data accesses run the same checks ([`check_data`] and friends).
 //!
-//! Because both machines execute the *same* handler bodies, any observable
+//! Because the machines execute the *same* semantics, any observable
 //! difference between them is a bug in the machinery around the semantics,
 //! not in the semantics themselves — exactly the property the `--oracle`
 //! harness mode checks (see DESIGN.md, "The oracle plane").
@@ -20,10 +26,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod alu;
 mod effects;
 pub mod ops;
 mod regfile;
 
+pub use alu::{alu_form, Alu, Cond, Src};
 pub use effects::{eff, RegEffects, RegSet};
 pub use regfile::RegFile;
 

@@ -7,14 +7,33 @@
 //! defined exactly once; [`with_op_list!`](with_op_list) re-exports it so
 //! consumers can build flat dispatch tables that cannot drift from
 //! [`dispatch_index`], and [`step_instr`] dispatches directly for callers
-//! without a table.
+//! without a table. The ALU and conditional-branch handlers compute
+//! through the kernels of [`crate::Alu`] and [`crate::Cond`], which the
+//! template tier calls too.
 
 #![allow(clippy::unnecessary_wraps)] // handlers share one fallible signature
 
 use crate::effects::{eff, RegEffects};
-use crate::{MemoryPort, OpResult, SemExit, StepCtx};
+use crate::{Alu, Cond, MemoryPort, OpResult, SemExit, StepCtx};
 use cheri_cap::{Capability, Perms};
-use cheri_isa::{Instr, Width};
+use cheri_isa::{IReg, Instr, Width};
+
+/// `rd = op(a, b)`: the body of every ALU handler.
+#[inline(always)]
+fn alu<F>(cx: &mut StepCtx<'_>, op: Alu, rd: IReg, a: u64, b: u64) -> OpResult<F> {
+    cx.rf.w(rd, op.eval(a, b));
+    Ok(None)
+}
+
+/// Branches to `target` when `cond` holds for `a`, `b`: the body of every
+/// conditional-branch handler.
+#[inline(always)]
+fn branch<F>(cx: &mut StepCtx<'_>, cond: Cond, a: u64, b: u64, target: u32) -> OpResult<F> {
+    if cond.taken(a, b) {
+        cx.next = cx.rstart + u64::from(target) * 4;
+    }
+    Ok(None)
+}
 
 macro_rules! define_ops {
     ($( $name:ident : $pat:pat => [$eff:expr] |$p:ident, $cx:ident| $body:block )+) => {
@@ -131,140 +150,94 @@ define_ops! {
         Ok(None)
     }
     op_add: Instr::Add { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs).wrapping_add(cx.rf.r(rt)));
-        Ok(None)
+        alu(cx, Alu::Add, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_sub: Instr::Sub { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs).wrapping_sub(cx.rf.r(rt)));
-        Ok(None)
+        alu(cx, Alu::Sub, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_mul: Instr::Mul { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs).wrapping_mul(cx.rf.r(rt)));
-        Ok(None)
+        alu(cx, Alu::Mul, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_divu: Instr::DivU { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        let d = cx.rf.r(rt);
-        cx.rf.w(rd, cx.rf.r(rs).checked_div(d).unwrap_or(0));
-        Ok(None)
+        alu(cx, Alu::DivU, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_divs: Instr::DivS { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        let d = cx.rf.r(rt) as i64;
-        let n = cx.rf.r(rs) as i64;
-        cx.rf.w(rd, if d == 0 { 0 } else { n.wrapping_div(d) as u64 });
-        Ok(None)
+        alu(cx, Alu::DivS, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_remu: Instr::RemU { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        let d = cx.rf.r(rt);
-        cx.rf.w(rd, if d == 0 { 0 } else { cx.rf.r(rs) % d });
-        Ok(None)
+        alu(cx, Alu::RemU, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_and: Instr::And { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) & cx.rf.r(rt));
-        Ok(None)
+        alu(cx, Alu::And, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_or: Instr::Or { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) | cx.rf.r(rt));
-        Ok(None)
+        alu(cx, Alu::Or, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_xor: Instr::Xor { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) ^ cx.rf.r(rt));
-        Ok(None)
+        alu(cx, Alu::Xor, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_nor: Instr::Nor { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, !(cx.rf.r(rs) | cx.rf.r(rt)));
-        Ok(None)
+        alu(cx, Alu::Nor, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_sllv: Instr::Sllv { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) << (cx.rf.r(rt) & 63));
-        Ok(None)
+        alu(cx, Alu::Sll, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_srlv: Instr::Srlv { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) >> (cx.rf.r(rt) & 63));
-        Ok(None)
+        alu(cx, Alu::Srl, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_srav: Instr::Srav { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, ((cx.rf.r(rs) as i64) >> (cx.rf.r(rt) & 63)) as u64);
-        Ok(None)
+        alu(cx, Alu::Sra, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_slt: Instr::Slt { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, u64::from((cx.rf.r(rs) as i64) < (cx.rf.r(rt) as i64)));
-        Ok(None)
+        alu(cx, Alu::Slt, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_sltu: Instr::Sltu { rd, rs, rt } => [eff().ri(rs).ri(rt).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, u64::from(cx.rf.r(rs) < cx.rf.r(rt)));
-        Ok(None)
+        alu(cx, Alu::Sltu, rd, cx.rf.r(rs), cx.rf.r(rt))
     }
     op_addi: Instr::AddI { rd, rs, imm } => [eff().ri(rs).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs).wrapping_add(imm as u64));
-        Ok(None)
+        alu(cx, Alu::Add, rd, cx.rf.r(rs), imm as u64)
     }
     op_andi: Instr::AndI { rd, rs, imm } => [eff().ri(rs).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) & imm);
-        Ok(None)
+        alu(cx, Alu::And, rd, cx.rf.r(rs), imm)
     }
     op_ori: Instr::OrI { rd, rs, imm } => [eff().ri(rs).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) | imm);
-        Ok(None)
+        alu(cx, Alu::Or, rd, cx.rf.r(rs), imm)
     }
     op_xori: Instr::XorI { rd, rs, imm } => [eff().ri(rs).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) ^ imm);
-        Ok(None)
+        alu(cx, Alu::Xor, rd, cx.rf.r(rs), imm)
     }
     op_slli: Instr::SllI { rd, rs, sh } => [eff().ri(rs).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) << (sh & 63));
-        Ok(None)
+        alu(cx, Alu::Sll, rd, cx.rf.r(rs), u64::from(sh))
     }
     op_srli: Instr::SrlI { rd, rs, sh } => [eff().ri(rs).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, cx.rf.r(rs) >> (sh & 63));
-        Ok(None)
+        alu(cx, Alu::Srl, rd, cx.rf.r(rs), u64::from(sh))
     }
     op_srai: Instr::SraI { rd, rs, sh } => [eff().ri(rs).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, ((cx.rf.r(rs) as i64) >> (sh & 63)) as u64);
-        Ok(None)
+        alu(cx, Alu::Sra, rd, cx.rf.r(rs), u64::from(sh))
     }
     op_slti: Instr::SltI { rd, rs, imm } => [eff().ri(rs).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, u64::from((cx.rf.r(rs) as i64) < imm));
-        Ok(None)
+        alu(cx, Alu::Slt, rd, cx.rf.r(rs), imm as u64)
     }
     op_sltui: Instr::SltuI { rd, rs, imm } => [eff().ri(rs).wi(rd)] |_p, cx| {
-        cx.rf.w(rd, u64::from(cx.rf.r(rs) < imm));
-        Ok(None)
+        alu(cx, Alu::Sltu, rd, cx.rf.r(rs), imm)
     }
     op_beq: Instr::Beq { rs, rt, target } => [eff().ri(rs).ri(rt).ctl()] |_p, cx| {
-        if cx.rf.r(rs) == cx.rf.r(rt) {
-            cx.next = cx.rstart + u64::from(target) * 4;
-        }
-        Ok(None)
+        branch(cx, Cond::Eq, cx.rf.r(rs), cx.rf.r(rt), target)
     }
     op_bne: Instr::Bne { rs, rt, target } => [eff().ri(rs).ri(rt).ctl()] |_p, cx| {
-        if cx.rf.r(rs) != cx.rf.r(rt) {
-            cx.next = cx.rstart + u64::from(target) * 4;
-        }
-        Ok(None)
+        branch(cx, Cond::Ne, cx.rf.r(rs), cx.rf.r(rt), target)
     }
     op_blez: Instr::Blez { rs, target } => [eff().ri(rs).ctl()] |_p, cx| {
-        if (cx.rf.r(rs) as i64) <= 0 {
-            cx.next = cx.rstart + u64::from(target) * 4;
-        }
-        Ok(None)
+        branch(cx, Cond::Lez, cx.rf.r(rs), 0, target)
     }
     op_bgtz: Instr::Bgtz { rs, target } => [eff().ri(rs).ctl()] |_p, cx| {
-        if (cx.rf.r(rs) as i64) > 0 {
-            cx.next = cx.rstart + u64::from(target) * 4;
-        }
-        Ok(None)
+        branch(cx, Cond::Gtz, cx.rf.r(rs), 0, target)
     }
     op_bltz: Instr::Bltz { rs, target } => [eff().ri(rs).ctl()] |_p, cx| {
-        if (cx.rf.r(rs) as i64) < 0 {
-            cx.next = cx.rstart + u64::from(target) * 4;
-        }
-        Ok(None)
+        branch(cx, Cond::Ltz, cx.rf.r(rs), 0, target)
     }
     op_bgez: Instr::Bgez { rs, target } => [eff().ri(rs).ctl()] |_p, cx| {
-        if (cx.rf.r(rs) as i64) >= 0 {
-            cx.next = cx.rstart + u64::from(target) * 4;
-        }
-        Ok(None)
+        branch(cx, Cond::Gez, cx.rf.r(rs), 0, target)
     }
     op_j: Instr::J { target } => [eff().ctl()] |_p, cx| {
         cx.next = cx.rstart + u64::from(target) * 4;
@@ -590,15 +563,19 @@ mod tests {
             Instr::Srav { rd, rs, rt },
             Instr::Slt { rd, rs, rt },
             Instr::Sltu { rd, rs, rt },
-            Instr::AddI { rd, rs, imm: 0 },
-            Instr::AndI { rd, rs, imm: 0 },
-            Instr::OrI { rd, rs, imm: 0 },
-            Instr::XorI { rd, rs, imm: 0 },
-            Instr::SllI { rd, rs, sh: 0 },
-            Instr::SrlI { rd, rs, sh: 0 },
-            Instr::SraI { rd, rs, sh: 0 },
-            Instr::SltI { rd, rs, imm: 0 },
-            Instr::SltuI { rd, rs, imm: 0 },
+            Instr::AddI { rd, rs, imm: -3 },
+            Instr::AndI { rd, rs, imm: 0xff0 },
+            Instr::OrI { rd, rs, imm: 0x50 },
+            Instr::XorI { rd, rs, imm: 0x3c },
+            Instr::SllI { rd, rs, sh: 7 },
+            Instr::SrlI { rd, rs, sh: 65 },
+            Instr::SraI { rd, rs, sh: 127 },
+            Instr::SltI { rd, rs, imm: -5 },
+            Instr::SltuI {
+                rd,
+                rs,
+                imm: 1 << 40,
+            },
             Instr::Beq { rs, rt, target: 0 },
             Instr::Bne { rs, rt, target: 0 },
             Instr::Blez { rs, target: 0 },
@@ -736,6 +713,11 @@ mod tests {
     /// register outside the declared write set. A handler that secretly
     /// reads or writes more than its clause admits fails here — which is
     /// what keeps the template compiler in `cheri-cpu` honest.
+    ///
+    /// The template compiler admits every pure-integer instruction and
+    /// lowers it by shape, so each one must also be a shape it knows: `li`,
+    /// `move`, `nop`, a jump, a conditional branch, or an [`alu_form`]
+    /// whose kernel computes exactly what the handler writes.
     #[test]
     fn effects_clauses_match_pure_handler_behaviour() {
         for (case, instr) in exemplars().iter().enumerate() {
@@ -743,6 +725,26 @@ mod tests {
             if !e.is_pure_int() {
                 continue;
             }
+            let form = crate::alu_form(instr);
+            assert!(
+                form.is_some()
+                    || matches!(
+                        instr,
+                        Instr::Li { .. }
+                            | Instr::Move { .. }
+                            | Instr::Nop
+                            | Instr::J { .. }
+                            | Instr::Jr { .. }
+                            | Instr::Jalr { .. }
+                            | Instr::Beq { .. }
+                            | Instr::Bne { .. }
+                            | Instr::Blez { .. }
+                            | Instr::Bgtz { .. }
+                            | Instr::Bltz { .. }
+                            | Instr::Bgez { .. }
+                    ),
+                "{instr:?}: pure-integer, but the template compiler has no kernel for it"
+            );
             for seed in [3u64, 0x9e3779b97f4a7c15, u64::MAX / 5] {
                 let base = seeded_regfile(seed);
                 let mut perturbed = base.clone();
@@ -769,6 +771,17 @@ mod tests {
                 };
                 let (out_a, next_a) = run(&base);
                 let (out_b, next_b) = run(&perturbed);
+                if let Some((op, rd, rs, src)) = form {
+                    let b = match src {
+                        crate::Src::Reg(rt) => base.r(rt),
+                        crate::Src::Imm(imm) => imm,
+                    };
+                    assert_eq!(
+                        out_a.r(rd),
+                        op.eval(base.r(rs), b),
+                        "{instr:?}: alu_form disagrees with the handler"
+                    );
+                }
                 for i in 0..32 {
                     if e.int_writes & (1 << i) != 0 {
                         // Declared writes must be a pure function of the

@@ -318,6 +318,33 @@ cmp scripts/golden/fig5.golden target/fig5.lines || {
     exit 1
 }
 
+echo "==> golden: table2 (the Table 2 change inventory) is byte-identical to the committed golden"
+./target/release/table2 --jobs 2 > target/table2.lines
+cmp scripts/golden/table2.golden target/table2.lines || {
+    echo "FAIL: table2 output differs from scripts/golden/table2.golden"
+    echo "      (the change inventory changed; if intentional, regenerate:"
+    echo "       ./target/release/table2 --jobs 1 > scripts/golden/table2.golden)"
+    exit 1
+}
+
+echo "==> golden: syscall_micro (§5.2 syscall micro-benchmark table) is byte-identical to the committed golden"
+./target/release/syscall_micro --jobs 2 > target/syscall_micro.lines
+cmp scripts/golden/syscall_micro.golden target/syscall_micro.lines || {
+    echo "FAIL: syscall_micro output differs from scripts/golden/syscall_micro.golden"
+    echo "      (syscall cycle counts changed; if intentional, regenerate:"
+    echo "       ./target/release/syscall_micro --jobs 1 > scripts/golden/syscall_micro.golden)"
+    exit 1
+}
+
+echo "==> golden: initdb_macro (initdb macro-benchmark table) is byte-identical to the committed golden"
+./target/release/initdb_macro --jobs 2 > target/initdb_macro.lines
+cmp scripts/golden/initdb_macro.golden target/initdb_macro.lines || {
+    echo "FAIL: initdb_macro output differs from scripts/golden/initdb_macro.golden"
+    echo "      (initdb cycle or cache metrics changed; if intentional, regenerate:"
+    echo "       ./target/release/initdb_macro --jobs 1 > scripts/golden/initdb_macro.golden)"
+    exit 1
+}
+
 echo "==> golden: cache sweep (with the D1 C256 column) is byte-identical to the committed golden"
 ./target/release/cache_sweep --json --no-cache > target/cache_sweep.lines
 cmp scripts/golden/cache_sweep.golden target/cache_sweep.lines || {
