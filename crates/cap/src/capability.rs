@@ -76,19 +76,37 @@ impl CapFormat {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// The value is 48 bytes, so registers, memory slabs and template
+/// operands move it cheaply: the exclusive top is a `u64` plus
+/// `top_hi`, its bit 64 (a top never exceeds `2 * (2^64 - 1)`), which
+/// drops the 16-byte alignment a `u128` field would impose, and the
+/// object type, exponent, format and provenance are stored unboxed. Every
+/// encoding is canonical, so the derived `Eq` and `Hash` compare exactly
+/// the abstract fields the getters return.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capability {
-    tag: bool,
     addr: u64,
     base: u64,
-    top: u128,
-    /// Encoding exponent of the (compressed) bounds; 0 in C256.
-    exp: u32,
+    /// Low 64 bits of the exclusive upper bound.
+    top: u64,
+    principal: PrincipalId,
     perms: Perms,
-    otype: Option<OType>,
+    /// The object type's value when sealed, [`UNSEALED`] otherwise.
+    otype: u32,
+    /// Encoding exponent of the (compressed) bounds; 0 in C256.
+    exp: u8,
     fmt: CapFormat,
-    prov: Provenance,
+    source: CapSource,
+    tag: bool,
+    /// Bit 64 of the exclusive upper bound.
+    top_hi: bool,
 }
+
+/// [`Capability::otype`]'s encoding of "not sealed": no object type
+/// reaches it (see [`OType::MAX`]).
+const UNSEALED: u32 = u32::MAX;
+const _: () = assert!(OType::MAX < UNSEALED);
 
 impl Capability {
     // ------------------------------------------------------------------
@@ -98,17 +116,19 @@ impl Capability {
     /// The NULL capability: untagged, zero everywhere. This is the value
     /// CheriABI installs in DDC so that every legacy load/store traps.
     #[must_use]
-    pub fn null(fmt: CapFormat) -> Capability {
+    pub const fn null(fmt: CapFormat) -> Capability {
         Capability {
-            tag: false,
             addr: 0,
             base: 0,
             top: 0,
-            exp: 0,
+            principal: PrincipalId::KERNEL,
             perms: Perms::NONE,
-            otype: None,
+            otype: UNSEALED,
+            exp: 0,
             fmt,
-            prov: Provenance::new(PrincipalId::KERNEL, CapSource::Boot),
+            source: CapSource::Boot,
+            tag: false,
+            top_hi: false,
         }
     }
 
@@ -121,17 +141,24 @@ impl Capability {
             CapFormat::C128 => compress::round_bounds(0, u64::MAX),
             CapFormat::C256 => (0, compress::ADDRESS_SPACE_TOP, 0),
         };
-        Capability {
-            tag: true,
-            addr: 0,
-            base,
-            top,
-            exp,
+        let mut c = Capability {
             perms: Perms::ALL,
-            otype: None,
-            fmt,
-            prov: Provenance::new(principal, source),
-        }
+            principal,
+            source,
+            tag: true,
+            ..Capability::null(fmt)
+        };
+        c.set_bounds_raw(base, top, exp);
+        c
+    }
+
+    /// Installs decoded bounds `[base, top)` with exponent `exp`.
+    fn set_bounds_raw(&mut self, base: u64, top: u128, exp: u32) {
+        self.base = base;
+        self.top = top as u64;
+        self.top_hi = top >> 64 != 0;
+        debug_assert!(top >> 65 == 0 && exp <= u32::from(u8::MAX));
+        self.exp = exp as u8;
     }
 
     // ------------------------------------------------------------------
@@ -140,32 +167,36 @@ impl Capability {
 
     /// Whether the capability is valid (tag set).
     #[must_use]
+    #[inline]
     pub fn tag(&self) -> bool {
         self.tag
     }
 
     /// The address (cursor) the capability currently points at.
     #[must_use]
+    #[inline]
     pub fn addr(&self) -> u64 {
         self.addr
     }
 
     /// Lower bound (inclusive).
     #[must_use]
+    #[inline]
     pub fn base(&self) -> u64 {
         self.base
     }
 
     /// Upper bound (exclusive); may be `2^64`, hence `u128`.
     #[must_use]
+    #[inline]
     pub fn top(&self) -> u128 {
-        self.top
+        u128::from(self.top) | u128::from(self.top_hi) << 64
     }
 
     /// `top - base`, saturating at `u64::MAX` for the full address space.
     #[must_use]
     pub fn length(&self) -> u64 {
-        u64::try_from(self.top.saturating_sub(self.base as u128)).unwrap_or(u64::MAX)
+        u64::try_from(self.top().saturating_sub(self.base as u128)).unwrap_or(u64::MAX)
     }
 
     /// `addr - base` (may be "negative", i.e. wrap, when out of bounds).
@@ -176,6 +207,7 @@ impl Capability {
 
     /// The permission set.
     #[must_use]
+    #[inline]
     pub fn perms(&self) -> Perms {
         self.perms
     }
@@ -183,17 +215,19 @@ impl Capability {
     /// Object type, if sealed.
     #[must_use]
     pub fn otype(&self) -> Option<OType> {
-        self.otype
+        (self.otype != UNSEALED).then(|| OType::from_valid(self.otype))
     }
 
     /// Whether the capability is sealed.
     #[must_use]
+    #[inline]
     pub fn is_sealed(&self) -> bool {
-        self.otype.is_some()
+        self.otype != UNSEALED
     }
 
     /// Encoding format.
     #[must_use]
+    #[inline]
     pub fn format(&self) -> CapFormat {
         self.fmt
     }
@@ -201,22 +235,23 @@ impl Capability {
     /// Abstract-capability metadata (principal and derivation source).
     #[must_use]
     pub fn provenance(&self) -> Provenance {
-        self.prov
+        Provenance::new(self.principal, self.source)
     }
 
     /// `true` if `addr` lies within `[base, top)`.
     #[must_use]
     pub fn addr_in_bounds(&self) -> bool {
+        let top = self.top();
         self.addr >= self.base
-            && (self.addr as u128) < self.top.max(self.base as u128 + 1)
-            && (self.addr as u128) < self.top
+            && (self.addr as u128) < top.max(self.base as u128 + 1)
+            && (self.addr as u128) < top
     }
 
     /// Whether this capability's bounds and permissions are a subset of
     /// `other`'s (ignores addresses, tags and seals).
     #[must_use]
     pub fn is_subset_of(&self, other: &Capability) -> bool {
-        self.base >= other.base && self.top <= other.top && self.perms.is_subset_of(other.perms)
+        self.base >= other.base && self.top() <= other.top() && self.perms.is_subset_of(other.perms)
     }
 
     // ------------------------------------------------------------------
@@ -229,6 +264,7 @@ impl Capability {
     /// representable window of a compressed capability, clears the tag —
     /// it does not trap (matching CHERI's fast-path pointer arithmetic).
     #[must_use]
+    #[inline]
     pub fn with_addr(&self, addr: u64) -> Capability {
         let mut c = *self;
         c.addr = addr;
@@ -237,7 +273,7 @@ impl Capability {
             return c;
         }
         if c.tag && c.fmt == CapFormat::C128 {
-            let (lo, hi) = compress::representable_window(c.base, c.top, c.exp);
+            let (lo, hi) = compress::representable_window(c.base, c.top(), u32::from(c.exp));
             if addr < lo || (addr as u128) >= hi {
                 c.tag = false;
             }
@@ -249,6 +285,7 @@ impl Capability {
     /// bytes (wrapping), leaving bounds and permissions untouched (§3
     /// "C pointer arithmetic").
     #[must_use]
+    #[inline]
     pub fn inc_addr(&self, delta: i64) -> Capability {
         self.with_addr(self.addr.wrapping_add(delta as u64))
     }
@@ -273,7 +310,7 @@ impl Capability {
         }
         let req_base = self.addr;
         let req_top = req_base as u128 + len as u128;
-        if (req_base as u128) < self.base as u128 || req_top > self.top {
+        if (req_base as u128) < self.base as u128 || req_top > self.top() {
             return Err(CapFault::LengthViolation);
         }
         let (base, top, exp) = match self.fmt {
@@ -285,16 +322,14 @@ impl Capability {
                 }
                 // The rounded bounds must still be authorised by the source
                 // capability; otherwise narrowing would turn into widening.
-                if (b as u128) < self.base as u128 || t > self.top {
+                if (b as u128) < self.base as u128 || t > self.top() {
                     return Err(CapFault::LengthViolation);
                 }
                 (b, t, e)
             }
         };
         let mut c = *self;
-        c.base = base;
-        c.top = top;
-        c.exp = exp;
+        c.set_bounds_raw(base, top, exp);
         Ok(c)
     }
 
@@ -308,9 +343,7 @@ impl Capability {
     #[must_use]
     pub fn set_bounds_weakened(&self, len: u64) -> Capability {
         let mut c = *self;
-        c.base = self.addr;
-        c.top = self.addr as u128 + len as u128;
-        c.exp = 0;
+        c.set_bounds_raw(self.addr, self.addr as u128 + len as u128, 0);
         c
     }
 
@@ -357,7 +390,7 @@ impl Capability {
         }
         let otype = OType::new(sealer.addr).ok_or(CapFault::TypeViolation)?;
         let mut c = *self;
-        c.otype = Some(otype);
+        c.otype = otype.value();
         Ok(c)
     }
 
@@ -371,7 +404,7 @@ impl Capability {
         if !self.tag || !unsealer.tag {
             return Err(CapFault::TagViolation);
         }
-        let otype = self.otype.ok_or(CapFault::SealViolation)?;
+        let otype = self.otype().ok_or(CapFault::SealViolation)?;
         if unsealer.is_sealed() {
             return Err(CapFault::SealViolation);
         }
@@ -385,7 +418,7 @@ impl Capability {
             return Err(CapFault::TypeViolation);
         }
         let mut c = *self;
-        c.otype = None;
+        c.otype = UNSEALED;
         Ok(c)
     }
 
@@ -412,7 +445,7 @@ impl Capability {
             return Err(Self::missing_perm_fault(self.perms, need));
         }
         let end = vaddr as u128 + size as u128;
-        if (vaddr as u128) < self.base as u128 || end > self.top {
+        if vaddr < self.base || end > self.top() {
             return Err(CapFault::LengthViolation);
         }
         Ok(())
@@ -458,7 +491,7 @@ impl Capability {
     #[must_use]
     pub fn with_source(&self, source: CapSource) -> Capability {
         let mut c = *self;
-        c.prov.source = source;
+        c.source = source;
         c
     }
 
@@ -487,7 +520,7 @@ impl Capability {
         let mut c = *self;
         c.tag = true;
         c.fmt = root.fmt;
-        c.prov.principal = root.prov.principal;
+        c.principal = root.principal;
         Ok(c)
     }
 }
@@ -506,14 +539,14 @@ impl fmt::Debug for Capability {
             if self.tag { "v" } else { "-" },
             self.addr,
             self.base,
-            self.top,
+            self.top(),
             self.perms,
-            match self.otype {
+            match self.otype() {
                 Some(o) => format!(" sealed:{o}"),
                 None => String::new(),
             },
-            self.prov.principal,
-            self.prov.source,
+            self.principal,
+            self.source,
         )
     }
 }
@@ -722,6 +755,83 @@ mod tests {
         let c = root_a.with_addr(0x5000).set_bounds(64, true).unwrap();
         let injected = c.clear_tag().rederive(&root_b).unwrap();
         assert_eq!(injected.provenance().principal, PrincipalId::from_raw(2));
+    }
+
+    /// The packed layout: at most 48 bytes, and the same `Debug` text and
+    /// `Eq` verdicts as the unpacked one (these strings were printed by
+    /// the 80-byte layout, which stored `top` as a `u128`).
+    #[test]
+    fn packed_layout_keeps_debug_text_and_equality() {
+        assert!(std::mem::size_of::<Capability>() <= 48);
+        let root = user_root();
+        let sealer = root
+            .with_addr(42)
+            .and_perms(Perms::SEAL | Perms::UNSEAL | Perms::GLOBAL);
+        let data = root.with_addr(0x2000).set_bounds(32, true).unwrap();
+        let sealed = data.seal(&sealer).unwrap();
+        let c256 = Capability::root(CapFormat::C256, PrincipalId::from_raw(7), CapSource::Malloc);
+        let c256_derived = c256
+            .with_addr(0x1000)
+            .set_bounds(0x30, true)
+            .unwrap()
+            .inc_addr(0x10)
+            .with_source(CapSource::Stack);
+        // A top past 2^64: only the weakened bounds setter makes one.
+        let past_top = root.with_addr(u64::MAX - 7).set_bounds_weakened(16);
+        let untagged = root
+            .with_addr(0x10_0000)
+            .set_bounds(1 << 40, false)
+            .unwrap()
+            .clear_tag();
+        let null = Capability::null(CapFormat::C128);
+        let full = "[0x0,0x10000000000000000) Perms[GXRWrwlSIU$MK]";
+        for (c, text) in [
+            (null, "Cap{- addr=0x0 [0x0,0x0) Perms[] Principal(kernel) boot}".to_string()),
+            (root, format!("Cap{{v addr=0x0 {full} Principal(1) exec}}")),
+            (
+                sealed,
+                "Cap{v addr=0x2000 [0x2000,0x2020) Perms[GXRWrwlSIU$MK] sealed:0x2a Principal(1) exec}"
+                    .to_string(),
+            ),
+            (c256, format!("Cap{{v addr=0x0 {full} Principal(7) malloc}}")),
+            (
+                c256_derived,
+                "Cap{v addr=0x1010 [0x1000,0x1030) Perms[GXRWrwlSIU$MK] Principal(7) stack}"
+                    .to_string(),
+            ),
+            (
+                past_top,
+                "Cap{v addr=0xfffffffffffffff8 [0xfffffffffffffff8,0x10000000000000008) Perms[GXRWrwlSIU$MK] Principal(1) exec}"
+                    .to_string(),
+            ),
+            (
+                untagged,
+                "Cap{- addr=0x100000 [0x0,0x10008000000) Perms[GXRWrwlSIU$MK] Principal(1) exec}"
+                    .to_string(),
+            ),
+        ] {
+            assert_eq!(format!("{c:?}"), text);
+        }
+        assert_eq!(root.top(), compress::ADDRESS_SPACE_TOP);
+        assert_eq!(past_top.top(), compress::ADDRESS_SPACE_TOP + 8);
+        assert_eq!(sealed.otype(), OType::new(42));
+        assert_eq!(sealed.unseal(&sealer).unwrap().otype(), None);
+        // Equal values built two ways are equal; one differing field,
+        // format, source, seal, tag or bit 64 of the top, is not.
+        assert_eq!(sealed, data.seal(&sealer.with_addr(42)).unwrap());
+        assert_eq!(c256_derived.provenance().source, CapSource::Stack);
+        assert_ne!(null, Capability::null(CapFormat::C256));
+        assert_ne!(root, c256.with_source(CapSource::Exec));
+        assert_ne!(root, root.with_source(CapSource::Stack));
+        assert_ne!(sealed, data);
+        assert_ne!(untagged, untagged.rederive(&root).unwrap());
+        let low_top = root.with_addr(u64::MAX - 7).set_bounds(8, true).unwrap();
+        assert_eq!(low_top.top(), compress::ADDRESS_SPACE_TOP);
+        assert_ne!(low_top, past_top);
+        assert_eq!(
+            root.with_addr(u64::MAX - 7).set_bounds_weakened(16),
+            past_top
+        );
     }
 
     #[test]

@@ -117,6 +117,7 @@ pub fn representable_alignment_mask(len: u64) -> u64 {
 /// one quarter of the encodable space, matching CHERI Concentrate's choice of
 /// placing the bounds in the middle half of the encodable region.
 #[must_use]
+#[inline]
 pub fn representable_window(base: u64, top: u128, e: u32) -> (u64, u128) {
     let shift = e + MANTISSA_WIDTH - 2;
     if shift >= 64 {

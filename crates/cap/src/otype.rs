@@ -26,6 +26,12 @@ impl OType {
         }
     }
 
+    /// The object type of a `value` already known to be in range.
+    pub(crate) fn from_valid(value: u32) -> OType {
+        debug_assert!(value <= Self::MAX);
+        OType(value)
+    }
+
     /// The numeric value of this object type.
     #[must_use]
     pub fn value(self) -> u32 {

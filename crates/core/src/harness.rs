@@ -279,9 +279,14 @@ impl RunSpec {
     }
 
     /// Sets the instruction budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `budget` is outside 1..=2,000,000,000.
     #[must_use]
     pub fn with_budget(mut self, budget: u64) -> RunSpec {
-        self.instr_budget = Some(budget);
+        self.instr_budget =
+            Some(check_instr_budget("instr_budget", budget).unwrap_or_else(|e| panic!("{e}")));
         self
     }
 
@@ -303,8 +308,9 @@ impl RunSpec {
     ///
     /// # Panics
     ///
-    /// Panics when `config.phys_frames` is outside 1..=65,536, or
-    /// `config.quantum` or `config.pipe_capacity` is 0.
+    /// Panics when `config.phys_frames` is outside 1..=65,536,
+    /// `config.quantum` or `config.pipe_capacity` is 0, or
+    /// `config.default_instr_budget` is outside 1..=2,000,000,000.
     #[must_use]
     pub fn with_config(mut self, config: KernelConfig) -> RunSpec {
         self.config = check_config(config).unwrap_or_else(|e| panic!("{e}"));
@@ -446,7 +452,11 @@ impl RunSpec {
             opts: check_ptr_size(codegen_opts_from_json(v.field("opts")?)?)?,
             abi: abi_mode_from_label(v.field("abi")?.as_str()?)?,
             asan: v.field("asan")?.as_bool()?,
-            instr_budget: v.field("instr_budget")?.as_opt(Json::as_u64)?,
+            instr_budget: v
+                .field("instr_budget")?
+                .as_opt(Json::as_u64)?
+                .map(|n| check_instr_budget("instr_budget", n))
+                .transpose()?,
             deadline: v
                 .field("deadline_nanos")?
                 .as_opt(Json::as_u128)?
@@ -522,6 +532,23 @@ fn check_l2_size(bytes: u64) -> Result<u64, String> {
     }
 }
 
+/// The instruction budgets a spec may set, per process
+/// (`instr_budget`) or as the kernel default (`default_instr_budget`):
+/// 1 up to the kernel's own default of 2×10⁹, the largest any caller
+/// passes (`KernelConfig::default` and the `capfmt` workload test). A
+/// zero budget ends every process as budget-exhausted before its first
+/// instruction, and with no deadline a budget of 2^64 − 1 lets a guest
+/// that never exits hold its worker forever.
+const INSTR_BUDGET_DOMAIN: std::ops::RangeInclusive<u64> = 1..=2_000_000_000;
+
+fn check_instr_budget(key: &str, budget: u64) -> Result<u64, String> {
+    if INSTR_BUDGET_DOMAIN.contains(&budget) {
+        Ok(budget)
+    } else {
+        Err(format!("{key} {budget} is outside 1..=2000000000"))
+    }
+}
+
 /// The physical memory a spec may give its kernel, in 4 KiB frames: one
 /// frame up to 256 MiB, four times the 64 MiB default. Frames are built on
 /// demand, so this is the only bound on the host memory a guest can
@@ -548,6 +575,7 @@ fn check_config(config: KernelConfig) -> Result<KernelConfig, String> {
     } else if !PIPE_CAPACITY_DOMAIN.contains(&config.pipe_capacity) {
         Err(format!("pipe_capacity {} is below 1", config.pipe_capacity))
     } else {
+        check_instr_budget("default_instr_budget", config.default_instr_budget)?;
         Ok(config)
     }
 }
@@ -2149,9 +2177,41 @@ mod tests {
                 pipe_capacity: 0,
                 ..tight_pipes
             },
+            KernelConfig {
+                default_instr_budget: 0,
+                ..tight_pipes
+            },
+            KernelConfig {
+                default_instr_budget: u64::MAX,
+                ..tight_pipes
+            },
         ] {
             let built = catch_unwind(|| spec().with_config(config));
             assert!(built.is_err(), "with_config({config:?}) must refuse");
+        }
+
+        // A budget of 2^64 - 1 was accepted and run with no deadline to
+        // stop it, and a zero budget ran to `budget-exhausted`.
+        let budgeted = spec().with_budget(50_000_000).to_json().to_string();
+        for n in [1, 2_000_000_000] {
+            let line = edit(&budgeted, "instr_budget", 50_000_000, n);
+            let back = RunSpec::from_json(&json::parse(&line).expect("parses"));
+            assert_eq!(back.expect("in the domain").instr_budget, Some(n));
+            let line = edit(&text, "default_instr_budget", 2_000_000_000, n);
+            let back = RunSpec::from_json(&json::parse(&line).expect("parses"));
+            assert_eq!(back.expect("in the domain").config.default_instr_budget, n);
+        }
+        for n in [0, 2_000_000_001, u64::MAX] {
+            let line = edit(&budgeted, "instr_budget", 50_000_000, n);
+            let err = RunSpec::from_json(&json::parse(&line).expect("parses"))
+                .expect_err("outside the domain");
+            assert!(err.contains("instr_budget"), "{err}");
+            let line = edit(&text, "default_instr_budget", 2_000_000_000, n);
+            let err = RunSpec::from_json(&json::parse(&line).expect("parses"))
+                .expect_err("outside the domain");
+            assert!(err.contains("default_instr_budget"), "{err}");
+            let built = catch_unwind(|| spec().with_budget(n));
+            assert!(built.is_err(), "with_budget({n}) must refuse");
         }
     }
 

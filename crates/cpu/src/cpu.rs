@@ -3,12 +3,12 @@
 use crate::ops::{self, CpuPorts, RefPorts};
 use crate::oracle::{self, Divergence, LockstepState};
 use crate::region::{DecodedInstr, DecodedRegion};
-use crate::template::{self, CapOp, MemOp, TOp, TTerm, Template, TmplState};
+use crate::template::{self, CapOp, MemOp, Slots, TOp, TTerm, Template, TmplState};
 use crate::{DerivationTrace, RegFile};
 use cheri_cap::{CapFault, Capability, Perms};
 use cheri_isa::Instr;
 use cheri_mem::{AccessKind, CacheHierarchy, PAddr, PhysMem, FRAME_SIZE};
-use cheri_sem::{SemExit, StepCtx};
+use cheri_sem::{Alu, SemExit, StepCtx};
 use cheri_vm::{Access, AsId, Vm, VmError, USER_TOP};
 use std::fmt;
 use std::sync::Arc;
@@ -240,7 +240,8 @@ fn sem_exit(e: SemExit) -> Exit {
 /// fetches are charged in program order, before the data accesses that
 /// follow them. Every other fetch is of the line fetched just before it,
 /// the L1I's most recent line, which data accesses never displace: it is
-/// a hit wherever it lands, and all of them land at exit.
+/// a hit wherever it lands, and all of them land at exit. A
+/// [`Template::settled`] trace charges heads in its first pass only.
 #[derive(Default)]
 struct HeadFetches {
     /// Line runs of the current pass whose head fetch is charged.
@@ -268,21 +269,84 @@ enum Left {
     Guard,
 }
 
+/// What one in-trace op leaves its pass to do.
+enum Flow {
+    /// Go on with the next op.
+    Next,
+    /// Leave through a taken side exit to this pc.
+    Taken(u64),
+    /// Leave before this op: its guard failed.
+    Guard,
+}
+
 /// Executes an in-trace capability-register op, with the handler's
 /// semantics: capability registers in the register file, integer ones in
-/// `locals`.
-#[inline(never)]
-fn cap_op(op: CapOp, locals: &mut [u64; template::MAX_LOCALS], rf: &mut RegFile) {
+/// the locals.
+#[inline]
+fn cap_op(op: CapOp, l: &mut Slots, rf: &mut RegFile) {
     match op {
         CapOp::IncOffset { cd, cb, s } => {
-            rf.wc(cd, rf.c(cb).inc_addr(locals[usize::from(s)] as i64));
+            let c = rf.cap(cb).inc_addr(l[s] as i64);
+            rf.wc(cd, c);
         }
-        CapOp::IncOffsetImm { cd, cb, imm } => rf.wc(cd, rf.c(cb).inc_addr(imm)),
+        CapOp::IncOffsetImm { cd, cb, imm } => {
+            let c = rf.cap(cb).inc_addr(imm);
+            rf.wc(cd, c);
+        }
         CapOp::Move { cd, cb } => rf.wc(cd, rf.c(cb)),
-        CapOp::GetTag { d, cb } => locals[usize::from(d)] = u64::from(rf.c(cb).tag()),
-        CapOp::GetAddr { d, cb } => locals[usize::from(d)] = rf.c(cb).addr(),
+        CapOp::GetTag { d, cb } => l[d] = u64::from(rf.cap(cb).tag()),
+        CapOp::GetAddr { d, cb } => l[d] = rf.cap(cb).addr(),
     }
 }
+
+/// Defines [`Cpu::exec_op`] from [`cheri_sem::for_each_alu!`]'s list of
+/// ALU forms: one arm per [`TOp`] variant, so an ALU op is one dispatch
+/// straight into its kernel.
+macro_rules! define_exec_op {
+    (reg [$($r:ident),*] imm [$($i:ident = $k:ident),*]) => {
+        impl Cpu {
+            /// Executes op `k` of the current pass of `t`.
+            #[allow(clippy::too_many_arguments)]
+            #[inline(always)]
+            fn exec_op(
+                &mut self,
+                op: TOp,
+                t: &Template,
+                k: usize,
+                heads: &mut HeadFetches,
+                l: &mut Slots,
+                rf: &mut RegFile,
+                phys: &mut PhysMem,
+            ) -> Flow {
+                match op {
+                    TOp::Nop => {}
+                    TOp::Li { d, imm } => l[d] = imm,
+                    TOp::Mov { d, s } => l[d] = l[s],
+                    $(TOp::$r { d, a, b } => l[d] = Alu::$r.eval(l[a], l[b]),)*
+                    $(TOp::$i { d, s, imm } => l[d] = Alu::$k.eval(l[s], imm),)*
+                    TOp::Branch {
+                        cond,
+                        a,
+                        b,
+                        taken_next,
+                    } => {
+                        if cond.taken(l[a], l[b]) {
+                            return Flow::Taken(taken_next);
+                        }
+                    }
+                    TOp::Mem(m) => {
+                        if !self.tmpl_access(m, t, k, heads, l, rf, phys) {
+                            return Flow::Guard;
+                        }
+                    }
+                    TOp::Cap(c) => cap_op(c, l, rf),
+                }
+                Flow::Next
+            }
+        }
+    };
+}
+cheri_sem::for_each_alu!(define_exec_op);
 
 impl fmt::Debug for Cpu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -869,7 +933,7 @@ impl Cpu {
         let pcc_base = rf.pcc.base();
         let pcc_top = pcc_base.saturating_add(rf.pcc.length());
         Some(
-            match template::compile(region, pc, pa, pcc_base, pcc_top, self.caches.l1_line()) {
+            match template::compile(region, pc, pa, pcc_base, pcc_top, self.caches.l1_config()) {
                 Some(t) => {
                     self.stats.tmpl_compiles += 1;
                     TmplState::Hot(Box::new(t))
@@ -925,93 +989,87 @@ impl Cpu {
         executed: &mut u64,
     ) -> Left {
         let n_trace = u64::from(t.n_trace);
-        let mut locals = [0u64; template::MAX_LOCALS];
+        let mut l = Slots::new();
         for &(reg, local) in &t.init {
-            locals[usize::from(local)] = rf.gpr[usize::from(reg)];
+            l[local] = rf.gpr[usize::from(reg) % 32];
         }
-        let iters_max = budget / n_trace;
+        // The budget left for passes after the current one.
+        let mut rest = budget - n_trace;
         let mut full = 0u64;
         // Head fetches are charged as the trace goes (see `HeadFetches`).
         let mut heads = HeadFetches::default();
+        // The line runs whose heads count as charged when a pass after the
+        // first begins: all of a settled trace's (see `Template::settled`).
+        let charged_on_reentry = if t.settled { t.fetch_runs.len() } else { 0 };
         // Instructions retired by the final, partial pass (a side exit or
         // a failed guard).
         let mut partial: Option<usize> = None;
         let mut left = Left::Transfer;
         let next;
         'run: loop {
-            for (k, op) in t.ops.iter().enumerate() {
-                match *op {
-                    TOp::Nop => {}
-                    TOp::Li { d, imm } => locals[usize::from(d)] = imm,
-                    TOp::Mov { d, s } => locals[usize::from(d)] = locals[usize::from(s)],
-                    TOp::Alu { op, d, a, b } => {
-                        locals[usize::from(d)] =
-                            op.eval(locals[usize::from(a)], locals[usize::from(b)]);
+            for (k, &op) in t.ops.iter().enumerate() {
+                match self.exec_op(op, t, k, &mut heads, &mut l, rf, phys) {
+                    Flow::Next => {}
+                    Flow::Taken(to) => {
+                        partial = Some(k + 1);
+                        next = to;
+                        break 'run;
                     }
-                    TOp::AluI { op, d, s, imm } => {
-                        locals[usize::from(d)] = op.eval(locals[usize::from(s)], imm);
+                    Flow::Guard => {
+                        partial = Some(k);
+                        left = Left::Guard;
+                        next = t.pcs[k];
+                        break 'run;
                     }
-                    TOp::Branch {
-                        cond,
-                        a,
-                        b,
-                        taken_next,
-                    } => {
-                        if cond.taken(locals[usize::from(a)], locals[usize::from(b)]) {
-                            partial = Some(k + 1);
-                            next = taken_next;
-                            break 'run;
-                        }
-                    }
-                    TOp::Mem(m) => {
-                        if !self.tmpl_access(m, t, k, &mut heads, &mut locals, rf, phys) {
-                            partial = Some(k);
-                            left = Left::Guard;
-                            next = t.pcs[k];
-                            break 'run;
-                        }
-                    }
-                    TOp::Cap(c) => cap_op(c, &mut locals, rf),
                 }
             }
             full += 1;
             if heads.charged < t.fetch_runs.len() {
                 self.fetch_heads(t, &mut heads, t.fetch_runs.len());
             }
-            // The next pass of a single-line trace starts on the line just
-            // fetched: its head fetch is a hit too.
-            heads.charged = usize::from(t.fetch_runs.len() == 1);
+            heads.charged = charged_on_reentry;
+            // A settled pass skips its head fetches: each must be a hit on
+            // the most recent line of its L1I set. Nothing touches the L1I
+            // until the next real fetch, so checking them all here checks
+            // every one the next pass skips.
+            debug_assert!(
+                t.fetch_runs[..charged_on_reentry]
+                    .iter()
+                    .all(|&(pa, _)| self.caches.l1i_front_hit(pa)),
+                "a skipped head fetch would not be an L1I front hit"
+            );
             match t.term {
                 TTerm::Loop => {
-                    if full == iters_max {
+                    if rest < n_trace {
                         next = t.entry_pc;
                         break 'run;
                     }
+                    rest -= n_trace;
                 }
                 TTerm::CondLoop { cond, a, b } => {
-                    if cond.taken(locals[usize::from(a)], locals[usize::from(b)]) {
-                        if full == iters_max {
-                            next = t.entry_pc;
-                            break 'run;
-                        }
-                    } else {
+                    if !cond.taken(l[a], l[b]) {
                         next = t.fall_pc;
                         break 'run;
                     }
+                    if rest < n_trace {
+                        next = t.entry_pc;
+                        break 'run;
+                    }
+                    rest -= n_trace;
                 }
                 TTerm::Jump(target) => {
                     next = target;
                     break 'run;
                 }
                 TTerm::Jr { s } => {
-                    next = locals[usize::from(s)];
+                    next = l[s];
                     break 'run;
                 }
                 TTerm::Jalr { d, s } => {
                     // Handler order: link write first, so `d == s` jumps
                     // to the link address.
-                    locals[usize::from(d)] = t.fall_pc;
-                    next = locals[usize::from(s)];
+                    l[d] = t.fall_pc;
+                    next = l[s];
                     break 'run;
                 }
                 TTerm::Fallthrough => {
@@ -1052,7 +1110,7 @@ impl Cpu {
             self.flush_weakened = true;
         } else {
             for &(local, reg) in &t.flush {
-                rf.gpr[usize::from(reg)] = locals[usize::from(local)];
+                rf.gpr[usize::from(reg) % 32] = l[local];
             }
         }
         rf.pc = next;
@@ -1078,7 +1136,7 @@ impl Cpu {
         t: &Template,
         k: usize,
         heads: &mut HeadFetches,
-        locals: &mut [u64; template::MAX_LOCALS],
+        l: &mut Slots,
         rf: &mut RegFile,
         phys: &mut PhysMem,
     ) -> bool {
@@ -1092,16 +1150,16 @@ impl Cpu {
                 w,
                 signed,
             } => (
-                rf.ddc,
-                locals[usize::from(base)].wrapping_add(off as u64),
+                &rf.ddc,
+                l[base].wrapping_add(off as u64),
                 w,
                 Data::Load { d, signed },
             ),
             MemOp::Store { s, base, off, w } => (
-                rf.ddc,
-                locals[usize::from(base)].wrapping_add(off as u64),
+                &rf.ddc,
+                l[base].wrapping_add(off as u64),
                 w,
-                Data::Store(locals[usize::from(s)]),
+                Data::Store(l[s]),
             ),
             MemOp::CLoad {
                 d,
@@ -1110,19 +1168,19 @@ impl Cpu {
                 w,
                 signed,
             } => {
-                let cap = rf.c(cb);
+                let cap = rf.cap(cb);
                 let vaddr = cap.addr().wrapping_add(off as u64);
                 (cap, vaddr, w, Data::Load { d, signed })
             }
             MemOp::CStore { s, cb, off, w } => {
-                let cap = rf.c(cb);
+                let cap = rf.cap(cb);
                 let vaddr = cap.addr().wrapping_add(off as u64);
-                (cap, vaddr, w, Data::Store(locals[usize::from(s)]))
+                (cap, vaddr, w, Data::Store(l[s]))
             }
             MemOp::Clc { cd, cb, off } => {
-                let cap = rf.c(cb);
+                let cap = rf.cap(cb);
                 let vaddr = cap.addr().wrapping_add(off as u64);
-                let Some(pa) = cheri_sem::check_cap_access(&cap, vaddr, Perms::LOAD)
+                let Some(pa) = cheri_sem::check_cap_access(cap, vaddr, Perms::LOAD)
                     .ok()
                     .and_then(|()| self.tlb_lookup(vaddr, Access::Read))
                 else {
@@ -1130,35 +1188,33 @@ impl Cpu {
                 };
                 self.tmpl_data(t, k, heads, pa, AccessKind::Load);
                 phys.note_cap_load(PAddr(pa));
-                let value = match phys.load_cap(PAddr(pa)).expect("translated frame") {
-                    Some(c) => cheri_sem::loaded_cap(&cap, c),
+                let value = match phys.cap_at(PAddr(pa)).expect("translated frame") {
+                    Some(c) => cheri_sem::loaded_cap(cap, *c),
                     None => {
                         // As the handler: an untagged granule reads its
                         // first doubleword as a second data access.
                         self.stats.tlb_hits += 1;
                         self.mem_access(pa, AccessKind::Load);
-                        let mut buf = [0u8; 8];
-                        phys.read_bytes(PAddr(pa), &mut buf)
-                            .expect("translated frame");
-                        Capability::null(cap.format()).with_addr(u64::from_le_bytes(buf))
+                        let raw = phys.read_word(PAddr(pa), 8).expect("translated frame");
+                        Capability::null(cap.format()).with_addr(raw)
                     }
                 };
                 rf.wc(cd, value);
                 return true;
             }
             MemOp::Csc { cs, cb, off } => {
-                let cap = rf.c(cb);
-                let value = rf.c(cs);
+                let cap = rf.cap(cb);
+                let value = rf.cap(cs);
                 let vaddr = cap.addr().wrapping_add(off as u64);
-                let Some(pa) = cheri_sem::check_cap_access(&cap, vaddr, Perms::STORE)
-                    .and_then(|()| cheri_sem::check_cap_store(&cap, &value))
+                let Some(pa) = cheri_sem::check_cap_access(cap, vaddr, Perms::STORE)
+                    .and_then(|()| cheri_sem::check_cap_store(cap, value))
                     .ok()
                     .and_then(|()| self.tlb_lookup(vaddr, Access::Write))
                 else {
                     return false;
                 };
                 self.tmpl_data(t, k, heads, pa, AccessKind::Store);
-                phys.store_cap(PAddr(pa), value).expect("translated frame");
+                phys.store_cap(PAddr(pa), *value).expect("translated frame");
                 return true;
             }
         };
@@ -1168,26 +1224,24 @@ impl Cpu {
             Data::Store(_) => (Perms::STORE, Access::Write, AccessKind::Store),
         };
         // For a legacy access `cap` is DDC: its tag check is the DDC guard.
-        let Some(pa) = cheri_sem::check_data(&cap, vaddr, size, need, true)
+        // The alignment guard keeps the access on one page and lets the
+        // data move as one fixed-width word.
+        let Some(pa) = cheri_sem::check_data(cap, vaddr, size, need, true)
             .ok()
             .and_then(|()| self.tlb_lookup(vaddr, access))
         else {
             return false;
         };
         self.tmpl_data(t, k, heads, pa, kind);
-        let mut buf = [0u8; 8];
-        let bytes = &mut buf[..size as usize];
         match data {
             Data::Load { d, signed } => {
-                phys.read_bytes(PAddr(pa), bytes).expect("translated frame");
-                locals[usize::from(d)] = cheri_sem::extend(u64::from_le_bytes(buf), w, signed);
+                let raw = phys.read_word(PAddr(pa), size).expect("translated frame");
+                l[d] = cheri_sem::extend(raw, w, signed);
             }
-            Data::Store(v) => {
-                // Clears tags and counts the mutation, as in `CpuPorts`.
-                bytes.copy_from_slice(&v.to_le_bytes()[..size as usize]);
-                phys.write_bytes(PAddr(pa), bytes)
-                    .expect("translated frame");
-            }
+            // Clears the tag and counts the mutation, as in `CpuPorts`.
+            Data::Store(v) => phys
+                .write_word(PAddr(pa), size, v)
+                .expect("translated frame"),
         }
         true
     }
@@ -2976,6 +3030,109 @@ mod tests {
         assert_eq!(exits, vec![Exit::Syscall]);
         assert!(caches.l2_hits > 0 && caches.l2_misses > 0, "{caches:?}");
         assert!(stats.tmpl_instrs * 10 >= stats.instret * 9, "{stats:?}");
+    }
+
+    /// A 44-instruction loop body spanning three L1I lines, interleaving
+    /// legacy loads and stores, `cload`/`cstore`, `csc`, `clc` and
+    /// `cincoffset`, 200 times.
+    fn three_line_data_loop() -> Vec<Instr> {
+        let c13 = creg::ptr(0);
+        let c14 = creg::ptr(1);
+        let mut code = vec![li(ireg::T1, 0x20000), li(ireg::T0, 200)];
+        // top (index 2): 44 instructions, then the backedge at 46.
+        while code.len() < 46 {
+            let i = code.len();
+            code.push(match i % 11 {
+                0 => ld(ireg::T2, ireg::T1, (i as i32 % 4) * 8),
+                1 => sd(ireg::T0, ireg::T1, 64 + (i as i32 % 4) * 8),
+                2 => Instr::Csc {
+                    cs: c13,
+                    cb: c13,
+                    off: 128 + ((i / 11) as i32 % 2) * 16,
+                },
+                3 => Instr::Clc {
+                    cd: c14,
+                    cb: c13,
+                    off: 128 + ((i / 11) as i32 % 2) * 16,
+                },
+                4 => Instr::CIncOffsetImm {
+                    cd: c14,
+                    cb: c14,
+                    imm: 8,
+                },
+                5 => Instr::CLoad {
+                    rd: ireg::T3,
+                    cb: c14,
+                    off: 0,
+                    w: Width::W,
+                    signed: true,
+                },
+                6 => Instr::CStore {
+                    rs: ireg::T2,
+                    cb: c14,
+                    off: 200,
+                    w: Width::H,
+                },
+                7 => Instr::Add {
+                    rd: ireg::A4,
+                    rs: ireg::A4,
+                    rt: ireg::T3,
+                },
+                _ => addi(ireg::A5, ireg::A5, i as i64),
+            });
+        }
+        code.push(addi(ireg::T0, ireg::T0, -1));
+        code.push(Instr::Bgtz {
+            rs: ireg::T0,
+            target: 2,
+        });
+        code.push(Instr::Syscall);
+        code
+    }
+
+    /// The `settled` flags of the templates a template machine compiled
+    /// running `code` with L1 geometry `l1` (and the paper's L2).
+    fn settled_flags(code: &[Instr], l1: cheri_mem::CacheConfig) -> Vec<bool> {
+        let (mut cpu, mut vm, id, mut rf) = machine(code.to_vec(), false);
+        cpu.caches = CacheHierarchy::new(l1, cheri_mem::CacheConfig::l2_default());
+        assert_eq!(cpu.run(&mut vm, id, &mut rf, 100_000), Exit::Syscall);
+        cpu.hot
+            .iter()
+            .flatten()
+            .filter_map(|e| match &e.tmpl {
+                TmplState::Hot(t) => Some(t.settled),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn settled_head_fetches_agree_on_all_three_machines() {
+        let code = three_line_data_loop();
+        // The paper's L1 gives the three lines three sets: passes after
+        // the first charge no head fetch. A direct-mapped two-set L1 puts
+        // the first and third in one set, where they evict each other
+        // every pass: the template must charge every pass's heads.
+        let paper = cheri_mem::CacheConfig::l1_default();
+        let two_sets = cheri_mem::CacheConfig {
+            size: 128,
+            line: 64,
+            ways: 1,
+        };
+        for (l1, settled) in [(paper, true), (two_sets, false)] {
+            assert_eq!(settled_flags(&code, l1), vec![settled], "{l1:?}");
+            let geometry = |cpu: &mut Cpu, _: &mut Vm, _: AsId, _: &mut RegFile| {
+                cpu.caches = CacheHierarchy::new(l1, cheri_mem::CacheConfig::l2_default());
+            };
+            let (exits, stats, caches, ..) =
+                agree_across_modes(&code, false, 1, geometry, |_, _, _| {});
+            assert_eq!(exits, vec![Exit::Syscall]);
+            assert!(stats.tmpl_instrs * 10 >= stats.instret * 9, "{stats:?}");
+            if !settled {
+                // Every pass misses the L1I at least twice.
+                assert!(caches.l1i_misses >= 2 * 200, "{caches:?}");
+            }
+        }
     }
 
     #[test]

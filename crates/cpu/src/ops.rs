@@ -83,16 +83,24 @@ fn within_page(vaddr: u64, size: u64) -> bool {
 }
 
 /// Data moves through the physical address [`Cpu::translate_cached`]
-/// returned; nothing walks the page table a second time. The one
-/// exception is an unaligned legacy access that crosses into the next
-/// page: it goes through [`Vm`], which translates (and, if needed,
-/// demand-faults) the second page exactly as the reference machine does.
+/// returned, an aligned access as one fixed-width word; nothing walks the
+/// page table a second time. The one exception is an unaligned legacy
+/// access that crosses into the next page: it goes through [`Vm`], which
+/// translates (and, if needed, demand-faults) the second page exactly as
+/// the reference machine does.
 impl MemoryPort for CpuPorts<'_, '_> {
     fn read_raw(&mut self, vaddr: u64, size: u64, pc: u64) -> Result<u64, TrapInfo> {
         let pa = self
             .cpu
             .translate_cached(self.vm, self.id, vaddr, Access::Read, pc)?;
         self.cpu.mem_access(pa, AccessKind::Load);
+        if vaddr & (size - 1) == 0 {
+            return Ok(self
+                .vm
+                .phys
+                .read_word(PAddr(pa), size)
+                .expect("translated frame"));
+        }
         let mut buf = [0u8; 8];
         let dst = &mut buf[..size as usize];
         if within_page(vaddr, size) {
@@ -113,11 +121,18 @@ impl MemoryPort for CpuPorts<'_, '_> {
             .cpu
             .translate_cached(self.vm, self.id, vaddr, Access::Write, pc)?;
         self.cpu.mem_access(pa, AccessKind::Store);
+        // `PhysMem::write_word` and `write_bytes` clear tags, forget
+        // injected corruption and count the mutation for the fault plane.
+        if vaddr & (size - 1) == 0 {
+            self.vm
+                .phys
+                .write_word(PAddr(pa), size, value)
+                .expect("translated frame");
+            return Ok(());
+        }
         let bytes = value.to_le_bytes();
         let bytes = &bytes[..size as usize];
         if within_page(vaddr, size) {
-            // `PhysMem::write_bytes` clears tags, forgets injected
-            // corruption and counts the mutation for the fault plane.
             self.vm
                 .phys
                 .write_bytes(PAddr(pa), bytes)

@@ -52,15 +52,18 @@
 //! stepping would. Each data access is charged in place, after the first
 //! fetch of every line up to its own, so the shared L2 sees stepping's
 //! access order; the other fetches hit the L1I's most recent line, which
-//! data accesses never displace, and land at exit.
+//! data accesses never displace, and land at exit. When the trace's lines
+//! fall in distinct L1I sets, every head fetch after the first pass is
+//! such a hit too, and lands at exit with them ([`Template::settled`]).
 //! Guest-visible metrics are therefore byte-identical across all tiers —
 //! which `interp_throughput` and the cpu-level mode-matrix test enforce.
 
 use crate::region::DecodedRegion;
 use cheri_isa::{CReg, IReg, Instr, Width};
-use cheri_mem::FRAME_SIZE;
+use cheri_mem::{CacheConfig, FRAME_SIZE};
 use cheri_sem::ops::reg_effects;
 use cheri_sem::{alu_form, Alu, Cond, Src};
+use std::ops::{Index, IndexMut};
 
 /// Local slot count: the two pseudo-slots below plus up to 31 guest
 /// registers (`$0` never takes a slot).
@@ -72,6 +75,39 @@ const SCRATCH: u8 = 1;
 /// First local slot available to real guest registers.
 const FIRST_REG_LOCAL: u8 = 2;
 
+/// Size of the executor's slot array: a power of two at least
+/// [`MAX_LOCALS`], so masking a slot number keeps it in bounds.
+const SLOTS: usize = 64;
+const _: () = assert!(SLOTS.is_power_of_two() && MAX_LOCALS <= SLOTS);
+
+/// The executor's locals. A slot number is masked to the array's size
+/// (a no-op for every number [`compile`] hands out), so the compiler
+/// proves every access in bounds and emits no check.
+pub(crate) struct Slots([u64; SLOTS]);
+
+impl Slots {
+    /// All slots 0, [`ZERO`] included.
+    pub(crate) fn new() -> Slots {
+        Slots([0; SLOTS])
+    }
+}
+
+impl Index<u8> for Slots {
+    type Output = u64;
+
+    #[inline(always)]
+    fn index(&self, slot: u8) -> &u64 {
+        &self.0[usize::from(slot) % SLOTS]
+    }
+}
+
+impl IndexMut<u8> for Slots {
+    #[inline(always)]
+    fn index_mut(&mut self, slot: u8) -> &mut u64 {
+        &mut self.0[usize::from(slot) % SLOTS]
+    }
+}
+
 /// Trace length cap, in instructions. Generous: a trace is also clamped
 /// to the entry's page and the PCC bounds, and ends at the first
 /// instruction that cannot run in-trace anyway.
@@ -82,43 +118,75 @@ const MIN_TRACE: usize = 3;
 /// Guard hits on one hot-pc slot before its target is promoted.
 pub(crate) const PROMOTE_THRESHOLD: u32 = 16;
 
-/// One compiled trace instruction. Operands are local-slot indices, not
-/// guest register numbers. Integer results and branch decisions come from
-/// `cheri-sem`'s kernels ([`Alu`], [`Cond`]), the same ones the handlers
-/// call, so the template tier holds no integer semantics of its own.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum TOp {
-    /// Retires and charges a cycle, nothing else.
-    Nop,
-    /// `d = imm` (`li`'s `i64` immediate already `as u64`).
-    Li { d: u8, imm: u64 },
-    /// `d = s`
-    Mov { d: u8, s: u8 },
-    /// `d = op(a, b)`: a three-register ALU instruction.
-    Alu { op: Alu, d: u8, a: u8, b: u8 },
-    /// `d = op(s, imm)`: an immediate ALU instruction, `imm` cast as
-    /// [`alu_form`] casts it.
-    AluI { op: Alu, d: u8, s: u8, imm: u64 },
-    /// A mid-trace conditional branch: not taken falls through to the
-    /// next trace instruction; taken is a **side exit** to `taken_next`
-    /// with metrics for exactly the instructions up to and including
-    /// this one (index `k` in the ops vector, so `k + 1` retired,
-    /// `cum_cycles[k]` base cycles, `k + 1` fetch events).
-    Branch {
-        /// Condition over `a`, `b`.
-        cond: Cond,
-        /// First operand local (the sole operand for zero-compares).
-        a: u8,
-        /// Second operand local ([`ZERO`] for zero-compares).
-        b: u8,
-        /// Absolute successor pc when taken.
-        taken_next: u64,
-    },
-    /// A guarded data access.
-    Mem(MemOp),
-    /// A capability-register op.
-    Cap(CapOp),
+/// Defines [`TOp`] from [`cheri_sem::for_each_alu!`]'s list of ALU forms.
+macro_rules! define_top {
+    (reg [$($r:ident),*] imm [$($i:ident = $k:ident),*]) => {
+        /// One compiled trace instruction. Operands are local-slot indices,
+        /// not guest register numbers. Each ALU instruction form has its
+        /// own variant, so the executor's one `match` on the op reaches
+        /// the kernel directly: integer results and branch decisions come
+        /// from `cheri-sem`'s kernels ([`Alu`], [`Cond`]), the same ones
+        /// the handlers call, and the template tier holds no integer
+        /// semantics of its own.
+        #[derive(Clone, Copy, Debug)]
+        pub(crate) enum TOp {
+            /// Retires and charges a cycle, nothing else.
+            Nop,
+            /// `d = imm` (`li`'s `i64` immediate already `as u64`).
+            Li { d: u8, imm: u64 },
+            /// `d = s`
+            Mov { d: u8, s: u8 },
+            $(
+                #[doc = concat!("`d = Alu::", stringify!($r), "(a, b)`")]
+                $r { d: u8, a: u8, b: u8 },
+            )*
+            $(
+                #[doc = concat!("`d = Alu::", stringify!($k), "(s, imm)`, `imm` cast as [`alu_form`] casts it")]
+                $i { d: u8, s: u8, imm: u64 },
+            )*
+            /// A mid-trace conditional branch: not taken falls through to
+            /// the next trace instruction; taken is a **side exit** to
+            /// `taken_next` with metrics for exactly the instructions up to
+            /// and including this one (index `k` in the ops vector, so
+            /// `k + 1` retired, `cum_cycles[k + 1]` base cycles, `k + 1`
+            /// fetch events).
+            Branch {
+                /// Condition over `a`, `b`.
+                cond: Cond,
+                /// First operand local (the sole operand for zero-compares).
+                a: u8,
+                /// Second operand local ([`ZERO`] for zero-compares).
+                b: u8,
+                /// Absolute successor pc when taken.
+                taken_next: u64,
+            },
+            /// A guarded data access.
+            Mem(MemOp),
+            /// A capability-register op.
+            Cap(CapOp),
+        }
+
+        impl TOp {
+            /// The three-register ALU op `d = op(a, b)`.
+            fn alu(op: Alu, d: u8, a: u8, b: u8) -> TOp {
+                match op {
+                    $(Alu::$r => TOp::$r { d, a, b },)*
+                }
+            }
+
+            /// The immediate ALU op `d = op(s, imm)`. A `cheri-sem` test
+            /// holds every immediate form of [`alu_form`] to a kernel in
+            /// the list.
+            fn alu_imm(op: Alu, d: u8, s: u8, imm: u64) -> TOp {
+                match op {
+                    $(Alu::$k => TOp::$i { d, s, imm },)*
+                    other => unreachable!("no immediate form of {other:?}"),
+                }
+            }
+        }
+    };
 }
+cheri_sem::for_each_alu!(define_top);
 
 /// A data access compiled into a trace. Each one checks its guards before
 /// any side effect and exits the template just before itself when one
@@ -244,6 +312,15 @@ pub(crate) struct Template {
     pub(crate) entry_pc: u64,
     /// Virtual fall-through successor of the last trace instruction.
     pub(crate) fall_pc: u64,
+    /// Whether the trace's distinct fetch lines all fall in distinct L1I
+    /// sets. Only fetches change the L1I (data accesses use the L1D, and
+    /// the L2 does not back-invalidate), so after one full pass every
+    /// line is the most recent of its set and stays so: each later head
+    /// fetch is a front hit, which changes no state and reaches no other
+    /// level. The executor then charges passes after the first no
+    /// per-line access, and the exit settlement counts those fetches as
+    /// the hits they are. A single-line trace always settles.
+    pub(crate) settled: bool,
 }
 
 impl Template {
@@ -330,7 +407,7 @@ impl Locals {
 
 /// Compiles the trace entered at `pc0` in `region`, whose page the TLB
 /// maps to the frame holding `pa0`, under a PCC that lets it fetch from
-/// `pcc_base` up to `pcc_top`, with an L1 line size of `line` bytes.
+/// `pcc_base` up to `pcc_top`, for a core whose L1 geometry is `l1`.
 /// Returns `None` when no worthwhile trace exists (see [`MIN_TRACE`]).
 pub(crate) fn compile(
     region: &DecodedRegion,
@@ -338,8 +415,9 @@ pub(crate) fn compile(
     pa0: u64,
     pcc_base: u64,
     pcc_top: u64,
-    line: u64,
+    l1: CacheConfig,
 ) -> Option<Template> {
+    let line = l1.line;
     let rstart = region.start();
     let target = |t: u32| rstart + u64::from(t) * 4;
     // Every fetch comes from the entry's page, the one translation the
@@ -482,6 +560,15 @@ pub(crate) fn compile(
         }
         run_of.push((fetch_runs.len() - 1) as u8);
     }
+    // Distinct lines sorted by set: a set holding two of them shows up as
+    // two neighbours with one set.
+    let mut lines: Vec<(u64, u64)> = fetch_runs
+        .iter()
+        .map(|&(pa, _)| (l1.set_of(pa), pa / line))
+        .collect();
+    lines.sort_unstable();
+    lines.dedup();
+    let settled = lines.windows(2).all(|w| w[0].0 != w[1].0);
 
     Some(Template {
         n_trace: n as u32,
@@ -496,6 +583,7 @@ pub(crate) fn compile(
         pcs: trace.iter().map(|&(pc, _)| pc).collect(),
         entry_pc: pc0,
         fall_pc: trace[n - 1].0 + 4,
+        settled,
     })
 }
 
@@ -534,18 +622,11 @@ fn lower(instr: Instr, l: &mut Locals, rstart: u64) -> TOp {
     if let Some((op, rd, rs, src)) = alu_form(&instr) {
         let a = l.read(rs);
         return match src {
-            Src::Reg(rt) => TOp::Alu {
-                op,
-                a,
-                b: l.read(rt),
-                d: l.write(rd),
-            },
-            Src::Imm(imm) => TOp::AluI {
-                op,
-                s: a,
-                imm,
-                d: l.write(rd),
-            },
+            Src::Reg(rt) => {
+                let b = l.read(rt);
+                TOp::alu(op, l.write(rd), a, b)
+            }
+            Src::Imm(imm) => TOp::alu_imm(op, l.write(rd), a, imm),
         };
     }
     match instr {
@@ -648,6 +729,12 @@ mod tests {
     use cheri_isa::ireg;
 
     const LINE: u64 = 64;
+    /// The paper's L1: 32 KiB, 4-way, 64-byte lines.
+    const L1: CacheConfig = CacheConfig {
+        size: 32 * 1024,
+        line: LINE,
+        ways: 4,
+    };
 
     /// The spin inner loop as `spec.rs` lowers it, entered at the `top`
     /// label (index 1): li, sub, beqz(done), addi, j top.
@@ -685,7 +772,7 @@ mod tests {
     fn spin_loop_compiles_to_internal_loop() {
         let r = DecodedRegion::decode(0x10000, &spin_body());
         // Enter at `top` (index 1).
-        let t = compile(&r, 0x10004, 0x5004, 0, u64::MAX, LINE).unwrap();
+        let t = compile(&r, 0x10004, 0x5004, 0, u64::MAX, L1).unwrap();
         assert_eq!(t.n_trace, 5, "li, sub, beqz, addi, j");
         assert!(matches!(t.term, TTerm::Loop));
         assert!(t.looping());
@@ -725,7 +812,7 @@ mod tests {
             Instr::Syscall,
         ];
         let r = DecodedRegion::decode(0, &code);
-        let t = compile(&r, 0, 0, 0, u64::MAX, LINE).unwrap();
+        let t = compile(&r, 0, 0, 0, u64::MAX, L1).unwrap();
         assert_eq!(t.n_trace, 3);
         assert!(matches!(t.term, TTerm::Fallthrough));
         assert!(!t.looping());
@@ -742,9 +829,9 @@ mod tests {
             Instr::Syscall,
         ];
         let r = DecodedRegion::decode(0, &code);
-        assert!(compile(&r, 0, 0, 0, u64::MAX, LINE).is_none());
+        assert!(compile(&r, 0, 0, 0, u64::MAX, L1).is_none());
         // An entry instruction that cannot run in-trace rejects at once.
-        assert!(compile(&r, 4, 4, 0, u64::MAX, LINE).is_none());
+        assert!(compile(&r, 4, 4, 0, u64::MAX, L1).is_none());
     }
 
     #[test]
@@ -763,7 +850,7 @@ mod tests {
             Instr::Syscall,
         ];
         let r = DecodedRegion::decode(0, &code);
-        let t = compile(&r, 0, 0, 0, u64::MAX, LINE).unwrap();
+        let t = compile(&r, 0, 0, 0, u64::MAX, L1).unwrap();
         assert_eq!(t.n_trace, 2);
         assert!(matches!(
             t.term,
@@ -788,7 +875,7 @@ mod tests {
         ];
         let r = DecodedRegion::decode(0x10000, &code);
         // PCC allows only 4 more instructions.
-        let t = compile(&r, 0x10000, 0, 0x10000, 0x10000 + 16, LINE).unwrap();
+        let t = compile(&r, 0x10000, 0, 0x10000, 0x10000 + 16, L1).unwrap();
         assert_eq!(t.n_trace, 4);
         // Entry 8 bytes before a page boundary: 2 instructions fit.
         let near_end = FRAME_SIZE - 8;
@@ -802,7 +889,7 @@ mod tests {
         ];
         let r2 = DecodedRegion::decode(near_end, &code2);
         assert!(
-            compile(&r2, near_end, near_end, 0, u64::MAX, LINE).is_none(),
+            compile(&r2, near_end, near_end, 0, u64::MAX, L1).is_none(),
             "2-instruction straight-line trace is below MIN_TRACE"
         );
     }
@@ -820,9 +907,25 @@ mod tests {
             20
         ];
         let r = DecodedRegion::decode(0x10000, &code);
-        let t = compile(&r, 0x10000, LINE - 8, 0, u64::MAX, LINE).unwrap();
+        let t = compile(&r, 0x10000, LINE - 8, 0, u64::MAX, L1).unwrap();
         assert_eq!(t.fetch_runs, vec![(LINE - 8, 2), (LINE, 16), (2 * LINE, 2)]);
         assert_eq!(t.fetch_runs.iter().map(|r| r.1).sum::<u64>(), 20);
+        assert!(t.settled, "three lines in three of the L1's 128 sets");
+        // A direct-mapped two-set L1 puts the first and third lines in
+        // one set: they evict each other, so no pass settles.
+        let tiny = CacheConfig {
+            size: 2 * LINE,
+            line: LINE,
+            ways: 1,
+        };
+        let t = compile(&r, 0x10000, LINE - 8, 0, u64::MAX, tiny).unwrap();
+        assert_eq!(t.fetch_runs.len(), 3);
+        assert!(!t.settled);
+        // One line always settles, even in a one-set cache.
+        let one_set = CacheConfig { size: LINE, ..tiny };
+        let t = compile(&r, 0x10000, 0, 0, 0x10000 + 48, one_set).unwrap();
+        assert_eq!(t.fetch_runs.len(), 1);
+        assert!(t.settled);
     }
 
     #[test]
@@ -852,7 +955,7 @@ mod tests {
             Instr::J { target: 2 },
         ];
         let r = DecodedRegion::decode(0x10000, &code);
-        let t = compile(&r, 0x10000, 0x5000, 0, u64::MAX, LINE).unwrap();
+        let t = compile(&r, 0x10000, 0x5000, 0, u64::MAX, L1).unwrap();
         assert!(matches!(t.term, TTerm::CondLoop { cond: Cond::Ne, .. }));
         assert_eq!(t.pcs, vec![0x10000, 0x10004, 0x1000c, 0x10010]);
         assert!(matches!(t.ops[1], TOp::Nop), "the followed jump");
@@ -860,7 +963,7 @@ mod tests {
         assert_eq!(t.fetch_runs, vec![(0x5000, 4)]);
         assert_eq!(t.cum_cycles, vec![0, 1, 2, 3, 4]);
 
-        let t = compile(&r, 0x1000c, 0x500c, 0, u64::MAX, LINE).unwrap();
+        let t = compile(&r, 0x1000c, 0x500c, 0, u64::MAX, L1).unwrap();
         assert!(matches!(t.term, TTerm::Jump(0x10008)));
         assert_eq!(t.pcs, vec![0x1000c, 0x10010, 0x10014]);
     }
@@ -882,17 +985,9 @@ mod tests {
             Instr::J { target: 0 },
         ];
         let r = DecodedRegion::decode(0, &code);
-        let t = compile(&r, 0, 0, 0, u64::MAX, LINE).unwrap();
+        let t = compile(&r, 0, 0, 0, u64::MAX, L1).unwrap();
         assert!(matches!(t.term, TTerm::Loop));
-        assert!(matches!(
-            t.ops[0],
-            TOp::Alu {
-                op: Alu::Add,
-                a: 0,
-                b: 0,
-                ..
-            }
-        ));
+        assert!(matches!(t.ops[0], TOp::Add { a: 0, b: 0, .. }));
         assert!(matches!(t.ops[1], TOp::Mov { d: 1, .. }));
         assert_eq!(t.flush.len(), 1, "only t0 flushes");
     }

@@ -54,6 +54,12 @@ impl CacheConfig {
     fn num_sets(&self) -> usize {
         (self.size / self.line) as usize / self.ways
     }
+
+    /// The set `paddr`'s line maps to.
+    #[must_use]
+    pub fn set_of(&self, paddr: u64) -> u64 {
+        paddr / self.line % self.num_sets() as u64
+    }
 }
 
 /// Marks an unused way: no line tag reaches it (see `Cache::access`).
@@ -91,8 +97,10 @@ impl Cache {
         }
     }
 
-    /// Returns `true` on hit; always installs the line.
-    fn access(&mut self, paddr: u64) -> bool {
+    /// The 32-bit tag and the set index of `paddr`'s line, and whether it
+    /// is the set's most recent line: a hit that needs no reordering.
+    #[inline(always)]
+    fn lookup(&self, paddr: u64) -> (u32, usize, bool) {
         let (line, set_idx) = if self.pow2 {
             let line = paddr >> self.line_shift;
             (line, (line & self.set_mask) as usize)
@@ -108,13 +116,21 @@ impl Cache {
             .ok()
             .filter(|&t| t != EMPTY)
             .expect("physical line fits a 32-bit tag");
+        (tag, set_idx, self.lines[set_idx * self.cfg.ways] == tag)
+    }
+
+    /// Returns `true` on hit; always installs the line.
+    #[inline]
+    fn access(&mut self, paddr: u64) -> bool {
+        let (tag, set_idx, front) = self.lookup(paddr);
+        front || self.access_lru(set_idx, tag)
+    }
+
+    /// [`Cache::access`] past the MRU front: finds `tag` deeper in set
+    /// `set_idx` and moves it to the front, or installs it there.
+    fn access_lru(&mut self, set_idx: usize, tag: u32) -> bool {
         let ways = self.cfg.ways;
         let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
-        // Hot loops hammer the most-recently-used line: a hit at the LRU
-        // front needs no reordering at all.
-        if set[0] == tag {
-            return true;
-        }
         if let Some(pos) = set.iter().position(|&t| t == tag) {
             set[..=pos].rotate_right(1);
             true
@@ -177,14 +193,32 @@ impl CacheHierarchy {
     }
 
     /// Performs an access and returns the stall cycles it cost (0 for an L1
-    /// hit — the pipeline's base cost covers it).
-    #[inline]
+    /// hit — the pipeline's base cost covers it). Hot loops hammer the
+    /// most recent line of a set: that hit is inlined into the caller, and
+    /// everything else (the LRU walk, the L2) stays out of line.
+    #[inline(always)]
     pub fn access(&mut self, paddr: u64, kind: AccessKind) -> u64 {
+        let (l1, hits) = match kind {
+            AccessKind::Fetch => (&self.l1i, &mut self.stats.l1i_hits),
+            AccessKind::Load | AccessKind::Store => (&self.l1d, &mut self.stats.l1d_hits),
+        };
+        let (tag, set_idx, front) = l1.lookup(paddr);
+        if front {
+            *hits += 1;
+            return 0;
+        }
+        self.access_past_front(paddr, kind, tag, set_idx)
+    }
+
+    /// [`CacheHierarchy::access`] of a line that is not the most recent
+    /// of its L1 set (`set_idx`, where it has tag `tag`).
+    #[inline(never)]
+    fn access_past_front(&mut self, paddr: u64, kind: AccessKind, tag: u32, set_idx: usize) -> u64 {
         let l1 = match kind {
             AccessKind::Fetch => &mut self.l1i,
             AccessKind::Load | AccessKind::Store => &mut self.l1d,
         };
-        let l1_hit = l1.access(paddr);
+        let l1_hit = l1.access_lru(set_idx, tag);
         let (hit_ctr, miss_ctr) = match kind {
             AccessKind::Fetch => (&mut self.stats.l1i_hits, &mut self.stats.l1i_misses),
             _ => (&mut self.stats.l1d_hits, &mut self.stats.l1d_misses),
@@ -229,11 +263,19 @@ impl CacheHierarchy {
         cycles
     }
 
-    /// The L1 line size in bytes — the coalescing granularity for
-    /// [`CacheHierarchy::access_run`]. Both L1s share one geometry.
+    /// The L1 geometry (both L1s share it); its line size is the
+    /// coalescing granularity for [`CacheHierarchy::access_run`].
     #[must_use]
-    pub fn l1_line(&self) -> u64 {
-        self.l1i.cfg.line
+    pub fn l1_config(&self) -> CacheConfig {
+        self.l1i.cfg
+    }
+
+    /// Whether a fetch of `paddr` would hit the L1I's most recent line of
+    /// its set: a hit that changes no state and reaches no other level. A
+    /// read-only probe; the template tier's debug assertions use it.
+    #[must_use]
+    pub fn l1i_front_hit(&self, paddr: u64) -> bool {
+        self.l1i.lookup(paddr).2
     }
 
     /// Accumulated statistics.
@@ -310,6 +352,31 @@ mod tests {
     }
 
     #[test]
+    fn front_probe_reads_without_touching_state() {
+        let cfg = CacheConfig {
+            size: 2 * 64 * 2,
+            line: 64,
+            ways: 2,
+        };
+        let mut h = CacheHierarchy::new(cfg, CacheConfig::l2_default());
+        // Sets of 0x0 and 0x80 coincide; 0x40 has the other set.
+        assert_eq!(cfg.set_of(0x0), cfg.set_of(0x80));
+        assert_ne!(cfg.set_of(0x0), cfg.set_of(0x40));
+        assert!(!h.l1i_front_hit(0x0), "cold");
+        h.access(0x0, AccessKind::Fetch);
+        h.access(0x40, AccessKind::Fetch);
+        h.access(0x10, AccessKind::Load);
+        assert!(h.l1i_front_hit(0x3f) && h.l1i_front_hit(0x40));
+        h.access(0x80, AccessKind::Fetch);
+        // 0x0 is still resident, but no longer its set's most recent line.
+        let before = h.stats();
+        assert!(!h.l1i_front_hit(0x0) && h.l1i_front_hit(0x80));
+        assert_eq!(h.stats(), before, "probing changes no counter");
+        assert_eq!(h.access(0x0, AccessKind::Fetch), 0, "an LRU hit");
+        assert!(h.l1i_front_hit(0x0) && !h.l1i_front_hit(0x80));
+    }
+
+    #[test]
     fn flush_forgets_everything() {
         let mut h = CacheHierarchy::fpga_default();
         h.access(0x40, AccessKind::Load);
@@ -351,6 +418,6 @@ mod tests {
 
         assert_eq!(run_stalls, single_stalls);
         assert_eq!(run.stats(), single.stats());
-        assert_eq!(run.l1_line(), line);
+        assert_eq!(run.l1_config().line, line);
     }
 }

@@ -1,6 +1,6 @@
 //! Tagged physical memory: 4-KiB frames with one tag bit per 16-byte granule.
 
-use crate::intmap::{IntMap, IntSet};
+use crate::intmap::IntSet;
 use cheri_cap::{Capability, TAG_GRANULE};
 use std::fmt;
 
@@ -53,10 +53,48 @@ struct Frame {
     data: Box<[u8]>,
     /// One bit per 16-byte granule.
     tags: [u64; GRANULES_PER_FRAME / 64],
-    /// Full capability values for tagged granules. The `data` bytes hold the
-    /// address so integer reads of pointer memory behave like real CHERI;
-    /// the rest of the encoding lives here.
-    caps: IntMap<u16, Capability>,
+    /// Full capability values for tagged granules, allocated on the
+    /// frame's first tagged store. The `data` bytes hold the address so
+    /// integer reads of pointer memory behave like real CHERI; the rest of
+    /// the encoding lives here.
+    slab: Option<Box<Slab>>,
+}
+
+/// A frame's capability slab: a dense `Vec` of capability values and,
+/// per granule, the index of its slot in it. A granule gets a slot on its
+/// first tagged store and keeps it, so a later store to it overwrites the
+/// slot in place, and a tag clear touches only the frame's bitmap: the
+/// slot's stale value is unreachable until the next tagged store to that
+/// granule replaces it. Only a tagged granule's slot is ever read.
+#[derive(Clone)]
+struct Slab {
+    /// Slot index of each granule in `caps`, [`NO_SLOT`] if it has none.
+    slot: [u16; GRANULES_PER_FRAME],
+    /// The values, in the order the granules first took a slot.
+    caps: Vec<Capability>,
+}
+
+/// [`Slab::slot`]'s "no slot yet": a frame has fewer granules.
+const NO_SLOT: u16 = u16::MAX;
+const _: () = assert!(GRANULES_PER_FRAME < NO_SLOT as usize);
+
+impl Slab {
+    /// The value in granule `g`'s slot; `g` must have one.
+    fn get(&self, g: usize) -> &Capability {
+        &self.caps[usize::from(self.slot[g])]
+    }
+
+    /// Puts `cap` in granule `g`'s slot, taking a new one on its first
+    /// store.
+    fn put(&mut self, g: usize, cap: Capability) {
+        match self.slot[g] {
+            NO_SLOT => {
+                self.slot[g] = self.caps.len() as u16;
+                self.caps.push(cap);
+            }
+            s => self.caps[usize::from(s)] = cap,
+        }
+    }
 }
 
 impl Frame {
@@ -64,21 +102,50 @@ impl Frame {
         Frame {
             data: vec![0u8; FRAME_SIZE as usize].into_boxed_slice(),
             tags: [0; GRANULES_PER_FRAME / 64],
-            caps: IntMap::default(),
+            slab: None,
         }
     }
 
+    #[inline]
     fn tag_bit(&self, granule: usize) -> bool {
         self.tags[granule / 64] >> (granule % 64) & 1 == 1
     }
 
-    fn set_tag(&mut self, granule: usize, v: bool) {
-        if v {
-            self.tags[granule / 64] |= 1 << (granule % 64);
+    #[inline]
+    fn clear_tag(&mut self, granule: usize) {
+        self.tags[granule / 64] &= !(1 << (granule % 64));
+    }
+
+    /// The capability of tagged granule `g`, `None` if it is untagged.
+    #[inline]
+    fn cap(&self, g: usize) -> Option<&Capability> {
+        if self.tag_bit(g) {
+            // A tagged granule always has a slot: only `store_cap` sets a
+            // tag, and it fills the slot first.
+            self.slab.as_deref().map(|s| s.get(g))
         } else {
-            self.tags[granule / 64] &= !(1 << (granule % 64));
+            None
         }
     }
+
+    /// Tags granule `g` as holding `cap`.
+    fn set_cap(&mut self, g: usize, cap: Capability) {
+        self.slab
+            .get_or_insert_with(|| {
+                Box::new(Slab {
+                    slot: [NO_SLOT; GRANULES_PER_FRAME],
+                    caps: Vec::new(),
+                })
+            })
+            .put(g, cap);
+        self.tags[g / 64] |= 1 << (g % 64);
+    }
+}
+
+/// The little-endian `N`-byte word of `data` at `off`.
+#[inline]
+fn word<const N: usize>(data: &[u8], off: usize) -> [u8; N] {
+    data[off..off + N].try_into().expect("an N-byte range")
 }
 
 /// A scheduled physical-memory bit-flip: after `after_mutations` mutating
@@ -215,6 +282,7 @@ impl PhysMem {
     /// `addr` is the address of the access that advanced the counter; the
     /// caller has already finished the access, tag update included, so a
     /// flip on a capability store's granule meets the tag that store set.
+    #[inline]
     fn note_mutation(&mut self, addr: PAddr) {
         self.faults.mutations += 1;
         let Some(spec) = self.faults.spec else { return };
@@ -233,6 +301,7 @@ impl PhysMem {
     /// capability-integrity escape; callers (the VM layer and the CPU's
     /// data path) invoke this on every capability load so the fault
     /// campaign's silent-success oracle can count them.
+    #[inline]
     pub fn note_cap_load(&mut self, addr: PAddr) {
         let fid = addr.frame();
         let g = (addr.offset() / TAG_GRANULE) as usize;
@@ -271,8 +340,7 @@ impl PhysMem {
             if spec.preserve_tag {
                 self.faults.tags_preserved += 1;
             } else {
-                f.set_tag(g, false);
-                f.caps.remove(&(g as u16));
+                f.clear_tag(g);
                 self.faults.tags_cleared += 1;
             }
         }
@@ -283,6 +351,7 @@ impl PhysMem {
 
     /// Forgets corruption markings for granules `g0..=g1` of `frame` —
     /// called when those granules are legitimately rewritten.
+    #[inline]
     fn clear_corrupt_range(&mut self, frame: FrameId, g0: usize, g1: usize) {
         if self.faults.corrupt.is_empty() {
             return;
@@ -392,12 +461,69 @@ impl PhysMem {
         let g0 = off / TAG_GRANULE as usize;
         let g1 = (off + buf.len().max(1) - 1) / TAG_GRANULE as usize;
         for g in g0..=g1 {
-            if f.tag_bit(g) {
-                f.set_tag(g, false);
-                f.caps.remove(&(g as u16));
-            }
+            f.clear_tag(g);
         }
         self.clear_corrupt_range(addr.frame(), g0, g1);
+        Ok(())
+    }
+
+    /// Reads the little-endian `size`-byte word at `addr`, zero-extended:
+    /// the fixed-width move of an aligned data load, with no `memcpy`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BadFrame`] if the frame is unallocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` is not 1, 2, 4 or 8, or `addr` is not a multiple
+    /// of it.
+    #[inline]
+    pub fn read_word(&self, addr: PAddr, size: u64) -> Result<u64, BadFrame> {
+        let f = self.frame(addr.frame())?;
+        let off = addr.offset() as usize;
+        assert!(addr.0 & size.wrapping_sub(1) == 0, "unaligned word read");
+        Ok(match size {
+            1 => u64::from(f.data[off]),
+            2 => u64::from(u16::from_le_bytes(word(&f.data, off))),
+            4 => u64::from(u32::from_le_bytes(word(&f.data, off))),
+            8 => u64::from_le_bytes(word(&f.data, off)),
+            _ => panic!("no {size}-byte word"),
+        })
+    }
+
+    /// Writes the low `size` bytes of `value` at `addr`, little-endian:
+    /// the fixed-width move of an aligned data store. It has
+    /// [`PhysMem::write_bytes`]'s effects: the one granule it touches
+    /// loses its tag and any injected corruption, and the write counts as
+    /// a mutation for the fault plane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BadFrame`] if the frame is unallocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` is not 1, 2, 4 or 8, or `addr` is not a multiple
+    /// of it.
+    #[inline]
+    pub fn write_word(&mut self, addr: PAddr, size: u64, value: u64) -> Result<(), BadFrame> {
+        let f = self.frame_mut(addr.frame())?;
+        let off = addr.offset() as usize;
+        assert!(addr.0 & size.wrapping_sub(1) == 0, "unaligned word write");
+        let v = value.to_le_bytes();
+        match size {
+            1 => f.data[off] = v[0],
+            2 => f.data[off..off + 2].copy_from_slice(&v[..2]),
+            4 => f.data[off..off + 4].copy_from_slice(&v[..4]),
+            8 => f.data[off..off + 8].copy_from_slice(&v),
+            _ => panic!("no {size}-byte word"),
+        }
+        // An aligned word of at most 8 bytes lies in one granule.
+        let g = off / TAG_GRANULE as usize;
+        f.clear_tag(g);
+        self.clear_corrupt_range(addr.frame(), g, g);
+        self.note_mutation(addr);
         Ok(())
     }
 
@@ -464,15 +590,12 @@ impl PhysMem {
         bytes[8..16].copy_from_slice(&cap.base().to_le_bytes());
         // `overwrite` also forgets any injected corruption of the range:
         // the store supersedes it.
+        // `overwrite` cleared the tags of every granule the capability
+        // covers; only the first carries the new one.
         self.overwrite(addr, bytes)?;
         if cap.tag() {
             let f = self.frame_mut(addr.frame())?;
-            let off = addr.offset() as usize;
-            for k in 0..(size / TAG_GRANULE) {
-                let g = off / TAG_GRANULE as usize + k as usize;
-                f.set_tag(g, k == 0);
-            }
-            f.caps.insert((off / TAG_GRANULE as usize) as u16, cap);
+            f.set_cap((addr.offset() / TAG_GRANULE) as usize, cap);
         }
         // Counted once the tag is in place, so a data flip due on this
         // store corrupts the capability it just wrote and clears its tag.
@@ -493,14 +616,24 @@ impl PhysMem {
     /// Panics if `addr` is not granule-aligned.
     #[inline]
     pub fn load_cap(&self, addr: PAddr) -> Result<Option<Capability>, BadFrame> {
+        Ok(self.cap_at(addr)?.copied())
+    }
+
+    /// [`PhysMem::load_cap`] by reference: the tagged capability at
+    /// granule-aligned `addr`, read in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BadFrame`] if the frame is unallocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not granule-aligned.
+    #[inline]
+    pub fn cap_at(&self, addr: PAddr) -> Result<Option<&Capability>, BadFrame> {
         assert_eq!(addr.0 % TAG_GRANULE, 0, "unaligned capability load");
         let f = self.frame(addr.frame())?;
-        let g = (addr.offset() / TAG_GRANULE) as usize;
-        if f.tag_bit(g) {
-            Ok(f.caps.get(&(g as u16)).copied())
-        } else {
-            Ok(None)
-        }
+        Ok(f.cap((addr.offset() / TAG_GRANULE) as usize))
     }
 
     /// Scans a frame for tagged capabilities: the swap-out path of §3
@@ -512,12 +645,16 @@ impl PhysMem {
     /// Returns [`BadFrame`] if the frame is unallocated.
     pub fn scan_caps(&self, id: FrameId) -> Result<Vec<(u64, Capability)>, BadFrame> {
         let f = self.frame(id)?;
-        let mut out: Vec<(u64, Capability)> = f
-            .caps
-            .iter()
-            .map(|(g, c)| (u64::from(*g) * TAG_GRANULE, *c))
-            .collect();
-        out.sort_by_key(|(off, _)| *off);
+        let mut out = Vec::new();
+        for (w, &bits) in f.tags.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let g = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let c = f.cap(g).expect("a tagged granule has a slot");
+                out.push((g as u64 * TAG_GRANULE, *c));
+            }
+        }
         Ok(out)
     }
 
@@ -546,7 +683,7 @@ impl PhysMem {
         let f = self.frame_mut(id)?;
         f.data.copy_from_slice(data);
         f.tags = [0; GRANULES_PER_FRAME / 64];
-        f.caps.clear();
+        f.slab = None;
         self.clear_corrupt_range(id, 0, GRANULES_PER_FRAME - 1);
         Ok(())
     }
@@ -559,10 +696,7 @@ impl PhysMem {
     /// Returns [`BadFrame`] if either frame is unallocated.
     pub fn copy_frame_with_tags(&mut self, src: FrameId, dst: FrameId) -> Result<(), BadFrame> {
         let s = self.frame(src)?.clone();
-        let d = self.frame_mut(dst)?;
-        d.data.copy_from_slice(&s.data);
-        d.tags = s.tags;
-        d.caps = s.caps;
+        *self.frame_mut(dst)? = s;
         Ok(())
     }
 }
@@ -662,6 +796,154 @@ mod tests {
         pm.copy_frame_with_tags(a, b).unwrap();
         assert_eq!(pm.load_cap(PAddr::new(b, 64)).unwrap(), Some(cap()));
         assert_eq!(pm.read_u64(PAddr::new(b, 8)).unwrap(), 7);
+    }
+
+    #[test]
+    fn every_granule_tagged_then_overwritten_by_data() {
+        let (mut pm, f) = mem();
+        let at = |g: u64| PAddr::new(f, g * TAG_GRANULE);
+        for g in 0..GRANULES_PER_FRAME as u64 {
+            pm.store_cap(at(g), cap().inc_addr(g as i64)).unwrap();
+        }
+        // Restoring every granule reuses its slot: the slab never grows
+        // past one slot per granule.
+        for g in 0..GRANULES_PER_FRAME as u64 {
+            pm.store_cap(at(g), cap().inc_addr(-(g as i64))).unwrap();
+        }
+        let slots = |pm: &PhysMem| pm.frame(f).unwrap().slab.as_ref().unwrap().caps.len();
+        assert_eq!(slots(&pm), GRANULES_PER_FRAME);
+        let found = pm.scan_caps(f).unwrap();
+        assert_eq!(found.len(), GRANULES_PER_FRAME);
+        for (g, (off, c)) in found.iter().enumerate() {
+            assert_eq!(*off, g as u64 * TAG_GRANULE);
+            assert_eq!(*c, cap().inc_addr(-(g as i64)));
+        }
+        // Data over the whole frame, word by word, clears every tag.
+        for off in (0..FRAME_SIZE).step_by(8) {
+            pm.write_word(PAddr::new(f, off), 8, off).unwrap();
+        }
+        assert!(pm.scan_caps(f).unwrap().is_empty());
+        for g in 0..GRANULES_PER_FRAME as u64 {
+            assert_eq!(pm.load_cap(at(g)).unwrap(), None);
+            assert_eq!(pm.read_word(at(g), 8).unwrap(), g * TAG_GRANULE);
+        }
+        // A granule tagged again takes its old slot back.
+        pm.store_cap(at(9), cap()).unwrap();
+        assert_eq!(slots(&pm), GRANULES_PER_FRAME);
+        assert_eq!(pm.scan_caps(f).unwrap(), vec![(9 * TAG_GRANULE, cap())]);
+    }
+
+    #[test]
+    fn c256_stores_tag_the_first_of_two_granules() {
+        let (mut pm, f) = mem();
+        let wide = Capability::root(CapFormat::C256, PrincipalId::KERNEL, CapSource::Boot)
+            .with_addr(0x4000);
+        pm.store_cap(PAddr::new(f, 16), cap()).unwrap();
+        pm.store_cap(PAddr::new(f, 0), wide).unwrap();
+        // The second granule's old tag fell to the wide store.
+        assert_eq!(pm.load_cap(PAddr::new(f, 0)).unwrap(), Some(wide));
+        assert_eq!(pm.load_cap(PAddr::new(f, 16)).unwrap(), None);
+        assert_eq!(pm.scan_caps(f).unwrap(), vec![(0, wide)]);
+        // Data in the second granule leaves the first tagged; data in the
+        // first clears it.
+        pm.write_word(PAddr::new(f, 24), 8, 0).unwrap();
+        assert_eq!(pm.cap_at(PAddr::new(f, 0)).unwrap(), Some(&wide));
+        pm.write_word(PAddr::new(f, 8), 4, 0).unwrap();
+        assert_eq!(pm.cap_at(PAddr::new(f, 0)).unwrap(), None);
+    }
+
+    #[test]
+    fn scan_caps_walks_granules_in_order_not_slot_order() {
+        let (mut pm, f) = mem();
+        for g in [200u64, 3, 255, 0, 64, 63] {
+            pm.store_cap(PAddr::new(f, g * TAG_GRANULE), cap().inc_addr(g as i64))
+                .unwrap();
+        }
+        pm.write_u8(PAddr::new(f, 64 * TAG_GRANULE), 1).unwrap();
+        let want: Vec<(u64, Capability)> = [0u64, 3, 63, 200, 255]
+            .iter()
+            .map(|&g| (g * TAG_GRANULE, cap().inc_addr(g as i64)))
+            .collect();
+        assert_eq!(pm.scan_caps(f).unwrap(), want);
+    }
+
+    #[test]
+    fn copy_frame_with_tags_carries_the_slab_and_nothing_stale() {
+        let mut pm = PhysMem::new(8);
+        let a = pm.alloc_frame().unwrap();
+        let b = pm.alloc_frame().unwrap();
+        pm.store_cap(PAddr::new(b, 48), cap()).unwrap();
+        pm.store_cap(PAddr::new(a, 32), cap()).unwrap();
+        pm.store_cap(PAddr::new(a, 96), cap().inc_addr(1)).unwrap();
+        pm.write_word(PAddr::new(a, 32), 2, 5).unwrap(); // stale slot
+        pm.copy_frame_with_tags(a, b).unwrap();
+        assert_eq!(pm.scan_caps(b).unwrap(), pm.scan_caps(a).unwrap());
+        assert_eq!(pm.load_cap(PAddr::new(b, 32)).unwrap(), None);
+        assert_eq!(pm.load_cap(PAddr::new(b, 48)).unwrap(), None);
+        assert_eq!(pm.read_word(PAddr::new(b, 32), 2).unwrap(), 5);
+        // The copies are independent.
+        pm.write_u8(PAddr::new(a, 96), 0).unwrap();
+        assert_eq!(
+            pm.load_cap(PAddr::new(b, 96)).unwrap(),
+            Some(cap().inc_addr(1))
+        );
+    }
+
+    #[test]
+    fn set_frame_data_drops_the_slab() {
+        let (mut pm, f) = mem();
+        pm.store_cap(PAddr::new(f, 128), cap()).unwrap();
+        let data = pm.frame_data(f).unwrap();
+        pm.set_frame_data(f, &data).unwrap();
+        assert!(pm.frame(f).unwrap().slab.is_none());
+        assert!(pm.scan_caps(f).unwrap().is_empty());
+        pm.store_cap(PAddr::new(f, 128), cap().inc_addr(4)).unwrap();
+        assert_eq!(
+            pm.load_cap(PAddr::new(f, 128)).unwrap(),
+            Some(cap().inc_addr(4))
+        );
+    }
+
+    #[test]
+    fn word_moves_match_byte_moves() {
+        let (mut pm, f) = mem();
+        for (size, off) in [(1u64, 7u64), (2, 14), (4, 4092), (8, 24)] {
+            let v = 0x8877_6655_4433_2211u64;
+            pm.write_word(PAddr::new(f, off), size, v).unwrap();
+            let mut buf = [0u8; 8];
+            pm.read_bytes(PAddr::new(f, off), &mut buf[..size as usize])
+                .unwrap();
+            let mask = u64::MAX >> (64 - 8 * size);
+            assert_eq!(u64::from_le_bytes(buf), v & mask, "size {size}");
+            assert_eq!(pm.read_word(PAddr::new(f, off), size).unwrap(), v & mask);
+        }
+        assert_eq!(pm.faults().mutations, 4, "each word write is a mutation");
+        assert!(std::panic::catch_unwind(|| pm.read_word(PAddr::new(f, 2), 4)).is_err());
+    }
+
+    #[test]
+    fn injected_flip_on_a_slab_granule_clears_only_the_tag() {
+        let (mut pm, f) = mem();
+        pm.store_cap(PAddr::new(f, 0), cap()).unwrap();
+        pm.store_cap(PAddr::new(f, 16), cap().inc_addr(16)).unwrap();
+        pm.arm_faults(PhysFaultSpec {
+            after_mutations: 2,
+            bit: 70,
+            target_cap: true,
+            preserve_tag: false,
+        });
+        pm.note_cap_load(PAddr::new(f, 16)); // trigger: the loaded granule
+        assert_eq!(pm.faults().tags_cleared, 1);
+        assert_eq!(pm.load_cap(PAddr::new(f, 16)).unwrap(), None);
+        assert_eq!(pm.load_cap(PAddr::new(f, 0)).unwrap(), Some(cap()));
+        assert_eq!(pm.scan_caps(f).unwrap(), vec![(0, cap())]);
+        // A word write over the corrupted granule forgets the corruption,
+        // and a fresh store there reuses the slot.
+        pm.write_word(PAddr::new(f, 16), 8, 1).unwrap();
+        pm.store_cap(PAddr::new(f, 16), cap()).unwrap();
+        pm.note_cap_load(PAddr::new(f, 16));
+        assert_eq!(pm.faults().corrupt_cap_loads, 0);
+        assert_eq!(pm.frame(f).unwrap().slab.as_ref().unwrap().caps.len(), 2);
     }
 
     #[test]

@@ -124,4 +124,54 @@ proptest! {
             prop_assert_eq!(pm.read_u64(PAddr::new(frame, *off)).unwrap(), *v);
         }
     }
+
+    /// Slab churn: capability stores, word overwrites and restores hammer
+    /// a handful of granules of one frame, so slots are taken, go stale
+    /// and are reused over and over. Every load, and the scan in granule
+    /// order, matches the model after every step.
+    #[test]
+    fn store_overwrite_restore_churn_on_one_frame(
+        ops in proptest::collection::vec((0u8..3, 0u64..8, 0u32..4, any::<u16>()), 1..200),
+    ) {
+        let mut pm = PhysMem::new(2);
+        let frame = pm.alloc_frame().unwrap();
+        let at = |g: u64| PAddr::new(frame, g * TAG_GRANULE);
+        let mut model: BTreeMap<u64, Capability> = BTreeMap::new();
+        // The last capability stored at each granule, for restores.
+        let mut last: BTreeMap<u64, Capability> = BTreeMap::new();
+        let mut mutations = 0;
+        for &(kind, g, w, v) in &ops {
+            match kind {
+                0 => {
+                    let c = cap_at(0x1000 + u64::from(v) * TAG_GRANULE, true);
+                    pm.store_cap(at(g), c).unwrap();
+                    model.insert(g, c);
+                    last.insert(g, c);
+                    mutations += 1;
+                }
+                1 => {
+                    let size = 1u64 << w;
+                    let off = g * TAG_GRANULE + (u64::from(v) % (TAG_GRANULE / size)) * size;
+                    pm.write_word(PAddr::new(frame, off), size, u64::from(v)).unwrap();
+                    prop_assert_eq!(pm.read_word(PAddr::new(frame, off), size).unwrap(), u64::from(v) & (u64::MAX >> (64 - 8 * size)));
+                    model.remove(&g);
+                    mutations += 1;
+                }
+                _ => {
+                    if let Some(&c) = last.get(&g) {
+                        pm.store_cap(at(g), c).unwrap();
+                        model.insert(g, c);
+                        mutations += 1;
+                    }
+                }
+            }
+            for g in 0..8 {
+                prop_assert_eq!(pm.load_cap(at(g)).unwrap(), model.get(&g).copied(), "granule {}", g);
+            }
+            let scanned = pm.scan_caps(frame).unwrap();
+            let want: Vec<(u64, Capability)> = model.iter().map(|(&g, &c)| (g * TAG_GRANULE, c)).collect();
+            prop_assert_eq!(scanned, want);
+        }
+        prop_assert_eq!(pm.faults().mutations, mutations);
+    }
 }

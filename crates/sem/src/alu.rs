@@ -3,7 +3,8 @@
 //!
 //! The ALU and conditional-branch handlers in [`crate::ops`] compute
 //! through these kernels, and so does the template tier in `cheri-cpu`,
-//! which lowers each ALU instruction with [`alu_form`] and evaluates it
+//! which lowers each ALU instruction with [`alu_form`] to one op per
+//! form listed by [`for_each_alu!`](crate::for_each_alu) and evaluates it
 //! over register-resident locals. The wrapping, zero-divisor and
 //! shift-mask rules therefore exist once, and no two machines can
 //! disagree about them.
@@ -72,6 +73,36 @@ impl Alu {
             Alu::Sltu => u64::from(a < b),
         }
     }
+}
+
+/// Calls the macro `$m` with every ALU instruction form, as
+/// `reg [K, ...] imm [F = K, ...]`: the kernels `K` of the three-register
+/// forms (every [`Alu`] kernel has one), then the name `F` and kernel `K`
+/// of each immediate form [`alu_form`] produces. The template tier
+/// generates one compiled-op variant per form, and the executor arm that
+/// calls `Alu::K.eval`, from this list, so one dispatch reaches the kernel
+/// and no integer rule is written a second time. An [`Alu`] kernel
+/// missing from `reg` fails to compile (a test matches the list
+/// exhaustively), and an immediate form of [`alu_form`] whose kernel is
+/// missing from `imm` fails `effects_clauses_match_pure_handler_behaviour`.
+#[macro_export]
+macro_rules! for_each_alu {
+    ($m:ident) => {
+        $m! {
+            reg [Add, Sub, Mul, DivU, DivS, RemU, And, Or, Xor, Nor, Sll, Srl, Sra, Slt, Sltu]
+            imm [
+                AddI = Add,
+                AndI = And,
+                OrI = Or,
+                XorI = Xor,
+                SllI = Sll,
+                SrlI = Srl,
+                SraI = Sra,
+                SltI = Slt,
+                SltuI = Sltu
+            ]
+        }
+    };
 }
 
 /// A conditional-branch predicate.
@@ -150,6 +181,24 @@ pub fn alu_form(i: &Instr) -> Option<(Alu, IReg, IReg, Src)> {
         Instr::SltuI { rd, rs, imm } => (Alu::Sltu, rd, rs, Imm(imm)),
         _ => return None,
     })
+}
+
+/// The kernels of [`for_each_alu!`]'s lists: every kernel once
+/// (`reg`; the match is exhaustive, so a kernel missing from the list
+/// does not compile), then those of the immediate forms (`imm`).
+#[cfg(test)]
+pub(crate) fn listed_kernels() -> (Vec<Alu>, Vec<Alu>) {
+    macro_rules! lists {
+        (reg [$($r:ident),*] imm [$($i:ident = $k:ident),*]) => {{
+            for op in [$(Alu::$r),*] {
+                match op {
+                    $(Alu::$r)|* => {}
+                }
+            }
+            (vec![$(Alu::$r),*], vec![$(Alu::$k),*])
+        }};
+    }
+    crate::for_each_alu!(lists)
 }
 
 #[cfg(test)]

@@ -138,7 +138,7 @@ pub trait MemoryPort: TrapPort {
 }
 
 /// The capability checks of a `size`-byte data access at `vaddr` through
-/// `cap`, in handler order: alignment (when required), then tag, seal,
+/// `cap` (`size` a power of two, a [`Width`]'s bytes), in handler order: alignment (when required), then tag, seal,
 /// permission `need` and bounds. The handlers and the template tier's
 /// in-trace guards both call it, so they cannot disagree about which
 /// accesses pass.
@@ -154,7 +154,8 @@ pub fn check_data(
     need: Perms,
     aligned_required: bool,
 ) -> Result<(), CapFault> {
-    if aligned_required && !vaddr.is_multiple_of(size) {
+    debug_assert!(size.is_power_of_two());
+    if aligned_required && vaddr & (size - 1) != 0 {
         return Err(CapFault::UnalignedDataAccess);
     }
     cap.check_access(vaddr, size, need)
@@ -170,7 +171,7 @@ pub fn check_data(
 #[inline]
 pub fn check_cap_access(cap: &Capability, vaddr: u64, need: Perms) -> Result<(), CapFault> {
     let size = cap.format().in_memory_size();
-    if !vaddr.is_multiple_of(size) {
+    if vaddr & (size - 1) != 0 {
         return Err(CapFault::UnalignedCapAccess);
     }
     cap.check_access(vaddr, size, need)

@@ -726,6 +726,17 @@ mod tests {
                 continue;
             }
             let form = crate::alu_form(instr);
+            let (reg_kernels, imm_kernels) = crate::alu::listed_kernels();
+            if let Some((op, _, _, src)) = form {
+                let listed = match src {
+                    crate::Src::Reg(_) => &reg_kernels,
+                    crate::Src::Imm(_) => &imm_kernels,
+                };
+                assert!(
+                    listed.contains(&op),
+                    "{instr:?}: its form is missing from for_each_alu!"
+                );
+            }
             assert!(
                 form.is_some()
                     || matches!(

@@ -53,18 +53,32 @@ impl RegFile {
 
     /// Reads a capability register (`$c0` always reads NULL).
     #[must_use]
+    #[inline]
     pub fn c(&self, r: CReg) -> Capability {
+        *self.cap(r)
+    }
+
+    /// [`RegFile::c`] by reference, for checks that only inspect it.
+    #[must_use]
+    #[inline]
+    pub fn cap(&self, r: CReg) -> &Capability {
+        const NULL_C128: Capability = Capability::null(CapFormat::C128);
+        const NULL_C256: Capability = Capability::null(CapFormat::C256);
         if r.0 == 0 {
-            Capability::null(self.pcc.format())
+            match self.pcc.format() {
+                CapFormat::C128 => &NULL_C128,
+                CapFormat::C256 => &NULL_C256,
+            }
         } else {
-            self.caps[r.0 as usize]
+            &self.caps[usize::from(r.0) & 31]
         }
     }
 
     /// Writes a capability register (writes to `$c0` are discarded).
+    #[inline]
     pub fn wc(&mut self, r: CReg, v: Capability) {
         if r.0 != 0 {
-            self.caps[r.0 as usize] = v;
+            self.caps[usize::from(r.0) & 31] = v;
         }
     }
 }
@@ -92,5 +106,8 @@ mod tests {
         assert!(!rf.c(creg::CNULL).tag());
         rf.wc(creg::C3, root);
         assert!(rf.c(creg::C3).tag());
+        assert_eq!(rf.cap(creg::CNULL), &Capability::null(CapFormat::C128));
+        rf.pcc = Capability::null(CapFormat::C256);
+        assert_eq!(rf.cap(creg::CNULL).format(), CapFormat::C256);
     }
 }

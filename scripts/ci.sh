@@ -21,6 +21,12 @@ echo "==> workspace: every crate's own tests"
 # in the workspace crates.
 cargo test --workspace --release -q
 
+echo "==> debug assertions: cpu and mem tests in the debug profile"
+# The release runs above compile `debug_assert!` out. The template
+# executor's checks (every head fetch a settled pass skips is an L1I front
+# hit) and the physical-memory invariants only run here.
+cargo test -q -p cheri-cpu -p cheri-mem
+
 echo "==> benchmark: perf_ledger builds against the workspace and its tests pass"
 # The benchmark is a package of its own, outside the workspace: a workspace
 # API change that breaks it would otherwise go unnoticed.
