@@ -3,7 +3,7 @@
 //! `--oracle` baseline), plain TLB stepping (`--exec-mode superblock`),
 //! and stepping with hot branch targets promoted to trace templates
 //! (`--exec-mode template`, the default everywhere else). The ref row
-//! prices the oracle: `ref_overhead` is tmpl MIPS over ref MIPS, an upper
+//! prices the oracle: `ref_overhead` is the tmpl-over-ref speedup, an upper
 //! bound on the slowdown of `--oracle replay`.
 //!
 //! Unlike every other binary here, this one measures *host* wall time, so
@@ -16,7 +16,10 @@
 //! non-zero).
 //!
 //! Each program runs `--trials` rounds; every round runs each mode once,
-//! so the modes take turns, and a mode's figure is its best round.
+//! so the modes take turns. A mode's MIPS figure is its best round; a
+//! ratio between two modes is the median over rounds of that round's
+//! wall-time ratio, so a host-speed swing that lands on one mode of one
+//! round moves one sample instead of the figure.
 //!
 //! Each row also reports `tmpl_share`, the template tier's coverage: the
 //! share of the program's retired instructions that templates retired.
@@ -37,7 +40,8 @@ const USAGE: &str = "usage: interp_throughput [options]
   --weaken-flush    test-only: drop one template exit flush; the metric
                     cross-check must then fail (exit non-zero)
   --trials <n>      wall-time trials per mode, the modes taking turns
-                    trial by trial (default 3, best-of)
+                    trial by trial (default 3; MIPS best-of, ratios
+                    the median of per-trial ratios)
   --spin-iters <n>  spin loop iterations (default 20000000)
   --out <path>      output JSON path (default BENCH_interp.json)
   -h, --help        this help";
@@ -124,34 +128,70 @@ fn run_once(
     (metrics, wall, sys.kernel.cpu.stats.tmpl_instrs)
 }
 
-/// Best-of-`trials` wall time for each of `modes` on one program, with the
-/// guest metrics and the instructions retired inside templates. The modes
-/// take turns trial by trial, so a change in host speed during the run
-/// hits every mode alike instead of skewing their ratios. Asserts each
-/// mode's guest metrics are identical across trials.
+/// One mode's runs of one program: its guest metrics, its wall time in
+/// every trial, and the instructions retired inside templates.
+struct ModeRuns {
+    metrics: Metrics,
+    walls: Vec<f64>,
+    in_templates: u64,
+}
+
+impl ModeRuns {
+    fn best_wall(&self) -> f64 {
+        self.walls.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// How many times faster `self` ran than `other`: the median over
+    /// trials of each trial's wall-time ratio.
+    fn speedup_over(&self, other: &ModeRuns) -> f64 {
+        let mut ratios: Vec<f64> = other
+            .walls
+            .iter()
+            .zip(&self.walls)
+            .map(|(slow, fast)| slow / fast)
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let mid = ratios.len() / 2;
+        if ratios.len() % 2 == 1 {
+            ratios[mid]
+        } else {
+            (ratios[mid - 1] + ratios[mid]) / 2.0
+        }
+    }
+}
+
+/// `trials` wall times for each of `modes` on one program, with the guest
+/// metrics and the instructions retired inside templates. The modes take
+/// turns trial by trial, so trial `t` of every mode ran at about the same
+/// host speed. Asserts each mode's guest metrics are identical across
+/// trials.
 fn run_modes(
     registry: &Registry,
     spec: &ProgramSpec,
     modes: &[Mode],
     trials: u32,
     weaken: bool,
-) -> Vec<(Metrics, f64, u64)> {
-    let mut best: Vec<(Metrics, f64, u64)> = Vec::new();
+) -> Vec<ModeRuns> {
+    let mut runs: Vec<ModeRuns> = Vec::new();
     for trial in 0..trials {
         for (i, &mode) in modes.iter().enumerate() {
-            let run = run_once(registry, spec, mode, weaken);
+            let (metrics, wall, in_templates) = run_once(registry, spec, mode, weaken);
             if trial == 0 {
-                best.push(run);
+                runs.push(ModeRuns {
+                    metrics,
+                    walls: vec![wall],
+                    in_templates,
+                });
             } else {
                 assert_eq!(
-                    run.0, best[i].0,
+                    metrics, runs[i].metrics,
                     "guest metrics must be identical across trials"
                 );
-                best[i].1 = best[i].1.min(run.1);
+                runs[i].walls.push(wall);
             }
         }
     }
-    best
+    runs
 }
 
 fn mips(instructions: u64, wall: f64) -> f64 {
@@ -205,13 +245,15 @@ fn main() {
             &[Mode::REF]
         };
         let runs = run_modes(&registry, spec, modes, opts.trials, opts.weaken_flush);
-        let (ref_metrics, ref_wall, _) = runs[0];
+        let reference = &runs[0];
+        let ref_metrics = reference.metrics;
+        let ref_wall = reference.best_wall();
         let ref_mips = mips(ref_metrics.instructions, ref_wall);
-        // (step, tmpl) as (wall, MIPS) pairs, when the fast modes run.
+        // When the fast modes run: (step, tmpl) as (wall, MIPS) pairs, the
+        // template share, and tmpl's speedups over (ref, step).
         let fast = opts.fast_too.then(|| {
-            let (step_metrics, step_wall, _) = runs[1];
-            let (tmpl_metrics, tmpl_wall, in_templates) = runs[2];
-            for (mode, m) in [("step", &step_metrics), ("template", &tmpl_metrics)] {
+            let (step, tmpl) = (&runs[1], &runs[2]);
+            for (mode, m) in [("step", &step.metrics), ("template", &tmpl.metrics)] {
                 if m != &ref_metrics {
                     eprintln!(
                         "interp_throughput: {name}: guest metrics diverge between \
@@ -220,14 +262,15 @@ fn main() {
                     mismatch = true;
                 }
             }
+            let (step_wall, tmpl_wall) = (step.best_wall(), tmpl.best_wall());
             (
-                (step_wall, mips(step_metrics.instructions, step_wall)),
-                (tmpl_wall, mips(tmpl_metrics.instructions, tmpl_wall)),
-                in_templates as f64 / tmpl_metrics.instructions as f64,
+                (step_wall, mips(step.metrics.instructions, step_wall)),
+                (tmpl_wall, mips(tmpl.metrics.instructions, tmpl_wall)),
+                tmpl.in_templates as f64 / tmpl.metrics.instructions as f64,
+                (tmpl.speedup_over(reference), tmpl.speedup_over(step)),
             )
         });
-        // speedup: tmpl over ref; tmpl gain: tmpl over plain stepping.
-        let gains = fast.map(|((_, step), (_, tmpl), _)| (tmpl / ref_mips, tmpl / step));
+        let gains = fast.map(|f| f.3);
         if name == "spin" {
             spin_speedup = gains.map(|g| g.0);
             spin_tmpl_speedup = gains.map(|g| g.1);

@@ -156,6 +156,12 @@ fn tmp_nonce() -> u64 {
 const ENTRY_HEAD: &str = "{\"identity\":";
 const ENTRY_MID: &str = ",\"report\":";
 
+/// Traced specs and specs with a weakened mechanism are never read from
+/// or written to the cache: their reports are not the normal run's.
+fn never_cached(spec: &RunSpec) -> bool {
+    spec.trace || spec.weaken_sem || spec.weaken_quarantine || spec.weaken_flush
+}
+
 /// A handle to one cache directory + salt.
 #[derive(Debug)]
 pub struct ReportCache {
@@ -252,7 +258,7 @@ impl ReportCache {
     /// (names are display-only and not part of the identity).
     #[must_use]
     pub fn load(&self, spec: &RunSpec) -> Option<CaseReport> {
-        if spec.trace || spec.weaken_sem || spec.weaken_quarantine || spec.weaken_flush {
+        if never_cached(spec) {
             return None;
         }
         let (identity, path) = self.locate(spec);
@@ -274,10 +280,7 @@ impl ReportCache {
     /// oracle divergences are never recorded; I/O failures are swallowed
     /// (a cache that cannot write is merely cold).
     pub fn store(&self, spec: &RunSpec, report: &CaseReport) {
-        if spec.trace
-            || spec.weaken_sem
-            || spec.weaken_quarantine
-            || spec.weaken_flush
+        if never_cached(spec)
             || matches!(
                 report.outcome,
                 CaseOutcome::Panicked(_)
