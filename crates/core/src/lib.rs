@@ -216,9 +216,10 @@ impl System {
         // Exactness does not need it: a `Sys::Cycles` stamp is a syscall,
         // which no template holds, and a template settles its cycles
         // before the stepper resumes. The hold is for speed: a slice here
-        // runs ~28 instructions between syscalls, too few to repay a
-        // template compile, and without the hold server-sched ran 3–6 %
-        // slower.
+        // executes ~14 instructions and ends in a syscall, and calls and
+        // returns end traces too, so without the hold templates retire
+        // only 5.3 % of server-sched's instructions, too few to repay
+        // their compiles (see `Cpu::set_exact_mem_events`).
         self.kernel.cpu.set_exact_mem_events(true);
         let c0 = self.kernel.cpu.stats;
         let m0 = self.kernel.cpu.caches.stats();

@@ -9,7 +9,7 @@ use cheri_cap::{CapFault, Capability, Perms};
 use cheri_isa::Instr;
 use cheri_mem::{AccessKind, CacheHierarchy, PAddr, PhysMem, FRAME_SIZE};
 use cheri_sem::{Alu, SemExit, StepCtx};
-use cheri_vm::{Access, AsId, Vm, VmError, USER_TOP};
+use cheri_vm::{Access, AsId, Shootdown, Vm, VmError, USER_TOP};
 use std::fmt;
 use std::sync::Arc;
 
@@ -117,6 +117,21 @@ fn tlb_set_offset(id: AsId) -> usize {
     (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - TLB_SETS.trailing_zeros())) as usize
 }
 
+/// Whether space `id` is too large for the TLB tag field (see
+/// [`TAGGED_SPACES`]).
+fn untagged(id: AsId) -> bool {
+    id.0 >= TAGGED_SPACES
+}
+
+/// The TLB tag bits of space `id`, above the vpn.
+fn space_tag(id: AsId) -> u64 {
+    if untagged(id) {
+        0
+    } else {
+        id.0 << VPN_BITS
+    }
+}
+
 /// The [`Cpu`] code-table slot of space `id`: ids are handed out densely
 /// from 1 by [`Vm`] and never reused, so slot 0 stays empty.
 fn code_slot(id: AsId) -> usize {
@@ -140,8 +155,9 @@ const HOT_SLOTS: usize = 64;
 
 /// Promotion state of one taken-branch target. Valid only while the
 /// address space, the VM translation epoch and the exact PCC still match
-/// — the same monotone-epoch argument that makes the TLB sound. Every
-/// demotion is therefore free: a guard miss (epoch bump from COW, swap,
+/// — the same monotone-epoch argument that makes the TLB sound — and
+/// until a shootdown names a page of its space, which drops the entry.
+/// Every demotion is therefore free: a guard miss (epoch bump from mmap,
 /// mprotect or fork; PCC change; slot reuse) refills the slot, and its
 /// template state resets to cold with it.
 struct HotEntry {
@@ -157,10 +173,48 @@ struct HotEntry {
     tmpl: TmplState,
 }
 
+/// The code of one address space in [`Cpu`]'s code table.
+#[derive(Default)]
+struct SpaceCode {
+    /// Its registered regions.
+    regions: Vec<Arc<DecodedRegion>>,
+    /// While another space is current: the resident region it left, which
+    /// its next context switch resumes.
+    parked: Option<Arc<DecodedRegion>>,
+}
+
+/// The stepper's checked fetch window: the pcs `lo..lo + len` that the
+/// last slow-path fetch found inside the resident region, inside PCC's
+/// bounds with `EXECUTE`, and on the page the TLB translated (`pc + delta`
+/// is the physical address). Until the next slow fetch, PCC write,
+/// template run, run entry or invalidation, a fetch there needs none of
+/// those checks, only the cache model. And a fetch of the L1I line the
+/// window fetched last (`line..line + line_len`, physical) needs not even
+/// that: it is an L1I front hit, as no other fetch has reached the L1I
+/// since.
+#[derive(Clone, Copy)]
+struct FetchWindow {
+    lo: u64,
+    len: u64,
+    delta: u64,
+    line: u64,
+    line_len: u64,
+}
+
+impl FetchWindow {
+    const EMPTY: FetchWindow = FetchWindow {
+        lo: 0,
+        len: 0,
+        delta: 0,
+        line: 0,
+        line_len: 0,
+    };
+}
+
 /// The simulated core: caches, counters, registered code regions, and a
-/// direct-mapped, address-space-tagged TLB that self-invalidates by
-/// comparing the VM's translation epoch (no kernel flush calls required,
-/// and no flush on a context switch).
+/// direct-mapped, address-space-tagged TLB that keeps itself exact by
+/// following the VM's translation epoch and shootdown queue (no kernel
+/// flush calls required, and no flush on a context switch).
 ///
 /// Three machines share it: the reference interpreter (fast path off),
 /// the TLB stepper, and trace templates the stepper promotes from hot
@@ -176,7 +230,7 @@ pub struct Cpu {
     /// Registered code regions of each address space, indexed by
     /// [`AsId`] (ids are dense and never reused, so this is a table, not a
     /// map); a space without code has an empty slot.
-    code: Vec<Vec<Arc<DecodedRegion>>>,
+    code: Vec<SpaceCode>,
     cur_as: Option<AsId>,
     /// The TLB tag bits of `cur_as` (see [`VPN_BITS`]).
     cur_tag: u64,
@@ -185,19 +239,29 @@ pub struct Cpu {
     /// different sets instead of evicting each other.
     cur_set: usize,
     /// Direct-mapped translation cache, `TLB_KINDS * TLB_SETS` slots.
-    /// An entry serves only its own space (the tag) and only while
-    /// `seen_epoch == vm.epoch()`; the whole cache resets otherwise.
+    /// An entry serves only its own space (the tag), and only after the
+    /// VM's invalidations since its fill were applied (see
+    /// [`Cpu::sync_tlb`]): an epoch bump resets the whole cache, a
+    /// shootdown the entries of one page of one space.
     tlb: Vec<TlbEntry>,
     /// The [`cheri_vm::Vm::epoch`] value the TLB contents were filled
     /// under.
     seen_epoch: u64,
+    /// The [`cheri_vm::Vm::invalidations`] count the TLB has applied.
+    seen_invalidations: u64,
     /// The code region the last fetch hit: straight-line fetch and branch
     /// target resolution stay inside it without touching the region map.
-    /// Belongs to `cur_as`, so a context switch drops it.
+    /// Belongs to `cur_as`, so a context switch parks it (see
+    /// [`SpaceCode::parked`]).
     cur_code: Option<Arc<DecodedRegion>>,
+    /// The fetch window, inside `cur_code`.
+    win: FetchWindow,
     /// Template promotion state of taken-branch targets, direct-mapped
     /// on the target pc ([`HOT_SLOTS`] slots).
     hot: Vec<Option<HotEntry>>,
+    /// Whether `hot` may hold an entry: false from a reset until the next
+    /// fill, so invalidations skip the table while no template tier runs.
+    hot_used: bool,
     /// When false, `run` takes the reference interpreter instead of the
     /// stepper: per-step fetch through the full VM walk and region scan,
     /// direct semantics dispatch — no TLB, no resident region, no
@@ -376,8 +440,11 @@ impl Cpu {
                 TLB_KINDS * TLB_SETS
             ],
             seen_epoch: 0,
+            seen_invalidations: 0,
             cur_code: None,
+            win: FetchWindow::EMPTY,
             hot: (0..HOT_SLOTS).map(|_| None).collect(),
+            hot_used: false,
             fast_path: true,
             templates: true,
             weaken_flush: false,
@@ -424,9 +491,12 @@ impl Cpu {
     /// the VM (a failed guard hands the instruction back to the stepper),
     /// so this is not needed for exactness: guest bytes are the same with
     /// and without it. It is a speed feature: fault plans and scenarios
-    /// set it because a scenario's short slices between syscalls do not
-    /// repay a template compile (without it, server-sched's sweep ran
-    /// 3–6 % slower).
+    /// set it because templates reach little of a scenario. A slice
+    /// executes ~14 instructions and ends in a syscall, and calls and
+    /// returns end traces too: without the hold, templates retire 5.3 % of
+    /// server-sched's instructions (388 compiles of 38 hits each per
+    /// sweep), which does not repay their compiles (EXPERIMENTS.md,
+    /// "Syscall slices at stepper speed").
     pub fn set_exact_mem_events(&mut self, on: bool) {
         self.exact_events = on;
     }
@@ -476,23 +546,103 @@ impl Cpu {
         for e in &mut self.tlb {
             e.tag = TLB_INVALID;
         }
-        self.cur_code = None;
+        self.drop_resident();
         self.reset_hot();
+    }
+
+    /// Drops the resident code region and the fetch window inside it.
+    fn drop_resident(&mut self) {
+        self.cur_code = None;
+        self.win = FetchWindow::EMPTY;
+    }
+
+    /// Brings the TLB up to date with the VM's invalidations. The check is
+    /// one compare; [`Cpu::apply_invalidations`] does the work.
+    #[inline]
+    fn sync_tlb(&mut self, vm: &mut Vm) {
+        if vm.invalidations() != self.seen_invalidations {
+            self.apply_invalidations(vm);
+        }
+    }
+
+    /// An epoch bump resets everything; otherwise each queued shootdown
+    /// drops the entries it names and its space's hot-pc entries (a
+    /// template holds the physical address of its code). Either way the
+    /// fetch window goes.
+    #[inline(never)]
+    fn apply_invalidations(&mut self, vm: &mut Vm) {
+        let epoch = vm.epoch();
+        if epoch == self.seen_epoch {
+            for s in vm.drain_shootdowns() {
+                match s {
+                    Shootdown::Page(id, vpn) => self.shoot_down_page(id, vpn),
+                    Shootdown::Space(id) => self.shoot_down_space(id),
+                }
+            }
+            self.win = FetchWindow::EMPTY;
+        } else {
+            vm.drain_shootdowns();
+            self.reset_tlb();
+            self.seen_epoch = epoch;
+        }
+        self.seen_invalidations = vm.invalidations();
+    }
+
+    /// Drops the entries of page `vpn` of space `id`, one slot per access
+    /// kind, and the space's hot-pc entries.
+    fn shoot_down_page(&mut self, id: AsId, vpn: u64) {
+        let tag = space_tag(id) | vpn;
+        let set = (vpn as usize ^ tlb_set_offset(id)) & (TLB_SETS - 1);
+        for kind in 0..TLB_KINDS {
+            let e = &mut self.tlb[kind * TLB_SETS + set];
+            if e.tag == tag {
+                e.tag = TLB_INVALID;
+            }
+        }
+        self.drop_hot_of(id);
+    }
+
+    /// Drops every entry of space `id` (an untagged space shares tag 0 with
+    /// the others, so all of theirs go too) and its hot-pc entries.
+    fn shoot_down_space(&mut self, id: AsId) {
+        let space = space_tag(id) >> VPN_BITS;
+        for e in &mut self.tlb {
+            if e.tag != TLB_INVALID && e.tag >> VPN_BITS == space {
+                e.tag = TLB_INVALID;
+            }
+        }
+        self.drop_hot_of(id);
+    }
+
+    /// Drops the hot-pc entries (and templates) of space `id`.
+    fn drop_hot_of(&mut self, id: AsId) {
+        if !self.hot_used {
+            return;
+        }
+        for e in &mut self.hot {
+            if e.as_ref().is_some_and(|e| e.space == id) {
+                *e = None;
+            }
+        }
     }
 
     /// Invalidates the hot-pc table (and with it every template).
     fn reset_hot(&mut self) {
+        if !self.hot_used {
+            return;
+        }
         for e in &mut self.hot {
             *e = None;
         }
+        self.hot_used = false;
     }
 
     /// Registers a pre-decoded, immutable code region (done by the loader
     /// / RTLD when mapping an object's text segment). The region is shared
     /// by reference: registration, fork and residency never copy it.
     pub fn register_region(&mut self, id: AsId, region: Arc<DecodedRegion>) {
-        self.regions_mut(id).push(region);
-        self.cur_code = None;
+        self.space_code(id).regions.push(region);
+        self.forget_resident(id);
         self.reset_hot();
     }
 
@@ -505,10 +655,10 @@ impl Cpu {
 
     /// Forgets all code regions of an address space (process teardown).
     pub fn clear_code(&mut self, id: AsId) {
-        if let Some(regions) = self.code.get_mut(code_slot(id)) {
-            *regions = Vec::new();
+        if let Some(code) = self.code.get_mut(code_slot(id)) {
+            code.regions = Vec::new();
         }
-        self.cur_code = None;
+        self.forget_resident(id);
         self.reset_hot();
     }
 
@@ -517,21 +667,31 @@ impl Cpu {
     /// this bumps reference counts instead of cloning instruction vectors.
     pub fn clone_code(&mut self, from: AsId, to: AsId) {
         let shared = match self.code.get(code_slot(from)) {
-            Some(regions) if !regions.is_empty() => regions.clone(),
+            Some(code) if !code.regions.is_empty() => code.regions.clone(),
             _ => return,
         };
-        *self.regions_mut(to) = shared;
-        self.cur_code = None;
+        self.space_code(to).regions = shared;
+        self.forget_resident(to);
         self.reset_hot();
     }
 
-    /// The code-region list of space `id`, growing the table to reach it.
-    fn regions_mut(&mut self, id: AsId) -> &mut Vec<Arc<DecodedRegion>> {
+    /// The code of space `id`, growing the table to reach it.
+    fn space_code(&mut self, id: AsId) -> &mut SpaceCode {
         let slot = code_slot(id);
         if self.code.len() <= slot {
-            self.code.resize_with(slot + 1, Vec::new);
+            self.code.resize_with(slot + 1, SpaceCode::default);
         }
         &mut self.code[slot]
+    }
+
+    /// Forgets the resident region of space `id`, current or parked: its
+    /// region list changed.
+    fn forget_resident(&mut self, id: AsId) {
+        if self.cur_as == Some(id) {
+            self.drop_resident();
+        } else if let Some(code) = self.code.get_mut(code_slot(id)) {
+            code.parked = None;
+        }
     }
 
     /// Charges the cost of work performed by a trusted runtime service on
@@ -543,21 +703,30 @@ impl Cpu {
 
     /// Makes `id` the translation context. TLB and hot-pc entries carry
     /// the space they were filled in, so other spaces' entries stay warm
-    /// across the switch and are never served to `id`; only the resident
-    /// code region, which is per space, is dropped. The translation epoch
-    /// stays global: any mapping change still resets every space.
+    /// across the switch and are never served to `id`. The resident code
+    /// region is per space: the old space's is parked in its code-table
+    /// slot, and `id`'s parked one resumes (moved, not cloned).
     fn set_context(&mut self, id: AsId) {
         if self.cur_as == Some(id) {
             return;
         }
-        let untagged = |a: AsId| a.0 >= TAGGED_SPACES;
         if untagged(id) || self.cur_as.is_some_and(untagged) {
             self.reset_tlb();
         }
+        let resident = self.cur_code.take();
+        if let Some(old) = self.cur_as {
+            if let Some(code) = self.code.get_mut(code_slot(old)) {
+                code.parked = resident;
+            }
+        }
         self.cur_as = Some(id);
-        self.cur_tag = if untagged(id) { 0 } else { id.0 << VPN_BITS };
+        self.cur_tag = space_tag(id);
         self.cur_set = tlb_set_offset(id);
-        self.cur_code = None;
+        self.win = FetchWindow::EMPTY;
+        self.cur_code = self
+            .code
+            .get_mut(code_slot(id))
+            .and_then(|code| code.parked.take());
     }
 
     /// TLB slot index for a (access kind, virtual page number) pair in the
@@ -568,8 +737,8 @@ impl Cpu {
     }
 
     /// The physical address the TLB holds for `vaddr` and `access` in the
-    /// current space, if any. Meaningful only while `seen_epoch` is the
-    /// VM's epoch. At or above USER_TOP the vpn spills into the space bits
+    /// current space, if any. Meaningful only once the VM's invalidations
+    /// are applied (see [`Cpu::sync_tlb`]). At or above USER_TOP the vpn spills into the space bits
     /// and could alias another space's entry: such an address is never
     /// cached, so it never hits.
     #[inline]
@@ -579,6 +748,8 @@ impl Cpu {
         (vaddr < USER_TOP && e.tag == self.cur_tag | vpn).then(|| e.base + vaddr % FRAME_SIZE)
     }
 
+    /// Translates `vaddr` for a guest access by instruction `pc`.
+    #[inline(always)]
     pub(crate) fn translate_cached(
         &mut self,
         vm: &mut Vm,
@@ -587,41 +758,98 @@ impl Cpu {
         access: Access,
         pc: u64,
     ) -> Result<u64, TrapInfo> {
-        // Self-invalidate: any mapping mutation since the TLB was filled
-        // shows up as an epoch mismatch.
-        let epoch = vm.epoch();
-        if epoch != self.seen_epoch {
-            self.reset_tlb();
-            self.seen_epoch = epoch;
+        self.translate_tlb(vm, id, vaddr, access)
+            .map_err(|e| TrapInfo {
+                cause: TrapCause::Vm(e),
+                pc,
+                vaddr: Some(vaddr),
+            })
+    }
+
+    /// Translates `vaddr` in the current space `id` through the TLB: the
+    /// hit path, inlined into every fetch and data access.
+    #[inline(always)]
+    fn translate_tlb(
+        &mut self,
+        vm: &mut Vm,
+        id: AsId,
+        vaddr: u64,
+        access: Access,
+    ) -> Result<u64, VmError> {
+        if vm.invalidations() == self.seen_invalidations {
+            if let Some(pa) = self.tlb_lookup(vaddr, access) {
+                self.tlb_hit(vm, id, vaddr, access, pa);
+                return Ok(pa);
+            }
         }
+        self.translate_miss(vm, id, vaddr, access)
+    }
+
+    /// Counts a TLB hit. Debug builds check it against the VM's own
+    /// side-effect-free lookup.
+    #[inline(always)]
+    fn tlb_hit(&mut self, vm: &Vm, id: AsId, vaddr: u64, access: Access, pa: u64) {
+        self.stats.tlb_hits += 1;
+        debug_assert_eq!(
+            vm.lookup(id, vaddr, access),
+            Some(PAddr(pa)),
+            "a TLB hit disagrees with Vm::lookup at {vaddr:#x} ({access:?})"
+        );
+    }
+
+    /// Behind [`Cpu::translate_tlb`]: applies pending invalidations,
+    /// retries the TLB, and otherwise walks the VM and fills the entry.
+    #[inline(never)]
+    fn translate_miss(
+        &mut self,
+        vm: &mut Vm,
+        id: AsId,
+        vaddr: u64,
+        access: Access,
+    ) -> Result<u64, VmError> {
+        self.sync_tlb(vm);
         if let Some(pa) = self.tlb_lookup(vaddr, access) {
-            self.stats.tlb_hits += 1;
+            self.tlb_hit(vm, id, vaddr, access, pa);
             return Ok(pa);
         }
         self.stats.tlb_misses += 1;
-        let pa = vm.translate(id, vaddr, access).map_err(|e| TrapInfo {
-            cause: TrapCause::Vm(e),
-            pc,
-            vaddr: Some(vaddr),
-        })?;
-        if vaddr >= USER_TOP {
-            return Ok(pa.0);
+        let pa = vm.translate(id, vaddr, access)?.0;
+        if vaddr < USER_TOP {
+            // The walk itself may have queued a shootdown (a COW copy of
+            // this very page): apply it before the fill, or the fill would
+            // be dropped, or worse, survive an invalidation it caused.
+            self.sync_tlb(vm);
+            let vpn = vaddr / FRAME_SIZE;
+            let idx = self.tlb_index(access, vpn);
+            self.tlb[idx] = TlbEntry {
+                tag: self.cur_tag | vpn,
+                base: pa - pa % FRAME_SIZE,
+            };
         }
-        // The translation itself may have bumped the epoch (COW resolution,
-        // swap-in): re-check before caching, or the fill would survive an
-        // invalidation it was itself the cause of.
-        let now = vm.epoch();
-        if now != self.seen_epoch {
-            self.reset_tlb();
-            self.seen_epoch = now;
+        Ok(pa)
+    }
+
+    /// Translates `vaddr` of space `id` for a kernel copy: through the TLB
+    /// when `id` is the current space of the stepper, otherwise (another
+    /// space, or the reference interpreter) by [`Vm::translate`] alone. A
+    /// hit is exactly what [`Vm::translate`] would return without side
+    /// effects, and a miss runs it, so faults, swap-ins and COW copies
+    /// happen in the same order either way.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Vm::translate`] reports.
+    pub fn translate_user(
+        &mut self,
+        vm: &mut Vm,
+        id: AsId,
+        vaddr: u64,
+        access: Access,
+    ) -> Result<PAddr, VmError> {
+        if !self.fast_path || self.cur_as != Some(id) {
+            return vm.translate(id, vaddr, access);
         }
-        let vpn = vaddr / FRAME_SIZE;
-        let idx = self.tlb_index(access, vpn);
-        self.tlb[idx] = TlbEntry {
-            tag: self.cur_tag | vpn,
-            base: pa.0 - pa.0 % FRAME_SIZE,
-        };
-        Ok(pa.0)
+        self.translate_tlb(vm, id, vaddr, access).map(PAddr)
     }
 
     /// Charges one physical memory access to the cache model, at its
@@ -639,12 +867,62 @@ impl Cpu {
     fn find_region(&self, id: AsId, pc: u64) -> Option<Arc<DecodedRegion>> {
         self.code
             .get(code_slot(id))?
+            .regions
             .iter()
             .find(|r| r.contains(pc))
             .map(Arc::clone)
     }
 
+    /// Fetches the instruction at `rf.pc`: from the fetch window when the
+    /// pc lies in it and no invalidation arrived since it was recorded
+    /// (every other change that ends the window drops it), otherwise by
+    /// [`Cpu::fetch_slow`]. A window fetch counts the TLB and
+    /// resident-region hits the slow path would have counted, and charges
+    /// the cache model as it would: a counted front hit on the window's
+    /// line, a real access on another.
+    #[inline(always)]
     fn fetch(
+        &mut self,
+        vm: &mut Vm,
+        id: AsId,
+        rf: &RegFile,
+    ) -> Result<(DecodedInstr, u64), TrapInfo> {
+        let pc = rf.pc;
+        if pc.wrapping_sub(self.win.lo) < self.win.len
+            && vm.invalidations() == self.seen_invalidations
+        {
+            if let Some(r) = &self.cur_code {
+                debug_assert!(
+                    r.contains(pc) && rf.pcc.check_access(pc, 4, Perms::EXECUTE).is_ok(),
+                    "a fetch-window hit at {pc:#x} outside the region or PCC"
+                );
+                let fetched = (r.instr_at(r.index_of(pc)), r.start());
+                let pa = pc.wrapping_add(self.win.delta);
+                self.tlb_hit(vm, id, pc, Access::Exec, pa);
+                if pa.wrapping_sub(self.win.line) < self.win.line_len {
+                    self.caches.count_fetch_front_hit(pa);
+                } else {
+                    self.fetch_line(pa);
+                }
+                self.stats.sb_hits += 1;
+                return Ok(fetched);
+            }
+        }
+        self.fetch_slow(vm, id, rf)
+    }
+
+    /// Charges a fetch of `pa` to the cache model, and makes its L1I line
+    /// the window's.
+    #[inline(never)]
+    fn fetch_line(&mut self, pa: u64) {
+        self.mem_access(pa, AccessKind::Fetch);
+        self.win.line = pa - pa % self.win.line_len;
+    }
+
+    /// The checked fetch: PCC, the TLB, the cache model and the resident
+    /// region (or the region map). A fetch that succeeds records the fetch
+    /// window around it.
+    fn fetch_slow(
         &mut self,
         vm: &mut Vm,
         id: AsId,
@@ -662,22 +940,35 @@ impl Cpu {
         self.mem_access(pa, AccessKind::Fetch);
         // Straight-line execution stays inside one region: serve it from
         // the resident region without touching the region map.
-        if let Some(r) = &self.cur_code {
-            if r.contains(pc) {
-                self.stats.sb_hits += 1;
-                return Ok((r.instr_at(r.index_of(pc)), r.start()));
-            }
+        if self.cur_code.as_ref().is_some_and(|r| r.contains(pc)) {
+            self.stats.sb_hits += 1;
+        } else {
+            self.stats.sb_misses += 1;
+            let region = self.find_region(id, pc).ok_or(TrapInfo {
+                cause: TrapCause::NoCode,
+                pc,
+                vaddr: Some(pc),
+            })?;
+            self.cur_code = Some(region);
         }
-        self.stats.sb_misses += 1;
-        let region = self.find_region(id, pc).ok_or(TrapInfo {
-            cause: TrapCause::NoCode,
-            pc,
-            vaddr: Some(pc),
-        })?;
-        let di = region.instr_at(region.index_of(pc));
-        let rstart = region.start();
-        self.cur_code = Some(region);
-        Ok((di, rstart))
+        let r = self.cur_code.as_ref().expect("resident region");
+        let fetched = (r.instr_at(r.index_of(pc)), r.start());
+        // The window: the pcs of this fetch's page that also lie in the
+        // region, and where a 4-byte fetch is inside PCC's bounds (its
+        // tag, seal and EXECUTE just passed the check).
+        let page_lo = pc - pc % FRAME_SIZE;
+        let lo = page_lo.max(r.start()).max(rf.pcc.base());
+        let pcc_hi = u64::try_from(rf.pcc.top() - 3).unwrap_or(u64::MAX);
+        let hi = (page_lo + FRAME_SIZE).min(r.end()).min(pcc_hi);
+        let line_len = self.caches.l1_config().line;
+        self.win = FetchWindow {
+            lo,
+            len: hi - lo,
+            delta: pa.wrapping_sub(pc),
+            line: pa - pa % line_len,
+            line_len,
+        };
+        Ok(fetched)
     }
 
     // ------------------------------------------------------------------
@@ -699,6 +990,9 @@ impl Cpu {
         if !self.fast_path {
             return self.run_reference(vm, id, rf, max_instrs);
         }
+        // The kernel may have changed PCC since the last run.
+        self.win = FetchWindow::EMPTY;
+        self.sync_tlb(vm);
         let promote = self.templates && !self.exact_events && self.lockstep.is_none();
         let mut executed = 0u64;
         // Run entry counts as a control transfer: a guest resumed at a
@@ -862,6 +1156,8 @@ impl Cpu {
         executed: &mut u64,
     ) -> Option<Left> {
         let pc = rf.pc;
+        // A hot-pc entry of a space with a pending shootdown is stale.
+        self.sync_tlb(vm);
         let epoch = vm.epoch();
         let slot = (pc >> 2) as usize & (HOT_SLOTS - 1);
         // Guard misses, cold counts and rejected targets settle in place:
@@ -880,6 +1176,7 @@ impl Cpu {
                 }
             }
             other => {
+                self.hot_used = true;
                 *other = Some(HotEntry {
                     pc,
                     space: id,
@@ -894,18 +1191,19 @@ impl Cpu {
         // duration (no refcount traffic) and back at the end.
         let mut e = self.hot[slot].take()?;
         if let TmplState::Cold(_) = e.tmpl {
-            if let Some(state) = self.compile_at(epoch, rf) {
+            if let Some(state) = self.compile_at(rf) {
                 e.tmpl = state;
             }
         }
         let left = match &e.tmpl {
             // Below one full pass of budget the template cannot stop at
             // the exact instruction stepping would, so step instead. The
-            // guards' TLB probes need the TLB filled under this epoch;
-            // compilation required that, and nothing since could change
-            // it, but it is checked here once for the whole execution.
-            TmplState::Hot(t) if budget >= u64::from(t.n_trace) && self.seen_epoch == epoch => {
+            // guards' TLB probes need an up-to-date TLB: the sync at the
+            // top made it so, and nothing in a trace invalidates.
+            TmplState::Hot(t) if budget >= u64::from(t.n_trace) => {
                 self.stats.tmpl_hits += 1;
+                // The trace's fetches move the L1I fronts.
+                self.win = FetchWindow::EMPTY;
                 let phys = &mut vm.phys;
                 Some(self.run_template(t, phys, rf, budget, executed))
             }
@@ -915,18 +1213,15 @@ impl Cpu {
         left
     }
 
-    /// Compiles the trace at `rf.pc`, entered under `rf.pcc` and VM
-    /// `epoch`. `None` means "not yet": the pc's translation is not in
+    /// Compiles the trace at `rf.pc`, entered under `rf.pcc`, from the
+    /// up-to-date TLB. `None` means "not yet": the pc's translation is not in
     /// the TLB or its region is not resident (both take no VM call to
     /// check, so promotion never perturbs the VM); the next guard hit
     /// retries.
-    fn compile_at(&mut self, epoch: u64, rf: &RegFile) -> Option<TmplState> {
+    fn compile_at(&mut self, rf: &RegFile) -> Option<TmplState> {
         let pc = rf.pc;
         if rf.pcc.check_access(pc, 4, Perms::EXECUTE).is_err() {
             return Some(TmplState::Rejected);
-        }
-        if self.seen_epoch != epoch {
-            return None;
         }
         let pa = self.tlb_lookup(pc, Access::Exec)?;
         let region = self.cur_code.as_ref().filter(|r| r.contains(pc))?;
@@ -1270,6 +1565,10 @@ impl Cpu {
     fn step(&mut self, vm: &mut Vm, id: AsId, rf: &mut RegFile) -> StepResult {
         let pc = rf.pc;
         let (di, rstart) = self.fetch(vm, id, rf)?;
+        if di.pcc {
+            // A capability jump may narrow PCC under the window.
+            self.win = FetchWindow::EMPTY;
+        }
         self.stats.instret += 1;
         self.stats.cycles += u64::from(di.base_cycles);
         let pre = self.lockstep_pre(rf);
@@ -2052,11 +2351,13 @@ mod tests {
 
     #[test]
     fn epoch_bumps_demote_compiled_templates() {
-        // Every kernel-side mapping mutation — mprotect, swap-out, fork,
-        // COW resolution — bumps the VM translation epoch, which fails
-        // the hot-pc guard, refills the slot and resets its template
-        // state to cold. Each phase below must therefore recompile from
-        // scratch: the compile counter is the demotion witness.
+        // Every kernel-side mapping mutation demotes: mprotect and fork
+        // bump the VM translation epoch, which fails the hot-pc guard,
+        // refills the slot and resets its template state to cold; a
+        // swap-out or COW copy shoots down one page of the space, which
+        // drops the space's hot-pc entries. Each phase below must
+        // therefore recompile from scratch: the compile counter is the
+        // demotion witness.
         let (mut cpu, mut vm, id, mut rf) = machine(store_then_spin(), false);
         assert_eq!(cpu.run(&mut vm, id, &mut rf, 500), Exit::InstrLimit);
         assert_eq!(cpu.stats.tmpl_compiles, 1, "hot loop promoted");
@@ -3308,5 +3609,161 @@ mod tests {
         let (exits, stats, ..) = agree_across_modes(&code, false, 1, |_, _, _, _| {}, |_, _, _| {});
         assert_eq!(exits, vec![Exit::Syscall]);
         assert!(stats.tmpl_instrs * 10 >= stats.instret * 9, "{stats:?}");
+    }
+
+    // ------------------------------------------------------------------
+    // Shootdowns and the fetch window
+    // ------------------------------------------------------------------
+
+    /// Runs `space`'s [`load_at`] probe from its entry registers and
+    /// returns what it loaded.
+    fn run_probe(cpu: &mut Cpu, vm: &mut Vm, space: AsId) -> u64 {
+        let mut rf = entry_regs(vm, space, false);
+        assert_eq!(cpu.run(vm, space, &mut rf, 100), Exit::Syscall);
+        rf.r(ireg::T2)
+    }
+
+    /// A client's page swapped out and back in shoots down only the
+    /// client's entry: the server's stay warm, so its next slice hits
+    /// every translation and refills nothing.
+    #[test]
+    fn a_clients_swap_round_trip_leaves_the_servers_entries_warm() {
+        let mut vm = Vm::new(128);
+        let mut cpu = Cpu::new();
+        let server = add_space(&mut vm, &mut cpu, load_at(0x20000));
+        let client = add_space(&mut vm, &mut cpu, load_at(0x20000));
+        vm.write_u64(server, 0x20000, 1).unwrap();
+        vm.write_u64(client, 0x20000, 2).unwrap();
+        assert_eq!(run_probe(&mut cpu, &mut vm, server), 1);
+        assert_eq!(run_probe(&mut cpu, &mut vm, client), 2);
+        assert!(vm.swap_out(client, 0x20000).unwrap());
+        assert_eq!(run_probe(&mut cpu, &mut vm, client), 2, "swapped back in");
+        assert_eq!(vm.stats.swap_ins, 1);
+        let before = cpu.stats;
+        assert_eq!(run_probe(&mut cpu, &mut vm, server), 1);
+        assert_eq!(cpu.stats.tlb_misses, before.tlb_misses, "nothing refills");
+        assert_eq!(
+            cpu.stats.tlb_hits - before.tlb_hits,
+            4,
+            "three fetches and one load hit"
+        );
+    }
+
+    /// A frame freed by one space's swap-out and reused at once by
+    /// another space is never read through the first space's old entry:
+    /// its next load swaps its own page back in.
+    #[test]
+    fn a_frame_reused_after_a_swap_out_is_never_read_through_a_stale_entry() {
+        let mut vm = Vm::new(128);
+        let mut cpu = Cpu::new();
+        let a = add_space(&mut vm, &mut cpu, load_at(0x20000));
+        let b = add_space(&mut vm, &mut cpu, load_at(0x20000));
+        vm.write_u64(a, 0x20000, 0x1111).unwrap();
+        assert_eq!(run_probe(&mut cpu, &mut vm, a), 0x1111);
+        let frame = vm.lookup(a, 0x20000, Access::Read).unwrap().frame();
+        assert!(vm.swap_out(a, 0x20000).unwrap());
+        vm.write_u64(b, 0x20000, 0x2222).unwrap();
+        assert_eq!(
+            vm.lookup(b, 0x20000, Access::Read).unwrap().frame(),
+            frame,
+            "the freed frame is the next one handed out"
+        );
+        assert_eq!(run_probe(&mut cpu, &mut vm, a), 0x1111);
+        assert_eq!(vm.stats.swap_ins, 1);
+        assert_eq!(run_probe(&mut cpu, &mut vm, b), 0x2222);
+    }
+
+    /// Runs `code` from 0x10000 on the reference interpreter and on the
+    /// stepper (templates off), with `prep` adjusting the entry registers.
+    /// Asserts both leave the same exit, guest counters, cache and VM
+    /// statistics and registers, and returns the stepper's exit and
+    /// counters.
+    fn stepper_agrees_with_reference(
+        code: &[Instr],
+        prep: impl Fn(&mut RegFile),
+    ) -> (Exit, CpuStats) {
+        let outcome = |fast: bool| {
+            let (mut cpu, mut vm, id, mut rf) = machine(code.to_vec(), true);
+            cpu.set_fast_path(fast);
+            cpu.set_templates(false);
+            prep(&mut rf);
+            let exit = cpu.run(&mut vm, id, &mut rf, 1000);
+            (exit, cpu.stats, cpu.caches.stats(), vm.stats, rf)
+        };
+        let (reference, step) = (outcome(false), outcome(true));
+        assert_eq!(step, reference, "stepper vs reference");
+        (step.0, step.1)
+    }
+
+    /// The fetch window ends where PCC's bounds end, mid-line and at a
+    /// top that is not a multiple of 4, and where the code region ends:
+    /// the fetch past either traps exactly as the reference interpreter
+    /// traps.
+    #[test]
+    fn the_fetch_window_stops_at_the_pcc_top_and_the_region_end() {
+        let nops = vec![Instr::Nop; 12];
+        for top in [0x14, 0x16] {
+            let (exit, stats) = stepper_agrees_with_reference(&nops, |rf| {
+                rf.pcc = rf.pcc.set_bounds(top, true).unwrap();
+            });
+            assert_eq!(
+                exit,
+                Exit::Trap(TrapInfo {
+                    cause: TrapCause::Cap(CapFault::LengthViolation),
+                    pc: 0x10014,
+                    vaddr: Some(0x10014),
+                })
+            );
+            assert_eq!(stats.sb_misses, 1, "one slow fetch, then the window");
+            assert_eq!(stats.sb_hits, 4);
+        }
+        let (exit, _) = stepper_agrees_with_reference(&nops[..3], |_| {});
+        assert_eq!(
+            exit,
+            Exit::Trap(TrapInfo {
+                cause: TrapCause::NoCode,
+                pc: 0x1000c,
+                vaddr: Some(0x1000c),
+            })
+        );
+    }
+
+    /// A `cjalr` to a PCC narrowed to two instructions of the same L1I
+    /// line: the fetch past them traps as the reference interpreter's
+    /// does, which a fetch window kept across the jump would hide.
+    #[test]
+    fn a_cjalr_to_a_narrower_pcc_in_the_same_line_traps_like_the_reference() {
+        let c1 = creg::ptr(1);
+        let code = vec![
+            li(ireg::T0, 0x10014),
+            Instr::CGetPcc { cd: c1 },
+            Instr::CSetAddr {
+                cd: c1,
+                cb: c1,
+                rs: ireg::T0,
+            },
+            Instr::CSetBoundsImm {
+                cd: c1,
+                cb: c1,
+                imm: 8,
+            },
+            Instr::CJalr {
+                cd: creg::ptr(2),
+                cb: c1,
+            },
+            Instr::Nop,
+            Instr::Nop,
+            Instr::Nop,
+            Instr::Syscall,
+        ];
+        let (exit, _) = stepper_agrees_with_reference(&code, |_| {});
+        assert_eq!(
+            exit,
+            Exit::Trap(TrapInfo {
+                cause: TrapCause::Cap(CapFault::LengthViolation),
+                pc: 0x1001c,
+                vaddr: Some(0x1001c),
+            })
+        );
     }
 }

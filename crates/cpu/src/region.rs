@@ -21,6 +21,9 @@ pub(crate) struct DecodedInstr {
     pub op: u8,
     /// Pre-resolved [`Instr::base_cycles`] (fits in a byte for every op).
     pub base_cycles: u8,
+    /// Whether the instruction may replace PCC (its effects clause
+    /// declares `pcc`): the stepper drops its fetch window before it.
+    pub pcc: bool,
 }
 
 /// An immutable, decode-once code region.
@@ -42,6 +45,7 @@ impl DecodedRegion {
                 instr,
                 op: ops::dispatch_index(&instr),
                 base_cycles: u8::try_from(instr.base_cycles()).expect("base cycles fit in u8"),
+                pcc: cheri_sem::ops::reg_effects(&instr).pcc,
             })
             .collect();
         Arc::new(DecodedRegion {

@@ -1,9 +1,9 @@
 //! The kernel proper: state, copyin/copyout, scheduler and trap handling.
 //!
 //! Processes live in a dense table indexed by pid (pids start at 1 and are
-//! never reused), so every per-syscall process lookup is an index. Pipes,
-//! shared-memory keys and signal handlers, keyed by integers the kernel
-//! hands out, sit in [`cheri_mem::IntMap`]s; syscall counts are one
+//! never reused), so every per-syscall process lookup is an index; so is
+//! every pipe lookup. Shared-memory keys and signal handlers sit in
+//! [`cheri_mem::IntMap`]s; syscall counts are one
 //! counter per syscall number. See DESIGN.md, "Dense tables and the one
 //! hasher".
 
@@ -14,8 +14,8 @@ use crate::signal::SIGPROT;
 use cheri_alloc::AllocEvidence;
 use cheri_cap::{CapFormat, Capability, Perms, PrincipalAllocator};
 use cheri_cpu::{Cpu, Exit, TrapCause, TrapInfo};
-use cheri_mem::IntMap;
-use cheri_vm::{Vm, VmError};
+use cheri_mem::{IntMap, PAddr, FRAME_SIZE};
+use cheri_vm::{Access, AsId, Vm, VmError};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -158,6 +158,38 @@ impl Pipe {
     }
 }
 
+/// Every pipe ever created, indexed by `id − 1`. Ids come from the
+/// table's length, so they start at 1 and are never reused: a pipe whose
+/// ends are all closed leaves `None` behind, and a stale id finds nothing.
+#[derive(Default)]
+pub(crate) struct PipeTable(Vec<Option<Pipe>>);
+
+impl PipeTable {
+    fn slot(id: u64) -> Option<usize> {
+        usize::try_from(id.checked_sub(1)?).ok()
+    }
+
+    /// Adds `pipe` and returns its id.
+    pub(crate) fn push(&mut self, pipe: Pipe) -> u64 {
+        self.0.push(Some(pipe));
+        self.0.len() as u64
+    }
+
+    pub(crate) fn get(&self, id: u64) -> Option<&Pipe> {
+        self.0.get(Self::slot(id)?)?.as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut Pipe> {
+        self.0.get_mut(Self::slot(id)?)?.as_mut()
+    }
+
+    pub(crate) fn remove(&mut self, id: u64) {
+        if let Some(slot) = Self::slot(id).and_then(|i| self.0.get_mut(i)) {
+            *slot = None;
+        }
+    }
+}
+
 /// Result of running the scheduler to completion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -254,8 +286,7 @@ pub struct Kernel {
     pub(crate) procs: ProcTable,
     pub(crate) runq: VecDeque<Pid>,
     pub(crate) principals: PrincipalAllocator,
-    pub(crate) pipes: IntMap<u64, Pipe>,
-    pub(crate) next_pipe: u64,
+    pub(crate) pipes: PipeTable,
     /// In-memory filesystem (path -> bytes).
     pub memfs: BTreeMap<String, Vec<u8>>,
     pub(crate) shm: IntMap<u64, u64>,
@@ -296,8 +327,7 @@ impl Kernel {
             procs: ProcTable::default(),
             runq: VecDeque::new(),
             principals: PrincipalAllocator::new(),
-            pipes: IntMap::default(),
-            next_pipe: 1,
+            pipes: PipeTable::default(),
             memfs: BTreeMap::new(),
             shm: IntMap::default(),
             syscall_faults: SyscallFaults::default(),
@@ -409,23 +439,92 @@ impl Kernel {
         }
     }
 
-    /// Copies `len` bytes in from user memory through `uref`.
+    /// Checks the authority for a `len`-byte copy through `uref` that
+    /// needs `need`, and returns the space and address to copy at.
+    ///
+    /// # Errors
+    ///
+    /// `EFAULT` if the capability does not authorise the access.
+    pub(crate) fn user_range(
+        &mut self,
+        pid: Pid,
+        uref: UserRef,
+        len: u64,
+        need: Perms,
+    ) -> Result<(AsId, u64), Errno> {
+        let cap = self.access_cap(pid, uref);
+        cap.check_access(cap.addr(), len, need)
+            .map_err(|_| Errno::EFAULT)?;
+        Ok((self.process(pid).space, cap.addr()))
+    }
+
+    /// Translates every page of `[addr, addr + len)` in `space` for
+    /// reading, in ascending order, as a copy reading the range would, so
+    /// the same faults and swap-ins happen. After it, every page of the
+    /// range is resident and [`Kernel::read_user`] has no side effects.
+    ///
+    /// # Errors
+    ///
+    /// `EFAULT` at the first page that cannot be translated.
+    pub(crate) fn fault_in_range(&mut self, space: AsId, addr: u64, len: u64) -> Result<(), Errno> {
+        let end = addr.checked_add(len).ok_or(Errno::EFAULT)?;
+        let mut va = addr;
+        while va < end {
+            self.cpu
+                .translate_user(&mut self.vm, space, va, Access::Read)
+                .map_err(|_| Errno::EFAULT)?;
+            va = va - va % FRAME_SIZE + FRAME_SIZE;
+        }
+        Ok(())
+    }
+
+    /// Hands the bytes of `[addr, addr + len)` in `space` to `sink`, one
+    /// page-bounded chunk at a time, straight from the frames. Every page
+    /// must be resident ([`Kernel::fault_in_range`] since the last guest
+    /// instruction).
+    pub(crate) fn read_user(
+        cpu: &mut Cpu,
+        vm: &mut Vm,
+        space: AsId,
+        addr: u64,
+        len: u64,
+        mut sink: impl FnMut(&[u8]),
+    ) {
+        let mut done = 0;
+        while done < len {
+            let va = addr + done;
+            let n = (FRAME_SIZE - va % FRAME_SIZE).min(len - done);
+            let pa = cpu
+                .translate_user(vm, space, va, Access::Read)
+                .expect("a page fault_in_range translated");
+            sink(vm.phys.bytes(pa, n as usize).expect("translated frame"));
+            done += n;
+        }
+    }
+
+    /// Charges a `len`-byte kernel copy.
+    pub(crate) fn charge_copy(&mut self, len: u64) {
+        self.cpu
+            .charge(len / 8 + 4, len / 8 * costs::COPY_PER_8B + 20);
+    }
+
+    /// Copies `len` bytes in from user memory through `uref`. Every page
+    /// is translated before the buffer is sized: a length the guest's
+    /// memory does not back ends in `EFAULT`, never in a host allocation
+    /// of that size.
     ///
     /// # Errors
     ///
     /// `EFAULT` if the capability does not authorise the read or the pages
     /// are absent/misprotected.
     pub fn copyin(&mut self, pid: Pid, uref: UserRef, len: u64) -> Result<Vec<u8>, Errno> {
-        let cap = self.access_cap(pid, uref);
-        cap.check_access(cap.addr(), len, Perms::LOAD)
-            .map_err(|_| Errno::EFAULT)?;
-        let space = self.process(pid).space;
-        let mut buf = vec![0u8; len as usize];
-        self.vm
-            .read_bytes(space, cap.addr(), &mut buf)
-            .map_err(|_| Errno::EFAULT)?;
-        self.cpu
-            .charge(len / 8 + 4, len / 8 * costs::COPY_PER_8B + 20);
+        let (space, addr) = self.user_range(pid, uref, len, Perms::LOAD)?;
+        self.fault_in_range(space, addr, len)?;
+        let mut buf = Vec::with_capacity(len as usize);
+        Self::read_user(&mut self.cpu, &mut self.vm, space, addr, len, |b| {
+            buf.extend_from_slice(b);
+        });
+        self.charge_copy(len);
         Ok(buf)
     }
 
@@ -436,17 +535,44 @@ impl Kernel {
     ///
     /// `EFAULT` on authorisation or paging failure.
     pub fn copyout(&mut self, pid: Pid, uref: UserRef, data: &[u8]) -> Result<(), Errno> {
-        let cap = self.access_cap(pid, uref);
-        cap.check_access(cap.addr(), data.len() as u64, Perms::STORE)
-            .map_err(|_| Errno::EFAULT)?;
-        let space = self.process(pid).space;
-        self.vm
-            .write_bytes(space, cap.addr(), data)
-            .map_err(|_| Errno::EFAULT)?;
-        self.cpu.charge(
-            data.len() as u64 / 8 + 4,
-            data.len() as u64 / 8 * costs::COPY_PER_8B + 20,
-        );
+        self.copyout_with(pid, uref, data.len() as u64, |dst, at| {
+            dst.copy_from_slice(&data[at..at + dst.len()]);
+        })
+    }
+
+    /// [`Kernel::copyout`] of `len` bytes that `fill(chunk, offset)` writes
+    /// in place, one page-bounded chunk at a time: each page is translated
+    /// for writing, then written, in ascending order, so a fault part-way
+    /// leaves the pages before it written.
+    ///
+    /// # Errors
+    ///
+    /// `EFAULT` on authorisation or paging failure.
+    pub(crate) fn copyout_with(
+        &mut self,
+        pid: Pid,
+        uref: UserRef,
+        len: u64,
+        mut fill: impl FnMut(&mut [u8], usize),
+    ) -> Result<(), Errno> {
+        let (space, addr) = self.user_range(pid, uref, len, Perms::STORE)?;
+        let mut done = 0;
+        while done < len {
+            let va = addr + done;
+            let n = (FRAME_SIZE - va % FRAME_SIZE).min(len - done);
+            let pa = self
+                .cpu
+                .translate_user(&mut self.vm, space, va, Access::Write)
+                .map_err(|_| Errno::EFAULT)?;
+            // `PhysMem::write_bytes_with` clears tags and counts one
+            // mutation per page, as a byte copy does.
+            self.vm
+                .phys
+                .write_bytes_with(pa, n as usize, |dst| fill(dst, done as usize))
+                .expect("translated frame");
+            done += n;
+        }
+        self.charge_copy(len);
         Ok(())
     }
 
@@ -459,18 +585,26 @@ impl Kernel {
         let cap = self.access_cap(pid, uref);
         let space = self.process(pid).space;
         let mut out = Vec::new();
+        let mut pa = PAddr(0);
         for i in 0..max {
-            cap.check_access(cap.addr() + i, 1, Perms::LOAD)
+            let va = cap.addr().checked_add(i).ok_or(Errno::EFAULT)?;
+            cap.check_access(va, 1, Perms::LOAD)
                 .map_err(|_| Errno::EFAULT)?;
-            let mut b = [0u8; 1];
-            self.vm
-                .read_bytes(space, cap.addr() + i, &mut b)
-                .map_err(|_| Errno::EFAULT)?;
-            if b[0] == 0 {
+            // One translation per page: the byte reads after it are
+            // side-effect-free lookups of a resident page.
+            pa = if i == 0 || va % FRAME_SIZE == 0 {
+                self.cpu
+                    .translate_user(&mut self.vm, space, va, Access::Read)
+                    .map_err(|_| Errno::EFAULT)?
+            } else {
+                PAddr(pa.0 + 1)
+            };
+            let b = self.vm.phys.read_u8(pa).expect("translated frame");
+            if b == 0 {
                 self.cpu.charge(i + 4, i + 20);
                 return Ok(String::from_utf8_lossy(&out).into_owned());
             }
-            out.push(b[0]);
+            out.push(b);
         }
         Err(Errno::EINVAL)
     }
@@ -505,7 +639,7 @@ impl Kernel {
 
     pub(crate) fn pipe_readable(&self, id: u64) -> bool {
         self.pipes
-            .get(&id)
+            .get(id)
             .map(|p| !p.buf.is_empty() || p.writers == 0)
             .unwrap_or(true)
     }
@@ -514,7 +648,7 @@ impl Kernel {
         // Reader loss also "readies" a blocked writer: the retried write
         // then observes EINVAL instead of sleeping forever.
         self.pipes
-            .get(&id)
+            .get(id)
             .map(|p| p.space() > 0 || p.readers == 0)
             .unwrap_or(true)
     }
@@ -602,7 +736,7 @@ impl Kernel {
         match reason {
             WaitReason::PipeReadable(id) | WaitReason::PipeWritable(id) => {
                 // An unsatisfied pipe wait implies the pipe still exists.
-                if let Some(p) = self.pipes.get_mut(&id) {
+                if let Some(p) = self.pipes.get_mut(id) {
                     if !p.sleepers.contains(&pid) {
                         p.sleepers.push(pid);
                     }
@@ -813,8 +947,8 @@ impl Kernel {
             }
         }
         self.cpu.clear_code(space);
-        // destroy_space bumps the translation epoch; the Cpu's TLB
-        // self-invalidates on the next access.
+        // destroy_space queues a shootdown of the whole space; the Cpu's
+        // TLB drops the space's entries before its next use.
         self.vm.destroy_space(space);
     }
 
@@ -824,7 +958,7 @@ impl Kernel {
             FileDesc::PipeWrite(id) => (id, false),
             FileDesc::Console | FileDesc::File { .. } => return,
         };
-        let Some(p) = self.pipes.get_mut(&id) else {
+        let Some(p) = self.pipes.get_mut(id) else {
             return;
         };
         if reader {
@@ -836,7 +970,7 @@ impl Kernel {
         // writers); this also covers removal of the pipe itself.
         self.wake_check.append(&mut p.sleepers);
         if p.readers == 0 && p.writers == 0 {
-            self.pipes.remove(&id);
+            self.pipes.remove(id);
         }
     }
 

@@ -7,6 +7,7 @@ use crate::process::{ExitStatus, FileDesc, KqEntry, Pid, ProcState, Process, Wai
 use cheri_cap::{CapSource, Capability, Perms};
 use cheri_isa::{creg, ireg};
 use cheri_vm::{Backing, Prot};
+use std::collections::VecDeque;
 
 /// Non-value outcomes of a syscall.
 pub(crate) enum SysFlow {
@@ -28,6 +29,20 @@ type SysRet = Result<u64, SysFlow>;
 
 fn err(e: Errno) -> SysFlow {
     SysFlow::Err(e)
+}
+
+/// Copies the ring's bytes `at..at + dst.len()` into `dst`.
+fn copy_from_ring(ring: &VecDeque<u8>, at: usize, dst: &mut [u8]) {
+    let (front, back) = ring.as_slices();
+    let n = dst.len();
+    if at < front.len() {
+        let k = (front.len() - at).min(n);
+        dst[..k].copy_from_slice(&front[at..at + k]);
+        dst[k..].copy_from_slice(&back[..n - k]);
+    } else {
+        let at = at - front.len();
+        dst.copy_from_slice(&back[at..at + n]);
+    }
 }
 
 fn uref_add(uref: UserRef, off: u64) -> UserRef {
@@ -169,32 +184,43 @@ impl Kernel {
     // Files, pipes, console
     // ------------------------------------------------------------------
 
+    /// Writes go from the guest's frames straight to their destination:
+    /// every page of the buffer is translated and the copy charged first,
+    /// as `copyin` would, and then only the bytes the destination takes
+    /// are moved, without a host buffer.
     fn sys_write(&mut self, pid: Pid) -> SysRet {
         let fd = self.user_val(pid, 0);
         let buf = self.user_ref(pid, 1);
         let len = self.user_val(pid, 2);
-        let data = self.copyin(pid, buf, len).map_err(err)?;
+        let (space, addr) = self.user_range(pid, buf, len, Perms::LOAD).map_err(err)?;
+        self.fault_in_range(space, addr, len).map_err(err)?;
+        self.charge_copy(len);
         match self.process(pid).fd(fd).cloned() {
             Some(FileDesc::Console) => {
-                self.process_mut(pid).console.extend_from_slice(&data);
+                let console = &mut self.procs.get_mut(pid).expect("live pid").console;
+                Self::read_user(&mut self.cpu, &mut self.vm, space, addr, len, |b| {
+                    console.extend_from_slice(b);
+                });
                 Ok(len)
             }
             Some(FileDesc::PipeWrite(id)) => {
-                let p = self.pipes.get_mut(&id).ok_or(err(Errno::EBADF))?;
+                let p = self.pipes.get_mut(id).ok_or(err(Errno::EBADF))?;
                 if p.readers == 0 {
                     return Err(err(Errno::EINVAL)); // EPIPE-ish
                 }
                 // Bounded buffer: a full pipe blocks the writer until a
                 // reader drains space; a partially full one takes what
                 // fits and reports the short count (POSIX semantics).
-                let space = p.space();
-                if space == 0 {
+                let space_left = p.space() as u64;
+                if space_left == 0 {
                     return Err(SysFlow::Block(WaitReason::PipeWritable(id)));
                 }
-                let n = space.min(data.len());
-                p.buf.extend(data[..n].iter());
+                let n = space_left.min(len);
+                Self::read_user(&mut self.cpu, &mut self.vm, space, addr, n, |b| {
+                    p.buf.extend(b);
+                });
                 self.wake_check.append(&mut p.sleepers);
-                Ok(n as u64)
+                Ok(n)
             }
             Some(FileDesc::File {
                 path,
@@ -205,11 +231,15 @@ impl Kernel {
                     return Err(err(Errno::EPERM));
                 }
                 let file = self.memfs.entry(path.clone()).or_default();
-                let end = pos as usize + data.len();
+                let mut at = pos as usize;
+                let end = at + len as usize;
                 if file.len() < end {
                     file.resize(end, 0);
                 }
-                file[pos as usize..end].copy_from_slice(&data);
+                Self::read_user(&mut self.cpu, &mut self.vm, space, addr, len, |b| {
+                    file[at..at + b.len()].copy_from_slice(b);
+                    at += b.len();
+                });
                 if let Some(Some(FileDesc::File { pos: p, .. })) =
                     self.process_mut(pid).fds.get_mut(fd as usize)
                 {
@@ -228,7 +258,7 @@ impl Kernel {
         match self.process(pid).fd(fd).cloned() {
             Some(FileDesc::Console) => Ok(0),
             Some(FileDesc::PipeRead(id)) => {
-                let p = self.pipes.get(&id).ok_or(err(Errno::EBADF))?;
+                let p = self.pipes.get_mut(id).ok_or(err(Errno::EBADF))?;
                 if p.buf.is_empty() {
                     if p.writers == 0 {
                         return Ok(0); // EOF
@@ -236,10 +266,16 @@ impl Kernel {
                     return Err(SysFlow::Block(WaitReason::PipeReadable(id)));
                 }
                 let n = (p.buf.len() as u64).min(len);
-                let p = self.pipes.get_mut(&id).ok_or(err(Errno::EBADF))?;
-                let data: Vec<u8> = p.buf.drain(..n as usize).collect();
                 self.wake_check.append(&mut p.sleepers);
-                self.copyout(pid, buf, &data).map_err(err)?;
+                // The bytes go from the ring straight to the guest's
+                // frames. They leave the pipe even if the copy faults.
+                let mut ring = std::mem::take(&mut p.buf);
+                let copied = self.copyout_with(pid, buf, n, |dst, at| {
+                    copy_from_ring(&ring, at, dst);
+                });
+                ring.drain(..n as usize);
+                self.pipes.get_mut(id).expect("pipe still open").buf = ring;
+                copied.map_err(err)?;
                 Ok(n)
             }
             Some(FileDesc::File { path, pos, .. }) => {
@@ -295,18 +331,13 @@ impl Kernel {
 
     fn sys_pipe(&mut self, pid: Pid) -> SysRet {
         let out = self.user_ref(pid, 0);
-        let id = self.next_pipe;
-        self.next_pipe += 1;
-        self.pipes.insert(
-            id,
-            Pipe {
-                buf: Default::default(),
-                capacity: self.config.pipe_capacity,
-                readers: 1,
-                writers: 1,
-                sleepers: Vec::new(),
-            },
-        );
+        let id = self.pipes.push(Pipe {
+            buf: Default::default(),
+            capacity: self.config.pipe_capacity,
+            readers: 1,
+            writers: 1,
+            sleepers: Vec::new(),
+        });
         let rfd = self.process_mut(pid).install_fd(FileDesc::PipeRead(id));
         let wfd = self.process_mut(pid).install_fd(FileDesc::PipeWrite(id));
         let mut bytes = [0u8; 8];
@@ -364,12 +395,12 @@ impl Kernel {
         for fdesc in child.fds.iter().flatten() {
             match fdesc {
                 FileDesc::PipeRead(id) => {
-                    if let Some(p) = self.pipes.get_mut(id) {
+                    if let Some(p) = self.pipes.get_mut(*id) {
                         p.readers += 1;
                     }
                 }
                 FileDesc::PipeWrite(id) => {
-                    if let Some(p) = self.pipes.get_mut(id) {
+                    if let Some(p) = self.pipes.get_mut(*id) {
                         p.writers += 1;
                     }
                 }

@@ -4,7 +4,7 @@
 use cheri_isa::codegen::{CodegenOpts, FnBuilder, Ptr, Val};
 use cheri_isa::Width;
 use cheri_kernel::{
-    AbiMode, ExitStatus, Kernel, KernelConfig, Pid, ProcState, RunOutcome, SpawnOpts, Sys,
+    AbiMode, Errno, ExitStatus, Kernel, KernelConfig, Pid, ProcState, RunOutcome, SpawnOpts, Sys,
 };
 use cheri_rtld::{Program, ProgramBuilder};
 
@@ -416,4 +416,124 @@ fn process_table_lookups_by_pid() {
         .spawn(&prog, &SpawnOpts::new(AbiMode::CheriAbi))
         .expect("loads");
     assert_eq!(next, Pid(2), "pids are never reused");
+}
+
+/// A guest length larger than any memory that backs it: 16 TiB from a
+/// 16-byte stack buffer. The legacy authority (the space root) admits it,
+/// CheriABI's bounded buffer does not.
+const HUGE_LEN: i64 = 1 << 44;
+
+/// `write(1, stack_buf, 1 << 44)` fails with `EFAULT` under both ABIs:
+/// the kernel translates every page of the buffer before it sizes
+/// anything, so the first unmapped page ends the call. The host never
+/// allocates a buffer of the guest's length.
+#[test]
+fn write_of_a_huge_length_is_efault_not_a_host_abort() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let (status, console) = run(abi, |f| {
+            f.enter(96);
+            f.addr_of_stack(Ptr(0), 16, 16);
+            f.li(Val(0), 0x41);
+            f.store(Val(0), Ptr(0), 0, Width::B);
+            f.li(Val(0), 1);
+            f.set_arg_val(0, Val(0));
+            f.set_arg_ptr(1, Ptr(0));
+            f.li(Val(1), HUGE_LEN);
+            f.set_arg_val(2, Val(1));
+            f.syscall(Sys::Write as i64);
+            f.ret_val_to(Val(2));
+            f.set_arg_val(0, Val(2));
+            f.syscall(Sys::Exit as i64);
+        });
+        assert_eq!(
+            status,
+            ExitStatus::Code(Errno::EFAULT.as_ret() as i64),
+            "{abi}"
+        );
+        assert!(console.is_empty(), "{abi}: nothing was written");
+    }
+}
+
+/// `read(pipe, stack_buf, 1 << 44)` returns the one byte the pipe holds:
+/// the copy is sized by what the pipe gives, not by the guest's length.
+#[test]
+fn read_into_a_huge_length_copies_what_the_pipe_holds() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        let (status, _) = run(abi, |f| {
+            f.enter(128);
+            f.addr_of_stack(Ptr(0), 16, 8);
+            f.set_arg_ptr(0, Ptr(0));
+            f.syscall(Sys::Pipe as i64);
+            f.load(Val(6), Ptr(0), 0, Width::W, false);
+            f.load(Val(7), Ptr(0), 4, Width::W, false);
+            f.addr_of_stack(Ptr(1), 32, 16);
+            f.li(Val(0), 0x5a);
+            f.store(Val(0), Ptr(1), 0, Width::B);
+            f.set_arg_val(0, Val(7));
+            f.set_arg_ptr(1, Ptr(1));
+            f.li(Val(1), 1);
+            f.set_arg_val(2, Val(1));
+            f.syscall(Sys::Write as i64);
+            f.addr_of_stack(Ptr(2), 64, 16);
+            f.set_arg_val(0, Val(6));
+            f.set_arg_ptr(1, Ptr(2));
+            f.li(Val(1), HUGE_LEN);
+            f.set_arg_val(2, Val(1));
+            f.syscall(Sys::Read as i64);
+            f.ret_val_to(Val(2));
+            f.load(Val(3), Ptr(2), 0, Width::B, false);
+            f.add(Val(2), Val(2), Val(3));
+            f.set_arg_val(0, Val(2));
+            f.syscall(Sys::Exit as i64);
+        });
+        assert_eq!(status, ExitStatus::Code(1 + 0x5a), "{abi}");
+    }
+}
+
+/// `open` of a path with no NUL: a page of mmap'd memory filled with
+/// 'a'. From the page's start, `copyinstr` reads its 4096-byte maximum and
+/// answers `EINVAL`; from 8 bytes in, it runs off the mapping (mips64) or
+/// the capability (CheriABI) first and answers `EFAULT`.
+#[test]
+fn an_unterminated_path_is_einval_or_efault() {
+    for abi in [AbiMode::Mips64, AbiMode::CheriAbi] {
+        for (skip, errno) in [(0, Errno::EINVAL), (8, Errno::EFAULT)] {
+            let (status, _) = run(abi, |f| {
+                if f.opts.abi == cheri_isa::codegen::Abi::Mips64 {
+                    f.li(Val(0), 0);
+                    f.set_arg_val(0, Val(0));
+                }
+                f.li(Val(1), 4096);
+                f.set_arg_val(1, Val(1));
+                f.li(Val(2), 3); // rw
+                f.set_arg_val(2, Val(2));
+                f.li(Val(3), 0);
+                f.set_arg_val(3, Val(3));
+                f.syscall(Sys::Mmap as i64);
+                f.ret_ptr_to(Ptr(0));
+                // Fill the page with 'a', from its last byte down.
+                f.li(Val(4), 4096);
+                f.li(Val(5), 0x61);
+                let fill = f.label();
+                f.bind(fill);
+                f.add_imm(Val(4), Val(4), -1);
+                f.ptr_add(Ptr(1), Ptr(0), Val(4));
+                f.store(Val(5), Ptr(1), 0, Width::B);
+                f.bnez(Val(4), fill);
+                f.ptr_add_imm(Ptr(2), Ptr(0), skip);
+                f.set_arg_ptr(0, Ptr(2));
+                f.li(Val(1), 0);
+                f.set_arg_val(1, Val(1));
+                f.syscall(Sys::Open as i64);
+                f.ret_val_to(Val(2));
+                f.set_arg_val(0, Val(2));
+                f.syscall(Sys::Exit as i64);
+            });
+            assert_eq!(
+                status,
+                ExitStatus::Code(errno.as_ret() as i64),
+                "{abi}, {skip} bytes in"
+            );
+        }
+    }
 }

@@ -127,19 +127,22 @@ impl Cache {
     }
 
     /// [`Cache::access`] past the MRU front: finds `tag` deeper in set
-    /// `set_idx` and moves it to the front, or installs it there.
+    /// `set_idx` and moves it to the front, or installs it there. One pass
+    /// shifts each more recent way back by one until it reaches `tag`'s
+    /// way, which the shift overwrites; on a miss the least recent way (or
+    /// an unused one) falls off the end.
     fn access_lru(&mut self, set_idx: usize, tag: u32) -> bool {
         let ways = self.cfg.ways;
         let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            set[..=pos].rotate_right(1);
-            true
-        } else {
-            // The least recent way (or an unused one) makes room.
-            set.rotate_right(1);
-            set[0] = tag;
-            false
+        let mut carry = tag;
+        for way in set {
+            let was = std::mem::replace(way, carry);
+            if was == tag {
+                return true;
+            }
+            carry = was;
         }
+        false
     }
 
     fn flush(&mut self) {
@@ -278,6 +281,19 @@ impl CacheHierarchy {
         self.l1i.lookup(paddr).2
     }
 
+    /// Counts a fetch of `paddr` that is known to hit the L1I's most
+    /// recent line of its set: all [`CacheHierarchy::access`] would change
+    /// for it is this counter. The stepper's fetch window serves such
+    /// fetches.
+    #[inline]
+    pub fn count_fetch_front_hit(&mut self, paddr: u64) {
+        debug_assert!(
+            self.l1i_front_hit(paddr),
+            "a counted front hit at {paddr:#x} is not the L1I's most recent line"
+        );
+        self.stats.l1i_hits += 1;
+    }
+
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> MemStats {
@@ -374,6 +390,41 @@ mod tests {
         assert_eq!(h.stats(), before, "probing changes no counter");
         assert_eq!(h.access(0x0, AccessKind::Fetch), 0, "an LRU hit");
         assert!(h.l1i_front_hit(0x0) && !h.l1i_front_hit(0x80));
+    }
+
+    /// The `rotate_right` LRU update that `Cache::access_lru` replaced.
+    fn rotate_model(set: &mut [u32], tag: u32) -> bool {
+        if let Some(pos) = set.iter().position(|&t| t == tag) {
+            set[..=pos].rotate_right(1);
+            true
+        } else {
+            set.rotate_right(1);
+            set[0] = tag;
+            false
+        }
+    }
+
+    proptest::proptest! {
+        /// The in-place shift of `access_lru` against the rotate model it
+        /// replaced, over random access streams and geometries with one
+        /// way, a power of two and not.
+        #[test]
+        fn in_place_lru_matches_rotate_model(
+            ways in 1usize..=9,
+            sets in 1usize..=5,
+            stream in proptest::collection::vec(0u64..48, 0..400),
+        ) {
+            let cfg = CacheConfig { size: 64 * (ways * sets) as u64, line: 64, ways };
+            let mut cache = Cache::new(cfg);
+            let mut reference = cache.lines.clone();
+            for &line in &stream {
+                let (tag, set_idx, front) = cache.lookup(line * cfg.line);
+                let model = rotate_model(&mut reference[set_idx * ways..(set_idx + 1) * ways], tag);
+                let hit = front || cache.access_lru(set_idx, tag);
+                proptest::prop_assert_eq!(hit, model);
+                proptest::prop_assert_eq!(&cache.lines, &reference);
+            }
+        }
     }
 
     #[test]

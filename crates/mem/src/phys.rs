@@ -98,9 +98,10 @@ impl Slab {
 }
 
 impl Frame {
-    fn new() -> Frame {
+    /// An untagged frame holding `data`.
+    fn new(data: Box<[u8]>) -> Frame {
         Frame {
-            data: vec![0u8; FRAME_SIZE as usize].into_boxed_slice(),
+            data,
             tags: [0; GRANULES_PER_FRAME / 64],
             slab: None,
         }
@@ -378,19 +379,41 @@ impl PhysMem {
     /// frame is reused first, then fresh ids in ascending order: physical
     /// addresses index the cache model, so this order is guest-visible.
     pub fn alloc_frame(&mut self) -> Option<FrameId> {
+        (self.free_frames() > 0).then(|| self.install(vec![0u8; FRAME_SIZE as usize].into()))
+    }
+
+    /// [`PhysMem::alloc_frame`] of a frame holding `data`, untagged, in
+    /// place of zeros: a swap-in hands the swapped bytes back without a
+    /// copy.
+    ///
+    /// # Errors
+    ///
+    /// Gives `data` back if physical memory is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not exactly one frame long.
+    pub fn alloc_frame_from(&mut self, data: Box<[u8]>) -> Result<FrameId, Box<[u8]>> {
+        assert_eq!(data.len() as u64, FRAME_SIZE);
+        if self.free_frames() == 0 {
+            return Err(data);
+        }
+        Ok(self.install(data))
+    }
+
+    /// Takes the next frame id (see [`PhysMem::alloc_frame`]) for an
+    /// untagged frame holding `data`. Memory must not be exhausted.
+    fn install(&mut self, data: Box<[u8]>) -> FrameId {
         let id = match self.free.pop() {
-            Some(id) => {
-                self.frames[id.0 as usize] = Some(Frame::new());
-                id
-            }
-            None if self.frames.len() < self.capacity => {
-                self.frames.push(Some(Frame::new()));
+            Some(id) => id,
+            None => {
+                self.frames.push(None);
                 FrameId((self.frames.len() - 1) as u32)
             }
-            None => return None,
         };
+        self.frames[id.0 as usize] = Some(Frame::new(data));
         self.allocated += 1;
-        Some(id)
+        id
     }
 
     /// Frees a frame, dropping its contents and tags.
@@ -399,11 +422,23 @@ impl PhysMem {
     ///
     /// Panics if the frame was not allocated (double free).
     pub fn free_frame(&mut self, id: FrameId) {
+        self.free_frame_into_bytes(id);
+    }
+
+    /// [`PhysMem::free_frame`] that hands the frame's bytes over instead of
+    /// dropping them (a swap-out keeps them without a copy). Tags and
+    /// capabilities are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame was not allocated (double free).
+    pub fn free_frame_into_bytes(&mut self, id: FrameId) -> Box<[u8]> {
         let slot = self.frames.get_mut(id.0 as usize).and_then(Option::take);
-        assert!(slot.is_some(), "double free of {id:?}");
+        let frame = slot.unwrap_or_else(|| panic!("double free of {id:?}"));
         self.allocated -= 1;
         self.free.push(id);
         self.clear_corrupt_range(id, 0, GRANULES_PER_FRAME - 1);
+        frame.data
     }
 
     fn frame(&self, id: FrameId) -> Result<&Frame, BadFrame> {
@@ -448,18 +483,66 @@ impl PhysMem {
     ///
     /// Panics if the access crosses the end of the frame.
     pub fn write_bytes(&mut self, addr: PAddr, buf: &[u8]) -> Result<(), BadFrame> {
-        self.overwrite(addr, buf)?;
+        self.write_bytes_with(addr, buf.len(), |dst| dst.copy_from_slice(buf))
+    }
+
+    /// [`PhysMem::write_bytes`] of `len` bytes that `fill` writes in place:
+    /// one access, whatever the bytes' source.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BadFrame`] if the frame is unallocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the access crosses the end of the frame.
+    #[inline]
+    pub fn write_bytes_with(
+        &mut self,
+        addr: PAddr,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<(), BadFrame> {
+        self.overwrite_with(addr, len, fill)?;
         self.note_mutation(addr);
         Ok(())
     }
 
+    /// The bytes `[addr, addr + len)`, which must not cross a frame
+    /// boundary: a read that copies nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BadFrame`] if the frame is unallocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range crosses the end of the frame.
+    #[inline]
+    pub fn bytes(&self, addr: PAddr, len: usize) -> Result<&[u8], BadFrame> {
+        let f = self.frame(addr.frame())?;
+        let off = addr.offset() as usize;
+        Ok(&f.data[off..off + len])
+    }
+
     /// [`PhysMem::write_bytes`] without counting the access as a mutation.
     fn overwrite(&mut self, addr: PAddr, buf: &[u8]) -> Result<(), BadFrame> {
+        self.overwrite_with(addr, buf.len(), |dst| dst.copy_from_slice(buf))
+    }
+
+    /// [`PhysMem::overwrite`] of `len` bytes that `fill` writes in place.
+    #[inline]
+    fn overwrite_with(
+        &mut self,
+        addr: PAddr,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<(), BadFrame> {
         let f = self.frame_mut(addr.frame())?;
         let off = addr.offset() as usize;
-        f.data[off..off + buf.len()].copy_from_slice(buf);
+        fill(&mut f.data[off..off + len]);
         let g0 = off / TAG_GRANULE as usize;
-        let g1 = (off + buf.len().max(1) - 1) / TAG_GRANULE as usize;
+        let g1 = (off + len.max(1) - 1) / TAG_GRANULE as usize;
         for g in g0..=g1 {
             f.clear_tag(g);
         }

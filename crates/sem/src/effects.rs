@@ -32,6 +32,9 @@ pub struct RegEffects {
     pub control: bool,
     /// Leaves the run loop (`syscall` / `break`).
     pub exit: bool,
+    /// May replace PCC (a capability jump): the stepper's fetch window,
+    /// checked against the old PCC's bounds, must not outlive it.
+    pub pcc: bool,
 }
 
 impl RegEffects {
@@ -43,6 +46,7 @@ impl RegEffects {
         mem: false,
         control: false,
         exit: false,
+        pcc: false,
     };
 
     /// Adds an integer-register read.
@@ -76,6 +80,16 @@ impl RegEffects {
     /// Marks possible control transfer.
     #[must_use]
     pub const fn ctl(mut self) -> RegEffects {
+        self.control = true;
+        self
+    }
+
+    /// Marks a possible PCC replacement (implies capability state and
+    /// control transfer).
+    #[must_use]
+    pub const fn pcc(mut self) -> RegEffects {
+        self.pcc = true;
+        self.caps = true;
         self.control = true;
         self
     }

@@ -104,6 +104,7 @@ macro_rules! define_ops {
         /// register residency from these sets; the drift-guard test below
         /// checks them against the handlers' observable behaviour.
         #[must_use]
+        #[inline]
         #[allow(unused_variables)]
         pub fn reg_effects(i: &Instr) -> RegEffects {
             match *i {
@@ -486,7 +487,7 @@ define_ops! {
         cx.rf.w(rd, u64::from(a.tag() && b.tag() && b.is_subset_of(&a)));
         Ok(None)
     }
-    op_cjr: Instr::CJr { cb } => [eff().caps().ctl()] |p, cx| {
+    op_cjr: Instr::CJr { cb } => [eff().pcc()] |p, cx| {
         let t = cx.rf.c(cb);
         t.check_access(t.addr(), 4, Perms::EXECUTE)
             .map_err(|f| p.cap_fault(cx.pc, f, Some(t.addr())))?;
@@ -494,7 +495,7 @@ define_ops! {
         cx.next = t.addr();
         Ok(None)
     }
-    op_cjalr: Instr::CJalr { cd, cb } => [eff().caps().ctl()] |p, cx| {
+    op_cjalr: Instr::CJalr { cd, cb } => [eff().pcc()] |p, cx| {
         let t = cx.rf.c(cb);
         t.check_access(t.addr(), 4, Perms::EXECUTE)
             .map_err(|f| p.cap_fault(cx.pc, f, Some(t.addr())))?;
@@ -817,6 +818,61 @@ mod tests {
                     next_a, next_b,
                     "{instr:?}: control depends on an undeclared read"
                 );
+            }
+        }
+    }
+
+    /// A port whose memory reads as zeros and untagged granules and
+    /// takes every write: lets any handler run to completion.
+    struct ZeroPort;
+
+    impl crate::TrapPort for ZeroPort {
+        type Fault = ();
+        fn cap_fault(&mut self, _pc: u64, _f: cheri_cap::CapFault, _v: Option<u64>) {}
+    }
+
+    impl MemoryPort for ZeroPort {
+        fn read_raw(&mut self, _v: u64, _s: u64, _pc: u64) -> Result<u64, ()> {
+            Ok(0)
+        }
+        fn write_raw(&mut self, _v: u64, _s: u64, _val: u64, _pc: u64) -> Result<(), ()> {
+            Ok(())
+        }
+        fn read_granule(&mut self, _v: u64, _pc: u64) -> Result<Option<Capability>, ()> {
+            Ok(None)
+        }
+        fn write_granule(&mut self, _v: u64, _c: Capability, _pc: u64) -> Result<(), ()> {
+            Ok(())
+        }
+    }
+
+    /// Drift guard for the `pcc` effect: a handler that replaces PCC must
+    /// declare it (the stepper drops its fetch window on exactly those),
+    /// and one that declares it must replace PCC when its jump succeeds.
+    #[test]
+    fn only_pcc_declared_handlers_replace_pcc() {
+        use cheri_cap::{CapFormat, CapSource, PrincipalId};
+        let root = Capability::root(CapFormat::C128, PrincipalId::from_raw(1), CapSource::Boot);
+        let bounded = |addr: u64| root.with_addr(addr).set_bounds(0x100, true).unwrap();
+        for instr in exemplars() {
+            let e = reg_effects(&instr);
+            let mut rf = seeded_regfile(7);
+            rf.pcc = bounded(0x1000);
+            for i in 0..32 {
+                rf.wc(cheri_isa::CReg(i), bounded(0x4000));
+            }
+            let before = rf.pcc;
+            let mut cx = StepCtx {
+                rf: &mut rf,
+                pc: 0x1000,
+                next: 0x1004,
+                rstart: 0x1000,
+            };
+            let ok = step_instr(&mut ZeroPort, &mut cx, instr).is_ok();
+            if rf.pcc != before {
+                assert!(e.pcc, "{instr:?} replaced PCC without declaring pcc()");
+            } else {
+                assert!(!(e.pcc && ok), "{instr:?} declares pcc() but kept PCC");
             }
         }
     }

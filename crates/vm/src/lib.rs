@@ -29,4 +29,4 @@ mod space;
 mod vm;
 
 pub use space::{AddressSpace, AsId, Backing, Mapping, PageState, Prot, USER_TOP};
-pub use vm::{Access, SwapFaultSpec, SwapFaults, Vm, VmError, VmStats};
+pub use vm::{Access, Shootdown, SwapFaultSpec, SwapFaults, Vm, VmError, VmStats};

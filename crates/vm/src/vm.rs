@@ -165,7 +165,7 @@ impl SwapFaults {
 
 #[derive(Clone)]
 struct SwapSlot {
-    data: Vec<u8>,
+    data: Box<[u8]>,
     /// Saved capabilities, tag-free, with their in-page byte offsets — the
     /// "tag bit vector in memory / tag-free capability in swap" of Fig. 2.
     caps: Vec<(u64, Capability)>,
@@ -229,14 +229,40 @@ pub struct Vm {
     next_seg: u64,
     frame_refs: IntMap<FrameId, usize>,
     swap_faults: SwapFaults,
-    /// Monotone translation epoch: bumped by every operation that can
-    /// change an established virtual→physical translation (map, unmap,
-    /// mprotect, fork COW re-marking, COW resolution, swap in/out, space
-    /// teardown, shared-segment destruction). Translation caches compare
-    /// their saved epoch against [`Vm::epoch`] and self-invalidate on
-    /// mismatch; see DESIGN.md "The TLB and the translation epoch".
+    /// Monotone translation epoch: bumped by every operation that may
+    /// change established translations of many pages at once (map, unmap,
+    /// mprotect, fork COW re-marking, shared-segment destruction).
+    /// Translation caches compare their saved epoch against [`Vm::epoch`]
+    /// and drop everything on mismatch; see DESIGN.md "The TLB: epoch plus
+    /// shootdown queue".
     epoch: u64,
+    /// Invalidations narrower than an epoch bump, queued since the
+    /// translation cache last drained them. At most [`SHOOTDOWN_QUEUE`]
+    /// entries; one more becomes an epoch bump.
+    shootdowns: Vec<Shootdown>,
+    /// Monotone count of invalidations, epoch bumps and queued shootdowns
+    /// alike: a cache that recorded it may serve its entries with no
+    /// other check while it is unchanged.
+    invalidations: u64,
 }
+
+/// An invalidation narrower than an epoch bump, queued by the [`Vm`] for
+/// its translation cache (see [`Vm::drain_shootdowns`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shootdown {
+    /// Page `vpn` of the space no longer maps the frame it did: a
+    /// swap-out freed the frame, or a COW copy moved the page to a new
+    /// one. Other spaces' translations of the frame stay exact.
+    Page(AsId, u64),
+    /// The space was destroyed: none of its translations is valid, and
+    /// no other space's changed.
+    Space(AsId),
+}
+
+/// Capacity of the shootdown queue. A consumer drains it before each use
+/// of its cache, so it overflows only when nothing drains it (a `Vm`
+/// driven without a `Cpu`); the overflow bumps the epoch instead.
+const SHOOTDOWN_QUEUE: usize = 64;
 
 impl fmt::Debug for Vm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -264,6 +290,8 @@ impl Vm {
             frame_refs: IntMap::default(),
             swap_faults: SwapFaults::default(),
             epoch: 0,
+            shootdowns: Vec::new(),
+            invalidations: 0,
         }
     }
 
@@ -280,20 +308,53 @@ impl Vm {
 
     /// Current translation epoch.
     ///
-    /// The epoch is bumped whenever *any* established translation may have
-    /// changed. A cache that recorded `epoch()` at fill time may keep serving
-    /// a translation only while `epoch()` still returns the same value.
+    /// The epoch is bumped whenever established translations of possibly
+    /// many pages may have changed. A cache that recorded `epoch()` at fill
+    /// time may keep serving a translation only while `epoch()` still
+    /// returns the same value and no shootdown names its page (see
+    /// [`Vm::drain_shootdowns`]).
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Records that established translations may have changed. Called from
-    /// every mutation path (map/unmap/protect, fork COW re-marking, COW
-    /// resolution, swap in/out, teardown) — never from pure demand faults,
-    /// which only add translations for pages no cache can have seen.
+    /// Count of invalidations so far: every epoch bump and every queued
+    /// shootdown advances it. While it is unchanged, every translation a
+    /// cache filled since it last drained the queue is still exact.
+    #[inline]
+    #[must_use]
+    pub fn invalidations(&self) -> u64 {
+        self.invalidations
+    }
+
+    /// Takes the queued shootdowns, oldest first: the translations a cache
+    /// must drop, beyond what the epoch says. The queue has one consumer:
+    /// a second cache on the same `Vm` would miss the entries the first
+    /// one took. An epoch bump empties the queue, since it drops
+    /// everything anyway.
+    pub fn drain_shootdowns(&mut self) -> std::vec::Drain<'_, Shootdown> {
+        self.shootdowns.drain(..)
+    }
+
+    /// Records that established translations of possibly many pages may
+    /// have changed: map/unmap/protect, fork COW re-marking, and the final
+    /// release of a shared segment. Never called for pure demand faults,
+    /// swap-ins or sole-owner COW resolution, which only add translations
+    /// for pages no cache can hold a stale entry of.
     fn bump_epoch(&mut self) {
         self.epoch += 1;
+        self.invalidations += 1;
+        self.shootdowns.clear();
+    }
+
+    /// Queues a shootdown, or bumps the epoch when the queue is full.
+    fn shoot_down(&mut self, s: Shootdown) {
+        if self.shootdowns.len() == SHOOTDOWN_QUEUE {
+            self.bump_epoch();
+        } else {
+            self.invalidations += 1;
+            self.shootdowns.push(s);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -348,9 +409,9 @@ impl Vm {
                 self.release_seg(seg);
             }
         }
-        // Frames owned by the space were released above: any translation a
-        // cache still holds for this space id is now dangling.
-        self.bump_epoch();
+        // The space's frames are free: its translations are dangling.
+        // Nobody else's changed, so no epoch bump.
+        self.shoot_down(Shootdown::Space(id));
     }
 
     /// Clones `parent` into a new space sharing all private pages
@@ -773,7 +834,7 @@ impl Vm {
 
     /// Faulting slow path behind [`Vm::translate`]: resolves the mapping,
     /// checks protection, and performs whatever VM work the page needs.
-    /// May bump the translation epoch (COW resolution, swap-in).
+    /// May queue a shootdown (COW copy).
     fn translate_slow(&mut self, id: AsId, vaddr: u64, access: Access) -> Result<PAddr, VmError> {
         let vpn = vaddr / FRAME_SIZE;
         let off = vaddr % FRAME_SIZE;
@@ -855,11 +916,12 @@ impl Vm {
     fn resolve_cow(&mut self, id: AsId, vpn: u64, frame: FrameId) -> Result<FrameId, VmError> {
         let refs = *self.frame_refs.get(&frame).expect("tracked");
         if refs == 1 {
-            // Sole owner: just drop the COW marking.
+            // Sole owner: just drop the COW marking. Cached read and exec
+            // translations still name the right frame, and no write
+            // translation of a COW page can be cached: nothing is stale.
             self.space_mut(id)
                 .pages
                 .insert(vpn, PageState::Resident { frame, cow: false });
-            self.bump_epoch();
             return Ok(frame);
         }
         let new = self.alloc_frame_tracked()?;
@@ -878,7 +940,8 @@ impl Vm {
         );
         // Read translations for this page still point at the old shared
         // frame; the writer must not keep reading stale data through them.
-        self.bump_epoch();
+        // The other sharers' translations of the old frame stay exact.
+        self.shoot_down(Shootdown::Page(id, vpn));
         Ok(new)
     }
 
@@ -925,7 +988,6 @@ impl Vm {
         if self.swap_faults.fail_write() {
             return Err(VmError::SwapIo(vpn * FRAME_SIZE));
         }
-        let data = self.phys.frame_data(frame).expect("live frame");
         let caps = self
             .phys
             .scan_caps(frame)
@@ -933,15 +995,19 @@ impl Vm {
             .into_iter()
             .map(|(off, c)| (off, c.clear_tag()))
             .collect();
+        // The frame's only reference (checked above) goes, and its bytes
+        // move to the slot.
+        self.frame_refs.remove(&frame);
+        let data = self.phys.free_frame_into_bytes(frame);
         let slot = self.push_swap_slot(SwapSlot { data, caps });
-        self.release_frame(frame);
         self.space_mut(id)
             .pages
             .insert(vpn, PageState::Swapped { slot });
         self.stats.swap_outs += 1;
         // The frame just freed may be reused immediately; any cached
-        // translation for this page is dangling.
-        self.bump_epoch();
+        // translation for this page is dangling. The frame had no other
+        // mapper (refs == 1 above), so no other space's entry names it.
+        self.shoot_down(Shootdown::Page(id, vpn));
         Ok(true)
     }
 
@@ -1064,11 +1130,16 @@ impl Vm {
         }
         self.stats.faults += 1;
         self.stats.swap_ins += 1;
-        let frame = self.alloc_frame_tracked()?;
         let s = self.swap[slot as usize].take().expect("live swap slot");
-        self.phys
-            .set_frame_data(frame, &s.data)
-            .expect("fresh frame");
+        let frame = match self.phys.alloc_frame_from(s.data) {
+            Ok(frame) => frame,
+            Err(data) => {
+                // Out of memory: the slot stays live for a retry.
+                self.swap[slot as usize] = Some(SwapSlot { data, caps: s.caps });
+                return Err(VmError::OutOfMemory);
+            }
+        };
+        self.frame_refs.insert(frame, 1);
         // Rederive each saved capability from the space's root: tags return
         // only for capabilities whose authority the principal actually has.
         let root = self.space(id).root;
@@ -1092,10 +1163,11 @@ impl Vm {
                 }
             }
         }
+        // No invalidation: the page was swapped out, which shot down its
+        // translations, so this only adds one.
         self.space_mut(id)
             .pages
             .insert(vpn, PageState::Resident { frame, cow: false });
-        self.bump_epoch();
         Ok(frame)
     }
 
@@ -1558,41 +1630,82 @@ mod tests {
         assert_eq!(vm.read_u64(child, base).unwrap(), 5);
     }
 
+    /// What a translation cache must drop after a VM operation: whether
+    /// the epoch moved, and the shootdowns queued. Drains the queue, as
+    /// the cache would.
+    fn invalidated(vm: &mut Vm, epoch: &mut u64, seen: &mut u64) -> (bool, Vec<Shootdown>) {
+        let bumped = vm.epoch() != *epoch;
+        let pages: Vec<Shootdown> = vm.drain_shootdowns().collect();
+        assert_eq!(
+            vm.invalidations() == *seen,
+            !bumped && pages.is_empty(),
+            "invalidations() moves exactly when something was invalidated"
+        );
+        *epoch = vm.epoch();
+        *seen = vm.invalidations();
+        (bumped, pages)
+    }
+
+    /// Every mapping mutation either bumps the epoch or queues shootdowns
+    /// naming exactly the pages whose frame it changed; operations that
+    /// only add translations do neither.
     #[test]
-    fn epoch_bumps_on_every_mapping_mutation() {
+    fn every_mapping_mutation_bumps_the_epoch_or_shoots_down_its_pages() {
         let (mut vm, id) = setup();
-        let mut last = vm.epoch();
+        let (mut epoch, mut seen) = (vm.epoch(), vm.invalidations());
+        let mut step = |vm: &mut Vm| invalidated(vm, &mut epoch, &mut seen);
+        let none = (false, vec![]);
         let base = vm
-            .map(id, None, 8192, Prot::rw(), Backing::Zero, "anon")
+            .map(id, None, 3 * 4096, Prot::rw(), Backing::Zero, "anon")
             .unwrap();
-        assert!(vm.epoch() > last, "map must bump the epoch");
-        last = vm.epoch();
+        assert!(step(&mut vm).0, "map bumps the epoch");
+        let (p0, p2) = (base / FRAME_SIZE, base / FRAME_SIZE + 2);
         vm.write_u64(id, base, 1).unwrap();
-        assert_eq!(vm.epoch(), last, "pure demand fault must not bump");
+        vm.write_u64(id, base + 4096, 1).unwrap();
+        assert_eq!(step(&mut vm), none, "a demand fault only adds");
         let child = vm.fork_space(id).unwrap();
-        assert!(vm.epoch() > last, "fork_space must bump the epoch");
-        last = vm.epoch();
+        assert!(step(&mut vm).0, "fork re-marks the parent's pages COW");
         vm.write_u64(id, base, 2).unwrap();
-        assert!(vm.epoch() > last, "COW resolution must bump the epoch");
-        last = vm.epoch();
-        vm.protect(id, base, 4096, Prot::READ).unwrap();
-        assert!(vm.epoch() > last, "protect must bump the epoch");
-        last = vm.epoch();
+        assert_eq!(
+            step(&mut vm),
+            (false, vec![Shootdown::Page(id, p0)]),
+            "a COW copy moves one page"
+        );
+        assert_eq!(
+            vm.read_u64(child, base).unwrap(),
+            1,
+            "the sharer keeps the old frame"
+        );
         vm.destroy_space(child);
-        assert!(vm.epoch() > last, "destroy_space must bump the epoch");
-        last = vm.epoch();
-        // Fault the second page in privately, then push it through a swap
-        // round trip.
-        vm.write_u64(id, base + 4096, 3).unwrap();
-        assert_eq!(vm.epoch(), last, "pure demand fault must not bump");
-        assert!(vm.swap_out(id, base + 4096).unwrap());
-        assert!(vm.epoch() > last, "swap_out must bump the epoch");
-        last = vm.epoch();
-        assert_eq!(vm.read_u64(id, base + 4096).unwrap(), 3);
-        assert!(vm.epoch() > last, "swap_in must bump the epoch");
-        last = vm.epoch();
+        assert_eq!(
+            step(&mut vm),
+            (false, vec![Shootdown::Space(child)]),
+            "teardown drops only the destroyed space"
+        );
+        vm.write_u64(id, base + 4096, 2).unwrap();
+        assert_eq!(step(&mut vm), none, "a sole-owner COW only adds write");
+        assert_eq!(vm.stats.cow_copies, 1);
+        vm.write_u64(id, base + 2 * 4096, 3).unwrap();
+        assert!(vm.swap_out(id, base + 2 * 4096).unwrap());
+        assert_eq!(
+            step(&mut vm),
+            (false, vec![Shootdown::Page(id, p2)]),
+            "swap-out frees one frame"
+        );
+        assert_eq!(vm.read_u64(id, base + 2 * 4096).unwrap(), 3);
+        assert_eq!(step(&mut vm), none, "a swap-in only adds");
+        vm.protect(id, base, 4096, Prot::READ).unwrap();
+        assert!(step(&mut vm).0, "protect bumps the epoch");
         vm.unmap(id, base + 4096, 4096).unwrap();
-        assert!(vm.epoch() > last, "unmap must bump the epoch");
+        assert!(step(&mut vm).0, "unmap bumps the epoch");
+        // A queue nobody drains turns into an epoch bump instead of
+        // growing without bound.
+        for _ in 0..=SHOOTDOWN_QUEUE {
+            assert!(vm.swap_out(id, base + 2 * 4096).unwrap());
+            assert_eq!(vm.read_u64(id, base + 2 * 4096).unwrap(), 3);
+        }
+        let (bumped, pages) = step(&mut vm);
+        assert!(bumped && pages.is_empty(), "overflow bumps the epoch");
     }
 
     #[test]
